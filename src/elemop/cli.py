@@ -16,6 +16,7 @@ from . import __version__
 from .classify import classify, generate, verify_certificate
 from .errors import DimensionError, ElemopError, FormatError, UnsupportedLengthError
 from .exact import char_poly
+from .nilpotency import DEFAULT_SUBSPACE_BUDGET, DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT
 from .nilpotency import ProbablyNilpotent, Refuted, all_x_nilpotent
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
 from .serialize import (
@@ -208,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify and write a certificate")
     p.add_argument("path")
     p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
@@ -228,9 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="pure sampling search for a refuting argument")
     p.add_argument("path")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=100)
+    p.add_argument("--height", type=int, default=DEFAULT_WITNESS_HEIGHT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

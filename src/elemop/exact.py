@@ -387,6 +387,37 @@ def matrix_units(dim: int) -> list[Matrix]:
     return [Matrix.unit(dim, i, j) for i in range(dim) for j in range(dim)]
 
 
+def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
+    """Whether sum_i vec(a_i) vec(b_i)^T is the zero matrix.
+
+    Row-major vec, so entry ((p, k), (l, q)) is (sum_i a_i E_kl b_i)[p, q]
+    and this decides exactly whether x -> sum a_i x b_i is the zero map.
+    Works on Gaussian integers over one common denominator, one tensor
+    row at a time, and stops at the first nonzero row.
+    """
+    forms = [(a._int_form, b._int_form) for a, b in pairs]
+    common = lcm(1, *(da * db for (da, _, _), (db, _, _) in forms))
+    # per pair: real and imaginary vec(a), then vec(b) scaled to the common
+    # denominator, so every tensor entry is a sum of integer products
+    flat = []
+    for (da, ra, ia), (db, rb, ib) in forms:
+        s = common // (da * db)
+        flat.append((
+            [x for r in ra for x in r], [x for r in ia for x in r],
+            [s * x for r in rb for x in r], [s * x for r in ib for x in r],
+        ))
+    for row in range(len(flat[0][0]) if flat else 0):
+        acc_re, acc_im = [0] * len(flat[0][2]), [0] * len(flat[0][2])
+        for a_re, a_im, b_re, b_im in flat:
+            x, y = a_re[row], a_im[row]
+            if x or y:
+                acc_re = [t + x * u - y * v for t, u, v in zip(acc_re, b_re, b_im)]
+                acc_im = [t + x * v + y * u for t, u, v in zip(acc_im, b_re, b_im)]
+        if any(acc_re) or any(acc_im):
+            return False
+    return True
+
+
 def trace(m: Matrix) -> Scalar:
     if not m.is_square:
         raise ShapeError("trace needs a square matrix")
@@ -487,12 +518,6 @@ def solve_vec(a: Matrix, v: Vector) -> Vector | None:
     if res is None:
         return None
     return res.column(0)
-
-
-def solve_left(a: Matrix, b: Matrix) -> Matrix | None:
-    """One exact solution X of X @ a = b, or None."""
-    res = solve(a.transpose(), b.transpose())
-    return None if res is None else res.transpose()
 
 
 def inverse(m: Matrix) -> Matrix:

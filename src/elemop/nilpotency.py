@@ -58,9 +58,8 @@ DEFAULT_TRIALS = 200
 DEFAULT_WITNESS_HEIGHT = 100
 
 
-def is_nilpotent(m: Matrix) -> bool:
-    """Exact decision via the characteristic polynomial."""
-    return char_poly(m) == lambda_power(m.rows)
+#: The one nilpotency predicate for a single matrix.
+is_nilpotent = is_nilpotent_matrix
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,11 @@ minimal number of pairs is the length, and any two minimal-length pair
 lists are related by an invertible scalar change of representation that
 conjugates the block matrix (b_i a_j) entrywise.
 
-Equality of operators as maps is decided on the matrix units of the
-ambient algebra, which is complete because the map is linear in x.
+Equality of operators as maps is decided on the coefficient tensor
+M(phi) = sum_i vec(a_i) vec(b_i)^T, whose entries are exactly the entries
+of phi on the matrix units: two pair lists give the same map iff their
+tensors agree, and a composition vanishes iff the tensor of the composed
+pairs (c_j a_i, b_i d_j) is zero.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .exact import (
     Scalar,
     Vector,
     ZERO,
+    coefficient_tensor_is_zero,
     inverse,
-    matrix_units,
     rank,
     rref,
     solve_vec,
@@ -88,13 +91,10 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
 
 
 def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
-    """Exact equality as maps, probed on all matrix units."""
+    """Exact equality as maps: the tensor of phi minus psi is zero."""
     if phi.dim != psi.dim:
         raise ShapeError("ambient dimensions differ")
-    for unit in matrix_units(phi.dim):
-        if apply(phi, unit) != apply(psi, unit):
-            return False
-    return True
+    return coefficient_tensor_is_zero(phi.pairs + tuple((-c, d) for c, d in psi.pairs))
 
 
 def _independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], dict[int, list[Scalar]]]:
@@ -118,43 +118,36 @@ def _independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], dict[int, li
     return kept, coords
 
 
+def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]]:
+    """Keep the earliest independent left coefficients and fold every
+    dropped pair's right coefficient into the kept pairs."""
+    kept, coords = _independent_subset([a for a, _ in pairs])
+    if len(kept) == len(pairs):
+        return pairs
+    folded = []
+    for pos, idx in enumerate(kept):
+        b_new = pairs[idx][1]
+        for drop_idx, c in coords.items():
+            if not c[pos].is_zero:
+                b_new = b_new + c[pos] * pairs[drop_idx][1]
+        folded.append((pairs[idx][0], b_new))
+    return [(a, b) for a, b in folded if not b.is_zero]
+
+
 def minimal_length(phi: ElementaryOperator) -> tuple[int, ElementaryOperator]:
     """Length of the map and a representation with that many pairs.
 
-    Alternately eliminates dependencies among the left and right
-    coefficients, folding each discarded pair into the kept ones; the
-    process terminates with both coefficient families independent, which
-    pins the pair count at the rank of the vectorized coefficient tensor.
+    Folds the left side, then the right side.  Two passes suffice: the
+    second keeps independent right coefficients, and its new left
+    coefficients are kept left coefficients plus combinations of the
+    dropped ones, so they stay independent.  Both families independent
+    pins the pair count at the rank of the coefficient tensor.
     """
     pairs = [(a, b) for a, b in phi.pairs if not a.is_zero and not b.is_zero]
-    while True:
-        if not pairs:
-            return 0, ElementaryOperator.zero(phi.dim)
-        a_list = [p[0] for p in pairs]
-        kept, coords = _independent_subset(a_list)
-        if len(kept) < len(pairs):
-            new_pairs = []
-            for pos, idx in enumerate(kept):
-                b_new = pairs[idx][1]
-                for drop_idx, c in coords.items():
-                    if not c[pos].is_zero:
-                        b_new = b_new + c[pos] * pairs[drop_idx][1]
-                new_pairs.append((pairs[idx][0], b_new))
-            pairs = [(a, b) for a, b in new_pairs if not a.is_zero and not b.is_zero]
-            continue
-        b_list = [p[1] for p in pairs]
-        kept, coords = _independent_subset(b_list)
-        if len(kept) < len(pairs):
-            new_pairs = []
-            for pos, idx in enumerate(kept):
-                a_new = pairs[idx][0]
-                for drop_idx, c in coords.items():
-                    if not c[pos].is_zero:
-                        a_new = a_new + c[pos] * pairs[drop_idx][0]
-                new_pairs.append((a_new, pairs[idx][1]))
-            pairs = [(a, b) for a, b in new_pairs if not a.is_zero and not b.is_zero]
-            continue
-        break
+    pairs = _fold_left(pairs)
+    pairs = [(a, b) for b, a in _fold_left([(b, a) for a, b in pairs])]
+    if not pairs:
+        return 0, ElementaryOperator.zero(phi.dim)
     return len(pairs), ElementaryOperator(phi.dim, tuple(pairs))
 
 
@@ -249,8 +242,7 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     """Rewrite phi over a chosen basis of its left coefficient space.
 
     Solves u_j = sum_k P[k][j] a_k for the unique P, then carries the
-    right coefficients through P^{-1}; the result is verified to be the
-    same map before it is returned.
+    right coefficients through P^{-1}, which keeps the map.
     """
     _require_reduced(phi, "change_left_basis")
     n = phi.term_count
@@ -299,10 +291,7 @@ def _apply_scalar_change(phi: ElementaryOperator, p: Matrix) -> Representation:
             if not c.is_zero:
                 acc = acc + c * phi.pairs[k][1]
         v.append(acc)
-    rep = Representation(phi.dim, tuple(u), tuple(v), p)
-    if not maps_equal(rep.as_operator(), phi):  # pragma: no cover
-        raise InconsistencyError("representation change failed to preserve the map")
-    return rep
+    return Representation(phi.dim, tuple(u), tuple(v), p)
 
 
 def adjoint_flip(phi: ElementaryOperator) -> ElementaryOperator:
@@ -310,23 +299,14 @@ def adjoint_flip(phi: ElementaryOperator) -> ElementaryOperator:
     return ElementaryOperator(phi.dim, tuple((b, a) for a, b in phi.pairs))
 
 
-def compose_is_zero(
-    psi: ElementaryOperator,
-    phi: ElementaryOperator,
-    algebra_basis: Sequence[Matrix] | None = None,
-) -> bool:
-    """Whether x -> psi(phi(x)) is the zero map.
-
-    Complete exact decision: the composition is linear in x, so probing a
-    basis of the ambient matrix algebra settles it.
-    """
+def compose_is_zero(psi: ElementaryOperator, phi: ElementaryOperator) -> bool:
+    """Whether x -> psi(phi(x)) is the zero map, decided on the tensor of
+    the composed pairs (c_j a_i, b_i d_j)."""
     if psi.dim != phi.dim:
         raise ShapeError("ambient dimensions differ")
-    basis = list(algebra_basis) if algebra_basis is not None else matrix_units(phi.dim)
-    for x in basis:
-        if not apply(psi, apply(phi, x)).is_zero:
-            return False
-    return True
+    return coefficient_tensor_is_zero(
+        [(c @ a, b @ d) for c, d in psi.pairs for a, b in phi.pairs]
+    )
 
 
 def local_matrix(phi: ElementaryOperator, zeta: Vector, x: Matrix) -> Matrix:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from fractions import Fraction
 from typing import Any
 
@@ -23,18 +22,27 @@ from .spaces import OperatorSpace
 
 SCHEMA_VERSION = "1"
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/[0-9]+)?$")
-
 
 def _fraction_from_string(text: Any, where: str) -> Fraction:
+    """Parse the canonical spelling only, so one value has one spelling
+    and one operator has one digest."""
     if not isinstance(text, str):
         raise FormatError(f"{where}: expected a fraction string, got {text!r}")
-    if not _FRACTION_RE.match(text):
-        raise FormatError(f"{where}: {text!r} is not an integer or reduced fraction")
     try:
-        return Fraction(text)
+        value = Fraction(text)
     except ZeroDivisionError:
         raise FormatError(f"{where}: zero denominator in {text!r}") from None
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise FormatError(f"{where}: {text!r} is not a canonical integer or reduced fraction")
+    return value
+
+
+def _positive_int(value: Any, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"{where}: expected a positive integer")
+    return value
 
 
 def _require_keys(data: dict, allowed: set[str], required: set[str], where: str):
@@ -104,9 +112,7 @@ def operator_to_json(phi: ElementaryOperator) -> dict:
 
 def operator_from_json(data: Any, where: str = "operator") -> ElementaryOperator:
     _require_keys(data, {"dim", "pairs"}, {"dim", "pairs"}, where)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError(f"{where}.dim: expected a positive integer")
+    dim = _positive_int(data["dim"], f"{where}.dim")
     if not isinstance(data["pairs"], list):
         raise FormatError(f"{where}.pairs: expected an array")
     pairs = []
@@ -126,9 +132,7 @@ def space_to_json(space: OperatorSpace) -> dict:
 
 def space_from_json(data: Any, where: str = "space") -> OperatorSpace:
     _require_keys(data, {"dim", "basis"}, {"dim", "basis"}, where)
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise FormatError(f"{where}.dim: expected a positive integer")
+    dim = _positive_int(data["dim"], f"{where}.dim")
     basis = tuple(
         matrix_from_json(m, f"{where}.basis[{i}]") for i, m in enumerate(data["basis"])
     )
@@ -174,8 +178,8 @@ def parameters_from_json(data: Any, where: str = "parameters") -> FormParameters
         if key in data:
             vectors[key] = vector_from_json(data[key], f"{where}.{key}")
     r = data.get("r")
-    if r is not None and (not isinstance(r, int) or r < 1):
-        raise FormatError(f"{where}.r: expected a positive integer")
+    if r is not None:
+        _positive_int(r, f"{where}.r")
     return FormParameters(
         zeta0=vectors.get("zeta0"),
         zeta1=vectors.get("zeta1"),
@@ -250,16 +254,7 @@ def instance_from_json(data: Any) -> tuple[ElementaryOperator, dict]:
             f"instance.schema_version: only {SCHEMA_VERSION!r} is accepted, "
             f"got {data['schema_version']!r}"
         )
-    operator_data = data["operator"]
-    _require_keys(operator_data, {"dim", "pairs"}, {"dim", "pairs"}, "instance.operator")
-    if operator_data["pairs"] == []:
-        # The explicit zero operator: representable, flagged, never crashes.
-        dim = operator_data["dim"]
-        if not isinstance(dim, int) or dim < 1:
-            raise FormatError("instance.operator.dim: expected a positive integer")
-        phi = ElementaryOperator.zero(dim)
-    else:
-        phi = operator_from_json(operator_data, "instance.operator")
+    phi = operator_from_json(data["operator"], "instance.operator")
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise FormatError("instance.metadata: expected an object")

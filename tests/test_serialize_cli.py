@@ -44,6 +44,13 @@ def test_scalar_rejects_decimals_and_numbers():
         scalar_from_json([0.5, "0"], "entry")
     with pytest.raises(FormatError):
         scalar_from_json(["1/0", "0"], "entry")
+    # one value, one spelling: non-canonical forms would give one operator
+    # several digests
+    for text in ("2/4", "+1/2", "01/02", "-0", "0/1", " 1", "1_0"):
+        with pytest.raises(FormatError) as err:
+            scalar_from_json([text, "0"], "entry")
+        assert repr(text) in str(err.value)
+    assert scalar_from_json(["1/2", "0"], "entry") == scalar("1/2")
 
 
 def test_matrix_round_trip_preserves_fractions():
@@ -101,6 +108,15 @@ def test_instance_rejects_unknown_fields_and_versions():
     data["schema_version"] = "2"
     with pytest.raises(FormatError):
         instance_from_json(data)
+    # JSON true is a bool, not a dimension, also for the zero operator
+    for pairs in (operator_to_json(phi)["pairs"], []):
+        data = {"schema_version": "1", "operator": {"dim": True, "pairs": pairs}}
+        with pytest.raises(FormatError) as err:
+            instance_from_json(data)
+        assert "instance.operator.dim" in str(err.value)
+    with pytest.raises(FormatError) as err:
+        verdict_from_json({"status": "LQN", "parameters": {"r": True}}, 3)
+    assert "parameters.r" in str(err.value)
 
 
 def test_digest_ignores_metadata_but_not_operator():
