@@ -31,7 +31,9 @@ from .exact import (
     ONE,
     Vector,
     ZERO,
+    basis_vector,
     derive_seed,
+    independent_subset,
     inverse,
     is_nilpotent_matrix,
     outer,
@@ -346,24 +348,13 @@ def structure_dimv1(
     zeta = simultaneous_separating_vector([lspace, products], seed=derive_seed(seed, 5))
     d = reduced.dim
 
-    # Head indices: earliest a_i with independent images at zeta.
-    head: list[int] = []
-    echelon: list[Vector] = []
-    for idx, (a, _) in enumerate(reduced.pairs):
-        img = a @ zeta
-        reduced_rows, _ = rref(list(echelon) + [img])
-        if len(reduced_rows) > len(echelon):
-            echelon = reduced_rows
-            head.append(idx)
+    # Head indices: earliest a_i with independent images at zeta; every
+    # tail image is adjusted by its coordinates in the head images.
+    head, adjustments = independent_subset([a @ zeta for a, _ in reduced.pairs])
     r = len(head)
-    tail = [i for i in range(n) if i not in head]
+    tail = list(adjustments)
 
-    image_basis = Matrix.from_columns([reduced.pairs[i][0] @ zeta for i in head])
     new_pairs: list[tuple[Matrix, Matrix]] = []
-    adjustments: dict[int, Vector] = {}
-    for t in tail:
-        coords = _solve_columns(image_basis, reduced.pairs[t][0] @ zeta)
-        adjustments[t] = coords
     for pos, h in enumerate(head):
         b_new = reduced.pairs[h][1]
         for t, coords in adjustments.items():
@@ -417,25 +408,11 @@ def structure_dimv1(
     )
 
 
-def _solve_columns(basis_matrix: Matrix, target: Vector) -> Vector:
-    from .exact import solve_vec
-
-    sol = solve_vec(basis_matrix, target)
-    if sol is None:  # pragma: no cover
-        raise InconsistencyError("dependent image failed to resolve")
-    return sol
-
-
 def _map_onto(target: Vector, source: Vector, d: int) -> Matrix:
     """A matrix sending source to target and a complement of source to 0."""
-    cols = [source]
-    for i in range(d):
-        e = tuple(ONE if j == i else ZERO for j in range(d))
-        if len(rref(cols + [e])[0]) > len(rref(cols)[0]):
-            cols.append(e)
-        if len(cols) == d:
-            break
-    basis = Matrix.from_columns(cols)
+    candidates = [source] + [basis_vector(d, i) for i in range(d)]
+    kept, _ = independent_subset(candidates)
+    basis = Matrix.from_columns([candidates[i] for i in kept])
     images = [target] + [tuple(ZERO for _ in range(d))] * (d - 1)
     return Matrix.from_columns(images) @ inverse(basis)
 

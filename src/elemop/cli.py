@@ -105,10 +105,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     phi, _, data = _load_instance(args.path)
-    n, _ = minimal_length(phi)
-    if n > 3:
-        print(f"unsupported: operator has length {n} > 3", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     verdict = classify(phi, trials=args.trials, seed=args.seed, budget=args.budget)
     digest = instance_digest(data)
     certificate = certificate_to_json(digest, verdict_to_json(verdict, phi.dim), TOOLCHAIN)

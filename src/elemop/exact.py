@@ -466,6 +466,27 @@ def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
     return out, pivots
 
 
+def independent_subset(vectors: Sequence[Vector]) -> tuple[list[int], dict[int, Vector]]:
+    """Indices of the earliest linearly independent vectors, and for every
+    other index its coordinates in the kept vectors.
+
+    One rref of the matrix whose columns are the vectors: the pivot
+    columns are the kept vectors, and each non-pivot column of the
+    reduced form is that vector's coordinate column.
+    """
+    if not vectors:
+        return [], {}
+    length = len(vectors[0])
+    if any(len(v) != length for v in vectors):
+        raise ShapeError("vectors must share one length")
+    reduced, pivots = rref(list(zip(*vectors)))
+    kept = set(pivots)
+    coords = {
+        j: tuple(row[j] for row in reduced) for j in range(len(vectors)) if j not in kept
+    }
+    return pivots, coords
+
+
 def rank(m: Matrix) -> int:
     return len(rref(m.entries)[0])
 

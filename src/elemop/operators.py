@@ -4,7 +4,9 @@ An operator is an ordered list of coefficient pairs over a fixed square
 ambient dimension.  Different pair lists can encode the same map; the
 minimal number of pairs is the length, and any two minimal-length pair
 lists are related by an invertible scalar change of representation that
-conjugates the block matrix (b_i a_j) entrywise.
+conjugates the block matrix (b_i a_j) entrywise.  The minimal form is
+computed once per operator object and kept on it, so every decision that
+starts from a minimal-length representation shares one reduction.
 
 Equality of operators as maps is decided on the coefficient tensor
 M(phi) = sum_i vec(a_i) vec(b_i)^T, whose entries are exactly the entries
@@ -16,13 +18,13 @@ pairs (c_j a_i, b_i d_j) is zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import (
     BasisError,
     ContractError,
     DomainError,
-    InconsistencyError,
     PreconditionError,
     ShapeError,
 )
@@ -32,6 +34,7 @@ from .exact import (
     Vector,
     ZERO,
     coefficient_tensor_is_zero,
+    independent_subset,
     inverse,
     rank,
     rref,
@@ -79,6 +82,27 @@ class ElementaryOperator:
     def __call__(self, x: Matrix) -> Matrix:
         return apply(self, x)
 
+    @cached_property
+    def _reduced(self) -> "ElementaryOperator | None":
+        """The minimal-length form, or None when this pair list is already
+        minimal.
+
+        Folds the left side, then the right side.  Two passes suffice: the
+        second keeps independent right coefficients, and its new left
+        coefficients are kept left coefficients plus combinations of the
+        dropped ones, so they stay independent.  Both families independent
+        pins the pair count at the rank of the coefficient tensor.  Never
+        holds self, which would make every operator a reference cycle.
+        """
+        pairs = [(a, b) for a, b in self.pairs if not a.is_zero and not b.is_zero]
+        pairs = _fold_left(pairs)
+        pairs = [(a, b) for b, a in _fold_left([(b, a) for a, b in pairs])]
+        if len(pairs) == len(self.pairs):
+            return None
+        reduced = ElementaryOperator(self.dim, tuple(pairs))
+        reduced.__dict__["_reduced"] = None
+        return reduced
+
 
 def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     """Exact evaluation sum a_i x b_i."""
@@ -97,31 +121,10 @@ def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
     return coefficient_tensor_is_zero(phi.pairs + tuple((-c, d) for c, d in psi.pairs))
 
 
-def _independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], dict[int, list[Scalar]]]:
-    """Earliest independent indices plus coordinates of the remaining
-    matrices in that independent set."""
-    kept: list[int] = []
-    for idx, m in enumerate(mats):
-        rows = [mats[i].vectorize() for i in kept] + [m.vectorize()]
-        if len(rref(rows)[0]) == len(kept) + 1:
-            kept.append(idx)
-    coords: dict[int, list[Scalar]] = {}
-    if kept:
-        basis_matrix = Matrix.from_columns([mats[i].vectorize() for i in kept])
-        for idx, m in enumerate(mats):
-            if idx in kept:
-                continue
-            sol = solve_vec(basis_matrix, m.vectorize())
-            if sol is None:  # pragma: no cover
-                raise InconsistencyError("dependent matrix failed to resolve")
-            coords[idx] = list(sol)
-    return kept, coords
-
-
 def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]]:
     """Keep the earliest independent left coefficients and fold every
     dropped pair's right coefficient into the kept pairs."""
-    kept, coords = _independent_subset([a for a, _ in pairs])
+    kept, coords = independent_subset([a.vectorize() for a, _ in pairs])
     if len(kept) == len(pairs):
         return pairs
     folded = []
@@ -137,27 +140,11 @@ def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]
 def minimal_length(phi: ElementaryOperator) -> tuple[int, ElementaryOperator]:
     """Length of the map and a representation with that many pairs.
 
-    Folds the left side, then the right side.  Two passes suffice: the
-    second keeps independent right coefficients, and its new left
-    coefficients are kept left coefficients plus combinations of the
-    dropped ones, so they stay independent.  Both families independent
-    pins the pair count at the rank of the coefficient tensor.
+    Reads the operator's memo, so the minimal form is computed once per
+    operator object; an already minimal operator is returned as it is.
     """
-    pairs = [(a, b) for a, b in phi.pairs if not a.is_zero and not b.is_zero]
-    pairs = _fold_left(pairs)
-    pairs = [(a, b) for b, a in _fold_left([(b, a) for a, b in pairs])]
-    if not pairs:
-        return 0, ElementaryOperator.zero(phi.dim)
-    return len(pairs), ElementaryOperator(phi.dim, tuple(pairs))
-
-
-def is_reduced(phi: ElementaryOperator) -> bool:
-    if phi.is_zero:
-        return True
-    a_rows = [a.vectorize() for a, _ in phi.pairs]
-    b_rows = [b.vectorize() for _, b in phi.pairs]
-    n = phi.term_count
-    return len(rref(a_rows)[0]) == n and len(rref(b_rows)[0]) == n
+    reduced = phi if phi._reduced is None else phi._reduced
+    return reduced.term_count, reduced
 
 
 def left_space(phi: ElementaryOperator) -> OperatorSpace:
@@ -234,7 +221,7 @@ class Representation:
 
 
 def _require_reduced(phi: ElementaryOperator, op_name: str):
-    if not is_reduced(phi):
+    if minimal_length(phi)[0] != phi.term_count:
         raise ContractError(f"{op_name} requires a length-reduced operator")
 
 

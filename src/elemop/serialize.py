@@ -22,18 +22,24 @@ from .spaces import OperatorSpace
 
 SCHEMA_VERSION = "1"
 
+_FRACTION_CHARS = frozenset("-/0123456789")
+
 
 def _fraction_from_string(text: Any, where: str) -> Fraction:
     """Parse the canonical spelling only, so one value has one spelling
     and one operator has one digest."""
     if not isinstance(text, str):
         raise FormatError(f"{where}: expected a fraction string, got {text!r}")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise FormatError(f"{where}: zero denominator in {text!r}") from None
-    except ValueError:
-        value = None
+    value = None
+    # Sign, digits and slash spell every canonical value.  Filtering first
+    # keeps Fraction from expanding an exponent such as "1e999999999".
+    if set(text) <= _FRACTION_CHARS:
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            raise FormatError(f"{where}: zero denominator in {text!r}") from None
+        except ValueError:
+            pass
     if value is None or str(value) != text:
         raise FormatError(f"{where}: {text!r} is not a canonical integer or reduced fraction")
     return value
@@ -101,6 +107,12 @@ def matrix_from_json(data: Any, where: str) -> Matrix:
     return Matrix(tuple(rows))
 
 
+def _matrices_from_json(data: Any, where: str) -> tuple[Matrix, ...]:
+    if not isinstance(data, list):
+        raise FormatError(f"{where}: expected an array")
+    return tuple(matrix_from_json(m, f"{where}[{i}]") for i, m in enumerate(data))
+
+
 def operator_to_json(phi: ElementaryOperator) -> dict:
     return {
         "dim": phi.dim,
@@ -133,10 +145,7 @@ def space_to_json(space: OperatorSpace) -> dict:
 def space_from_json(data: Any, where: str = "space") -> OperatorSpace:
     _require_keys(data, {"dim", "basis"}, {"dim", "basis"}, where)
     dim = _positive_int(data["dim"], f"{where}.dim")
-    basis = tuple(
-        matrix_from_json(m, f"{where}.basis[{i}]") for i, m in enumerate(data["basis"])
-    )
-    return OperatorSpace(dim, basis)
+    return OperatorSpace(dim, _matrices_from_json(data["basis"], f"{where}.basis"))
 
 
 def representation_to_json(rep: Representation, include_p: bool = True) -> dict:
@@ -151,8 +160,8 @@ def representation_to_json(rep: Representation, include_p: bool = True) -> dict:
 
 def representation_from_json(data: Any, dim: int, where: str = "representation") -> Representation:
     _require_keys(data, {"u", "v", "P"}, {"u", "v"}, where)
-    u = tuple(matrix_from_json(m, f"{where}.u[{i}]") for i, m in enumerate(data["u"]))
-    v = tuple(matrix_from_json(m, f"{where}.v[{i}]") for i, m in enumerate(data["v"]))
+    u = _matrices_from_json(data["u"], f"{where}.u")
+    v = _matrices_from_json(data["v"], f"{where}.v")
     p = matrix_from_json(data["P"], f"{where}.P") if "P" in data else None
     return Representation(dim, u, v, p)
 
@@ -171,12 +180,14 @@ def parameters_to_json(p: FormParameters) -> dict:
     return out
 
 
-def parameters_from_json(data: Any, where: str = "parameters") -> FormParameters:
+def parameters_from_json(data: Any, dim: int, where: str = "parameters") -> FormParameters:
     _require_keys(data, _PARAM_KEYS, set(), where)
     vectors = {}
     for key in ("zeta0", "zeta1", "f", "g"):
         if key in data:
             vectors[key] = vector_from_json(data[key], f"{where}.{key}")
+            if len(vectors[key]) != dim:
+                raise FormatError(f"{where}.{key}: expected {dim} entries")
     r = data.get("r")
     if r is not None:
         _positive_int(r, f"{where}.r")
@@ -214,10 +225,10 @@ def verdict_to_json(verdict: ClassificationVerdict, dim: int) -> dict:
 def verdict_from_json(data: Any, dim: int, where: str = "verdict") -> ClassificationVerdict:
     _require_keys(data, _VERDICT_KEYS, {"status"}, where)
     status = data["status"]
-    if status not in _STATUSES:
+    if not isinstance(status, str) or status not in _STATUSES:
         raise FormatError(f"{where}.status: unknown status {status!r}")
     form = data.get("form")
-    if form is not None and form not in _FORMS:
+    if form is not None and (not isinstance(form, str) or form not in _FORMS):
         raise FormatError(f"{where}.form: unknown form {form!r}")
     rep = None
     if "representation" in data:
@@ -227,7 +238,7 @@ def verdict_from_json(data: Any, dim: int, where: str = "verdict") -> Classifica
         witness = matrix_from_json(data["witness"], f"{where}.witness")
     params = None
     if "parameters" in data:
-        params = parameters_from_json(data["parameters"], f"{where}.parameters")
+        params = parameters_from_json(data["parameters"], dim, f"{where}.parameters")
     evidence = data.get("evidence", {})
     if not isinstance(evidence, dict):
         raise FormatError(f"{where}.evidence: expected an object")

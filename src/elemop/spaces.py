@@ -19,6 +19,7 @@ from .exact import (
     ONE,
     Vector,
     derive_seed,
+    independent_subset,
     outer,
     random_vector,
     rank,
@@ -64,17 +65,11 @@ def reduce_basis(mats: Sequence[Matrix], ambient_dim: int | None = None) -> Oper
     d = mats[0].rows
     if ambient_dim is not None and ambient_dim != d:
         raise ShapeError("ambient_dim disagrees with the generators")
-    kept: list[Matrix] = []
-    echelon: list[Vector] = []
     for m in mats:
         if m.rows != d or m.cols != d:
             raise ShapeError("generators must share one square shape")
-        candidate = list(echelon) + [m.vectorize()]
-        reduced, _ = rref(candidate)
-        if len(reduced) > len(echelon):
-            echelon = reduced
-            kept.append(m)
-    return OperatorSpace(d, tuple(kept))
+    kept, _ = independent_subset([m.vectorize() for m in mats])
+    return OperatorSpace(d, tuple(mats[i] for i in kept))
 
 
 def span_contains(space: OperatorSpace, m: Matrix) -> bool:
@@ -90,15 +85,9 @@ def evaluate(space: OperatorSpace, zeta: Vector) -> list[Vector]:
     """Reduced basis of span{T zeta : T in the basis}."""
     if len(zeta) != space.ambient_dim:
         raise ShapeError("vector length does not match the ambient dimension")
-    images: list[Vector] = []
-    echelon: list[Vector] = []
-    for t in space.basis:
-        img = t @ zeta
-        reduced, _ = rref(list(echelon) + [img])
-        if len(reduced) > len(echelon):
-            echelon = reduced
-            images.append(img)
-    return images
+    images = [t @ zeta for t in space.basis]
+    kept, _ = independent_subset(images)
+    return [images[i] for i in kept]
 
 
 @dataclass(frozen=True)

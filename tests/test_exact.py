@@ -1,5 +1,6 @@
 """Exact arithmetic layer: scalars, matrices, polynomials, sampling."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from elemop.exact import (
     char_poly,
     distinct_eigenvalue_count,
     derive_seed,
+    independent_subset,
     inverse,
     kernel_basis,
     lambda_power,
@@ -24,10 +26,17 @@ from elemop.exact import (
     poly_mul,
     random_invertible,
     random_matrix,
+    random_scalar,
+    random_vector,
     rank,
+    rref,
     solve,
+    solve_vec,
     trace,
+    vec_add,
+    vec_scale,
     vector,
+    zero_vector,
 )
 from conftest import unit, strictly_upper_basis
 
@@ -144,6 +153,64 @@ def test_solve_round_trip():
     b = a @ x
     found = solve(a, b)
     assert found is not None and a @ found == b
+
+
+def _incremental_subset(vectors):
+    """Reference: grow the kept set one rref at a time, then solve for
+    the coordinates of every dropped vector."""
+    kept = []
+    for idx, v in enumerate(vectors):
+        if len(rref([vectors[i] for i in kept] + [v])[0]) == len(kept) + 1:
+            kept.append(idx)
+    coords = {}
+    for idx, v in enumerate(vectors):
+        if idx in kept:
+            continue
+        if not kept:
+            coords[idx] = ()
+            continue
+        coords[idx] = solve_vec(Matrix.from_columns([vectors[i] for i in kept]), v)
+    return kept, coords
+
+
+def _mixed_vectors(seed):
+    """Seeded Gaussian-rational vectors with zero, repeated and dependent
+    members mixed in."""
+    rng = random.Random(seed)
+    length = rng.randint(1, 6)
+    vectors = [
+        random_vector(length, derive_seed(seed, i), 5) for i in range(rng.randint(0, 4))
+    ]
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.choice(["zero", "repeat", "combination"])
+        if kind == "zero" or not vectors:
+            extra = zero_vector(length)
+        elif kind == "repeat":
+            extra = rng.choice(vectors)
+        else:
+            extra = zero_vector(length)
+            for v in rng.sample(vectors, rng.randint(1, len(vectors))):
+                extra = vec_add(extra, vec_scale(random_scalar(rng, 4), v))
+        vectors.insert(rng.randint(0, len(vectors)), extra)
+    return vectors
+
+
+def test_independent_subset_matches_incremental_reference():
+    assert independent_subset([]) == ([], {})
+    for seed in range(120):
+        vectors = _mixed_vectors(derive_seed(90, seed))
+        kept, coords = independent_subset(vectors)
+        assert (kept, coords) == _incremental_subset(vectors)
+        for idx, c in coords.items():
+            total = zero_vector(len(vectors[idx]))
+            for pos, k in enumerate(kept):
+                total = vec_add(total, vec_scale(c[pos], vectors[k]))
+            assert total == vectors[idx]
+
+
+def test_independent_subset_rejects_ragged_vectors():
+    with pytest.raises(ShapeError):
+        independent_subset([vector([1, 2]), vector([1])])
 
 
 # -- nilpotency characterization -----------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from elemop.errors import BasisError, DomainError, PreconditionError, ShapeError
+from elemop import operators
+from elemop.errors import BasisError, ContractError, DomainError, PreconditionError, ShapeError
 from elemop.exact import (
     Matrix,
     Scalar,
@@ -211,6 +212,42 @@ def test_similarity_transform_rejects_singular():
     phi = specimen_form_ii()
     with pytest.raises(DomainError):
         similarity_transform(phi, Matrix.zeros(3))
+
+
+def _unreduced_pair_lists():
+    """Two-pair operators that are not minimal: dependent left
+    coefficients, dependent right coefficients, a zero coefficient."""
+    e11, e12, e21, e22 = unit(2, 0, 0), unit(2, 0, 1), unit(2, 1, 0), unit(2, 1, 1)
+    zero = Matrix.zeros(2)
+    return [
+        ElementaryOperator.from_pairs(2, [(e11, e12), (2 * e11, e21)]),
+        ElementaryOperator.from_pairs(2, [(e11, e12), (e22, -3 * e12)]),
+        ElementaryOperator.from_pairs(2, [(e11, zero), (e22, e21)]),
+        ElementaryOperator.from_pairs(2, [(zero, e11), (e22, e21)]),
+    ]
+
+
+def test_representation_changes_require_reduced_operators():
+    for phi in _unreduced_pair_lists():
+        assert minimal_length(phi)[0] < phi.term_count
+        with pytest.raises(ContractError):
+            similarity_transform(phi, Matrix.identity(2))
+        with pytest.raises(ContractError):
+            change_left_basis(phi, [a for a, _ in phi.pairs])
+
+
+def test_minimal_form_is_computed_once_per_operator(monkeypatch):
+    folds = []
+    fold = operators._fold_left
+    monkeypatch.setattr(operators, "_fold_left", lambda pairs: folds.append(1) or fold(pairs))
+    operators_seen = [specimen_form_ii()] + _unreduced_pair_lists()
+    for phi in operators_seen:
+        n, reduced = minimal_length(phi)
+        assert minimal_length(phi) == (n, reduced)
+        assert minimal_length(reduced)[1] is reduced
+        assert reduced._reduced is None and phi._reduced is not phi
+    # one reduction is a left fold and a right fold
+    assert len(folds) == 2 * len(operators_seen)
 
 
 def test_representation_invariance_on_units():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from elemop import operators
 from elemop.classify import classify, generate
 from elemop.cli import main
 from elemop.errors import FormatError
@@ -46,7 +47,8 @@ def test_scalar_rejects_decimals_and_numbers():
         scalar_from_json(["1/0", "0"], "entry")
     # one value, one spelling: non-canonical forms would give one operator
     # several digests
-    for text in ("2/4", "+1/2", "01/02", "-0", "0/1", " 1", "1_0"):
+    # exponents are never canonical, and must be refused before expansion
+    for text in ("2/4", "+1/2", "01/02", "-0", "0/1", " 1", "1_0", "1e5000", "1E2"):
         with pytest.raises(FormatError) as err:
             scalar_from_json([text, "0"], "entry")
         assert repr(text) in str(err.value)
@@ -245,6 +247,47 @@ def test_cli_verify_rejects_digest_mismatch(tmp_path, capsys):
     other = _generate_file(tmp_path, "ii", 3, seed=5)
     assert main(["verify", str(other), str(cert)]) == 1
     assert "digest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("status",), ["LQN"]),
+        (("status",), {"LQN": 1}),
+        (("form",), ["special-ii"]),
+        (("form",), {"special-ii": 1}),
+        (("representation", "u"), 7),
+        (("representation", "v"), 7),
+        (("parameters", "zeta1"), [["1", "0"], ["0", "0"]]),
+    ],
+)
+def test_cli_verify_malformed_certificate_is_bad_input(tmp_path, capsys, path, value):
+    inst = _generate_file(tmp_path, "ii", 3, seed=3)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", str(inst), "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    target = data["verdict"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    cert.write_text(json.dumps(data))
+    assert main(["verify", str(inst), str(cert)]) == 2
+    assert path[-1] in capsys.readouterr().err
+
+
+def test_space_basis_must_be_an_array():
+    with pytest.raises(FormatError, match="basis"):
+        space_from_json({"dim": 2, "basis": 7})
+
+
+def test_cli_classify_reduces_the_operator_once(tmp_path, monkeypatch):
+    inst = _generate_file(tmp_path, "ii", 4, seed=2)
+    folds = []
+    fold = operators._fold_left
+    monkeypatch.setattr(operators, "_fold_left", lambda pairs: folds.append(1) or fold(pairs))
+    assert main(["classify", str(inst), "--out", str(tmp_path / "cert.json")]) == 0
+    # one reduction is a left fold and a right fold
+    assert len(folds) == 2
 
 
 def test_cli_oracle_identity_pair(tmp_path, capsys):
