@@ -642,6 +642,11 @@ def verify_certificate(
         return CertificateCheck(True)
     if verdict.status != "LQN":
         return CertificateCheck(False, "status")
+    p = verdict.parameters
+    if p is not None and any(
+        vec is not None and len(vec) != phi.dim for vec in (p.zeta0, p.zeta1, p.f, p.g)
+    ):
+        return CertificateCheck(False, "parameter length")
 
     rep = verdict.representation
     if rep is None:

@@ -340,24 +340,11 @@ class Matrix:
         da, ra, ia = self._int_form
         db, rb, ib = other._int_form
         den = da * db
-        inner = self.cols
-        out = []
-        for i in range(self.rows):
-            ar, ai = ra[i], ia[i]
-            row_out = []
-            for j in range(other.cols):
-                acc_re = 0
-                acc_im = 0
-                for t in range(inner):
-                    x = ar[t]
-                    y = ai[t]
-                    u = rb[t][j]
-                    v = ib[t][j]
-                    acc_re += x * u - y * v
-                    acc_im += x * v + y * u
-                row_out.append(Scalar(Fraction(acc_re, den), Fraction(acc_im, den)))
-            out.append(tuple(row_out))
-        return Matrix(tuple(out))
+        re_g, im_g = gaussian_int_matmul(ra, ia, rb, ib)
+        return Matrix(tuple(
+            tuple(Scalar(Fraction(x, den), Fraction(y, den)) for x, y in zip(re_row, im_row))
+            for re_row, im_row in zip(re_g, im_g)
+        ))
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -380,6 +367,36 @@ class Matrix:
     def __repr__(self) -> str:
         body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
         return f"Matrix({body})"
+
+
+def gaussian_int_matmul(a_re, a_im, b_re, b_im):
+    """The product of two Gaussian-integer matrices held as real and
+    imaginary row grids, such as `Matrix._int_form` keeps.
+
+    Returns new (re_grid, im_grid) lists; the inputs are only read.  This
+    is the one product loop on integer grids: `Matrix.__matmul__` and the
+    trace-identity expansion both run on it.
+    """
+    inner = len(b_re)
+    cols = range(len(b_re[0]))
+    out_re, out_im = [], []
+    for ar, ai in zip(a_re, a_im):
+        row_re, row_im = [], []
+        for j in cols:
+            acc_re = 0
+            acc_im = 0
+            for t in range(inner):
+                x = ar[t]
+                y = ai[t]
+                u = b_re[t][j]
+                v = b_im[t][j]
+                acc_re += x * u - y * v
+                acc_im += x * v + y * u
+            row_re.append(acc_re)
+            row_im.append(acc_im)
+        out_re.append(row_re)
+        out_im.append(row_im)
+    return out_re, out_im
 
 
 def matrix_units(dim: int) -> list[Matrix]:

@@ -5,10 +5,14 @@ Deciding that every element of span{N_1..N_k} inside the m x m matrices
 is nilpotent is a polynomial identity problem: the trace of the p-th
 power of t_1 N_1 + ... + t_k N_k is a homogeneous polynomial in t of
 degree p, and all of them vanish identically iff the space is nilpotent.
-The certified mode expands those polynomials monomial by monomial, which
-is what evaluating a full product grid and interpolating would recover;
-any nonzero coefficient guarantees an explicit counterexample on the
-integer grid {0..m}^k.
+The certified mode expands those polynomials level by level over
+monomial multisets: the matrix coefficient of t^beta is
+S_beta = sum over i in beta of S_(beta - e_i) N_i, computed on the
+Gaussian-integer grids of the basis, and the expansion stops at the
+first level with a nonzero trace.  That takes k * C(k+m-1, m-1) products
+where the ordered words would take k + k^2 + ... + k^m.  Any nonzero
+coefficient guarantees an explicit counterexample on the integer grid
+{0..m}^k.
 
 Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
@@ -19,7 +23,8 @@ The greedy choice is complete because quotients inherit the property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 from typing import Sequence
 
 from .errors import ContractError, InconsistencyError, ShapeError
@@ -31,6 +36,7 @@ from .exact import (
     ZERO,
     char_poly,
     derive_seed,
+    gaussian_int_matmul,
     inverse,
     is_nilpotent_matrix,
     kernel_basis,
@@ -81,31 +87,70 @@ def _element(space: OperatorSpace, coeffs: Sequence[Scalar]) -> Matrix:
 def _trace_identities_vanish(space: OperatorSpace) -> bool:
     """Whether tr((sum t_i N_i)^p) is the zero polynomial for p = 1..m.
 
-    Expands the symmetrized coefficients directly: for each monomial
-    multiset the sum of traces of the matching ordered products must be
-    zero.  Denominators are cleared per basis element first, which only
-    rescales coefficients by positive factors.
+    The coefficient of t^beta in (sum t_i N_i)^p, for a multiset beta of
+    size p, is S_beta = sum over i in beta of S_(beta - e_i) N_i, and the
+    identities vanish iff every tr S_beta is zero.  The expansion keeps
+    one level of S's at a time, on the Gaussian-integer grids of the basis
+    (denominators cleared per element, which only rescales each t_i), and
+    returns False at the first nonzero trace.  Each S_beta is one product:
+    its S_(beta - e_i) side by side times its N_i stacked.  The last level
+    needs only the traces, so there the S's become rows vec(S) and the N's
+    columns vec(N^T), and each product is the 1 x 1 trace.
     """
     m = space.ambient_dim
     k = space.dim
-    cleared = []
-    for n in space.basis:
-        den, re_g, im_g = n._int_form
-        cleared.append(Matrix.from_rows(
-            [[Scalar(re_g[i][j], im_g[i][j]) for j in range(m)] for i in range(m)]
-        ))
-    coeff_sums: dict[tuple[int, ...], Scalar] = {}
+    factors = [n._int_form[1:] for n in space.basis]
+    if any(_has_trace(n) for n in factors):
+        return False
+    level = {(i,): n for i, n in enumerate(factors)}
+    for p in range(2, m + 1):
+        if p == m:
+            level = {alpha: _as_row(s) for alpha, s in level.items()}
+            factors = [_as_transposed_column(n) for n in factors]
+        following = {}
+        for beta in combinations_with_replacement(range(k), p):
+            # (beta - e_i, i) for each distinct i in beta
+            terms = [
+                (beta[:j] + beta[j + 1:], beta[j])
+                for j in range(p)
+                if j == 0 or beta[j] != beta[j - 1]
+            ]
+            s_beta = gaussian_int_matmul(
+                *_side_by_side([level[alpha] for alpha, _ in terms]),
+                *_stacked([factors[i] for _, i in terms]),
+            )
+            if _has_trace(s_beta):
+                return False
+            following[beta] = s_beta
+        level = following
+    return True
 
-    def walk(prefix: Matrix | None, used: tuple[int, ...], depth: int):
-        for i in range(k):
-            prod_matrix = cleared[i] if prefix is None else prefix @ cleared[i]
-            key = tuple(sorted(used + (i,)))
-            coeff_sums[key] = coeff_sums.get(key, ZERO) + trace(prod_matrix)
-            if depth + 1 < m:
-                walk(prod_matrix, used + (i,), depth + 1)
 
-    walk(None, (), 0)
-    return all(v.is_zero for v in coeff_sums.values())
+# Helpers on matrices held as (re_grid, im_grid) pairs of integer lists.
+
+
+def _has_trace(grids) -> bool:
+    return any(sum(g[r][r] for r in range(len(g))) for g in grids)
+
+
+def _side_by_side(mats):
+    return tuple(
+        [[x for g in mats for x in g[h][r]] for r in range(len(mats[0][h]))] for h in (0, 1)
+    )
+
+
+def _stacked(mats):
+    return tuple([row for g in mats for row in g[h]] for h in (0, 1))
+
+
+def _as_row(grids):
+    """vec(S) as a 1 x m^2 matrix."""
+    return tuple([[x for row in g for x in row]] for g in grids)
+
+
+def _as_transposed_column(grids):
+    """vec(N^T) as an m^2 x 1 matrix, so that tr(S N) = vec(S) vec(N^T)."""
+    return tuple([[g[b][a]] for a in range(len(g)) for b in range(len(g))] for g in grids)
 
 
 def _search_counterexample(space: OperatorSpace) -> Matrix:
@@ -139,15 +184,16 @@ def subspace_all_nilpotent(
 ) -> NilpotentSpaceReport:
     """Decide whether every element of the space is nilpotent.
 
-    Certified mode runs whenever the monomial expansion fits the budget;
-    otherwise seeded random combinations are tested, where any hit is a
-    genuine counterexample but a clean pass is only evidence.
+    Certified mode runs whenever the multiset expansion's product count,
+    k * C(k+m-1, m-1) for a k-dimensional space of m x m matrices, fits
+    the budget; otherwise seeded random combinations are tested, where
+    any hit is a genuine counterexample but a clean pass is only evidence.
     """
     m = space.ambient_dim
     k = space.dim
     if k == 0:
         return NilpotentSpaceReport(space, True, "exact-grid")
-    cost = sum(k**p for p in range(1, m + 1))
+    cost = k * comb(k + m - 1, m - 1)
     if cost <= budget:
         if _trace_identities_vanish(space):
             return NilpotentSpaceReport(space, True, "exact-grid")

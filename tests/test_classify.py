@@ -1,5 +1,7 @@
 """Classifier: trace condition, canonical forms, generators, verifier."""
 
+import dataclasses
+
 import pytest
 
 from elemop.classify import (
@@ -262,6 +264,25 @@ def test_verify_accepts_valid_and_names_tampering():
     )
     check = verify_certificate(phi, tampered)
     assert not check.ok and "block" in check.failed
+
+
+@pytest.mark.parametrize("specimen, field, value", [
+    (specimen_form_ii, "zeta1", (1, 0)),
+    (specimen_form_ii, "f", (1, 0, 0, 0)),
+    (specimen_form_iii, "g", (0, 1, 0)),
+    (specimen_form_iii, "zeta0", (1, 0, 0, 0, 0)),
+])
+def test_verify_rejects_parameter_vectors_of_wrong_length(specimen, field, value):
+    phi = specimen()
+    verdict = classify_length3(phi)
+    ragged = ClassificationVerdict(
+        verdict.status,
+        verdict.form,
+        verdict.representation,
+        parameters=dataclasses.replace(verdict.parameters, **{field: vector(value)}),
+    )
+    check = verify_certificate(phi, ragged)
+    assert not check.ok and check.failed == "parameter length"
 
 
 def test_verify_rejects_nilpotent_witness():

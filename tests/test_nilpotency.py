@@ -11,9 +11,15 @@ from elemop.exact import (
     inverse,
     lambda_power,
     random_invertible,
+    I_UNIT,
+    ZERO,
     random_matrix,
+    rank,
     rref,
+    scalar,
+    trace,
 )
+from elemop import nilpotency
 from elemop.nilpotency import (
     Certified,
     Flag,
@@ -24,6 +30,7 @@ from elemop.nilpotency import (
     SPECIAL_PLANE_SECOND,
     SpecialForm,
     Triangularizable,
+    _trace_identities_vanish,
     all_x_nilpotent,
     block_strict_triangularize,
     classify_nilpotent_2dim_m3,
@@ -318,3 +325,166 @@ def test_graded_product_rejects_identity():
     probes = [(eye, eye)]
     report = graded_product_check([single_pair(2, eye, eye)], probes)
     assert not report.ok and "hypothesis" in report.failure
+
+
+
+# -- the trace-identity expansion ----------------------------------------
+
+
+def _ordered_word_walk(space):
+    """Reference: for every multiset of size at most m, the sum of
+    tr(N_w1 ... N_wp) over the ordered words w with that multiset must be
+    zero; the basis is scaled to its integer grids first."""
+    m = space.ambient_dim
+    k = space.dim
+    cleared = []
+    for n in space.basis:
+        _, re_g, im_g = n._int_form
+        cleared.append(Matrix.from_rows(
+            [[(re_g[i][j], im_g[i][j]) for j in range(m)] for i in range(m)]
+        ))
+    coeff_sums = {}
+
+    def walk(prefix, used, depth):
+        for i in range(k):
+            prod_matrix = cleared[i] if prefix is None else prefix @ cleared[i]
+            key = tuple(sorted(used + (i,)))
+            coeff_sums[key] = coeff_sums.get(key, ZERO) + trace(prod_matrix)
+            if depth + 1 < m:
+                walk(prod_matrix, used + (i,), depth + 1)
+
+    walk(None, (), 0)
+    return all(v.is_zero for v in coeff_sums.values())
+
+
+def _gaussian_matrix(m, seed, height):
+    """Gaussian-rational entries whose parts have denominators up to height."""
+    re = random_matrix(m, derive_seed(seed, 1), height)
+    im = random_matrix(m, derive_seed(seed, 2), height)
+    return re + I_UNIT * im
+
+
+def _gaussian_invertible(m, seed):
+    for attempt in range(64):
+        x = _gaussian_matrix(m, derive_seed(seed, attempt), 3)
+        if rank(x) == m:
+            return x
+    raise AssertionError("no invertible sample")
+
+
+CYCLIC_3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+def _kernel_cases():
+    """(name, space, all_nilpotent) covering both verdicts, Gaussian
+    denominators and a first nonzero trace at p = 1, 2 and 3."""
+    return [
+        ("zero", reduce_basis([], ambient_dim=3), True),
+        ("gaussian-denominators",
+         reduce_basis([_gaussian_matrix(3, 302, 5), _gaussian_matrix(3, 303, 5)]), False),
+        ("conjugated-upper-m3",
+         conjugated_space(reduce_basis(strictly_upper_basis(3)), random_invertible(3, 304, 4)),
+         True),
+        ("conjugated-upper-m4-gaussian",
+         conjugated_space(reduce_basis(strictly_upper_basis(4)), _gaussian_invertible(4, 305)),
+         True),
+        ("special-plane", special_plane_space(), True),
+        ("first-nonzero-p1", reduce_basis([unit(3, 0, 1), unit(3, 2, 2)]), False),
+        # E12 and E21 are both nilpotent; the t1 t2 coefficient of the
+        # square, E12 E21 + E21 E12 = I, is the first nonzero trace.
+        ("first-nonzero-p2", reduce_basis([unit(2, 0, 1), unit(2, 1, 0)]), False),
+        # tr P = tr P^2 = 0 and tr P^3 = 3 for the cyclic permutation.
+        ("first-nonzero-p3", reduce_basis([CYCLIC_3]), False),
+        # Two 2 x 2 blocks [[0, t1], [t2, 0]] and [[0, t1], [-t2, 0]]: the
+        # traces vanish up to p = 3, and the t1^2 t2^2 coefficient of the
+        # fourth power is 4 tr(N1^2 N2^2) + 2 tr((N1 N2)^2) = 0 + 4.
+        ("first-nonzero-p4-mixed",
+         reduce_basis([unit(4, 0, 1) + unit(4, 2, 3), unit(4, 1, 0) - unit(4, 3, 2)]), False),
+        # tr(N1 N2 + N2 N1) = 2i, a purely imaginary first nonzero trace.
+        ("imaginary-trace-p2", reduce_basis([unit(3, 0, 1), I_UNIT * unit(3, 1, 0)]), False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "space, expected", [pytest.param(s, e, id=name) for name, s, e in _kernel_cases()]
+)
+def test_trace_identities_match_ordered_word_walk(space, expected):
+    assert _trace_identities_vanish(space) is expected
+    assert _ordered_word_walk(space) is expected
+
+
+def test_trace_identities_match_walk_on_seeded_spaces():
+    # Traceless and conjugated-nilpotent generators, so the decision often
+    # rests on levels above 1; both verdicts must occur.
+    seen = set()
+    for s in range(60):
+        m = 2 + s % 3
+        seed = derive_seed(320, s)
+        q = random_invertible(m, derive_seed(seed, 0), 3)
+        upper = conjugated_space(reduce_basis(strictly_upper_basis(m)), q).basis
+        mats = list(upper[: 1 + s % len(upper)])
+        if s % 4:
+            x = random_matrix(m, derive_seed(seed, 1), 3)
+            mats.append(x - (trace(x) / scalar(m)) * Matrix.identity(m))
+        if s % 5 == 0:
+            mats.append(_gaussian_matrix(m, derive_seed(seed, 2), 4))
+        space = reduce_basis(mats)
+        verdict = _trace_identities_vanish(space)
+        assert verdict == _ordered_word_walk(space), s
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
+    calls = []
+    real = nilpotency.gaussian_int_matmul
+
+    def counting(*grids):
+        calls.append(len(grids[0]))
+        return real(*grids)
+
+    monkeypatch.setattr(nilpotency, "gaussian_int_matmul", counting)
+    # A nonzero trace among the generators decides before any product.
+    assert not _trace_identities_vanish(reduce_basis([unit(4, 0, 1), unit(4, 3, 3)]))
+    assert calls == []
+    # The cyclic permutation passes levels 1 and 2 and fails at the last
+    # level, whose one product is a 1 x 1 trace.
+    assert not _trace_identities_vanish(reduce_basis([CYCLIC_3]))
+    assert calls == [3, 1]
+
+
+def test_trace_identities_against_sympy_expansion():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(x):
+        return sympy.Matrix([
+            [sympy.Rational(e.re.numerator, e.re.denominator)
+             + sympy.I * sympy.Rational(e.im.numerator, e.im.denominator) for e in row]
+            for row in x.entries
+        ])
+
+    for name, space, _ in _kernel_cases():
+        if space.dim == 0 or space.dim * space.ambient_dim > 12:
+            continue
+        m = space.ambient_dim
+        t = sympy.symbols(f"t0:{space.dim}")
+        element = sympy.zeros(m, m)
+        for ti, n in zip(t, space.basis):
+            element += ti * to_sympy(n)
+        power = sympy.eye(m)
+        vanish = True
+        for _ in range(m):
+            power = (power * element).expand()
+            if sympy.Poly(power.trace(), *t).as_dict():
+                vanish = False
+                break
+        assert _trace_identities_vanish(space) is vanish, name
+
+
+def test_subspace_budget_counts_the_multiset_recursion():
+    # Conjugated strictly uppers of M_4: k = 6, so the recursion makes
+    # 6 * C(9, 3) = 504 products (the ordered words numbered 1554).
+    space = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
+    report = subspace_all_nilpotent(space, budget=600)
+    assert report.all_nilpotent and report.method == "exact-grid"
+    assert subspace_all_nilpotent(space, budget=503).method == "randomized"
