@@ -62,6 +62,22 @@ def _matrix_text(m) -> str:
     return m.to_text()
 
 
+def _int_at_least(minimum: int):
+    """An argparse type for integer options with a lower bound; a value
+    below it is a usage error (exit 2) that names the option."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
 def _cmd_analyze(args) -> int:
     phi, metadata, _ = _load_instance(args.path)
     n, reduced = minimal_length(phi)
@@ -205,8 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify and write a certificate")
     p.add_argument("path")
     p.add_argument("--out")
-    p.add_argument("--budget", type=int, default=DEFAULT_SUBSPACE_BUDGET)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SUBSPACE_BUDGET)
+    # 0 skips the witness search: a verdict the structural tiers cannot
+    # reach is then Unknown (exit 3), never a pass
+    p.add_argument("--trials", type=_int_at_least(0), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
@@ -225,7 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="pure sampling search for a refuting argument")
     p.add_argument("path")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    # with no trial, "no witness found" would read as a clean sampling pass
+    p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--height", type=int, default=DEFAULT_WITNESS_HEIGHT)
     p.add_argument("--json", action="store_true")

@@ -46,7 +46,6 @@ from .exact import (
     rank,
     rref,
     scalar,
-    trace,
     vec_is_zero,
 )
 from .operators import (
@@ -486,15 +485,20 @@ def witness_search(
     """Seeded sampling for x with phi(x) non-nilpotent.
 
     Cheap trace screen first, then the power test; any hit is re-verified
-    through the characteristic polynomial before being returned.
+    through the characteristic polynomial before being returned.  The
+    screen reads tr(phi(x)) = tr(x s), s = sum b_i a_i, as the one dot
+    product vec(x) vec(s^T) on the integer grids; their denominators do
+    not change whether it is zero.
     """
     from .operators import sum_bi_ai
 
     d = phi.dim
     s = sum_bi_ai(phi)
+    s_zero = s.is_zero
+    s_column = _as_transposed_column(s._int_form[1:])
     for t in range(1, trials + 1):
         x = random_matrix(d, derive_seed(seed, 40_000 + t), height)
-        if s.is_zero or trace(x @ s).is_zero:
+        if s_zero or not _has_trace(gaussian_int_matmul(*_as_row(x._int_form[1:]), *s_column)):
             y = apply(phi, x)
             if is_nilpotent_matrix(y):
                 continue

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -34,6 +35,7 @@ from .exact import (
     Vector,
     ZERO,
     coefficient_tensor_is_zero,
+    gaussian_int_matmul,
     independent_subset,
     inverse,
     rank,
@@ -105,13 +107,26 @@ class ElementaryOperator:
 
 
 def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
-    """Exact evaluation sum a_i x b_i."""
+    """Exact evaluation sum a_i x b_i.
+
+    Each term is formed on the Gaussian-integer grids of `_int_form`:
+    with a_i = A_i/p_i, x = X/q and b_i = B_i/r_i, the term is
+    A_i X B_i/(p_i q r_i).  The terms are summed over the common
+    denominator q * lcm(p_i r_i), and one matrix is built at the end.
+    """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
-    total = Matrix.zeros(phi.dim)
-    for a, b in phi.pairs:
-        total = total + (a @ x) @ b
-    return total
+    q, x_re, x_im = x._int_form
+    forms = [(a._int_form, b._int_form) for a, b in phi.pairs]
+    common = lcm(1, *(p * r for (p, _, _), (r, _, _) in forms))
+    total_re = [[0] * phi.dim for _ in range(phi.dim)]
+    total_im = [[0] * phi.dim for _ in range(phi.dim)]
+    for (p, a_re, a_im), (r, b_re, b_im) in forms:
+        t_re, t_im = gaussian_int_matmul(*gaussian_int_matmul(a_re, a_im, x_re, x_im), b_re, b_im)
+        s = common // (p * r)
+        total_re = [[u + s * v for u, v in zip(ur, vr)] for ur, vr in zip(total_re, t_re)]
+        total_im = [[u + s * v for u, v in zip(ur, vr)] for ur, vr in zip(total_im, t_im)]
+    return Matrix._from_int_form(common * q, total_re, total_im)
 
 
 def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:

@@ -17,8 +17,10 @@ from elemop.exact import (
     char_poly,
     distinct_eigenvalue_count,
     derive_seed,
+    gaussian_int_matmul,
     independent_subset,
     inverse,
+    is_nilpotent_matrix,
     kernel_basis,
     lambda_power,
     poly_gcd,
@@ -112,6 +114,165 @@ def test_char_poly_similarity_invariant():
         m = random_matrix(4, derive_seed(900, s), 6)
         p = random_invertible(4, derive_seed(901, s), 5)
         assert char_poly(inverse(p) @ m @ p) == char_poly(m)
+
+
+def _gaussian_matrix(rows, cols, seed, height=9, max_den=6):
+    """Seeded Gaussian-rational matrix, denominators up to max_den."""
+    rng = random.Random(seed)
+    return Matrix(tuple(
+        tuple(
+            Scalar(
+                Fraction(rng.randint(-height, height), rng.randint(1, max_den)),
+                Fraction(rng.randint(-height, height), rng.randint(1, max_den)),
+            )
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    ))
+
+
+def test_char_poly_matches_sympy_on_gaussian_rationals():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(c):
+        return sympy.Rational(c.re.numerator, c.re.denominator) + sympy.I * sympy.Rational(
+            c.im.numerator, c.im.denominator
+        )
+
+    t = sympy.Symbol("t")
+    for d in range(1, 6):
+        for s in range(3):
+            m = _gaussian_matrix(d, d, derive_seed(940 + d, s))
+            expected = sympy.Matrix([[to_sympy(c) for c in row] for row in m.entries]).charpoly(t)
+            ours = [to_sympy(c) for c in reversed(char_poly(m).coefficients)]
+            assert len(ours) == d + 1
+            assert all(sympy.expand(a - b) == 0 for a, b in zip(ours, expected.all_coeffs()))
+
+
+def _conjugated_strictly_upper(d, seed):
+    """(P^-1 U P, P^-1, U, P) with U strictly upper and P, U Gaussian
+    rationals; the factors build perturbations in the same basis."""
+    for attempt in range(32):
+        p = _gaussian_matrix(d, d, derive_seed(seed, attempt), height=4, max_den=3)
+        if rank(p) == d:
+            break
+    u = _gaussian_matrix(d, d, derive_seed(seed, 99), height=5, max_den=4)
+    u = Matrix(tuple(
+        tuple(c if j > i else ZERO for j, c in enumerate(row)) for i, row in enumerate(u.entries)
+    ))
+    p_inv = inverse(p)
+    return p_inv @ u @ p, p_inv, u, p
+
+
+def test_is_nilpotent_matrix_agrees_with_char_poly():
+    seen = {True: 0, False: 0}
+    for s in range(24):
+        d = 1 + s % 6
+        nil, p_inv, u, p = _conjugated_strictly_upper(d, derive_seed(950, s))
+        c = Scalar(Fraction(s % 5 + 1, 3), Fraction(s % 3 - 1, 2))
+        shifted = nil + c * Matrix.identity(d)
+        # a nonzero corner closes the superdiagonal chain into a cycle
+        cyclic = p_inv @ (u + c * Matrix.unit(d, d - 1, 0)) @ p if d > 1 else shifted
+        for m, nilpotent in ((nil, True), (shifted, False), (cyclic, None)):
+            verdict = is_nilpotent_matrix(m)
+            assert verdict == (char_poly(m) == lambda_power(d))
+            if nilpotent is not None:
+                assert verdict is nilpotent
+            seen[verdict] += 1
+    assert seen[True] >= 24 and seen[False] >= 24
+    # last powers with a zero real part: [i], and (1+i)^2 = 2i
+    i = Scalar(0, 1)
+    for m in (Matrix.diagonal([i]), Matrix.diagonal([1 + i, 0])):
+        assert not is_nilpotent_matrix(m)
+        assert char_poly(m) != lambda_power(m.rows)
+
+
+def test_nilpotency_and_char_poly_build_few_scalars(monkeypatch):
+    built = []
+    post_init = Scalar.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    for d in (2, 5):
+        nil, _, _, _ = _conjugated_strictly_upper(d, derive_seed(960, d))
+        for m in (nil, nil + Matrix.identity(d)):
+            m._int_form  # warm: the grids are the matrix's own cache
+            monkeypatch.setattr(Scalar, "__post_init__", counting)
+            built.clear()
+            is_nilpotent_matrix(m)
+            assert built == []
+            char_poly(m)
+            assert len(built) <= d + 1
+            monkeypatch.setattr(Scalar, "__post_init__", post_init)
+
+
+# -- the Gaussian-integer product kernel -----------------------------------
+
+
+def _naive_product(a_re, a_im, b_re, b_im):
+    rows, inner, cols = len(a_re), len(b_re), len(b_re[0])
+    out_re = [[0] * cols for _ in range(rows)]
+    out_im = [[0] * cols for _ in range(rows)]
+    for i in range(rows):
+        for j in range(cols):
+            for t in range(inner):
+                x, y, u, v = a_re[i][t], a_im[i][t], b_re[t][j], b_im[t][j]
+                out_re[i][j] += x * u - y * v
+                out_im[i][j] += x * v + y * u
+    return out_re, out_im
+
+
+def _int_grids(rows, cols, kind, rng, height):
+    """(re, im) integer grids; kind is "real", "complex" or "mixed"
+    (every other row has a zero imaginary part)."""
+    re = [[rng.randint(-height, height) for _ in range(cols)] for _ in range(rows)]
+    im = [
+        [0 if kind == "real" or (kind == "mixed" and r % 2) else rng.randint(-height, height)
+         for _ in range(cols)]
+        for r in range(rows)
+    ]
+    return re, im
+
+
+# Real products with at least 9 entries take the kernel's dot products,
+# everything else its fused loop; both run on these shapes.
+KERNEL_SHAPES = [
+    (1, 1, 1), (2, 2, 2), (3, 3, 3), (4, 2, 5),
+    (3, 6, 3),  # m x mc by mc x m, as the expansion stacks two factors
+    (4, 12, 4),  # three factors
+    (1, 9, 1),  # vec(S) by vec(N^T), the expansion's last level
+    (1, 32, 1),
+]
+KINDS = ["real", "complex", "mixed"]
+
+
+@pytest.mark.parametrize("a_kind", KINDS)
+@pytest.mark.parametrize("b_kind", KINDS)
+def test_gaussian_int_matmul_matches_naive_product(a_kind, b_kind):
+    rng = random.Random(f"{a_kind}-{b_kind}")
+    for rows, inner, cols in KERNEL_SHAPES:
+        for height in (3, 10**30):
+            a = _int_grids(rows, inner, a_kind, rng, height)
+            b = _int_grids(inner, cols, b_kind, rng, height)
+            before = repr((a, b))
+            out = gaussian_int_matmul(*a, *b)
+            assert out == _naive_product(*a, *b)
+            assert repr((a, b)) == before  # the inputs are only read
+            # fresh output rows, never an input's
+            ids = {id(row) for grid in (*a, *b) for row in grid}
+            assert not any(id(row) in ids for grid in out for row in grid)
+
+
+def test_gaussian_int_matmul_zero_and_unit_sides():
+    zero = ([[0, 0], [0, 0]], [[0, 0], [0, 0]])
+    m = ([[1, -2], [3, 4]], [[0, 5], [-6, 0]])
+    assert gaussian_int_matmul(*zero, *m) == zero
+    assert gaussian_int_matmul(*m, *zero) == zero
+    i_unit = ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    # i * (re + i im) = -im + i re
+    assert gaussian_int_matmul(*i_unit, *m) == ([[0, -5], [6, 0]], [[1, -2], [3, 4]])
 
 
 # -- kernels and rank ----------------------------------------------------

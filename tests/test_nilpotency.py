@@ -43,7 +43,7 @@ from elemop.nilpotency import (
     special_plane_member,
     witness_search,
 )
-from elemop.operators import apply, gram, minimal_length
+from elemop.operators import apply, gram, minimal_length, sum_bi_ai
 from elemop.spaces import reduce_basis
 from conftest import specimen_form_ii, single_pair, strictly_upper_basis, unit
 
@@ -294,6 +294,31 @@ def test_witness_search_reverifies():
     x, trial = found
     assert trial >= 1
     assert refutes(single_pair(3, eye, eye), x)
+
+
+def test_witness_search_trace_screen_matches_scalar_trace(monkeypatch):
+    # phi(x) = i x_12 E_00 and s = sum b_i a_i = i E_21, so tr(phi(x)) =
+    # tr(x s) = i x_12 is purely imaginary.  Height 1 makes x_12 = 0 and
+    # x_21 = 0 common, so the screen must pair x with s transposed.
+    phi = single_pair(3, I_UNIT * unit(3, 0, 1), unit(3, 2, 0))
+    s = sum_bi_ai(phi)
+    power_tests = []
+    power_test = nilpotency.is_nilpotent_matrix
+    monkeypatch.setattr(
+        nilpotency, "is_nilpotent_matrix", lambda y: power_tests.append(y) or power_test(y)
+    )
+    for seed in range(12):
+        power_tests.clear()
+        found = witness_search(phi, trials=30, seed=seed, height=1)
+        # the screen's reference: the scalar trace of the whole product
+        screened_out = 0
+        for t in range(1, 31):
+            x = random_matrix(3, derive_seed(seed, 40_000 + t), 1)
+            if not trace(x @ s).is_zero:
+                break
+            screened_out += 1
+        assert found == (x, t)
+        assert len(power_tests) == screened_out
 
 
 def test_graded_product_single_part_square_zero():

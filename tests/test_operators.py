@@ -1,5 +1,8 @@
 """Elementary operators: application, length, grids, representation changes."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from elemop import operators
@@ -62,6 +65,54 @@ def test_apply_specimen_nilpotent_at_unit():
         expected = expected + (a @ unit(3, 0, 0)) @ b
     assert y == expected
     assert char_poly(y) == lambda_power(3)
+
+
+def _gaussian(d, seed, max_den):
+    """Seeded d x d Gaussian-rational matrix with denominators up to max_den."""
+    rng = random.Random(seed)
+    return Matrix(tuple(
+        tuple(
+            Scalar(Fraction(rng.randint(-7, 7), rng.randint(1, max_den)),
+                   Fraction(rng.randint(-7, 7), rng.randint(1, max_den)))
+            for _ in range(d)
+        )
+        for _ in range(d)
+    ))
+
+
+def _apply_reference(phi, x):
+    total = Matrix.zeros(phi.dim)
+    for a, b in phi.pairs:
+        total = total + (a @ x) @ b
+    return total
+
+
+def test_apply_matches_reference_on_gaussian_pairs():
+    for s in range(12):
+        d = 1 + s % 4
+        # each coefficient has its own range of denominators, so the terms
+        # only meet over a common denominator
+        pairs = [
+            (_gaussian(d, derive_seed(970, 4 * s + i), 2 + i),
+             _gaussian(d, derive_seed(971, 4 * s + i), 5 + 2 * i))
+            for i in range(1 + s % 3)
+        ]
+        phi = ElementaryOperator.from_pairs(d, pairs)
+        x = _gaussian(d, derive_seed(972, s), 4)
+        assert apply(phi, x) == _apply_reference(phi, x)
+        real_x = random_matrix(d, derive_seed(973, s), 9)
+        assert apply(phi, real_x) == _apply_reference(phi, real_x)
+
+
+def test_apply_cancelling_terms_and_zero_operator():
+    a = Matrix.from_rows([[Fraction(1, 2), (0, Fraction(1, 3))], [1, Fraction(-1, 6)]])
+    b = Matrix.from_rows([[(Fraction(2, 5), 1), 0], [0, Fraction(1, 7)]])
+    x = Matrix.from_rows([[Fraction(3, 4), 1], [(0, -1), Fraction(5, 9)]])
+    half = Scalar(Fraction(1, 2))
+    # a x b - (a/2) x b - (a/2) x b = 0, over the denominators 2 * 35 and 4 * 35
+    phi = ElementaryOperator.from_pairs(2, [(a, b), (-half * a, b), (-half * a, b)])
+    assert apply(phi, x) == Matrix.zeros(2)
+    assert apply(ElementaryOperator.zero(3), random_matrix(3, 5, 4)) == Matrix.zeros(3)
 
 
 def test_apply_shape_error():

@@ -220,6 +220,34 @@ def test_cli_classify_unknown_exit_code(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("oracle", "--trials", "-3"),
+        ("oracle", "--trials", "0"),
+        ("classify", "--trials", "-1"),
+        ("classify", "--budget", "-5"),
+    ],
+)
+def test_cli_rejects_out_of_range_counts(tmp_path, capsys, command, option, value):
+    inst = _generate_file(tmp_path, "i", 4, seed=11)
+    capsys.readouterr()
+    out = tmp_path / "cert.json"
+    extra = ["--out", str(out)] if command == "classify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(inst), option, value, *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {option}: must be at least" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_classify_accepts_zero_budget(tmp_path):
+    # budget 0 only moves subspace decisions to sampling; the verdict stands
+    inst = _generate_file(tmp_path, "ii", 3, seed=3)
+    assert main(["classify", str(inst), "--out", str(tmp_path / "c.json"), "--budget", "0"]) == 0
+
+
 def test_cli_classify_verify_round_trip(tmp_path):
     inst = _generate_file(tmp_path, "iii", 4, seed=6)
     cert = tmp_path / "cert.json"
