@@ -36,8 +36,10 @@ from .exact import (
     independent_subset,
     inverse,
     is_nilpotent_matrix,
+    linear_combination,
     outer,
     random_invertible,
+    random_matrix,
     random_nonzero_vector,
     rank,
     rref,
@@ -354,19 +356,16 @@ def structure_dimv1(
     r = len(head)
     tail = list(adjustments)
 
-    new_pairs: list[tuple[Matrix, Matrix]] = []
-    for pos, h in enumerate(head):
-        b_new = reduced.pairs[h][1]
-        for t, coords in adjustments.items():
-            if not coords[pos].is_zero:
-                b_new = b_new + coords[pos] * reduced.pairs[t][1]
-        new_pairs.append((reduced.pairs[h][0], b_new))
+    pairs = reduced.pairs
+    head_left = [pairs[h][0] for h in head]
+    tail_right = [pairs[t][1] for t in tail]
+    new_pairs = [
+        (a, linear_combination((ONE, *(adjustments[t][pos] for t in tail)), (b, *tail_right)))
+        for pos, (a, b) in enumerate(pairs[h] for h in head)
+    ]
     for t in tail:
-        a_new = reduced.pairs[t][0]
-        for pos, h in enumerate(head):
-            if not adjustments[t][pos].is_zero:
-                a_new = a_new - adjustments[t][pos] * reduced.pairs[h][0]
-        new_pairs.append((a_new, reduced.pairs[t][1]))
+        a_new = linear_combination((ONE, *(-c for c in adjustments[t])), (pairs[t][0], *head_left))
+        new_pairs.append((a_new, pairs[t][1]))
     adjusted = ElementaryOperator(d, tuple(new_pairs))
 
     w0_zeta = w0 @ zeta
@@ -385,14 +384,9 @@ def structure_dimv1(
     tri = strict_triangularize(reduce_basis([local], ambient_dim=r))
     if not isinstance(tri, Flag):  # pragma: no cover
         raise InconsistencyError("a nilpotent matrix failed to triangularize")
-    s = Matrix.from_columns(list(tri.vectors))
-    new_left = []
-    for j in range(r):
-        acc = Matrix.zeros(d)
-        for k in range(r):
-            if not s.entry(k, j).is_zero:
-                acc = acc + s.entry(k, j) * new_pairs[k][0]
-        new_left.append(acc)
+    new_left = [
+        linear_combination(column, [a for a, _ in new_pairs[:r]]) for column in tri.vectors
+    ]
     new_left.extend(new_pairs[r + t_idx][0] for t_idx in range(len(tail)))
     rep = change_left_basis(adjusted, new_left)
 
@@ -605,8 +599,6 @@ def _is_scalar_matrix(m: Matrix) -> bool:
 
 
 def _generate_random(n: int, d: int, seed: int) -> ElementaryOperator:
-    from .exact import random_matrix
-
     if n < 1:
         raise DimensionError("random operators need at least one pair")
     pairs = []
@@ -653,6 +645,8 @@ def verify_certificate(
         return CertificateCheck(False, "representation missing")
     if len(rep.u) != len(rep.v):
         return CertificateCheck(False, "representation arity")
+    if any(m.rows != phi.dim or m.cols != phi.dim for m in rep.u + rep.v):
+        return CertificateCheck(False, "representation shape")
     if not maps_equal(rep.as_operator(), phi):
         return CertificateCheck(False, "reconstruction")
     g = rep.gram()

@@ -58,10 +58,6 @@ def _write_json(path: str, data: dict):
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _matrix_text(m) -> str:
-    return m.to_text()
-
-
 def _int_at_least(minimum: int):
     """An argparse type for integer options with a lower bound; a value
     below it is a usage error (exit 2) that names the option."""
@@ -110,12 +106,12 @@ def _cmd_analyze(args) -> int:
         print(f"{label}(phi): dim {space.dim}, local dim {ldim.value} ({mode}), witness {witness}")
     print("sum b_i a_i:" + (" zero" if s.is_zero else ""))
     if not s.is_zero:
-        print(_matrix_text(s))
+        print(s.to_text())
     print("gram blocks:")
     for i in range(g.n):
         for j in range(g.n):
             print(f"({i},{j}):")
-            print(_matrix_text(g.block(i, j)))
+            print(g.block(i, j).to_text())
     return EXIT_OK
 
 
@@ -193,7 +189,7 @@ def _cmd_oracle(args) -> int:
             )
         else:
             print(f"witness found at trial {result.trials_used}:")
-            print(_matrix_text(result.witness))
+            print(result.witness.to_text())
             print(f"char poly of phi(witness): {poly}")
         return EXIT_REFUTED
     assert isinstance(result, ProbablyNilpotent)

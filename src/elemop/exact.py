@@ -306,34 +306,24 @@ class Matrix:
             for re_row, im_row in zip(re_g, im_g)
         ))
 
-    def _same_shape(self, other: "Matrix"):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ShapeError(f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
-        return Matrix(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        )
+        return linear_combination((1, 1), (self, other))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
-        return Matrix(
-            tuple(tuple(a - b for a, b in zip(r1, r2)) for r1, r2 in zip(self.entries, other.entries))
-        )
+        return linear_combination((1, -1), (self, other))
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in row) for row in self.entries))
+        return linear_combination((-1,), (self,))
 
     def __mul__(self, other):
         c = Scalar._coerce(other)
         if c is None:
             return NotImplemented
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.entries))
+        return linear_combination((c,), (self,))
 
     __rmul__ = __mul__
 
@@ -427,6 +417,56 @@ def gaussian_int_matmul(a_re, a_im, b_re, b_im):
         out_re.append(row_re)
         out_im.append(row_im)
     return out_re, out_im
+
+
+def gaussian_int_combination(terms, rows: int, cols: int):
+    """(common, re_grid, im_grid) with (re_grid + i*im_grid)/common the
+    sum of (x + i*y)(g_re + i*g_im)/den over the terms (den, x, y, g_re,
+    g_im) of rows x cols Gaussian-integer grids, which are only read.
+
+    common is the lcm of the dens.  The one summation step of
+    `linear_combination`, `operators.apply` and `operators.sum_bi_ai`.
+    """
+    common = lcm(1, *(den for den, *_ in terms))
+    total_re = [[0] * cols for _ in range(rows)]
+    total_im = [[0] * cols for _ in range(rows)]
+    for den, x, y, g_re, g_im in terms:
+        s = common // den
+        x *= s
+        y *= s
+        total_re = [
+            [t + x * u - y * v for t, u, v in zip(tr, ur, vr)]
+            for tr, ur, vr in zip(total_re, g_re, g_im)
+        ]
+        total_im = [
+            [t + x * v + y * u for t, u, v in zip(ti, ur, vr)]
+            for ti, ur, vr in zip(total_im, g_re, g_im)
+        ]
+    return common, total_re, total_im
+
+
+def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """The exact sum of c_k M_k over matrices of one shape, built as one
+    matrix; Matrix +, -, negation and scaling are each one call of it.
+
+    With c_k = (x + i*y)/q and M_k read from its `_int_form` (den, re, im),
+    the term is (x + i*y)(re + i*im)/(q*den).  Zero coefficients are
+    skipped and the terms are summed over one common denominator.
+    """
+    if not mats or len(coeffs) != len(mats):
+        raise ShapeError("a linear combination needs one coefficient per matrix, at least one")
+    rows, cols = mats[0].rows, mats[0].cols
+    terms = []
+    for c, m in zip(coeffs, mats):
+        if m.rows != rows or m.cols != cols:
+            raise ShapeError(f"shape mismatch: {rows}x{cols} vs {m.rows}x{m.cols}")
+        c = _entry(c)
+        if c.is_zero:
+            continue
+        q = lcm(c.re.denominator, c.im.denominator)
+        den, *grids = m._int_form
+        terms.append((q * den, int(c.re * q), int(c.im * q), *grids))
+    return Matrix._from_int_form(*gaussian_int_combination(terms, rows, cols))
 
 
 def matrix_units(dim: int) -> list[Matrix]:

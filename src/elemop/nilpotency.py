@@ -22,6 +22,7 @@ The greedy choice is complete because quotients inherit the property.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb
@@ -31,7 +32,6 @@ from .errors import ContractError, InconsistencyError, ShapeError
 from .exact import (
     Matrix,
     ONE,
-    Scalar,
     Vector,
     ZERO,
     char_poly,
@@ -41,11 +41,11 @@ from .exact import (
     is_nilpotent_matrix,
     kernel_basis,
     lambda_power,
+    linear_combination,
     matrix_units,
     random_matrix,
     rank,
     rref,
-    scalar,
     vec_is_zero,
 )
 from .operators import (
@@ -54,6 +54,7 @@ from .operators import (
     apply,
     gram,
     minimal_length,
+    sum_bi_ai,
 )
 from .spaces import OperatorSpace
 
@@ -73,14 +74,6 @@ class NilpotentSpaceReport:
     all_nilpotent: bool
     method: str  # "exact-grid" or "randomized"
     counterexample: Matrix | None = None
-
-
-def _element(space: OperatorSpace, coeffs: Sequence[Scalar]) -> Matrix:
-    acc = Matrix.zeros(space.ambient_dim)
-    for c, n in zip(coeffs, space.basis):
-        if not c.is_zero:
-            acc = acc + c * n
-    return acc
 
 
 def _trace_identities_vanish(space: OperatorSpace) -> bool:
@@ -163,13 +156,13 @@ def _search_counterexample(space: OperatorSpace) -> Matrix:
     for i in range(k):
         for j in range(i + 1, k):
             for sign in (ONE, -ONE):
-                cand = space.basis[i] + sign * space.basis[j]
+                cand = linear_combination((ONE, sign), (space.basis[i], space.basis[j]))
                 if not is_nilpotent_matrix(cand):
                     return cand
     for point in product(range(m + 1), repeat=k):
         if not any(point):
             continue
-        cand = _element(space, [scalar(c) for c in point])
+        cand = linear_combination(point, space.basis)
         if not is_nilpotent_matrix(cand):
             return cand
     raise InconsistencyError("certificate failed but no grid counterexample exists")
@@ -199,20 +192,15 @@ def subspace_all_nilpotent(
         counterexample = _search_counterexample(space)
         return NilpotentSpaceReport(space, False, "exact-grid", counterexample)
     for t in range(trials):
-        coeffs = [
-            scalar(c)
-            for c in _random_int_point(derive_seed(seed, t), k, DEFAULT_WITNESS_HEIGHT)
-        ]
-        cand = _element(space, coeffs)
+        coeffs = _random_int_point(derive_seed(seed, t), k, DEFAULT_WITNESS_HEIGHT)
+        cand = linear_combination(coeffs, space.basis)
         if not is_nilpotent_matrix(cand):
             return NilpotentSpaceReport(space, False, "randomized", cand)
     return NilpotentSpaceReport(space, True, "randomized")
 
 
 def _random_int_point(seed: int, k: int, height: int) -> list[int]:
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     return [rng.randint(-height, height) for _ in range(k)]
 
 
@@ -335,9 +323,7 @@ def special_plane_member(alpha, beta) -> Matrix:
     strictly triangularizing flag; every 2-dimensional all-nilpotent plane
     in M_3 is conjugate either into the strict upper triangulars or onto
     this one."""
-    a = scalar(alpha) if not isinstance(alpha, Scalar) else alpha
-    b = scalar(beta) if not isinstance(beta, Scalar) else beta
-    return a * SPECIAL_PLANE_FIRST + b * SPECIAL_PLANE_SECOND
+    return linear_combination((alpha, beta), (SPECIAL_PLANE_FIRST, SPECIAL_PLANE_SECOND))
 
 
 @dataclass(frozen=True)
@@ -405,28 +391,21 @@ def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
     diagonal, or None when no stage admits a new flag vector.
 
     Works in the index space: column j of P must send the block grid into
-    the span of the previous columns, blockwise.
+    the span of the previous columns, blockwise.  For each row of the
+    quotient map Q and each block column l, sum_k Q_k G_kl is one
+    `linear_combination`; each entry position gives one row.
     """
     n = g.n
-    d = g.ambient_dim
+    block_columns = [[g.blocks[k][l] for k in range(n)] for l in range(n)]
     cols: list[Vector] = []
     while len(cols) < n:
         reduced, pivots, nonpivot = _reduction_rows(cols, n)
         q = _quotient_matrix(reduced, pivots, nonpivot, n)
-        stacked: list[Vector] = []
-        for q_row in range(len(nonpivot)):
-            for alpha in range(d):
-                for beta in range(d):
-                    row = []
-                    for l in range(n):
-                        acc = ZERO
-                        for k_idx in range(n):
-                            c = q.entries[q_row][k_idx]
-                            if not c.is_zero:
-                                acc = acc + c * g.blocks[k_idx][l].entry(alpha, beta)
-                        row.append(acc)
-                    stacked.append(tuple(row))
-        kernel = kernel_basis(Matrix(tuple(stacked))) if stacked else []
+        stacked = []
+        for q_row in q.entries:
+            images = [linear_combination(q_row, column).vectorize() for column in block_columns]
+            stacked.extend(zip(*images))
+        kernel = kernel_basis(Matrix(tuple(stacked)))
         extended = False
         for cand in kernel:
             if len(rref(cols + [cand])[0]) == len(cols) + 1:
@@ -466,8 +445,6 @@ def refutes(phi: ElementaryOperator, x: Matrix) -> bool:
 def trace_condition_witness(phi: ElementaryOperator) -> Matrix | None:
     """Deterministic witness when sum b_i a_i is nonzero: tr(phi(x)) is
     x -> tr(x sum b_i a_i), so a single matrix unit exposes it."""
-    from .operators import sum_bi_ai
-
     s = sum_bi_ai(phi)
     for k in range(phi.dim):
         for l in range(phi.dim):
@@ -490,8 +467,6 @@ def witness_search(
     product vec(x) vec(s^T) on the integer grids; their denominators do
     not change whether it is zero.
     """
-    from .operators import sum_bi_ai
-
     d = phi.dim
     s = sum_bi_ai(phi)
     s_zero = s.is_zero

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
 from typing import Sequence
 
 from .errors import (
@@ -31,13 +30,16 @@ from .errors import (
 )
 from .exact import (
     Matrix,
+    ONE,
     Scalar,
     Vector,
     ZERO,
     coefficient_tensor_is_zero,
+    gaussian_int_combination,
     gaussian_int_matmul,
     independent_subset,
     inverse,
+    linear_combination,
     rank,
     rref,
     solve_vec,
@@ -111,22 +113,19 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
 
     Each term is formed on the Gaussian-integer grids of `_int_form`:
     with a_i = A_i/p_i, x = X/q and b_i = B_i/r_i, the term is
-    A_i X B_i/(p_i q r_i).  The terms are summed over the common
-    denominator q * lcm(p_i r_i), and one matrix is built at the end.
+    A_i X B_i/(p_i q r_i).  The terms are summed over one common
+    denominator by `exact.gaussian_int_combination`, the summation step
+    of `linear_combination`, and one matrix is built at the end.
     """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
-    q, x_re, x_im = x._int_form
+    q, *x_g = x._int_form
     forms = [(a._int_form, b._int_form) for a, b in phi.pairs]
-    common = lcm(1, *(p * r for (p, _, _), (r, _, _) in forms))
-    total_re = [[0] * phi.dim for _ in range(phi.dim)]
-    total_im = [[0] * phi.dim for _ in range(phi.dim)]
-    for (p, a_re, a_im), (r, b_re, b_im) in forms:
-        t_re, t_im = gaussian_int_matmul(*gaussian_int_matmul(a_re, a_im, x_re, x_im), b_re, b_im)
-        s = common // (p * r)
-        total_re = [[u + s * v for u, v in zip(ur, vr)] for ur, vr in zip(total_re, t_re)]
-        total_im = [[u + s * v for u, v in zip(ur, vr)] for ur, vr in zip(total_im, t_im)]
-    return Matrix._from_int_form(common * q, total_re, total_im)
+    terms = [
+        (p * q * r, 1, 0, *gaussian_int_matmul(*gaussian_int_matmul(*a_g, *x_g), *b_g))
+        for (p, *a_g), (r, *b_g) in forms
+    ]
+    return Matrix._from_int_form(*gaussian_int_combination(terms, phi.dim, phi.dim))
 
 
 def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
@@ -142,13 +141,11 @@ def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]
     kept, coords = independent_subset([a.vectorize() for a, _ in pairs])
     if len(kept) == len(pairs):
         return pairs
-    folded = []
-    for pos, idx in enumerate(kept):
-        b_new = pairs[idx][1]
-        for drop_idx, c in coords.items():
-            if not c[pos].is_zero:
-                b_new = b_new + c[pos] * pairs[drop_idx][1]
-        folded.append((pairs[idx][0], b_new))
+    dropped = [pairs[j][1] for j in coords]
+    folded = [
+        (a, linear_combination((ONE, *(c[pos] for c in coords.values())), (b, *dropped)))
+        for pos, (a, b) in enumerate(pairs[idx] for idx in kept)
+    ]
     return [(a, b) for a, b in folded if not b.is_zero]
 
 
@@ -202,20 +199,15 @@ def gram_conjugate(g: GramMatrix, p: Matrix) -> GramMatrix:
         raise ShapeError("conjugator size must match the block count")
     p_inv = inverse(p)
     n = g.n
-    d = g.ambient_dim
-    new_blocks = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Matrix.zeros(d)
-            for k in range(n):
-                for l in range(n):
-                    c = p_inv.entry(i, k) * p.entry(l, j)
-                    if not c.is_zero:
-                        acc = acc + c * g.blocks[k][l]
-            row.append(acc)
-        new_blocks.append(tuple(row))
-    return GramMatrix(n, d, tuple(new_blocks))
+    blocks = [block for row in g.blocks for block in row]
+    new_blocks = tuple(
+        tuple(
+            linear_combination([c * e for c in p_inv.row(i) for e in p.column(j)], blocks)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return GramMatrix(n, g.ambient_dim, new_blocks)
 
 
 @dataclass(frozen=True)
@@ -264,7 +256,9 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
 
 
 def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
-    """Representation change by an invertible scalar matrix P."""
+    """Representation change by an invertible scalar matrix P: u_j =
+    sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k, one matrix built per
+    new coefficient by `linear_combination`."""
     _require_reduced(phi, "similarity_transform")
     n = phi.term_count
     if p.rows != n or p.cols != n:
@@ -277,23 +271,11 @@ def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
 def _apply_scalar_change(phi: ElementaryOperator, p: Matrix) -> Representation:
     n = phi.term_count
     p_inv = inverse(p)
-    u = []
-    v = []
-    for j in range(n):
-        acc = Matrix.zeros(phi.dim)
-        for k in range(n):
-            c = p.entry(k, j)
-            if not c.is_zero:
-                acc = acc + c * phi.pairs[k][0]
-        u.append(acc)
-    for i in range(n):
-        acc = Matrix.zeros(phi.dim)
-        for k in range(n):
-            c = p_inv.entry(i, k)
-            if not c.is_zero:
-                acc = acc + c * phi.pairs[k][1]
-        v.append(acc)
-    return Representation(phi.dim, tuple(u), tuple(v), p)
+    left = [a for a, _ in phi.pairs]
+    right = [b for _, b in phi.pairs]
+    u = tuple(linear_combination(p.column(j), left) for j in range(n))
+    v = tuple(linear_combination(p_inv.row(i), right) for i in range(n))
+    return Representation(phi.dim, u, v, p)
 
 
 def adjoint_flip(phi: ElementaryOperator) -> ElementaryOperator:
@@ -341,7 +323,8 @@ def local_matrix(phi: ElementaryOperator, zeta: Vector, x: Matrix) -> Matrix:
 
 
 def sum_bi_ai(phi: ElementaryOperator) -> Matrix:
-    total = Matrix.zeros(phi.dim)
-    for a, b in phi.pairs:
-        total = total + b @ a
-    return total
+    """The trace obstruction sum b_i a_i, each product formed on the
+    integer grids and summed over one common denominator, as in apply."""
+    forms = [(a._int_form, b._int_form) for a, b in phi.pairs]
+    terms = [(p * r, 1, 0, *gaussian_int_matmul(*b_g, *a_g)) for (p, *a_g), (r, *b_g) in forms]
+    return Matrix._from_int_form(*gaussian_int_combination(terms, phi.dim, phi.dim))

@@ -285,6 +285,20 @@ def test_verify_rejects_parameter_vectors_of_wrong_length(specimen, field, value
     assert not check.ok and check.failed == "parameter length"
 
 
+def test_verify_rejects_wrong_shape_representation():
+    phi = generate("ii", 3, 4, seed=7)
+    verdict = classify(phi)
+    assert verdict.status == "LQN" and verify_certificate(phi, verdict)
+    rep = verdict.representation
+    for field in ("u", "v"):
+        coefficients = list(getattr(rep, field))
+        coefficients[0] = Matrix.identity(1)
+        bad_rep = dataclasses.replace(rep, **{field: tuple(coefficients)})
+        bad = dataclasses.replace(verdict, representation=bad_rep)
+        check = verify_certificate(phi, bad)
+        assert not check.ok and check.failed == "representation shape"
+
+
 def test_verify_rejects_nilpotent_witness():
     eye = Matrix.identity(2)
     phi = single_pair(2, eye, eye)

@@ -23,6 +23,7 @@ from elemop.exact import (
     is_nilpotent_matrix,
     kernel_basis,
     lambda_power,
+    linear_combination,
     poly_gcd,
     poly_mod,
     poly_mul,
@@ -276,6 +277,108 @@ def test_gaussian_int_matmul_zero_and_unit_sides():
 
 
 # -- kernels and rank ----------------------------------------------------
+
+
+# -- the linear-combination kernel -----------------------------------------
+
+
+def _reference_combination(coeffs, mats):
+    """sum c_k M_k entry by entry in Scalar arithmetic, the shape of the
+    accumulation loops the kernel replaces."""
+    out = [[ZERO] * mats[0].cols for _ in range(mats[0].rows)]
+    for c, m in zip(coeffs, mats):
+        for i, row in enumerate(m.entries):
+            for j, e in enumerate(row):
+                out[i][j] = out[i][j] + c * e
+    return Matrix(tuple(tuple(row) for row in out))
+
+
+def _coefficient(rng, kind, max_den=12):
+    def part():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 40), rng.randint(1, max_den))
+
+    return {
+        "zero": lambda: ZERO,
+        "real": lambda: Scalar(part()),
+        "imaginary": lambda: Scalar(0, part()),
+        "complex": lambda: Scalar(part(), part()),
+    }[kind]()
+
+
+def _real_matrix(rows, cols, seed):
+    m = _gaussian_matrix(rows, cols, seed)
+    return Matrix(tuple(tuple(Scalar(e.re) for e in row) for row in m.entries))
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 4)])
+@pytest.mark.parametrize("mat_kind", ["real", "complex", "mixed"])
+def test_linear_combination_matches_scalar_reference(shape, mat_kind):
+    rng = random.Random(f"{shape}-{mat_kind}")
+    kinds = ["zero", "real", "imaginary", "complex"]
+    for trial in range(12):
+        k = rng.randint(1, 5)
+        mats = []
+        for idx in range(k):
+            seed = derive_seed(970 + trial, idx)
+            real = mat_kind == "real" or (mat_kind == "mixed" and idx % 2 == 0)
+            make = _real_matrix if real else _gaussian_matrix
+            mats.append(make(*shape, seed))
+        coeffs = [_coefficient(rng, rng.choice(kinds)) for _ in range(k)]
+        assert linear_combination(coeffs, mats) == _reference_combination(coeffs, mats)
+
+
+def test_linear_combination_edge_coefficients():
+    mats = [_gaussian_matrix(3, 2, derive_seed(980, i)) for i in range(3)]
+    assert linear_combination([ZERO] * 3, mats) == Matrix.zeros(3, 2)
+    assert linear_combination([0, 1, 0], mats) == mats[1]
+    # purely imaginary coefficients: only the cross terms of i*M survive
+    i_unit = Scalar(0, 1)
+    coeffs = [i_unit, Scalar(0, Fraction(-5, 7)), ZERO]
+    assert linear_combination(coeffs, mats) == _reference_combination(coeffs, mats)
+    assert linear_combination([i_unit, i_unit], [mats[0], mats[0]]) == _reference_combination(
+        [Scalar(0, 2)], [mats[0]]
+    )
+    # cancelling terms over different denominators leave exact zeros
+    half = Scalar(Fraction(1, 2), Fraction(1, 3))
+    assert linear_combination([half, -half], [mats[2], mats[2]]).is_zero
+    # plain ints and Fractions are accepted as coefficients
+    assert linear_combination([2, Fraction(1, 3)], mats[:2]) == _reference_combination(
+        [Scalar(2), Scalar(Fraction(1, 3))], mats[:2]
+    )
+
+
+def test_linear_combination_skips_zero_coefficients():
+    mats = [_gaussian_matrix(2, 2, derive_seed(985, i)) for i in range(3)]
+    linear_combination([ZERO, ONE, ZERO], mats)
+    # a zero coefficient never reads its matrix's integer grids
+    assert "_int_form" in mats[1].__dict__
+    assert "_int_form" not in mats[0].__dict__ and "_int_form" not in mats[2].__dict__
+
+
+def test_linear_combination_rejects_bad_input():
+    with pytest.raises(ShapeError):
+        linear_combination([], [])
+    with pytest.raises(ShapeError):
+        linear_combination([ONE], [Matrix.identity(2), Matrix.identity(2)])
+    with pytest.raises(ShapeError):
+        linear_combination([ONE, ONE], [Matrix.identity(2), Matrix.zeros(2, 3)])
+
+
+def test_matrix_arithmetic_matches_scalar_reference():
+    rng = random.Random(990)
+    for trial in range(20):
+        shape = (rng.randint(1, 4), rng.randint(1, 4))
+        a = _gaussian_matrix(*shape, derive_seed(991, trial), max_den=11)
+        b = _real_matrix(*shape, derive_seed(992, trial)) if trial % 2 else _gaussian_matrix(
+            *shape, derive_seed(992, trial), max_den=7
+        )
+        c = _coefficient(rng, ["zero", "real", "imaginary", "complex"][trial % 4])
+        assert a + b == _reference_combination([ONE, ONE], [a, b])
+        assert a - b == _reference_combination([ONE, -ONE], [a, b])
+        assert -a == _reference_combination([-ONE], [a])
+        assert c * a == a * c == _reference_combination([c], [a])
+        assert (a - a).is_zero and 0 * a == Matrix.zeros(*shape)
+    assert 3 * Matrix.identity(2) == Matrix.diagonal([3, 3])
 
 
 def test_kernel_zero_matrix_is_standard_basis():

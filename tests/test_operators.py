@@ -259,6 +259,37 @@ def test_similarity_transform_gram_conjugation():
     assert maps_equal(rep.as_operator(), phi)
 
 
+def test_similarity_transform_builds_one_matrix_per_coefficient(monkeypatch):
+    n, d = 3, 4
+    phi = ElementaryOperator.from_pairs(d, [
+        (_gaussian(d, derive_seed(120, 2 * i), 5), _gaussian(d, derive_seed(120, 2 * i + 1), 5))
+        for i in range(n)
+    ])
+    assert minimal_length(phi)[0] == n  # warm the minimal-form memo
+    p = random_invertible(n, 121, 4)
+    built, combined = [], []
+    post_init = Matrix.__post_init__
+    from_int_form = Matrix._from_int_form
+
+    def counting_init(self):
+        if len(self.entries) == d:
+            built.append(1)
+        post_init(self)
+
+    def counting_from_int_form(cls, *grids):
+        combined.append(1)
+        return from_int_form(*grids)
+
+    monkeypatch.setattr(Matrix, "__post_init__", counting_init)
+    monkeypatch.setattr(Matrix, "_from_int_form", classmethod(counting_from_int_form))
+    rep = similarity_transform(phi, p)
+    monkeypatch.undo()
+    # u_j = sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k: one matrix each
+    assert len(combined) == len(built) == 2 * n
+    assert maps_equal(rep.as_operator(), phi)
+    assert rep.gram().blocks == gram_conjugate(gram(phi), p).blocks
+
+
 def test_similarity_transform_rejects_singular():
     phi = specimen_form_ii()
     with pytest.raises(DomainError):

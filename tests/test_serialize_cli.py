@@ -1,6 +1,10 @@
 """Round-trips, strict parsing, digests, CLI exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -268,6 +272,18 @@ def test_cli_verify_rejects_tampered_witness(tmp_path, capsys):
     assert "witness" in capsys.readouterr().err
 
 
+def test_cli_verify_rejects_wrong_shape_representation(tmp_path, capsys):
+    inst = _generate_file(tmp_path, "ii", 4, seed=7)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", str(inst), "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    data["verdict"]["representation"]["u"][0] = matrix_to_json(Matrix.identity(1))
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(inst), str(cert)]) == 1
+    assert "verification failed: representation shape" in capsys.readouterr().err
+
+
 def test_cli_verify_rejects_digest_mismatch(tmp_path, capsys):
     inst = _generate_file(tmp_path, "ii", 3, seed=4)
     cert = tmp_path / "cert.json"
@@ -340,3 +356,17 @@ def test_cli_oracle_near_miss_reports_char_poly(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["witness"] is not None
     assert data["char_poly"]
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    out = tmp_path / "module.json"
+    args = ["generate", "--form", "ii", "--n", "3", "--dim", "3", "--seed", "2"]
+    run = subprocess.run(
+        [sys.executable, "-m", "elemop", *args, str(out)], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    direct = _generate_file(tmp_path, "ii", 3, seed=2)
+    assert out.read_bytes() == direct.read_bytes()
