@@ -213,11 +213,9 @@ def _scalar_slices(g: GramMatrix) -> OperatorSpace:
     slices = []
     for s in range(g.ambient_dim):
         for t in range(g.ambient_dim):
-            rows = tuple(
-                tuple(g.blocks[i][j].entry(s, t) for j in range(g.n))
-                for i in range(g.n)
+            m = Matrix.from_rows(
+                [[g.blocks[i][j].entry(s, t) for j in range(g.n)] for i in range(g.n)]
             )
-            m = Matrix(rows)
             if not m.is_zero:
                 slices.append(m)
     return reduce_basis(slices, ambient_dim=g.n)
@@ -420,10 +418,11 @@ def dim_phi_x_squared_range(phi: ElementaryOperator, x: Matrix) -> int:
 # -- generators ---------------------------------------------------------
 
 
-def _targets_to_map(q: Matrix, images: Sequence[Vector], d: int) -> Matrix:
-    """Matrix sending column j of q to images[j] and later columns to 0."""
+def _targets_to_map(q_inv: Matrix, images: Sequence[Vector], d: int) -> Matrix:
+    """Matrix sending column j of q to images[j] and later columns to 0,
+    given q_inv, the inverse of q."""
     padded = list(images) + [tuple(ZERO for _ in range(d))] * (d - len(images))
-    return Matrix.from_columns(padded) @ inverse(q)
+    return Matrix.from_columns(padded) @ q_inv
 
 
 def _zero_vec(d: int) -> Vector:
@@ -468,6 +467,7 @@ def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:
     for attempt in range(64):
         s = derive_seed(seed, attempt)
         q = random_invertible(d, derive_seed(s, 1), GENERATOR_HEIGHT)
+        q_inv = inverse(q)
         xi = [q.column(j) for j in range(n)]
         eta = [
             random_nonzero_vector(d, derive_seed(s, 10 + j), GENERATOR_HEIGHT)
@@ -486,7 +486,7 @@ def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:
                     )
                 else:
                     images.append(_zero_vec(d))
-            v.append(_targets_to_map(q, images, d))
+            v.append(_targets_to_map(q_inv, images, d))
         phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
         length, _ = minimal_length(phi)
         if length != n:
@@ -534,12 +534,8 @@ def _generate_special(n: int, d: int, seed: int, shared: str) -> ElementaryOpera
                 [zeta0, _zero_vec(d), _zero_vec(d), zeta0],
                 [_zero_vec(d), _zero_vec(d), vec_scale(-ONE, zeta0), _zero_vec(d)],
             ]
-        v = [
-            _targets_to_map(
-                q, row + [_zero_vec(d)] * (d - len(row)), d
-            )
-            for row in image_table
-        ]
+        q_inv = inverse(q)
+        v = [_targets_to_map(q_inv, row, d) for row in image_table]
         phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
         if minimal_length(phi)[0] != 3:
             continue
@@ -560,7 +556,7 @@ def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
         r_src = random_invertible(d, derive_seed(s, 2), GENERATOR_HEIGHT)
         c_cols = [q.column(0), q.column(1)]
         c_mat = Matrix.from_columns(c_cols)
-        r_mat = Matrix(tuple(r_src.entries[:2]))
+        r_mat = Matrix(r_src.den, r_src.re[:2], r_src.im[:2])
         lam_x = random_invertible(2, derive_seed(s, 3), GENERATOR_HEIGHT)
         lam_y = random_invertible(2, derive_seed(s, 4), GENERATOR_HEIGHT)
         quotient = inverse(lam_y) @ lam_x
@@ -579,10 +575,8 @@ def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
             [cy.column(0), cy.column(1)] + zero2,
             zero2 + [vec_scale(-ONE, cy.column(0)), vec_scale(-ONE, cy.column(1))],
         ]
-        v = [
-            _targets_to_map(basis_q, row + [_zero_vec(d)] * (d - 4), d)
-            for row in tables
-        ]
+        basis_q_inv = inverse(basis_q)
+        v = [_targets_to_map(basis_q_inv, row, d) for row in tables]
         phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
         if minimal_length(phi)[0] != 3:
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -200,7 +201,10 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="elemop",
         description="Exact analysis and certification of elementary operators "
@@ -250,16 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UnsupportedLengthError as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (FormatError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except ElemopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

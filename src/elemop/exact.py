@@ -1,9 +1,12 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
 Scalars are complex numbers whose real and imaginary parts are rationals
-kept in lowest terms; matrices are dense, immutable and row-major.  Every
-operation is exact: there is no floating point anywhere in this module,
-and equality always means structural equality of reduced fractions.
+kept in lowest terms.  Matrices are dense, immutable and row-major, stored
+only as Gaussian-integer grids over one canonical denominator; the
+kernels compute on those grids, and a matrix builds Scalars only when its
+entries are read.  Every operation is exact: there is no floating point
+anywhere in this module, and equality always means structural equality
+of reduced forms.
 
 Randomness is only available through explicit seeds, so any value produced
 here can be regenerated bit for bit on any platform.
@@ -14,8 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -183,79 +186,97 @@ def vec_is_zero(u: Vector) -> bool:
     return all(a.is_zero for a in u)
 
 
-def vec_dot(u: Vector, v: Vector) -> Scalar:
-    """Bilinear pairing sum(u_i * v_i), no conjugation."""
-    if len(u) != len(v):
-        raise ShapeError("vector lengths differ")
-    total = ZERO
-    for a, b in zip(u, v):
-        total = total + a * b
-    return total
-
-
 @dataclass(frozen=True)
 class Matrix:
-    """A dense matrix of scalars with exact arithmetic.
+    """A dense matrix of Gaussian rationals with exact arithmetic.
+
+    The one stored form is the canonical triple (den, re, im): the matrix
+    is (re + i*im)/den for integer row grids re and im, with den >= 1 and
+    gcd(den, every grid entry) == 1.  So den is the least common
+    denominator of the entries, and equal matrices have equal fields and
+    equal hashes.  The constructor normalizes any triple to that form,
+    and the kernels below build their results from grids directly.
+    Scalar input is converted once, by `from_rows`; `Scalar`s are built
+    only when read, by `entry`, `row`, `column`, `vectorize`, `entries`,
+    `to_text` and the repr, and none of them is cached.
 
     Immutable; all binary operations require exactly matching shapes.
     """
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    den: int
+    re: tuple[tuple[int, ...], ...]
+    im: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.entries or not self.entries[0]:
+        if not self.re or not self.re[0]:
             raise ShapeError("matrices must have at least one row and column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ShapeError("ragged rows")
+        den, re, im = self.den, self.re, self.im
+        g = den if den == 1 else gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
+        if g > 1:
+            den //= g
+            re = [[x // g for x in row] for row in re]
+            im = [[x // g for x in row] for row in im]
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "re", tuple(map(tuple, re)))
+        object.__setattr__(self, "im", tuple(map(tuple, im)))
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable]) -> "Matrix":
-        return cls(tuple(tuple(_entry(v) for v in row) for row in rows))
+        """The matrix with these entries (ints, Fractions, strings,
+        (re, im) pairs or Scalars), cleared to the least common
+        denominator."""
+        rows = [[_entry(v) for v in row] for row in rows]
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise ShapeError("ragged rows")
+        den = lcm(*(f.denominator for row in rows for s in row for f in (s.re, s.im)))
+        return cls(
+            den,
+            [[s.re.numerator * (den // s.re.denominator) for s in row] for row in rows],
+            [[s.im.numerator * (den // s.im.denominator) for s in row] for row in rows],
+        )
 
     @classmethod
     def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
         if not cols:
             raise ShapeError("no columns given")
-        depth = len(cols[0])
-        return cls.from_rows([[cols[j][i] for j in range(len(cols))] for i in range(depth)])
+        if any(len(c) != len(cols[0]) for c in cols):
+            raise ShapeError("ragged columns")
+        return cls.from_rows(zip(*cols))
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
         cols = rows if cols is None else cols
-        return cls(((ZERO,) * cols,) * rows)
+        zero = ((0,) * cols,) * rows
+        return cls(1, zero, zero)
 
     @classmethod
     def identity(cls, dim: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)))
+        grid = tuple(tuple(int(r == c) for c in range(dim)) for r in range(dim))
+        return cls(1, grid, ((0,) * dim,) * dim)
 
     @classmethod
     def unit(cls, dim: int, i: int, j: int) -> "Matrix":
         """The square matrix unit with a single 1 at (i, j), zero-indexed."""
-        return cls(
-            tuple(
-                tuple(ONE if (r, c) == (i, j) else ZERO for c in range(dim))
-                for r in range(dim)
-            )
-        )
+        grid = tuple(tuple(int((r, c) == (i, j)) for c in range(dim)) for r in range(dim))
+        return cls(1, grid, ((0,) * dim,) * dim)
 
     @classmethod
     def diagonal(cls, values: Iterable) -> "Matrix":
-        vals = [_entry(v) for v in values]
+        vals = list(values)
         d = len(vals)
-        return cls(tuple(tuple(vals[i] if i == j else ZERO for j in range(d)) for i in range(d)))
+        return cls.from_rows([[vals[i] if i == j else ZERO for j in range(d)] for i in range(d)])
 
     # -- shape and access ---------------------------------------------
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.re)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.re[0])
 
     @property
     def is_square(self) -> bool:
@@ -263,48 +284,32 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.entries for e in row)
+        return not any(map(any, self.re)) and not any(map(any, self.im))
 
     def entry(self, i: int, j: int) -> Scalar:
-        return self.entries[i][j]
+        return _scalar_over(self.re[i][j], self.im[i][j], self.den)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        den = self.den
+        return tuple(_scalar_over(x, y, den) for x, y in zip(self.re[i], self.im[i]))
 
     def column(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+        den = self.den
+        return tuple(_scalar_over(x[j], y[j], den) for x, y in zip(self.re, self.im))
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        """The rows as Scalars, built on every read."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(self.column(j) for j in range(self.cols)))
+        return Matrix(self.den, tuple(zip(*self.re)), tuple(zip(*self.im)))
 
     def vectorize(self) -> Vector:
         """Row-major flattening, the bridge between matrices and vectors."""
         return tuple(e for row in self.entries for e in row)
 
     # -- arithmetic ----------------------------------------------------
-
-    @cached_property
-    def _int_form(self):
-        """(den, re_grid, im_grid) with self == (re_grid + i*im_grid)/den,
-        den the least common denominator of the entries.
-
-        Lets matrix products run on plain integers; one fraction
-        normalization per output entry instead of one per flop.  The
-        cached lists are shared and must only be read.
-        """
-        den = lcm(*(f.denominator for row in self.entries for s in row for f in (s.re, s.im)))
-        re_g = [[s.re.numerator * (den // s.re.denominator) for s in row] for row in self.entries]
-        im_g = [[s.im.numerator * (den // s.im.denominator) for s in row] for row in self.entries]
-        return den, re_g, im_g
-
-    @classmethod
-    def _from_int_form(cls, den: int, re_g, im_g) -> "Matrix":
-        """The matrix (re_grid + i*im_grid)/den: one fraction pair per
-        entry, with every zero part sharing one zero."""
-        return cls(tuple(
-            tuple(Scalar(_over(x, den), _over(y, den)) for x, y in zip(re_row, im_row))
-            for re_row, im_row in zip(re_g, im_g)
-        ))
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
@@ -331,14 +336,17 @@ class Matrix:
         if isinstance(other, tuple):
             if self.cols != len(other):
                 raise ShapeError("matrix-vector length mismatch")
-            return tuple(vec_dot(row, other) for row in self.entries)
+            col = Matrix.from_columns([other])
+            return Matrix(
+                self.den * col.den, *gaussian_int_matmul(self.re, self.im, col.re, col.im)
+            ).column(0)
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        da, ra, ia = self._int_form
-        db, rb, ib = other._int_form
-        return Matrix._from_int_form(da * db, *gaussian_int_matmul(ra, ia, rb, ib))
+        return Matrix(
+            self.den * other.den, *gaussian_int_matmul(self.re, self.im, other.re, other.im)
+        )
 
     def power(self, k: int) -> "Matrix":
         if not self.is_square:
@@ -363,10 +371,12 @@ class Matrix:
         return f"Matrix({body})"
 
 
-def _over(numerator: int, den: int) -> Fraction:
-    """numerator/den, sharing one zero: real matrices have a zero
-    imaginary part in every entry."""
-    return Fraction(numerator, den) if numerator else _ZERO
+def _scalar_over(x: int, y: int, den: int) -> Scalar:
+    """(x + i*y)/den, sharing one zero scalar and one zero part: real
+    matrices have a zero imaginary part in every entry."""
+    if not x and not y:
+        return ZERO
+    return Scalar(Fraction(x, den) if x else _ZERO, Fraction(y, den) if y else _ZERO)
 
 
 #: Products with fewer output entries than this stay on the fused loop:
@@ -378,7 +388,7 @@ _DOT_MIN_ENTRIES = 9
 
 def gaussian_int_matmul(a_re, a_im, b_re, b_im):
     """The product of two Gaussian-integer matrices held as real and
-    imaginary row grids, such as `Matrix._int_form` keeps.
+    imaginary row grids, such as a `Matrix` stores.
 
     Returns new (re_grid, im_grid) lists; the inputs are only read.  This
     is the one product loop on integer grids: `Matrix.__matmul__`,
@@ -449,7 +459,7 @@ def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     """The exact sum of c_k M_k over matrices of one shape, built as one
     matrix; Matrix +, -, negation and scaling are each one call of it.
 
-    With c_k = (x + i*y)/q and M_k read from its `_int_form` (den, re, im),
+    With c_k = (x + i*y)/q and M_k = (re + i*im)/den on its own grids,
     the term is (x + i*y)(re + i*im)/(q*den).  Zero coefficients are
     skipped and the terms are summed over one common denominator.
     """
@@ -464,9 +474,8 @@ def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
         if c.is_zero:
             continue
         q = lcm(c.re.denominator, c.im.denominator)
-        den, *grids = m._int_form
-        terms.append((q * den, int(c.re * q), int(c.im * q), *grids))
-    return Matrix._from_int_form(*gaussian_int_combination(terms, rows, cols))
+        terms.append((q * m.den, int(c.re * q), int(c.im * q), m.re, m.im))
+    return Matrix(*gaussian_int_combination(terms, rows, cols))
 
 
 def matrix_units(dim: int) -> list[Matrix]:
@@ -482,16 +491,15 @@ def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
     Works on Gaussian integers over one common denominator, one tensor
     row at a time, and stops at the first nonzero row.
     """
-    forms = [(a._int_form, b._int_form) for a, b in pairs]
-    common = lcm(1, *(da * db for (da, _, _), (db, _, _) in forms))
+    common = lcm(1, *(a.den * b.den for a, b in pairs))
     # per pair: real and imaginary vec(a), then vec(b) scaled to the common
     # denominator, so every tensor entry is a sum of integer products
     flat = []
-    for (da, ra, ia), (db, rb, ib) in forms:
-        s = common // (da * db)
+    for a, b in pairs:
+        s = common // (a.den * b.den)
         flat.append((
-            [x for r in ra for x in r], [x for r in ia for x in r],
-            [s * x for r in rb for x in r], [s * x for r in ib for x in r],
+            [x for r in a.re for x in r], [x for r in a.im for x in r],
+            [s * x for r in b.re for x in r], [s * x for r in b.im for x in r],
         ))
     for row in range(len(flat[0][0]) if flat else 0):
         acc_re, acc_im = [0] * len(flat[0][2]), [0] * len(flat[0][2])
@@ -508,10 +516,10 @@ def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
 def trace(m: Matrix) -> Scalar:
     if not m.is_square:
         raise ShapeError("trace needs a square matrix")
-    total = ZERO
-    for i in range(m.rows):
-        total = total + m.entries[i][i]
-    return total
+    diagonal = range(m.rows)
+    return _scalar_over(
+        sum(m.re[i][i] for i in diagonal), sum(m.im[i][i] for i in diagonal), m.den
+    )
 
 
 # -- row reduction and everything built on it -------------------------
@@ -608,7 +616,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ShapeError("row counts differ")
-    augmented = [a.entries[i] + b.entries[i] for i in range(a.rows)]
+    augmented = [r + s for r, s in zip(a.entries, b.entries)]
     reduced, pivots = rref(augmented)
     n = a.cols
     for row_idx, pc in enumerate(pivots):
@@ -618,7 +626,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     for row_idx, pc in enumerate(pivots):
         for j in range(b.cols):
             sol[pc][j] = reduced[row_idx][n + j]
-    return Matrix(tuple(tuple(row) for row in sol))
+    return Matrix.from_rows(sol)
 
 
 def solve_vec(a: Matrix, v: Vector) -> Vector | None:
@@ -632,17 +640,16 @@ def inverse(m: Matrix) -> Matrix:
     if not m.is_square:
         raise ShapeError("only square matrices can be inverted")
     d = m.rows
-    eye = Matrix.identity(d)
-    augmented = [m.entries[i] + eye.entries[i] for i in range(d)]
+    augmented = [row + basis_vector(d, i) for i, row in enumerate(m.entries)]
     reduced, pivots = rref(augmented)
     if pivots != list(range(d)):
         raise DomainError("matrix is singular")
-    return Matrix(tuple(row[d:] for row in reduced))
+    return Matrix.from_rows(row[d:] for row in reduced)
 
 
 def outer(column: Vector, functional: Vector) -> Matrix:
     """The rank-one (or zero) matrix column * functional^T."""
-    return Matrix(tuple(tuple(c * f for f in functional) for c in column))
+    return Matrix.from_rows([[c * f for f in functional] for c in column])
 
 
 # -- polynomials -------------------------------------------------------
@@ -752,7 +759,7 @@ def char_poly(m: Matrix) -> Polynomial:
     """Characteristic polynomial det(tI - m), monic of degree = side.
 
     Runs the Faddeev-LeVerrier recurrence on the Gaussian-integer grid
-    G = den*m of `m._int_form`: with M_0 = I,
+    G = den*m that `m` stores: with M_0 = I,
 
         c_k = -tr(G M_(k-1)) / k,    M_k = G M_(k-1) + c_k I,
 
@@ -766,13 +773,13 @@ def char_poly(m: Matrix) -> Polynomial:
     if not m.is_square:
         raise ShapeError("characteristic polynomial needs a square matrix")
     d = m.rows
-    den, g_re, g_im = m._int_form
+    den, g_re, g_im = m.den, m.re, m.im
     coeffs_high = [ONE]  # coefficient of t^d
     am_re, am_im = g_re, g_im  # G M_0
     for k in range(1, d + 1):
         c_re = -sum(am_re[i][i] for i in range(d)) // k
         c_im = -sum(am_im[i][i] for i in range(d)) // k
-        coeffs_high.append(Scalar(_over(c_re, den**k), _over(c_im, den**k)))
+        coeffs_high.append(_scalar_over(c_re, c_im, den**k))
         if k < d:
             am_re, am_im = gaussian_int_matmul(
                 g_re, g_im, _add_to_diagonal(am_re, c_re), _add_to_diagonal(am_im, c_im)
@@ -800,12 +807,12 @@ def is_nilpotent_matrix(m: Matrix) -> bool:
 
     A d x d matrix is nilpotent iff its 2^s-th power vanishes for the
     least 2^s >= d.  m is nilpotent iff den*m is, so the squarings run on
-    the Gaussian-integer grids of `m._int_form` and build no matrix,
+    the Gaussian-integer grids that `m` stores and build no matrix,
     scalar or fraction.
     """
     if not m.is_square:
         raise ShapeError("nilpotency needs a square matrix")
-    _, re_g, im_g = m._int_form
+    re_g, im_g = m.re, m.im
     steps = 1
     while steps < m.rows:
         re_g, im_g = gaussian_int_matmul(re_g, im_g, re_g, im_g)
@@ -841,8 +848,8 @@ def random_matrix(dim: int, seed: int, height: int) -> Matrix:
     if height < 1:
         raise DomainError("sampling height must be at least 1")
     rng = random.Random(seed)
-    return Matrix(
-        tuple(tuple(random_scalar(rng, height) for _ in range(dim)) for _ in range(dim))
+    return Matrix.from_rows(
+        [[random_scalar(rng, height) for _ in range(dim)] for _ in range(dim)]
     )
 
 

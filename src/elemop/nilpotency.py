@@ -91,7 +91,7 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
     """
     m = space.ambient_dim
     k = space.dim
-    factors = [n._int_form[1:] for n in space.basis]
+    factors = [(n.re, n.im) for n in space.basis]
     if any(_has_trace(n) for n in factors):
         return False
     level = {(i,): n for i, n in enumerate(factors)}
@@ -253,8 +253,8 @@ def _quotient_matrix(reduced, pivots, nonpivot, width: int) -> Matrix | None:
         row[q] = ONE
         for r_idx, pc in enumerate(pivots):
             row[pc] = -reduced[r_idx][q]
-        rows.append(tuple(row))
-    return Matrix(tuple(rows))
+        rows.append(row)
+    return Matrix.from_rows(rows)
 
 
 def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
@@ -276,7 +276,7 @@ def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
             for t in space.basis:
                 qt = q @ t
                 stacked_rows.extend(qt.entries)
-            kernel = kernel_basis(Matrix(tuple(stacked_rows)))
+            kernel = kernel_basis(Matrix.from_rows(stacked_rows))
             candidates = kernel
         extended = False
         for cand in candidates:
@@ -405,7 +405,7 @@ def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
         for q_row in q.entries:
             images = [linear_combination(q_row, column).vectorize() for column in block_columns]
             stacked.extend(zip(*images))
-        kernel = kernel_basis(Matrix(tuple(stacked)))
+        kernel = kernel_basis(Matrix.from_rows(stacked))
         extended = False
         for cand in kernel:
             if len(rref(cols + [cand])[0]) == len(cols) + 1:
@@ -448,7 +448,7 @@ def trace_condition_witness(phi: ElementaryOperator) -> Matrix | None:
     s = sum_bi_ai(phi)
     for k in range(phi.dim):
         for l in range(phi.dim):
-            if not s.entry(k, l).is_zero:
+            if s.re[k][l] or s.im[k][l]:
                 return Matrix.unit(phi.dim, l, k)
     return None
 
@@ -470,10 +470,10 @@ def witness_search(
     d = phi.dim
     s = sum_bi_ai(phi)
     s_zero = s.is_zero
-    s_column = _as_transposed_column(s._int_form[1:])
+    s_column = _as_transposed_column((s.re, s.im))
     for t in range(1, trials + 1):
         x = random_matrix(d, derive_seed(seed, 40_000 + t), height)
-        if s_zero or not _has_trace(gaussian_int_matmul(*_as_row(x._int_form[1:]), *s_column)):
+        if s_zero or not _has_trace(gaussian_int_matmul(*_as_row((x.re, x.im)), *s_column)):
             y = apply(phi, x)
             if is_nilpotent_matrix(y):
                 continue

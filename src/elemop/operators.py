@@ -111,7 +111,7 @@ class ElementaryOperator:
 def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     """Exact evaluation sum a_i x b_i.
 
-    Each term is formed on the Gaussian-integer grids of `_int_form`:
+    Each term is formed on the Gaussian-integer grids the matrices store:
     with a_i = A_i/p_i, x = X/q and b_i = B_i/r_i, the term is
     A_i X B_i/(p_i q r_i).  The terms are summed over one common
     denominator by `exact.gaussian_int_combination`, the summation step
@@ -119,13 +119,11 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
-    q, *x_g = x._int_form
-    forms = [(a._int_form, b._int_form) for a, b in phi.pairs]
-    terms = [
-        (p * q * r, 1, 0, *gaussian_int_matmul(*gaussian_int_matmul(*a_g, *x_g), *b_g))
-        for (p, *a_g), (r, *b_g) in forms
-    ]
-    return Matrix._from_int_form(*gaussian_int_combination(terms, phi.dim, phi.dim))
+    terms = []
+    for a, b in phi.pairs:
+        ax = gaussian_int_matmul(a.re, a.im, x.re, x.im)
+        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, b.re, b.im)))
+    return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))
 
 
 def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
@@ -197,15 +195,16 @@ def gram_conjugate(g: GramMatrix, p: Matrix) -> GramMatrix:
     """Blockwise P^{-1} G P for an invertible scalar matrix P."""
     if p.rows != g.n or p.cols != g.n:
         raise ShapeError("conjugator size must match the block count")
-    p_inv = inverse(p)
     n = g.n
+    p_inv_rows = inverse(p).entries
+    p_columns = [p.column(j) for j in range(n)]
     blocks = [block for row in g.blocks for block in row]
     new_blocks = tuple(
         tuple(
-            linear_combination([c * e for c in p_inv.row(i) for e in p.column(j)], blocks)
-            for j in range(n)
+            linear_combination([c * e for c in p_inv_row for e in p_column], blocks)
+            for p_column in p_columns
         )
-        for i in range(n)
+        for p_inv_row in p_inv_rows
     )
     return GramMatrix(n, g.ambient_dim, new_blocks)
 
@@ -270,11 +269,10 @@ def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
 
 def _apply_scalar_change(phi: ElementaryOperator, p: Matrix) -> Representation:
     n = phi.term_count
-    p_inv = inverse(p)
     left = [a for a, _ in phi.pairs]
     right = [b for _, b in phi.pairs]
     u = tuple(linear_combination(p.column(j), left) for j in range(n))
-    v = tuple(linear_combination(p_inv.row(i), right) for i in range(n))
+    v = tuple(linear_combination(row, right) for row in inverse(p).entries)
     return Representation(phi.dim, u, v, p)
 
 
@@ -319,12 +317,14 @@ def local_matrix(phi: ElementaryOperator, zeta: Vector, x: Matrix) -> Matrix:
                     f"x b_{i} a_{j} zeta is not proportional to zeta"
                 )
             rows[i][j] = lam
-    return Matrix(tuple(tuple(r) for r in rows))
+    return Matrix.from_rows(rows)
 
 
 def sum_bi_ai(phi: ElementaryOperator) -> Matrix:
     """The trace obstruction sum b_i a_i, each product formed on the
     integer grids and summed over one common denominator, as in apply."""
-    forms = [(a._int_form, b._int_form) for a, b in phi.pairs]
-    terms = [(p * r, 1, 0, *gaussian_int_matmul(*b_g, *a_g)) for (p, *a_g), (r, *b_g) in forms]
-    return Matrix._from_int_form(*gaussian_int_combination(terms, phi.dim, phi.dim))
+    terms = [
+        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, a.re, a.im))
+        for a, b in phi.pairs
+    ]
+    return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))

@@ -104,7 +104,7 @@ def matrix_from_json(data: Any, where: str) -> Matrix:
         rows.append(
             tuple(scalar_from_json(e, f"{where}[{i}][{j}]") for j, e in enumerate(row))
         )
-    return Matrix(tuple(rows))
+    return Matrix.from_rows(rows)
 
 
 def _matrices_from_json(data: Any, where: str) -> tuple[Matrix, ...]:

@@ -227,8 +227,7 @@ def rank_one_factor(m: Matrix) -> RankOne:
     actual = rank(m)
     if actual != 1:
         raise RankError(actual)
-    col_index = next(j for j in range(m.cols) if not vec_is_zero(m.column(j)))
-    column = m.column(col_index)
+    column = next(c for c in map(m.column, range(m.cols)) if not vec_is_zero(c))
     row_index = next(i for i in range(m.rows) if not column[i].is_zero)
     pivot = column[row_index]
     functional = tuple(e / pivot for e in m.row(row_index))

@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +43,7 @@ from elemop.exact import (
     vector,
     zero_vector,
 )
+from elemop.serialize import matrix_from_json, matrix_to_json
 from conftest import unit, strictly_upper_basis
 
 
@@ -87,6 +90,43 @@ def test_shape_mismatch_rejected():
         trace(Matrix.zeros(2, 3))
     with pytest.raises(ShapeError):
         char_poly(Matrix.zeros(2, 3))
+    for ragged in ([vector([1, 2]), vector([1])], [vector([1]), vector([1, 2])]):
+        with pytest.raises(ShapeError):
+            Matrix.from_columns(ragged)
+        with pytest.raises(ShapeError):
+            Matrix.from_rows(ragged)
+
+
+entry_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+gaussian_rows = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.builds(Scalar, entry_fractions, entry_fractions), min_size=cols, max_size=cols),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian_rows, gaussian_rows)
+def test_matrix_storage_is_canonical(rows, other_rows):
+    m = Matrix.from_rows(rows)
+    assert m.entries == tuple(map(tuple, rows))
+    assert m.den >= 1 and gcd(m.den, *chain(*m.re), *chain(*m.im)) == 1
+    # one value reached by different routes: equal fields, equal hash
+    for route in (
+        (2 * m) * Scalar(Fraction(1, 2)),
+        m @ Matrix.identity(m.cols),
+        matrix_from_json(matrix_to_json(m), "m"),
+    ):
+        assert route == m and hash(route) == hash(m)
+    other = Matrix.from_rows(other_rows)
+    assert (other == m) == (other.entries == m.entries)
+    bumped = [list(row) for row in rows]
+    bumped[-1][-1] = bumped[-1][-1] + Scalar(0, Fraction(1, 7))
+    assert Matrix.from_rows(bumped) != m
+    zero = m - m
+    assert zero.is_zero and zero.den == 1 and zero == Matrix.zeros(m.rows, m.cols)
 
 
 # -- characteristic polynomials -----------------------------------------
@@ -120,7 +160,7 @@ def test_char_poly_similarity_invariant():
 def _gaussian_matrix(rows, cols, seed, height=9, max_den=6):
     """Seeded Gaussian-rational matrix, denominators up to max_den."""
     rng = random.Random(seed)
-    return Matrix(tuple(
+    return Matrix.from_rows(tuple(
         tuple(
             Scalar(
                 Fraction(rng.randint(-height, height), rng.randint(1, max_den)),
@@ -158,7 +198,7 @@ def _conjugated_strictly_upper(d, seed):
         if rank(p) == d:
             break
     u = _gaussian_matrix(d, d, derive_seed(seed, 99), height=5, max_den=4)
-    u = Matrix(tuple(
+    u = Matrix.from_rows(tuple(
         tuple(c if j > i else ZERO for j, c in enumerate(row)) for i, row in enumerate(u.entries)
     ))
     p_inv = inverse(p)
@@ -199,7 +239,6 @@ def test_nilpotency_and_char_poly_build_few_scalars(monkeypatch):
     for d in (2, 5):
         nil, _, _, _ = _conjugated_strictly_upper(d, derive_seed(960, d))
         for m in (nil, nil + Matrix.identity(d)):
-            m._int_form  # warm: the grids are the matrix's own cache
             monkeypatch.setattr(Scalar, "__post_init__", counting)
             built.clear()
             is_nilpotent_matrix(m)
@@ -290,7 +329,7 @@ def _reference_combination(coeffs, mats):
         for i, row in enumerate(m.entries):
             for j, e in enumerate(row):
                 out[i][j] = out[i][j] + c * e
-    return Matrix(tuple(tuple(row) for row in out))
+    return Matrix.from_rows(tuple(tuple(row) for row in out))
 
 
 def _coefficient(rng, kind, max_den=12):
@@ -307,7 +346,7 @@ def _coefficient(rng, kind, max_den=12):
 
 def _real_matrix(rows, cols, seed):
     m = _gaussian_matrix(rows, cols, seed)
-    return Matrix(tuple(tuple(Scalar(e.re) for e in row) for row in m.entries))
+    return Matrix.from_rows(tuple(tuple(Scalar(e.re) for e in row) for row in m.entries))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 4)])
@@ -349,10 +388,7 @@ def test_linear_combination_edge_coefficients():
 
 def test_linear_combination_skips_zero_coefficients():
     mats = [_gaussian_matrix(2, 2, derive_seed(985, i)) for i in range(3)]
-    linear_combination([ZERO, ONE, ZERO], mats)
-    # a zero coefficient never reads its matrix's integer grids
-    assert "_int_form" in mats[1].__dict__
-    assert "_int_form" not in mats[0].__dict__ and "_int_form" not in mats[2].__dict__
+    assert linear_combination([ZERO, ONE, ZERO], mats) == mats[1]
 
 
 def test_linear_combination_rejects_bad_input():
@@ -475,6 +511,81 @@ def test_independent_subset_matches_incremental_reference():
 def test_independent_subset_rejects_ragged_vectors():
     with pytest.raises(ShapeError):
         independent_subset([vector([1, 2]), vector([1])])
+
+
+# -- elimination against sympy's Gaussian-rational field ------------------
+
+
+def _elimination_inputs(d):
+    """Seeded d x d and d x (d+1) Gaussian-rational matrices with
+    denominators: generic, rank-deficient, singular with a zero column,
+    purely imaginary, and zero."""
+    seed = derive_seed(1200, d)
+    generic = _gaussian_matrix(d, d, derive_seed(seed, 0))
+    r = d // 2
+    deficient = (
+        _gaussian_matrix(d, r, derive_seed(seed, 1)) @ _gaussian_matrix(r, d, derive_seed(seed, 2))
+        if r else Matrix.zeros(d)
+    )
+    with_zero_column = Matrix.from_rows(
+        [[ZERO if j == d - 1 else e for j, e in enumerate(row)] for row in generic.entries]
+    )
+    source = _gaussian_matrix(d, d, derive_seed(seed, 3))
+    imaginary = Matrix.from_rows([[Scalar(0, e.re) for e in row] for row in source.entries])
+    wide = _gaussian_matrix(d, d + 1, derive_seed(seed, 4))
+    return [generic, deficient, with_zero_column, imaginary, wide, Matrix.zeros(d)]
+
+
+def test_elimination_matches_sympy():
+    pytest.importorskip("sympy")
+    from sympy import I, QQ_I, Rational, im, re
+    from sympy.polys.matrices import DomainMatrix
+
+    def to_domain(m):
+        rows = [[Rational(str(e.re)) + I * Rational(str(e.im)) for e in row] for row in m.entries]
+        return DomainMatrix.from_list_sympy(m.rows, m.cols, rows).convert_to(QQ_I)
+
+    def to_rows(dm):
+        return [
+            tuple(Scalar(Fraction(str(re(e))), Fraction(str(im(e)))) for e in row)
+            for row in dm.to_Matrix().tolist()
+        ]
+
+    for d in range(1, 7):
+        for m in _elimination_inputs(d):
+            dm = to_domain(m)
+            assert rank(m) == dm.rank()
+            expected_kernel = []
+            for v in to_rows(dm.nullspace()):
+                first = next(x for x in v if not x.is_zero)
+                expected_kernel.append(tuple(x / first for x in v))
+            assert kernel_basis(m) == expected_kernel
+            # the columns of m as vectors: kept = pivots, coordinates = the
+            # reduced form's non-pivot columns over the pivot rows
+            reduced, pivots = dm.rref()
+            reduced_rows = to_rows(reduced)[:len(pivots)]
+            kept, coords = independent_subset([m.column(j) for j in range(m.cols)])
+            assert kept == list(pivots)
+            assert coords == {
+                j: tuple(row[j] for row in reduced_rows) for j in range(m.cols) if j not in pivots
+            }
+            # solve sets free variables to zero: with the pivots fixed, the
+            # solution is unique, and b is consistent iff the ranks agree
+            for b in (m @ _gaussian_matrix(m.cols, 2, derive_seed(1300, d)),
+                      _gaussian_matrix(d, 2, derive_seed(1301, d))):
+                x = solve(m, b)
+                consistent = dm.rank() == to_domain(
+                    Matrix.from_rows([r + s for r, s in zip(m.entries, b.entries)])
+                ).rank()
+                assert (x is not None) == consistent
+                if x is not None:
+                    assert m @ x == b
+                    assert all(x.row(i) == (ZERO, ZERO) for i in range(m.cols) if i not in pivots)
+            if m.is_square and dm.rank() == d:
+                assert Matrix.from_rows(to_rows(dm.inv())) == inverse(m)
+            elif m.is_square:
+                with pytest.raises(DomainError):
+                    inverse(m)
 
 
 # -- nilpotency characterization -----------------------------------------

@@ -237,7 +237,7 @@ def test_block_flag_rejects_specimen_grid():
         for s in range(3):
             for t in range(3):
                 rows.append(tuple(g.block(k, l).entry(s, t) for l in range(3)))
-    assert kernel_basis(Matrix(tuple(rows))) == []
+    assert kernel_basis(Matrix.from_rows(tuple(rows))) == []
     assert block_strict_triangularize(g) is None
 
 
@@ -364,7 +364,7 @@ def _ordered_word_walk(space):
     k = space.dim
     cleared = []
     for n in space.basis:
-        _, re_g, im_g = n._int_form
+        re_g, im_g = n.re, n.im
         cleared.append(Matrix.from_rows(
             [[(re_g[i][j], im_g[i][j]) for j in range(m)] for i in range(m)]
         ))

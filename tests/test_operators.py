@@ -70,7 +70,7 @@ def test_apply_specimen_nilpotent_at_unit():
 def _gaussian(d, seed, max_den):
     """Seeded d x d Gaussian-rational matrix with denominators up to max_den."""
     rng = random.Random(seed)
-    return Matrix(tuple(
+    return Matrix.from_rows(tuple(
         tuple(
             Scalar(Fraction(rng.randint(-7, 7), rng.randint(1, max_den)),
                    Fraction(rng.randint(-7, 7), rng.randint(1, max_den)))
@@ -267,25 +267,19 @@ def test_similarity_transform_builds_one_matrix_per_coefficient(monkeypatch):
     ])
     assert minimal_length(phi)[0] == n  # warm the minimal-form memo
     p = random_invertible(n, 121, 4)
-    built, combined = [], []
+    built = []
     post_init = Matrix.__post_init__
-    from_int_form = Matrix._from_int_form
 
     def counting_init(self):
-        if len(self.entries) == d:
+        if len(self.re) == d:
             built.append(1)
         post_init(self)
 
-    def counting_from_int_form(cls, *grids):
-        combined.append(1)
-        return from_int_form(*grids)
-
     monkeypatch.setattr(Matrix, "__post_init__", counting_init)
-    monkeypatch.setattr(Matrix, "_from_int_form", classmethod(counting_from_int_form))
     rep = similarity_transform(phi, p)
     monkeypatch.undo()
     # u_j = sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k: one matrix each
-    assert len(combined) == len(built) == 2 * n
+    assert len(built) == 2 * n
     assert maps_equal(rep.as_operator(), phi)
     assert rep.gram().blocks == gram_conjugate(gram(phi), p).blocks
 
@@ -366,7 +360,7 @@ def test_minimal_length_representation_independent():
                                 coeff = coeff - g2.block(l, j).entry(s, t)
                             row.append(coeff)
                     rows.append(tuple(row))
-    kernel = kernel_basis(Matrix(tuple(rows)))
+    kernel = kernel_basis(Matrix.from_rows(tuple(rows)))
     assert kernel, "no similarity solution at all"
     found = False
     for cand in kernel:
