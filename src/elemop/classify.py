@@ -49,10 +49,10 @@ from .exact import (
 from .nilpotency import (
     DEFAULT_SUBSPACE_BUDGET,
     DEFAULT_TRIALS,
-    Triangularizable,
     block_strict_triangularize,
-    classify_nilpotent_2dim_m3,
     refutes,
+    slice_span,
+    special_plane_form,
     strict_triangularize,
     subspace_all_nilpotent,
     trace_condition_witness,
@@ -75,7 +75,6 @@ from .operators import (
     left_space,
 )
 from .spaces import (
-    OperatorSpace,
     rank_one_factor,
     reduce_basis,
     simultaneous_separating_vector,
@@ -207,20 +206,6 @@ def construct_triangular_rep(phi: ElementaryOperator) -> Representation | None:
     return rep
 
 
-def _scalar_slices(g: GramMatrix) -> OperatorSpace:
-    """Span of the scalar matrices obtained by reading one fixed entry
-    position across the whole block grid."""
-    slices = []
-    for s in range(g.ambient_dim):
-        for t in range(g.ambient_dim):
-            m = Matrix.from_rows(
-                [[g.blocks[i][j].entry(s, t) for j in range(g.n)] for i in range(g.n)]
-            )
-            if not m.is_zero:
-                slices.append(m)
-    return reduce_basis(slices, ambient_dim=g.n)
-
-
 def _pattern_blocks(g: GramMatrix) -> tuple[Matrix, Matrix]:
     """Read off (X, Y) from a grid of the exceptional scalar shape and
     confirm all its equalities exactly."""
@@ -241,25 +226,26 @@ def classify_length3(
     """Complete classification of length-3 operators.
 
     Deterministic except for witness sampling on refutations: trace
-    obstruction, then the block flag, then the slice-span reduction onto
-    the M_3 dichotomy with rank-one matching of the surviving blocks.
+    obstruction, then the block flag as the strict flag of the slice
+    span, built and triangularized once; failing that, the span's
+    conjugation onto the exceptional plane of M_3 with rank-one matching
+    of the surviving blocks.
     """
     n, reduced = minimal_length(phi)
     if n != 3:
         raise ContractError(f"classify_length3 needs length 3, got {n}")
     if not sum_bi_ai(reduced).is_zero:
         return _refutation(reduced, trials, seed, branch="trace condition")
-    g = gram(reduced)
-    p = block_strict_triangularize(g)
-    if p is not None:
-        rep = similarity_transform(reduced, p)
+    slices = slice_span(gram(reduced))
+    flag = strict_triangularize(slices)
+    if isinstance(flag, Flag):
+        rep = similarity_transform(reduced, Matrix.from_columns(flag.vectors))
         return _checked_lqn(
             phi,
             ClassificationVerdict(
                 "LQN", FORM_PATTERN_I, rep, evidence={"branch": "block flag"}
             ),
         )
-    slices = _scalar_slices(g)
     if slices.dim != 2:
         return _refutation(
             reduced, trials, seed, branch=f"slice span has dimension {slices.dim}"
@@ -267,10 +253,7 @@ def classify_length3(
     nil_report = subspace_all_nilpotent(slices, budget=budget)
     if not nil_report.all_nilpotent:
         return _refutation(reduced, trials, seed, branch="slice span not nilpotent")
-    dichotomy = classify_nilpotent_2dim_m3(slices)
-    if isinstance(dichotomy, Triangularizable):  # pragma: no cover
-        raise InconsistencyError("triangularizable slice span escaped the block flag")
-    rep = similarity_transform(reduced, dichotomy.conjugator)
+    rep = similarity_transform(reduced, special_plane_form(slices).conjugator)
     x, y = _pattern_blocks(rep.gram())
     if rank(x) != 1 or rank(y) != 1:
         return _refutation(

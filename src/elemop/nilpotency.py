@@ -18,6 +18,12 @@ Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
 vector outside the current flag is killed into it by every basis element.
 The greedy choice is complete because quotients inherit the property.
+It is the one flag recursion.  The block flag of an operator is a scalar
+P making the blockwise conjugate P^{-1} G P of its block grid
+G = (b_i a_j) vanish on and below the diagonal; read at one entry
+position (s, t), that conjugate is P^{-1} S_st P for the scalar slice
+S_st = [(b_k a_l)[s][t]]_kl, so P is a strictly triangularizing flag of
+the slice span.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from .errors import ContractError, InconsistencyError, ShapeError
@@ -56,7 +62,7 @@ from .operators import (
     minimal_length,
     sum_bi_ai,
 )
-from .spaces import OperatorSpace
+from .spaces import OperatorSpace, reduce_basis
 
 DEFAULT_SUBSPACE_BUDGET = 200_000
 DEFAULT_GRID_BUDGET = 10_000
@@ -236,23 +242,18 @@ class NotTriangularizable:
     stage: int
 
 
-def _reduction_rows(flag: Sequence[Vector], width: int):
-    """Echelon data for computing coordinates modulo span(flag)."""
+def _quotient_map(flag: Sequence[Vector], m: int) -> Matrix:
+    """Q with Q w = coordinates of w modulo span(flag), read off the
+    flag's reduced echelon form; needs len(flag) < m."""
     reduced, pivots = rref(list(flag))
-    nonpivot = [c for c in range(width) if c not in pivots]
-    return reduced, pivots, nonpivot
-
-
-def _quotient_matrix(reduced, pivots, nonpivot, width: int) -> Matrix | None:
-    """Matrix Q with Q w = coordinates of w in the quotient by the flag span."""
-    if not nonpivot:
-        return None
     rows = []
-    for q in nonpivot:
-        row = [ZERO] * width
-        row[q] = ONE
+    for c in range(m):
+        if c in pivots:
+            continue
+        row = [ZERO] * m
+        row[c] = ONE
         for r_idx, pc in enumerate(pivots):
-            row[pc] = -reduced[r_idx][q]
+            row[pc] = -reduced[r_idx][c]
         rows.append(row)
     return Matrix.from_rows(rows)
 
@@ -260,43 +261,29 @@ def _quotient_matrix(reduced, pivots, nonpivot, width: int) -> Matrix | None:
 def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
     """Common-kernel recursion for a strictly triangularizing flag.
 
-    At stage s the candidates are vectors w with T w inside the current
-    prefix span for every basis T; failure to find one outside the span
-    reports the stage (counting from 1) and is definitive.
+    At stage s, with Q the quotient map modulo the current prefix span,
+    the candidates are the kernel of Q T stacked over every basis T: the
+    vectors w with T w inside the span.  The stacked grids are each Q T's
+    integer grids without its denominator; scaling a row does not change
+    the kernel.  The first candidate with Q w nonzero, that is outside
+    the span, extends the flag.  Finding none reports the stage (counting
+    from 1) and is definitive.
     """
     m = space.ambient_dim
     flag: list[Vector] = []
     while len(flag) < m:
-        reduced, pivots, nonpivot = _reduction_rows(flag, m)
-        q = _quotient_matrix(reduced, pivots, nonpivot, m)
-        if space.dim == 0 or q is None:
-            candidates = [v for v in _standard_complement(pivots, m)]
-        else:
-            stacked_rows: list[Vector] = []
-            for t in space.basis:
-                qt = q @ t
-                stacked_rows.extend(qt.entries)
-            kernel = kernel_basis(Matrix.from_rows(stacked_rows))
-            candidates = kernel
-        extended = False
-        for cand in candidates:
-            if len(rref(list(flag) + [cand])[0]) == len(flag) + 1:
-                flag.append(cand)
-                extended = True
-                break
-        if not extended:
+        q = _quotient_map(flag, m)
+        images = [q @ t for t in space.basis] or [Matrix.zeros(1, m)]
+        stacked = Matrix(
+            1, [row for qt in images for row in qt.re], [row for qt in images for row in qt.im]
+        )
+        cand = next((w for w in kernel_basis(stacked) if not vec_is_zero(q @ w)), None)
+        if cand is None:
             return NotTriangularizable(stage=len(flag) + 1)
+        flag.append(cand)
     result = Flag(tuple(flag))
     _check_flag(space, result)
     return result
-
-
-def _standard_complement(pivots, m: int) -> list[Vector]:
-    out = []
-    for c in range(m):
-        if c not in pivots:
-            out.append(tuple(ONE if i == c else ZERO for i in range(m)))
-    return out
 
 
 def _check_flag(space: OperatorSpace, flag: Flag):
@@ -343,13 +330,8 @@ class SpecialForm:
 
 
 def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Triangularizable | SpecialForm:
-    """The dichotomy for 2-dimensional all-nilpotent planes in M_3.
-
-    The non-triangularizable branch is fully deterministic: the kernel
-    vector of the second basis element forces the first conjugator column
-    and a single eigenvalue rescale fixes the remaining freedom.  The
-    produced conjugation is re-verified exactly.
-    """
+    """The dichotomy for 2-dimensional all-nilpotent planes in M_3: a
+    strictly triangularizing flag, or else `special_plane_form`."""
     if space.ambient_dim != 3 or space.dim != 2:
         raise ContractError("expected a 2-dimensional space of 3x3 matrices")
     report = subspace_all_nilpotent(space)
@@ -358,7 +340,18 @@ def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Triangularizable | Speci
     tri = strict_triangularize(space)
     if isinstance(tri, Flag):
         return Triangularizable(tri)
+    return special_plane_form(space)
 
+
+def special_plane_form(space: OperatorSpace) -> SpecialForm:
+    """Conjugacy of an all-nilpotent plane in M_3 without a strictly
+    triangularizing flag onto the exceptional plane.
+
+    Fully deterministic: the kernel vector of the second basis element
+    forces the first conjugator column and a single eigenvalue rescale
+    fixes the remaining freedom.  The produced conjugation is re-verified
+    exactly.
+    """
     first, second = space.basis
     kernel = kernel_basis(second)
     if len(kernel) != 1:
@@ -386,35 +379,35 @@ def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Triangularizable | Speci
 # -- block flags on the coefficient products ---------------------------
 
 
-def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
-    """Scalar P making the conjugated block grid vanish on and below the
-    diagonal, or None when no stage admits a new flag vector.
+def slice_span(g: GramMatrix) -> OperatorSpace:
+    """span{S_st} for the scalar n x n slices S_st = [(b_k a_l)[s][t]]_kl,
+    each reading one entry position across the block grid; zero slices
+    are dropped and the earliest independent ones kept, in (s, t) order."""
+    den = lcm(*(block.den for row in g.blocks for block in row))
+    scaled = [[(block.re, block.im, den // block.den) for block in row] for row in g.blocks]
+    slices = []
+    for s in range(g.ambient_dim):
+        for t in range(g.ambient_dim):
+            m = Matrix(
+                den,
+                [[re[s][t] * f for re, _, f in row] for row in scaled],
+                [[im[s][t] * f for _, im, f in row] for row in scaled],
+            )
+            if not m.is_zero:
+                slices.append(m)
+    return reduce_basis(slices, ambient_dim=g.n)
 
-    Works in the index space: column j of P must send the block grid into
-    the span of the previous columns, blockwise.  For each row of the
-    quotient map Q and each block column l, sum_k Q_k G_kl is one
-    `linear_combination`; each entry position gives one row.
+
+def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
+    """Scalar P making the blockwise conjugate P^{-1} G P vanish on and
+    below the diagonal, or None when no such P exists.
+
+    Entry (s, t) of block (i, j) of P^{-1} G P is entry (i, j) of
+    P^{-1} S_st P, for the slices S_st of `slice_span`.  So P is exactly
+    a strictly triangularizing flag of the slice span, as columns.
     """
-    n = g.n
-    block_columns = [[g.blocks[k][l] for k in range(n)] for l in range(n)]
-    cols: list[Vector] = []
-    while len(cols) < n:
-        reduced, pivots, nonpivot = _reduction_rows(cols, n)
-        q = _quotient_matrix(reduced, pivots, nonpivot, n)
-        stacked = []
-        for q_row in q.entries:
-            images = [linear_combination(q_row, column).vectorize() for column in block_columns]
-            stacked.extend(zip(*images))
-        kernel = kernel_basis(Matrix.from_rows(stacked))
-        extended = False
-        for cand in kernel:
-            if len(rref(cols + [cand])[0]) == len(cols) + 1:
-                cols.append(cand)
-                extended = True
-                break
-        if not extended:
-            return None
-    return Matrix.from_columns(cols)
+    flag = strict_triangularize(slice_span(g))
+    return Matrix.from_columns(flag.vectors) if isinstance(flag, Flag) else None
 
 
 # -- nilpotency of phi(x) for every x ----------------------------------
@@ -498,13 +491,14 @@ def all_x_nilpotent(
     the trace-power identities is a complete decision.  Sampling: seeded
     random arguments, where any hit is an exact refutation.
 
-    mode "sampling" skips the first two tiers, giving an oracle that
-    shares nothing with the classifier's search.
+    mode "sampling" skips the first two tiers and the zero-operator
+    shortcut, giving an oracle that shares nothing with the classifier's
+    search.
     """
     if mode not in ("auto", "structural", "grid", "sampling"):
         raise ContractError(f"unknown mode {mode!r}")
     n, reduced = minimal_length(phi)
-    if n == 0:
+    if n == 0 and mode != "sampling":
         return Certified(by="zero operator", exponent=1)
     d = phi.dim
 

@@ -1,6 +1,7 @@
 """Classifier: trace condition, canonical forms, generators, verifier."""
 
 import dataclasses
+import importlib
 
 import pytest
 
@@ -138,6 +139,26 @@ def test_classify_length3_near_miss_refuted():
     verdict = classify_length3(phi)
     assert verdict.status == "NotLQN"
     assert refutes(phi, verdict.witness)
+
+
+def test_classify_length3_builds_and_triangularizes_the_slice_span_once(monkeypatch):
+    classify_module = importlib.import_module("elemop.classify")
+    calls = []
+    for name in ("slice_span", "strict_triangularize"):
+        original = getattr(classify_module, name)
+        monkeypatch.setattr(
+            classify_module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    cases = [
+        (specimen_form_ii(), "special-ii"),
+        (generate("i", 3, 4, seed=1), "pattern-i"),
+        (generate("remark45", 3, 4, seed=8), None),
+    ]
+    for phi, form in cases:
+        calls.clear()
+        verdict = classify_length3(phi)
+        assert verdict.form == form
+        assert calls == ["slice_span", "strict_triangularize"]
 
 
 def test_classify_length3_wrong_length():

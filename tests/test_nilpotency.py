@@ -1,5 +1,7 @@
 """Nilpotency deciders, flags, the plane dichotomy, block flags."""
 
+import hashlib
+
 import pytest
 
 from elemop.errors import ContractError
@@ -153,6 +155,40 @@ def test_strict_triangularize_zero_space():
     assert flag.vectors == (basis_vector(2, 0), basis_vector(2, 1))
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_strict_triangularize_gaussian_conjugated_upper(d):
+    # Basis P U_k P^-1 with U_k strictly upper Gaussian rationals of
+    # growing height, so the elements carry different denominators and
+    # nonzero imaginary parts.  The space is all strictly uppers, whose
+    # only invariant flag is spanned by the leading columns of P.
+    p = _gaussian_invertible(d, derive_seed(280, d))
+    p_inv = inverse(p)
+    uppers = []
+    for k in range(d * (d - 1) // 2):
+        g = _gaussian_matrix(d, derive_seed(281, 10 * d + k), 3 + k)
+        uppers.append(Matrix.from_rows(
+            [[c if j > i else ZERO for j, c in enumerate(row)] for i, row in enumerate(g.entries)]
+        ))
+    space = reduce_basis([p @ u @ p_inv for u in uppers])
+    assert space.dim == d * (d - 1) // 2
+    assert len({t.den for t in space.basis}) > 1 or d == 2
+    assert all(any(map(any, t.im)) for t in space.basis)
+    flag = strict_triangularize(space)
+    assert isinstance(flag, Flag)
+    p_cols = [p.column(j) for j in range(d)]
+    for j in range(1, d + 1):
+        assert rank(Matrix.from_rows(list(flag.vectors[:j]) + p_cols[:j])) == j
+    f = Matrix.from_columns(list(flag.vectors))
+    f_inv = inverse(f)
+    for t in space.basis:
+        conj = f_inv @ t @ f
+        assert all(conj.entry(i, j).is_zero for i in range(d) for j in range(i + 1))
+    # one lower corner closes a cycle: no common kernel vector at stage 1
+    corner = p @ Matrix.unit(d, d - 1, 0) @ p_inv
+    result = strict_triangularize(reduce_basis(list(space.basis) + [corner]))
+    assert isinstance(result, NotTriangularizable) and result.stage == 1
+
+
 def test_flag_invariant_holds_on_output():
     for s in range(10):
         q = random_invertible(3, derive_seed(220, s), 4)
@@ -212,9 +248,12 @@ def test_block_flag_recovers_scrambled_pattern():
     from elemop.classify import generate
     from elemop.operators import similarity_transform
 
-    for s in range(6):
-        phi = generate("i", 3, 4, seed=derive_seed(240, s))
+    cases = [(3, 4, s) for s in range(6)]
+    cases += [(n, d, 6 + n) for n in range(1, 6) for d in range(n + 1, 8)]
+    for length, d, s in cases:
+        phi = generate("i", length, d, seed=derive_seed(240, s))
         n, reduced = minimal_length(phi)
+        assert n == length
         p = block_strict_triangularize(gram(reduced))
         assert p is not None
         g2 = similarity_transform(reduced, p).gram()
@@ -223,6 +262,31 @@ def test_block_flag_recovers_scrambled_pattern():
                 assert g2.block(i, j).is_zero
         result = all_x_nilpotent(phi)
         assert isinstance(result, Certified) and result.exponent == n + 1
+
+
+# sha256 of the block flags below as chosen by a separate quotient-and-
+# kernel recursion on the block grid itself, an independent reference
+# for P at lengths 1..5, which the goldens do not pin.
+BLOCK_FLAG_DIGEST = "53cd26a0ff9bad20b6428b4d88e0c41cf41ffa93ba7ab94df60e3addd6ff4510"
+
+
+def test_block_flag_bytes_pinned_on_generated_instances():
+    from elemop.classify import generate
+
+    cases = [("i", n, d) for n in range(1, 6) for d in (n + 1, n + 2)]
+    cases += [("ii", 3, 3), ("ii", 3, 4), ("iii", 3, 4), ("iii", 3, 5)]
+    cases += [("remark45", 3, 4), ("remark45", 3, 5), ("random", 2, 3), ("random", 3, 3)]
+    digest = hashlib.sha256()
+    found = 0
+    for form, n, d in cases:
+        for s in range(2):
+            phi = generate(form, n, d, seed=derive_seed(270, s))
+            _, reduced = minimal_length(phi)
+            p = block_strict_triangularize(gram(reduced))
+            found += p is not None
+            digest.update(f"{form} {n} {d} {s}: {p!r}\n".encode())
+    assert found == 20  # every pattern-i instance, and no other
+    assert digest.hexdigest() == BLOCK_FLAG_DIGEST
 
 
 def test_block_flag_rejects_specimen_grid():
@@ -272,6 +336,14 @@ def test_all_x_nilpotent_sampling_mode_is_pure():
     result = all_x_nilpotent(phi, mode="sampling", trials=25)
     assert isinstance(result, ProbablyNilpotent)
     assert result.trials == 25
+
+
+def test_all_x_nilpotent_zero_operator_by_mode():
+    zero = single_pair(2, Matrix.identity(2), Matrix.zeros(2))
+    assert minimal_length(zero)[0] == 0
+    assert all_x_nilpotent(zero) == Certified(by="zero operator", exponent=1)
+    # the sampling oracle shares no shortcut with the classifier
+    assert all_x_nilpotent(zero, mode="sampling", trials=7) == ProbablyNilpotent(trials=7)
 
 
 def test_all_x_nilpotent_grid_mode_certifies_dimension_two():

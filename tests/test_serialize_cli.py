@@ -187,6 +187,26 @@ def test_cli_analyze_zero_operator(tmp_path, capsys):
     assert "length: 0" in out
 
 
+ZERO_PAIR = [[["1", "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]
+ZERO_GRID = [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]]
+
+
+@pytest.mark.parametrize("pairs", [[], [{"a": ZERO_PAIR, "b": ZERO_GRID}]], ids=["empty", "a-0"])
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_cli_oracle_zero_operator_finds_no_witness(tmp_path, capsys, pairs, as_json):
+    # phi = 0 is nilpotent everywhere: the sampling oracle runs its trials
+    # and reports no witness, exit 0, for either spelling of zero
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"schema_version": "1", "operator": {"dim": 2, "pairs": pairs}}))
+    args = ["oracle", str(path), "--trials", "7"] + (["--json"] if as_json else [])
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        assert json.loads(out) == {"witness": None, "trials": 7}
+    else:
+        assert out == "no witness found in 7 trials\n"
+
+
 def test_cli_analyze_rejects_decimal_entry(tmp_path, capsys):
     data = instance_to_json(specimen_form_ii())
     data["operator"]["pairs"][0]["a"][0][0] = ["0.5", "0"]
