@@ -42,7 +42,6 @@ from .exact import (
     random_matrix,
     random_nonzero_vector,
     rank,
-    rref,
     vec_is_zero,
     vec_scale,
 )
@@ -123,7 +122,7 @@ def necessary_trace_condition(phi: ElementaryOperator) -> bool:
 
 
 def _vectors_independent(*vectors: Vector) -> bool:
-    return len(rref(list(vectors))[0]) == len(vectors)
+    return len(independent_subset(vectors)[0]) == len(vectors)
 
 
 def _refutation(
@@ -273,7 +272,7 @@ def classify_length3(
                 evidence={"branch": "shared functional"},
             ),
         )
-    if len(rref([fx.column, fy.column])[0]) == 1:
+    if len(independent_subset([fx.column, fy.column])[0]) == 1:
         zeta0 = fy.column
         pivot = next(i for i, c in enumerate(zeta0) if not c.is_zero)
         ratio = fx.column[pivot] / zeta0[pivot]

@@ -8,6 +8,11 @@ entries are read.  Every operation is exact: there is no floating point
 anywhere in this module, and equality always means structural equality
 of reduced forms.
 
+There is one elimination, `rref` on Scalar rows, and one reader of it,
+`independent_subset`: which vectors are kept, and what the coordinates
+of the others in them are.  `rank`, `kernel_basis`, `solve` and
+`inverse` are questions to it, and no other module eliminates.
+
 Randomness is only available through explicit seeds, so any value produced
 here can be regenerated bit for bit on any platform.
 """
@@ -567,7 +572,8 @@ def independent_subset(vectors: Sequence[Vector]) -> tuple[list[int], dict[int, 
 
     One rref of the matrix whose columns are the vectors: the pivot
     columns are the kept vectors, and each non-pivot column of the
-    reduced form is that vector's coordinate column.
+    reduced form is that vector's coordinate column.  The one reader of
+    `rref`: rank, kernels, solutions and inverses are questions to it.
     """
     if not vectors:
         return [], {}
@@ -583,24 +589,23 @@ def independent_subset(vectors: Sequence[Vector]) -> tuple[list[int], dict[int, 
 
 
 def rank(m: Matrix) -> int:
-    return len(rref(m.entries)[0])
+    """The number of kept columns of m."""
+    return len(independent_subset(m.transpose().entries)[0])
 
 
 def kernel_basis(m: Matrix) -> list[Vector]:
     """Exact basis of the right kernel {v : m v = 0}.
 
-    Each basis vector is normalized so its first nonzero entry is 1; the
-    list is ordered by the free column it corresponds to.
+    One vector e_c - sum_k coords[c][k] e_(kept[k]) per dependent column
+    c of m, in column order, scaled so its first nonzero entry is 1.
     """
-    reduced, pivots = rref(m.entries)
-    width = m.cols
-    free = [c for c in range(width) if c not in pivots]
+    kept, coords = independent_subset(m.transpose().entries)
     basis: list[Vector] = []
-    for fc in free:
-        v = [ZERO] * width
-        v[fc] = ONE
-        for r_idx, pc in enumerate(pivots):
-            v[pc] = -reduced[r_idx][fc]
+    for c, coord in coords.items():
+        v = [ZERO] * m.cols
+        v[c] = ONE
+        for k, x in zip(kept, coord):
+            v[k] = -x
         first = next(x for x in v if not x.is_zero)
         if first != ONE:
             inv = ONE / first
@@ -612,20 +617,21 @@ def kernel_basis(m: Matrix) -> list[Vector]:
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a @ X = b, or None if inconsistent.
 
-    Free variables are set to zero, so the solution is deterministic.
+    One independent subset over the columns of [a | b]: the system is
+    inconsistent iff some column of b is kept, and otherwise column j of
+    X holds the coordinates of b's column j at the kept columns of a.
+    Free variables are zero, so the solution is deterministic.
     """
     if a.rows != b.rows:
         raise ShapeError("row counts differ")
-    augmented = [r + s for r, s in zip(a.entries, b.entries)]
-    reduced, pivots = rref(augmented)
     n = a.cols
-    for row_idx, pc in enumerate(pivots):
-        if pc >= n:
-            return None
+    kept, coords = independent_subset(a.transpose().entries + b.transpose().entries)
+    if kept and kept[-1] >= n:
+        return None
     sol = [[ZERO] * b.cols for _ in range(n)]
-    for row_idx, pc in enumerate(pivots):
-        for j in range(b.cols):
-            sol[pc][j] = reduced[row_idx][n + j]
+    for j in range(b.cols):
+        for k, x in zip(kept, coords[n + j]):
+            sol[k][j] = x
     return Matrix.from_rows(sol)
 
 
@@ -637,14 +643,13 @@ def solve_vec(a: Matrix, v: Vector) -> Vector | None:
 
 
 def inverse(m: Matrix) -> Matrix:
+    """solve(m, I), which is None exactly when m is singular."""
     if not m.is_square:
         raise ShapeError("only square matrices can be inverted")
-    d = m.rows
-    augmented = [row + basis_vector(d, i) for i, row in enumerate(m.entries)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(d)):
+    inv = solve(m, Matrix.identity(m.rows))
+    if inv is None:
         raise DomainError("matrix is singular")
-    return Matrix.from_rows(row[d:] for row in reduced)
+    return inv
 
 
 def outer(column: Vector, functional: Vector) -> Matrix:

@@ -39,7 +39,6 @@ from .exact import (
     Matrix,
     ONE,
     Vector,
-    ZERO,
     char_poly,
     derive_seed,
     gaussian_int_matmul,
@@ -51,7 +50,6 @@ from .exact import (
     matrix_units,
     random_matrix,
     rank,
-    rref,
     vec_is_zero,
 )
 from .operators import (
@@ -243,19 +241,9 @@ class NotTriangularizable:
 
 
 def _quotient_map(flag: Sequence[Vector], m: int) -> Matrix:
-    """Q with Q w = coordinates of w modulo span(flag), read off the
-    flag's reduced echelon form; needs len(flag) < m."""
-    reduced, pivots = rref(list(flag))
-    rows = []
-    for c in range(m):
-        if c in pivots:
-            continue
-        row = [ZERO] * m
-        row[c] = ONE
-        for r_idx, pc in enumerate(pivots):
-            row[pc] = -reduced[r_idx][c]
-        rows.append(row)
-    return Matrix.from_rows(rows)
+    """Q with Q w = 0 exactly when w lies in span(flag): its rows are a
+    kernel basis of the flag as rows, the identity for the empty flag."""
+    return Matrix.from_rows(kernel_basis(Matrix.from_rows(flag))) if flag else Matrix.identity(m)
 
 
 def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
@@ -287,18 +275,17 @@ def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
 
 
 def _check_flag(space: OperatorSpace, flag: Flag):
-    """Machine-check the flag invariant before handing the flag out."""
-    prefix: list[Vector] = []
-    for k_idx, vkt in enumerate(flag.vectors):
-        lower = prefix
-        lower_rank = len(rref(lower)[0])
-        for t in space.basis:
-            image = t @ vkt
-            if len(rref(lower + [image])[0]) != lower_rank and not vec_is_zero(image):
-                raise InconsistencyError(
-                    f"flag invariant failed at position {k_idx}"
-                )
-        prefix = lower + [vkt]
+    """Machine-check the flag invariant before handing the flag out: with
+    P the flag as columns, every basis T maps each v_k into the span of
+    v_0..v_(k-1) exactly when P^{-1} T P is strictly upper triangular."""
+    p = Matrix.from_columns(flag.vectors)
+    p_inv = inverse(p)
+    for t in space.basis:
+        c = p_inv @ t @ p
+        for i in range(c.rows):
+            for k in range(i + 1):
+                if c.re[i][k] or c.im[i][k]:
+                    raise InconsistencyError(f"flag invariant failed at position {k}")
 
 
 SPECIAL_PLANE_FIRST = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, -1, 0]])
@@ -485,24 +472,26 @@ def all_x_nilpotent(
 ) -> Certified | Refuted | ProbablyNilpotent:
     """Is phi(x) nilpotent for every x?  Three tiers of evidence.
 
-    Structural: the length-at-most-3 classifier, or a block flag at any
-    length, certifies all x at once with an explicit power exponent.
-    Grid: when (d+1)^(d*d) fits the budget, integer grid enumeration of
-    the trace-power identities is a complete decision.  Sampling: seeded
+    Structural: the length-at-most-3 classifier, whose verdict may come
+    from its own witness sampling, or a block flag at any length.  It
+    certifies all x at once with an explicit power exponent.  Grid: when
+    (d+1)^(d*d) fits the budget, integer grid enumeration of the
+    trace-power identities is a complete decision.  Sampling: seeded
     random arguments, where any hit is an exact refutation.
 
-    mode "sampling" skips the first two tiers and the zero-operator
-    shortcut, giving an oracle that shares nothing with the classifier's
-    search.
+    mode "auto" runs the tiers in that order; "grid" skips the
+    structural tier; "sampling" skips the first two tiers and the
+    zero-operator shortcut, giving an oracle that shares nothing with
+    the classifier's search.
     """
-    if mode not in ("auto", "structural", "grid", "sampling"):
+    if mode not in ("auto", "grid", "sampling"):
         raise ContractError(f"unknown mode {mode!r}")
     n, reduced = minimal_length(phi)
     if n == 0 and mode != "sampling":
         return Certified(by="zero operator", exponent=1)
     d = phi.dim
 
-    if mode in ("auto", "structural"):
+    if mode == "auto":
         if n <= 3:
             from .classify import classify
 
@@ -515,8 +504,6 @@ def all_x_nilpotent(
             p = block_strict_triangularize(gram(reduced))
             if p is not None:
                 return Certified(by="pattern-i", exponent=n + 1)
-        if mode == "structural":
-            return ProbablyNilpotent(trials=0)
 
     if mode in ("auto", "grid") and (d + 1) ** (d * d) <= budget:
         witness = _grid_refutation(reduced)

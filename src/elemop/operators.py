@@ -24,7 +24,6 @@ from typing import Sequence
 from .errors import (
     BasisError,
     ContractError,
-    DomainError,
     PreconditionError,
     ShapeError,
 )
@@ -41,8 +40,7 @@ from .exact import (
     inverse,
     linear_combination,
     rank,
-    rref,
-    solve_vec,
+    solve,
     vec_scale,
     vec_sub,
 )
@@ -241,14 +239,12 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     n = phi.term_count
     if len(new_left) != n:
         raise BasisError(f"expected {n} basis matrices, got {len(new_left)}")
-    a_matrix = Matrix.from_columns([a.vectorize() for a, _ in phi.pairs])
-    columns = []
-    for u in new_left:
-        coords = solve_vec(a_matrix, u.vectorize())
-        if coords is None:
-            raise BasisError("a proposed basis matrix lies outside the left space")
-        columns.append(coords)
-    p = Matrix.from_columns(columns)
+    p = solve(
+        Matrix.from_columns([a.vectorize() for a, _ in phi.pairs]),
+        Matrix.from_columns([u.vectorize() for u in new_left]),
+    )
+    if p is None:
+        raise BasisError("a proposed basis matrix lies outside the left space")
     if rank(p) != n:
         raise BasisError("the proposed matrices are linearly dependent")
     return _apply_scalar_change(phi, p)
@@ -257,13 +253,12 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
 def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
     """Representation change by an invertible scalar matrix P: u_j =
     sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k, one matrix built per
-    new coefficient by `linear_combination`."""
+    new coefficient by `linear_combination`.  A singular P raises
+    DomainError from `inverse`."""
     _require_reduced(phi, "similarity_transform")
     n = phi.term_count
     if p.rows != n or p.cols != n:
         raise ShapeError("P must be n x n for an n-pair operator")
-    if rank(p) != n:
-        raise DomainError("P is singular")
     return _apply_scalar_change(phi, p)
 
 
@@ -304,7 +299,7 @@ def local_matrix(phi: ElementaryOperator, zeta: Vector, x: Matrix) -> Matrix:
     if len(zeta) != phi.dim:
         raise ShapeError("vector length does not match the ambient dimension")
     images = [a @ zeta for a, _ in phi.pairs]
-    if len(rref(images)[0]) != n:
+    if len(independent_subset(images)[0]) != n:
         raise PreconditionError("the images a_i zeta are linearly dependent")
     pivot_index = next(i for i in range(len(zeta)) if not zeta[i].is_zero)
     rows: list[list[Scalar]] = [[ZERO] * n for _ in range(n)]

@@ -23,7 +23,6 @@ from .exact import (
     outer,
     random_vector,
     rank,
-    rref,
     scalar,
     vec_is_zero,
     zero_vector,
@@ -73,12 +72,9 @@ def reduce_basis(mats: Sequence[Matrix], ambient_dim: int | None = None) -> Oper
 
 
 def span_contains(space: OperatorSpace, m: Matrix) -> bool:
-    if not space.basis:
-        return m.is_zero
-    rows = [b.vectorize() for b in space.basis]
-    before = len(rref(rows)[0])
-    after = len(rref(rows + [m.vectorize()])[0])
-    return after == before
+    """Whether m lies in the span: listed after the basis, it is not kept."""
+    vectors = [b.vectorize() for b in space.basis] + [m.vectorize()]
+    return space.dim in independent_subset(vectors)[1]
 
 
 def evaluate(space: OperatorSpace, zeta: Vector) -> list[Vector]:

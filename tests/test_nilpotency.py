@@ -4,7 +4,7 @@ import hashlib
 
 import pytest
 
-from elemop.errors import ContractError
+from elemop.errors import ContractError, InconsistencyError
 from elemop.exact import (
     Matrix,
     basis_vector,
@@ -202,6 +202,30 @@ def test_flag_invariant_holds_on_output():
                 image = t @ v
                 assert len(rref(prefix + [image])[0]) == lower_rank
             prefix.append(v)
+
+
+@pytest.mark.parametrize(
+    "basis, order",
+    [
+        # a valid strictly-upper flag handed over in reverse order
+        (strictly_upper_basis(3), [2, 1, 0]),
+        # fails on the diagonal only: E_00 fixes e_0
+        ([unit(2, 0, 0)], [0, 1]),
+        # fails on the imaginary grid only: i E_10 sends e_0 to i e_1
+        ([I_UNIT * unit(2, 1, 0)], [0, 1]),
+    ],
+    ids=["reversed", "diagonal", "imaginary"],
+)
+def test_check_flag_rejects_a_broken_flag(basis, order):
+    space = reduce_basis(basis)
+    flag = Flag(tuple(basis_vector(space.ambient_dim, i) for i in order))
+    with pytest.raises(InconsistencyError, match="flag invariant failed"):
+        nilpotency._check_flag(space, flag)
+
+
+def test_all_x_nilpotent_rejects_unknown_modes():
+    with pytest.raises(ContractError):
+        all_x_nilpotent(specimen_form_ii(), mode="structural")
 
 
 def test_classify_plane_triangularizable():
