@@ -391,27 +391,40 @@ def _scalar_over(x: int, y: int, den: int) -> Scalar:
 _DOT_MIN_ENTRIES = 9
 
 
+def int_matmul(a, b):
+    """The product of two integer matrices held as row grids, as a new
+    grid; the inputs are only read.
+
+    Every output entry is one integer dot product of a row of a with a
+    column of b, the columns transposed once per call.  This is the one
+    integer dot-product loop: the real branch of `gaussian_int_matmul`
+    and the real-space trace-identity expansion run on it.
+    """
+    cols = [*zip(*b)]
+    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+
+
 def gaussian_int_matmul(a_re, a_im, b_re, b_im):
     """The product of two Gaussian-integer matrices held as real and
     imaginary row grids, such as a `Matrix` stores.
 
     Returns new (re_grid, im_grid) lists; the inputs are only read.  This
-    is the one product loop on integer grids: `Matrix.__matmul__`,
-    `is_nilpotent_matrix`, `char_poly`, `operators.apply` and the
-    trace-identity expansion all run on it.
+    is the one product loop on Gaussian-integer grids:
+    `Matrix.__matmul__`, `is_nilpotent_matrix`, `char_poly`,
+    `operators.apply` and the trace-identity expansion of complex spaces
+    all run on it.
 
-    When both imaginary grids are all zero, every output entry is one
-    integer dot product of a row of a with a column of b, the columns
-    transposed once per call.  Otherwise, and for products with few
-    entries, each entry takes the four real products in one fused loop.
+    When both imaginary grids are all zero, the real grid is
+    `int_matmul(a_re, b_re)` and the imaginary grid is zero.  Otherwise,
+    and for products with few entries, each entry takes the four real
+    products in one fused loop.
     """
     if (
         len(a_re) * len(b_re[0]) >= _DOT_MIN_ENTRIES
         and not any(map(any, a_im))
         and not any(map(any, b_im))
     ):
-        cols = [*zip(*b_re)]
-        return [[sum(map(mul, r, c)) for c in cols] for r in a_re], [[0] * len(cols) for _ in a_re]
+        return int_matmul(a_re, b_re), [[0] * len(b_re[0]) for _ in a_re]
     inner = range(len(b_re))
     cols = range(len(b_re[0]))
     out_re, out_im = [], []

@@ -8,11 +8,13 @@ degree p, and all of them vanish identically iff the space is nilpotent.
 The certified mode expands those polynomials level by level over
 monomial multisets: the matrix coefficient of t^beta is
 S_beta = sum over i in beta of S_(beta - e_i) N_i, computed on the
-Gaussian-integer grids of the basis, and the expansion stops at the
-first level with a nonzero trace.  That takes k * C(k+m-1, m-1) products
-where the ordered words would take k + k^2 + ... + k^m.  Any nonzero
-coefficient guarantees an explicit counterexample on the integer grid
-{0..m}^k.
+integer grids of the basis, and the expansion stops at the first level
+with a nonzero trace.  That takes k * C(k+m-1, m-1) products where the
+ordered words would take k + k^2 + ... + k^m.  Realness is decided once
+per space: a real space expands on one integer grid per matrix with
+`int_matmul`, any other on the real and imaginary grids with
+`gaussian_int_matmul`.  Any nonzero coefficient guarantees an explicit
+counterexample on the integer grid {0..m}^k.
 
 Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
@@ -34,7 +36,7 @@ from itertools import combinations_with_replacement, product
 from math import comb, lcm
 from typing import Sequence
 
-from .errors import ContractError, InconsistencyError, ShapeError
+from .errors import ContractError, DomainError, InconsistencyError, ShapeError
 from .exact import (
     Matrix,
     ONE,
@@ -42,6 +44,7 @@ from .exact import (
     char_poly,
     derive_seed,
     gaussian_int_matmul,
+    int_matmul,
     inverse,
     is_nilpotent_matrix,
     kernel_basis,
@@ -49,7 +52,6 @@ from .exact import (
     linear_combination,
     matrix_units,
     random_matrix,
-    rank,
     vec_is_zero,
 )
 from .operators import (
@@ -86,16 +88,27 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
     The coefficient of t^beta in (sum t_i N_i)^p, for a multiset beta of
     size p, is S_beta = sum over i in beta of S_(beta - e_i) N_i, and the
     identities vanish iff every tr S_beta is zero.  The expansion keeps
-    one level of S's at a time, on the Gaussian-integer grids of the basis
+    one level of S's at a time, on the integer grids of the basis
     (denominators cleared per element, which only rescales each t_i), and
     returns False at the first nonzero trace.  Each S_beta is one product:
     its S_(beta - e_i) side by side times its N_i stacked.  The last level
     needs only the traces, so there the S's become rows vec(S) and the N's
     columns vec(N^T), and each product is the 1 x 1 trace.
+
+    Whether every basis element is real is read once, from the input.  A
+    real space has real S's throughout, so each matrix is the one grid
+    (re,) and each product one `int_matmul`; otherwise each is (re, im)
+    and each product one `gaussian_int_matmul`.  Both give the same
+    integer traces, so the verdict does not depend on the path.
     """
     m = space.ambient_dim
     k = space.dim
-    factors = [(n.re, n.im) for n in space.basis]
+    if any(any(map(any, n.im)) for n in space.basis):
+        factors = [(n.re, n.im) for n in space.basis]
+        matmul = gaussian_int_matmul
+    else:
+        factors = [(n.re,) for n in space.basis]
+        matmul = _real_matmul
     if any(_has_trace(n) for n in factors):
         return False
     level = {(i,): n for i, n in enumerate(factors)}
@@ -111,7 +124,7 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
                 for j in range(p)
                 if j == 0 or beta[j] != beta[j - 1]
             ]
-            s_beta = gaussian_int_matmul(
+            s_beta = matmul(
                 *_side_by_side([level[alpha] for alpha, _ in terms]),
                 *_stacked([factors[i] for _, i in terms]),
             )
@@ -122,7 +135,12 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
     return True
 
 
-# Helpers on matrices held as (re_grid, im_grid) pairs of integer lists.
+# Helpers on matrices held as tuples of integer grids: (re,) for a real
+# space, (re, im) otherwise.
+
+
+def _real_matmul(a, b):
+    return (int_matmul(a, b),)
 
 
 def _has_trace(grids) -> bool:
@@ -131,12 +149,12 @@ def _has_trace(grids) -> bool:
 
 def _side_by_side(mats):
     return tuple(
-        [[x for g in mats for x in g[h][r]] for r in range(len(mats[0][h]))] for h in (0, 1)
+        [[x for g in grids for x in g[r]] for r in range(len(grids[0]))] for grids in zip(*mats)
     )
 
 
 def _stacked(mats):
-    return tuple([row for g in mats for row in g[h]] for h in (0, 1))
+    return tuple([row for g in grids for row in g] for grids in zip(*mats))
 
 
 def _as_row(grids):
@@ -353,9 +371,10 @@ def special_plane_form(space: OperatorSpace) -> SpecialForm:
     col2 = first @ p1
     col3 = tuple(-x for x in (first @ col2))
     conjugator = Matrix.from_columns([p1, col2, col3])
-    if rank(conjugator) != 3:
-        raise InconsistencyError("dichotomy violated: singular conjugator")
-    p_inv = inverse(conjugator)
+    try:
+        p_inv = inverse(conjugator)
+    except DomainError:
+        raise InconsistencyError("dichotomy violated: singular conjugator") from None
     if (p_inv @ first @ conjugator) != SPECIAL_PLANE_FIRST or (
         p_inv @ second_scaled @ conjugator
     ) != SPECIAL_PLANE_SECOND:

@@ -24,6 +24,7 @@ from typing import Sequence
 from .errors import (
     BasisError,
     ContractError,
+    DomainError,
     PreconditionError,
     ShapeError,
 )
@@ -39,7 +40,6 @@ from .exact import (
     independent_subset,
     inverse,
     linear_combination,
-    rank,
     solve,
     vec_scale,
     vec_sub,
@@ -233,7 +233,9 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     """Rewrite phi over a chosen basis of its left coefficient space.
 
     Solves u_j = sum_k P[k][j] a_k for the unique P, then carries the
-    right coefficients through P^{-1}, which keeps the map.
+    right coefficients through P^{-1}, which keeps the map.  Dependent
+    proposals make P singular, and the DomainError of that one inverse
+    becomes BasisError.
     """
     _require_reduced(phi, "change_left_basis")
     n = phi.term_count
@@ -245,9 +247,11 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     )
     if p is None:
         raise BasisError("a proposed basis matrix lies outside the left space")
-    if rank(p) != n:
-        raise BasisError("the proposed matrices are linearly dependent")
-    return _apply_scalar_change(phi, p)
+    try:
+        p_inv = inverse(p)
+    except DomainError:
+        raise BasisError("the proposed matrices are linearly dependent") from None
+    return _apply_scalar_change(phi, p, p_inv)
 
 
 def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
@@ -259,15 +263,15 @@ def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
     n = phi.term_count
     if p.rows != n or p.cols != n:
         raise ShapeError("P must be n x n for an n-pair operator")
-    return _apply_scalar_change(phi, p)
+    return _apply_scalar_change(phi, p, inverse(p))
 
 
-def _apply_scalar_change(phi: ElementaryOperator, p: Matrix) -> Representation:
+def _apply_scalar_change(phi: ElementaryOperator, p: Matrix, p_inv: Matrix) -> Representation:
     n = phi.term_count
     left = [a for a, _ in phi.pairs]
     right = [b for _, b in phi.pairs]
     u = tuple(linear_combination(p.column(j), left) for j in range(n))
-    v = tuple(linear_combination(row, right) for row in inverse(p).entries)
+    v = tuple(linear_combination(row, right) for row in p_inv.entries)
     return Representation(phi.dim, u, v, p)
 
 

@@ -1,5 +1,8 @@
 """Shared builders for the test suite."""
 
+import pytest
+
+from elemop import exact
 from elemop.exact import Matrix, basis_vector, outer, zero_vector
 from elemop.operators import ElementaryOperator
 
@@ -9,6 +12,21 @@ CRITERION_LINES = []
 def record_criterion(line):
     """Collect acceptance one-liners; printed in the terminal summary."""
     CRITERION_LINES.append(line)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """The vector counts of every `exact.independent_subset` call, the one
+    elimination, made while the test runs."""
+    calls = []
+    real = exact.independent_subset
+
+    def counting(vectors):
+        calls.append(len(vectors))
+        return real(vectors)
+
+    monkeypatch.setattr(exact, "independent_subset", counting)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -20,6 +20,7 @@ from elemop.exact import (
     distinct_eigenvalue_count,
     derive_seed,
     gaussian_int_matmul,
+    int_matmul,
     independent_subset,
     inverse,
     is_nilpotent_matrix,
@@ -303,6 +304,22 @@ def test_gaussian_int_matmul_matches_naive_product(a_kind, b_kind):
             # fresh output rows, never an input's
             ids = {id(row) for grid in (*a, *b) for row in grid}
             assert not any(id(row) in ids for grid in out for row in grid)
+
+
+def test_int_matmul_matches_naive_product():
+    rng = random.Random("int_matmul")
+    for rows, inner, cols in KERNEL_SHAPES:
+        for height in (3, 10**30):
+            a = _int_grids(rows, inner, "real", rng, height)[0]
+            b = _int_grids(inner, cols, "real", rng, height)[0]
+            zero_a = [[0] * inner for _ in range(rows)]
+            zero_b = [[0] * cols for _ in range(inner)]
+            before = repr((a, b))
+            out = int_matmul(a, b)
+            assert out == _naive_product(a, zero_a, b, zero_b)[0]
+            assert repr((a, b)) == before  # the inputs are only read
+            ids = {id(row) for grid in (a, b) for row in grid}
+            assert not any(id(row) in ids for row in out)
 
 
 def test_gaussian_int_matmul_zero_and_unit_sides():

@@ -3,6 +3,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemop.errors import ContractError, InconsistencyError
 from elemop.exact import (
@@ -14,6 +16,7 @@ from elemop.exact import (
     lambda_power,
     random_invertible,
     I_UNIT,
+    ONE,
     ZERO,
     random_matrix,
     rank,
@@ -42,6 +45,7 @@ from elemop.nilpotency import (
     refutes,
     strict_triangularize,
     subspace_all_nilpotent,
+    special_plane_form,
     special_plane_member,
     witness_search,
 )
@@ -260,6 +264,26 @@ def test_classify_plane_contract_errors():
         classify_nilpotent_2dim_m3(reduce_basis(strictly_upper_basis(3)))
     with pytest.raises(ContractError):
         classify_nilpotent_2dim_m3(reduce_basis([unit(3, 0, 0), unit(3, 1, 1)]))
+
+
+def test_special_plane_form_eliminates_once_per_question(elimination_calls):
+    space = conjugated_space(special_plane_space(), random_invertible(3, 231, 4))
+    elimination_calls.clear()
+    form = special_plane_form(space)
+    # the kernel of the second generator, then the conjugator's inverse,
+    # which also decides that the conjugator is nonsingular
+    assert len(elimination_calls) == 2
+    p_inv = inverse(form.conjugator)
+    assert p_inv @ form.first @ form.conjugator == SPECIAL_PLANE_FIRST
+
+
+def test_special_plane_form_rejects_a_singular_conjugator():
+    # The kernel of E01 + E22 is the line through e0, and E10 sends it to
+    # e1, which E01 + E22 returns to e0; but E10 kills e1, so the third
+    # conjugator column is zero.
+    space = reduce_basis([unit(3, 1, 0), unit(3, 0, 1) + unit(3, 2, 2)])
+    with pytest.raises(InconsistencyError, match="singular conjugator"):
+        special_plane_form(space)
 
 
 def test_block_flag_on_already_patterned_grid():
@@ -499,6 +523,7 @@ CYCLIC_3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
 def _kernel_cases():
     """(name, space, all_nilpotent) covering both verdicts, Gaussian
     denominators and a first nonzero trace at p = 1, 2 and 3."""
+    upper3 = conjugated_space(reduce_basis(strictly_upper_basis(3)), random_invertible(3, 306, 4))
     return [
         ("zero", reduce_basis([], ambient_dim=3), True),
         ("gaussian-denominators",
@@ -523,6 +548,10 @@ def _kernel_cases():
          reduce_basis([unit(4, 0, 1) + unit(4, 2, 3), unit(4, 1, 0) - unit(4, 3, 2)]), False),
         # tr(N1 N2 + N2 N1) = 2i, a purely imaginary first nonzero trace.
         ("imaginary-trace-p2", reduce_basis([unit(3, 0, 1), I_UNIT * unit(3, 1, 0)]), False),
+        # A real conjugated upper basis with one element made complex: the
+        # whole space takes the Gaussian path and stays nilpotent.
+        ("mixed-real-and-complex",
+         reduce_basis([*upper3.basis[:-1], (ONE + I_UNIT) * upper3.basis[-1]]), True),
     ]
 
 
@@ -556,15 +585,27 @@ def test_trace_identities_match_walk_on_seeded_spaces():
     assert seen == {True, False}
 
 
-def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
+def _count_products(monkeypatch, kernel):
+    """Rows of the left factor of every call of the named kernel made by
+    the expansion; the other kernel must not be called at all."""
     calls = []
-    real = nilpotency.gaussian_int_matmul
+    real = getattr(nilpotency, kernel)
 
     def counting(*grids):
         calls.append(len(grids[0]))
         return real(*grids)
 
-    monkeypatch.setattr(nilpotency, "gaussian_int_matmul", counting)
+    def forbidden(*grids):
+        raise AssertionError(f"the expansion took the other kernel than {kernel}")
+
+    other = "gaussian_int_matmul" if kernel == "int_matmul" else "int_matmul"
+    monkeypatch.setattr(nilpotency, kernel, counting)
+    monkeypatch.setattr(nilpotency, other, forbidden)
+    return calls
+
+
+def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
+    calls = _count_products(monkeypatch, "int_matmul")
     # A nonzero trace among the generators decides before any product.
     assert not _trace_identities_vanish(reduce_basis([unit(4, 0, 1), unit(4, 3, 3)]))
     assert calls == []
@@ -572,6 +613,39 @@ def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
     # level, whose one product is a 1 x 1 trace.
     assert not _trace_identities_vanish(reduce_basis([CYCLIC_3]))
     assert calls == [3, 1]
+
+
+def test_trace_identities_stop_at_first_nonzero_level_on_gaussian_grids(monkeypatch):
+    calls = _count_products(monkeypatch, "gaussian_int_matmul")
+    # i P has tr (iP) = tr (iP)^2 = 0 and tr (iP)^3 = -3i: the same levels
+    # as P, on the real and imaginary grids.
+    assert not _trace_identities_vanish(reduce_basis([I_UNIT * CYCLIC_3]))
+    assert calls == [3, 1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    m=st.integers(2, 5),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    swap=st.booleans(),
+)
+def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, swap):
+    # A real space takes the one-grid path; i S and (1 + i) S are the
+    # same space over the Gaussian rationals and take the Gaussian path.
+    q = random_invertible(m, derive_seed(seed, 0), 3)
+    mats = list(conjugated_space(reduce_basis(strictly_upper_basis(m)), q).basis[:k])
+    if swap:
+        # a traceless element, so the decision rests on levels above 1
+        x = random_matrix(m, derive_seed(seed, 1), 3)
+        mats[-1] = x - (trace(x) / scalar(m)) * Matrix.identity(m)
+    space = reduce_basis(mats)
+    verdict = _trace_identities_vanish(space)
+    assert not any(any(map(any, n.im)) for n in space.basis)
+    for c in (I_UNIT, ONE + I_UNIT):
+        assert _trace_identities_vanish(reduce_basis([c * n for n in space.basis])) is verdict
+    if not swap:
+        assert verdict is True
 
 
 def test_trace_identities_against_sympy_expansion():

@@ -237,6 +237,20 @@ def test_change_left_basis_rejects_non_basis():
         change_left_basis(phi, [phi.pairs[0][0], phi.pairs[0][0], phi.pairs[1][0]])
 
 
+def test_change_left_basis_eliminates_once_per_question(elimination_calls):
+    phi = specimen_form_ii()
+    assert minimal_length(phi)[0] == 3  # warm the minimal-form memo
+    elimination_calls.clear()
+    perm = [phi.pairs[2][0], phi.pairs[0][0], phi.pairs[1][0]]
+    change_left_basis(phi, perm)
+    # the solve for P, then P's inverse, which also decides independence
+    assert len(elimination_calls) == 2
+    elimination_calls.clear()
+    with pytest.raises(BasisError, match="linearly dependent"):
+        change_left_basis(phi, [phi.pairs[0][0], phi.pairs[0][0], phi.pairs[1][0]])
+    assert len(elimination_calls) == 2
+
+
 def test_similarity_transform_identity_and_diag():
     phi = specimen_form_ii()
     rep = similarity_transform(phi, Matrix.identity(3))
