@@ -23,11 +23,9 @@ from .errors import (
 )
 from .exact import (
     Matrix,
-    Polynomial,
     Scalar,
     Vector,
-    char_poly,
-    distinct_eigenvalue_count,
+    is_nilpotent_matrix,
     kernel_basis,
     random_matrix,
     rank,
@@ -75,8 +73,6 @@ from .nilpotency import (
     block_strict_triangularize,
     classify_nilpotent_2dim_m3,
     gerstenhaber_check,
-    graded_product_check,
-    is_nilpotent,
     strict_triangularize,
     subspace_all_nilpotent,
 )

@@ -62,9 +62,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def conjugate(self) -> "Scalar":
-        return Scalar(self.re, -self.im)
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, Scalar):
@@ -168,12 +165,6 @@ def zero_vector(dim: int) -> Vector:
 
 def basis_vector(dim: int, index: int) -> Vector:
     return tuple(ONE if j == index else ZERO for j in range(dim))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ShapeError("vector lengths differ")
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vector, v: Vector) -> Vector:
@@ -496,11 +487,6 @@ def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
     return Matrix(*gaussian_int_combination(terms, rows, cols))
 
 
-def matrix_units(dim: int) -> list[Matrix]:
-    """All dim*dim matrix units, row-major order."""
-    return [Matrix.unit(dim, i, j) for i in range(dim) for j in range(dim)]
-
-
 def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
     """Whether sum_i vec(a_i) vec(b_i)^T is the zero matrix.
 
@@ -648,13 +634,6 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     return Matrix.from_rows(sol)
 
 
-def solve_vec(a: Matrix, v: Vector) -> Vector | None:
-    res = solve(a, Matrix.from_columns([v]))
-    if res is None:
-        return None
-    return res.column(0)
-
-
 def inverse(m: Matrix) -> Matrix:
     """solve(m, I), which is None exactly when m is singular."""
     if not m.is_square:
@@ -693,29 +672,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coefficients
 
-    @property
-    def degree(self) -> int:
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no degree")
-        return len(self.coefficients) - 1
-
-    @property
-    def leading(self) -> Scalar:
-        if self.is_zero:
-            raise DomainError("the zero polynomial has no leading coefficient")
-        return self.coefficients[-1]
-
-    def monic(self) -> "Polynomial":
-        inv = ONE / self.leading
-        return Polynomial(tuple(inv * c for c in self.coefficients))
-
-    def derivative(self) -> "Polynomial":
-        if self.is_zero or self.degree == 0:
-            return Polynomial(())
-        return Polynomial(
-            tuple(Scalar(Fraction(k)) * c for k, c in enumerate(self.coefficients) if k > 0)
-        )
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -729,42 +685,6 @@ class Polynomial:
                 lead = "" if c == ONE else f"({c})"
                 parts.append(f"{lead}t^{k}" if k > 1 else f"{lead}t")
         return " + ".join(reversed(parts))
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    if p.is_zero or q.is_zero:
-        return Polynomial(())
-    out = [ZERO] * (len(p.coefficients) + len(q.coefficients) - 1)
-    for i, a in enumerate(p.coefficients):
-        for j, b in enumerate(q.coefficients):
-            out[i + j] = out[i + j] + a * b
-    return Polynomial(tuple(out))
-
-
-def poly_mod(p: Polynomial, q: Polynomial) -> Polynomial:
-    if q.is_zero:
-        raise DomainError("polynomial division by zero")
-    rem = list(p.coefficients)
-    dq = q.degree
-    lead_inv = ONE / q.leading
-    while len(rem) - 1 >= dq and rem:
-        factor = rem[-1] * lead_inv
-        shift = len(rem) - 1 - dq
-        for i, c in enumerate(q.coefficients):
-            rem[shift + i] = rem[shift + i] - factor * c
-        while rem and rem[-1].is_zero:
-            rem.pop()
-    return Polynomial(tuple(rem))
-
-
-def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Monic gcd via the Euclidean algorithm, exact at every step."""
-    a, b = p, q
-    while not b.is_zero:
-        a, b = b, poly_mod(a, b)
-    if a.is_zero:
-        return a
-    return a.monic()
 
 
 def lambda_power(d: int) -> Polynomial:
@@ -787,6 +707,9 @@ def char_poly(m: Matrix) -> Polynomial:
     k is an exact integer division.  Since det(tI - G) = den^d det(t/den I
     - m), the coefficient of t^(d-k) in det(tI - m) is c_k / den^k: one
     fraction pair per coefficient and none per entry.
+
+    `oracle` prints it; no verdict reads it, since nilpotency is decided
+    by `is_nilpotent_matrix`.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial needs a square matrix")
@@ -810,18 +733,8 @@ def _add_to_diagonal(grid, c: int):
     return [[x + c if i == j else x for j, x in enumerate(row)] for i, row in enumerate(grid)]
 
 
-def distinct_eigenvalue_count(p: Polynomial) -> int:
-    """Number of distinct complex roots: deg p - deg gcd(p, p')."""
-    if p.is_zero:
-        raise DomainError("the zero polynomial has no root count")
-    if p.degree == 0:
-        return 0
-    g = poly_gcd(p, p.derivative())
-    return p.degree - (0 if g.is_zero else g.degree)
-
-
 def is_nilpotent_matrix(m: Matrix) -> bool:
-    """Exact nilpotency test, equivalent to char_poly(m) == t^d.
+    """The one nilpotency predicate, equivalent to char_poly(m) == t^d.
 
     A d x d matrix is nilpotent iff its 2^s-th power vanishes for the
     least 2^s >= d.  m is nilpotent iff den*m is, so the squarings run on

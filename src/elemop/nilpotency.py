@@ -36,21 +36,18 @@ from itertools import combinations_with_replacement, product
 from math import comb, lcm
 from typing import Sequence
 
-from .errors import ContractError, DomainError, InconsistencyError, ShapeError
+from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
     ONE,
     Vector,
-    char_poly,
     derive_seed,
     gaussian_int_matmul,
     int_matmul,
     inverse,
     is_nilpotent_matrix,
     kernel_basis,
-    lambda_power,
     linear_combination,
-    matrix_units,
     random_matrix,
     vec_is_zero,
 )
@@ -68,10 +65,6 @@ DEFAULT_SUBSPACE_BUDGET = 200_000
 DEFAULT_GRID_BUDGET = 10_000
 DEFAULT_TRIALS = 200
 DEFAULT_WITNESS_HEIGHT = 100
-
-
-#: The one nilpotency predicate for a single matrix.
-is_nilpotent = is_nilpotent_matrix
 
 
 @dataclass(frozen=True)
@@ -427,7 +420,12 @@ class Certified:
 
 @dataclass(frozen=True)
 class Refuted:
-    witness: Matrix
+    """phi(x) is not nilpotent for some x.  `by` names the tier or the
+    classifier branch that decided it; `witness` is such an x, or None
+    when a structural branch decided it and no search hit."""
+
+    by: str
+    witness: Matrix | None
     trials_used: int = 0
 
 
@@ -437,8 +435,8 @@ class ProbablyNilpotent:
 
 
 def refutes(phi: ElementaryOperator, x: Matrix) -> bool:
-    """Whether x certifies non-nilpotency, by the characteristic polynomial."""
-    return char_poly(apply(phi, x)) != lambda_power(phi.dim)
+    """Whether phi(x) is not nilpotent, by the one nilpotency predicate."""
+    return not is_nilpotent_matrix(apply(phi, x))
 
 
 def trace_condition_witness(phi: ElementaryOperator) -> Matrix | None:
@@ -460,11 +458,12 @@ def witness_search(
 ) -> tuple[Matrix, int] | None:
     """Seeded sampling for x with phi(x) non-nilpotent.
 
-    Cheap trace screen first, then the power test; any hit is re-verified
-    through the characteristic polynomial before being returned.  The
-    screen reads tr(phi(x)) = tr(x s), s = sum b_i a_i, as the one dot
-    product vec(x) vec(s^T) on the integer grids; their denominators do
-    not change whether it is zero.
+    Cheap trace screen first, then the power test; the first trial where
+    either proves phi(x) non-nilpotent is returned.  The screen reads
+    tr(phi(x)) = tr(x s), s = sum b_i a_i, as the one dot product
+    vec(x) vec(s^T) on the integer grids; their denominators do not
+    change whether it is zero.  A nonzero trace already makes phi(x)
+    non-nilpotent, so only a zero one goes on to `is_nilpotent_matrix`.
     """
     d = phi.dim
     s = sum_bi_ai(phi)
@@ -472,11 +471,10 @@ def witness_search(
     s_column = _as_transposed_column((s.re, s.im))
     for t in range(1, trials + 1):
         x = random_matrix(d, derive_seed(seed, 40_000 + t), height)
-        if s_zero or not _has_trace(gaussian_int_matmul(*_as_row((x.re, x.im)), *s_column)):
-            y = apply(phi, x)
-            if is_nilpotent_matrix(y):
-                continue
-        if refutes(phi, x):
+        traced = not s_zero and _has_trace(
+            gaussian_int_matmul(*_as_row((x.re, x.im)), *s_column)
+        )
+        if traced or not is_nilpotent_matrix(apply(phi, x)):
             return x, t
     return None
 
@@ -493,8 +491,11 @@ def all_x_nilpotent(
 
     Structural: the length-at-most-3 classifier, whose verdict may come
     from its own witness sampling, or a block flag at any length.  It
-    certifies all x at once with an explicit power exponent.  Grid: when
-    (d+1)^(d*d) fits the budget, integer grid enumeration of the
+    certifies all x at once with an explicit power exponent.  An Unknown
+    from the classifier is a branch that proves phi not locally nilpotent
+    but whose search found no witness; it is `Refuted` without a witness
+    unless the grid tier fits, and the search is not repeated.  Grid:
+    when (d+1)^(d*d) fits the budget, integer grid enumeration of the
     trace-power identities is a complete decision.  Sampling: seeded
     random arguments, where any hit is an exact refutation.
 
@@ -510,6 +511,7 @@ def all_x_nilpotent(
         return Certified(by="zero operator", exponent=1)
     d = phi.dim
 
+    unwitnessed = None  # the classifier branch of a refutation without a witness
     if mode == "auto":
         if n <= 3:
             from .classify import classify
@@ -518,7 +520,12 @@ def all_x_nilpotent(
             if verdict.status == "LQN":
                 return Certified(by=verdict.form or "canonical form", exponent=_form_exponent(verdict, n))
             if verdict.status == "NotLQN":
-                return Refuted(witness=verdict.witness, trials_used=verdict.evidence.get("trials", 0))
+                return Refuted(
+                    by=verdict.evidence["branch"],
+                    witness=verdict.witness,
+                    trials_used=verdict.evidence["trials"],
+                )
+            unwitnessed = verdict.evidence["branch"]
         else:
             p = block_strict_triangularize(gram(reduced))
             if p is not None:
@@ -528,12 +535,14 @@ def all_x_nilpotent(
         witness = _grid_refutation(reduced)
         if witness is None:
             return Certified(by="exact-grid", exponent=None)
-        return Refuted(witness=witness)
+        return Refuted(by="exact-grid", witness=witness)
 
+    if unwitnessed is not None:
+        return Refuted(by=unwitnessed, witness=None, trials_used=trials)
     found = witness_search(reduced, trials=trials, seed=seed, height=height)
     if found is not None:
         x, t = found
-        return Refuted(witness=x, trials_used=t)
+        return Refuted(by="witness search", witness=x, trials_used=t)
     return ProbablyNilpotent(trials=trials)
 
 
@@ -563,53 +572,3 @@ def _grid_refutation(phi: ElementaryOperator) -> Matrix | None:
         if not is_nilpotent_matrix(apply(phi, x)):
             return x
     return None
-
-
-@dataclass(frozen=True)
-class GradedProductReport:
-    ok: bool
-    failure: str | None = None
-
-
-def graded_product_check(
-    parts: Sequence[ElementaryOperator],
-    probe_tuples: Sequence[Sequence[Matrix]],
-) -> GradedProductReport:
-    """Verify the one-directional annihilation hypothesis and its product
-    consequence.
-
-    The hypothesis part_j(x) part_i(y) = 0 for j >= i is bilinear in
-    (x, y), so checking all matrix unit pairs is a complete decision.
-    Given the hypothesis, every (n+1)-fold product of values of the sum
-    must vanish; the probe tuples are asserted against exactly that.
-    """
-    if not parts:
-        raise ContractError("at least one part is required")
-    d = parts[0].dim
-    if any(p.dim != d for p in parts):
-        raise ShapeError("parts must share the ambient dimension")
-    units = matrix_units(d)
-    for j in range(len(parts)):
-        for i in range(j + 1):
-            for x in units:
-                left = apply(parts[j], x)
-                if left.is_zero:
-                    continue
-                for y in units:
-                    if not (left @ apply(parts[i], y)).is_zero:
-                        return GradedProductReport(
-                            False, f"hypothesis failed at parts ({j}, {i})"
-                        )
-    n = len(parts)
-    total = ElementaryOperator(
-        d, tuple(pair for part in parts for pair in part.pairs)
-    )
-    for idx, probe in enumerate(probe_tuples):
-        if len(probe) != n + 1:
-            raise ContractError(f"probe tuple {idx} must have {n + 1} entries")
-        acc = Matrix.identity(d)
-        for x in probe:
-            acc = acc @ apply(total, x)
-        if not acc.is_zero:
-            return GradedProductReport(False, f"product probe {idx} did not vanish")
-    return GradedProductReport(True)

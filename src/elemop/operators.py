@@ -189,24 +189,6 @@ def gram(phi: ElementaryOperator) -> GramMatrix:
     return GramMatrix(n, phi.dim, blocks)
 
 
-def gram_conjugate(g: GramMatrix, p: Matrix) -> GramMatrix:
-    """Blockwise P^{-1} G P for an invertible scalar matrix P."""
-    if p.rows != g.n or p.cols != g.n:
-        raise ShapeError("conjugator size must match the block count")
-    n = g.n
-    p_inv_rows = inverse(p).entries
-    p_columns = [p.column(j) for j in range(n)]
-    blocks = [block for row in g.blocks for block in row]
-    new_blocks = tuple(
-        tuple(
-            linear_combination([c * e for c in p_inv_row for e in p_column], blocks)
-            for p_column in p_columns
-        )
-        for p_inv_row in p_inv_rows
-    )
-    return GramMatrix(n, g.ambient_dim, new_blocks)
-
-
 @dataclass(frozen=True)
 class Representation:
     """An alternative pair list (u_i, v_i) for an operator, optionally with

@@ -18,7 +18,6 @@ from .classify import ClassificationVerdict, FormParameters
 from .errors import FormatError
 from .exact import Matrix, Scalar, Vector
 from .operators import ElementaryOperator, Representation
-from .spaces import OperatorSpace
 
 SCHEMA_VERSION = "1"
 
@@ -136,16 +135,6 @@ def operator_from_json(data: Any, where: str = "operator") -> ElementaryOperator
             raise FormatError(f"{where}.pairs[{i}]: coefficient shape differs from dim")
         pairs.append((a, b))
     return ElementaryOperator(dim, tuple(pairs))
-
-
-def space_to_json(space: OperatorSpace) -> dict:
-    return {"dim": space.ambient_dim, "basis": [matrix_to_json(m) for m in space.basis]}
-
-
-def space_from_json(data: Any, where: str = "space") -> OperatorSpace:
-    _require_keys(data, {"dim", "basis"}, {"dim", "basis"}, where)
-    dim = _positive_int(data["dim"], f"{where}.dim")
-    return OperatorSpace(dim, _matrices_from_json(data["basis"], f"{where}.basis"))
 
 
 def representation_to_json(rep: Representation, include_p: bool = True) -> dict:

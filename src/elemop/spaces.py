@@ -71,12 +71,6 @@ def reduce_basis(mats: Sequence[Matrix], ambient_dim: int | None = None) -> Oper
     return OperatorSpace(d, tuple(mats[i] for i in kept))
 
 
-def span_contains(space: OperatorSpace, m: Matrix) -> bool:
-    """Whether m lies in the span: listed after the basis, it is not kept."""
-    vectors = [b.vectorize() for b in space.basis] + [m.vectorize()]
-    return space.dim in independent_subset(vectors)[1]
-
-
 def evaluate(space: OperatorSpace, zeta: Vector) -> list[Vector]:
     """Reduced basis of span{T zeta : T in the basis}."""
     if len(zeta) != space.ambient_dim:
@@ -91,13 +85,13 @@ class LocalDimResult:
     """Outcome of a local dimension computation.
 
     The witness always re-verifies: evaluating the space at it yields
-    exactly `value` independent images.  `exact` marks the enumerated
-    mode, where the value is also a certified upper bound.
+    exactly `value` independent images, so `value` is a certified lower
+    bound.  `exact` marks the enumerated mode, where the value is also a
+    certified upper bound.
     """
 
     value: int
     witness: Vector
-    certified_lower_bound: bool
     trials_used: int
     exact: bool
 
@@ -119,7 +113,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
     k = space.dim
     cap = min(d, k)
     if k == 0:
-        return LocalDimResult(0, zero_vector(d), True, 0, True)
+        return LocalDimResult(0, zero_vector(d), 0, True)
     if d * d * k <= EXACT_LOCAL_DIM_GATE:
         best = 0
         best_witness = zero_vector(d)
@@ -133,7 +127,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
                 best_witness = zeta
                 if best == cap:
                     break
-        return LocalDimResult(best, best_witness, True, count, True)
+        return LocalDimResult(best, best_witness, count, True)
     if trials < 1:
         raise ContractError("at least one trial is required")
     best = 0
@@ -151,7 +145,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
             best_witness = zeta
             if best == cap:
                 break
-    return LocalDimResult(best, best_witness, True, used, False)
+    return LocalDimResult(best, best_witness, used, False)
 
 
 def simultaneous_separating_vector(

@@ -17,7 +17,6 @@ from elemop.exact import (
     Scalar,
     ZERO,
     char_poly,
-    distinct_eigenvalue_count,
     derive_seed,
     gaussian_int_matmul,
     int_matmul,
@@ -27,9 +26,6 @@ from elemop.exact import (
     kernel_basis,
     lambda_power,
     linear_combination,
-    poly_gcd,
-    poly_mod,
-    poly_mul,
     random_invertible,
     random_matrix,
     random_scalar,
@@ -37,9 +33,7 @@ from elemop.exact import (
     rank,
     rref,
     solve,
-    solve_vec,
     trace,
-    vec_add,
     vec_scale,
     vector,
     zero_vector,
@@ -486,8 +480,13 @@ def _incremental_subset(vectors):
         if not kept:
             coords[idx] = ()
             continue
-        coords[idx] = solve_vec(Matrix.from_columns([vectors[i] for i in kept]), v)
+        solution = solve(Matrix.from_columns([vectors[i] for i in kept]), Matrix.from_columns([v]))
+        coords[idx] = solution.column(0)
     return kept, coords
+
+
+def _vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def _mixed_vectors(seed):
@@ -507,7 +506,7 @@ def _mixed_vectors(seed):
         else:
             extra = zero_vector(length)
             for v in rng.sample(vectors, rng.randint(1, len(vectors))):
-                extra = vec_add(extra, vec_scale(random_scalar(rng, 4), v))
+                extra = _vec_add(extra, vec_scale(random_scalar(rng, 4), v))
         vectors.insert(rng.randint(0, len(vectors)), extra)
     return vectors
 
@@ -521,7 +520,7 @@ def test_independent_subset_matches_incremental_reference():
         for idx, c in coords.items():
             total = zero_vector(len(vectors[idx]))
             for pos, k in enumerate(kept):
-                total = vec_add(total, vec_scale(c[pos], vectors[k]))
+                total = _vec_add(total, vec_scale(c[pos], vectors[k]))
             assert total == vectors[idx]
 
 
@@ -627,41 +626,6 @@ def test_nilpotent_iff_char_poly_power():
             assert m.power(d).is_zero
         else:
             assert not m.power(d).is_zero
-
-
-def test_distinct_root_count_examples():
-    assert distinct_eigenvalue_count(lambda_power(3)) == 1
-    assert distinct_eigenvalue_count(Polynomial.of([1, -2, 1])) == 1
-    # Oracle: p = t^2 (t - 1); gcd(p, p') = t, so 3 - 1 = 2 distinct roots.
-    p = poly_mul(Polynomial.of([0, 0, 1]), Polynomial.of([-1, 1]))
-    g = poly_gcd(p, p.derivative())
-    assert g == Polynomial.of([0, 1])
-    assert distinct_eigenvalue_count(p) == 2
-
-
-def test_distinct_root_count_detects_nilpotency():
-    for s in range(20):
-        m = random_matrix(3, derive_seed(70, s), 5)
-        p = char_poly(m)
-        only_zero_root = distinct_eigenvalue_count(p) == 1 and p.coefficients[0].is_zero
-        assert only_zero_root == (p == lambda_power(3))
-
-
-def test_distinct_root_count_rejects_zero_polynomial():
-    with pytest.raises(DomainError):
-        distinct_eigenvalue_count(Polynomial(()))
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.integers(-3, 3), min_size=1, max_size=5),
-       st.lists(st.integers(-3, 3), min_size=1, max_size=5))
-def test_poly_gcd_divides_both(ca, cb):
-    p, q = Polynomial.of(ca), Polynomial.of(cb)
-    g = poly_gcd(p, q)
-    if g.is_zero:
-        assert p.is_zero and q.is_zero
-    else:
-        assert poly_mod(p, g).is_zero and poly_mod(q, g).is_zero
 
 
 # -- trace and sampling ---------------------------------------------------

@@ -1,12 +1,17 @@
-"""One reader of the elimination, one integer product loop.
+"""One reader of the elimination, one integer product loop, one
+nilpotency predicate and no dead surface.
 
 `exact.rref` is read only by `exact.independent_subset`; rank, kernels,
 solutions and inverses are questions to that function, and no other
 module names `rref`.  So a change of elimination touches `rref` and
 `independent_subset` only.  Likewise the integer dot product
 `map(mul, ...)` is written only in `exact.int_matmul`, so no module
-forks a second product loop.  This parses the sources under src/ and
-imports nothing from them.
+forks a second product loop.  The characteristic polynomial is named
+only in `exact` and in the `oracle` printout of `cli`, so every verdict
+asks `is_nilpotent_matrix`.  And every public top-level function or
+class is used by some other module or by the benchmark, or is kept on
+purpose with its reason.  This parses the sources under src/ and
+perfbench/ and imports nothing from them.
 """
 
 import ast
@@ -14,21 +19,33 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "elemop"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "elemop"
 MODULES = sorted(SRC.glob("*.py"))
 
 
+def _named(node):
+    """The identifiers a node names: a name, an attribute or an import."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.alias):
+        return (node.name, node.asname)
+    return ()
+
+
+def _references(tree, names):
+    """Line numbers of every identifier, attribute or import naming one of names."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if any(name in names for name in _named(node))
+    ]
+
+
 def _rref_references(tree):
-    """Line numbers of every identifier, attribute or import naming rref."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and node.id == "rref":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "rref":
-            lines.append(node.lineno)
-        elif isinstance(node, ast.alias) and "rref" in (node.name, node.asname):
-            lines.append(node.lineno)
-    return lines
+    return _references(tree, {"rref"})
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "exact.py"], ids=lambda p: p.name)
@@ -74,3 +91,77 @@ def test_only_int_matmul_writes_the_dot_product():
     inside = set(_dot_products(functions["int_matmul"]))
     assert inside, "int_matmul must hold the dot product"
     assert set(_dot_products(tree)) == inside
+
+
+CHAR_POLY = {"char_poly", "lambda_power"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in ("exact.py", "cli.py")], ids=lambda p: p.name
+)
+def test_char_poly_is_named_only_in_exact_and_the_oracle(path):
+    assert _references(ast.parse(path.read_text()), CHAR_POLY) == []
+
+
+def test_cli_names_char_poly_only_for_the_oracle_printout():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    allowed = set(_references(functions["_cmd_oracle"], CHAR_POLY))
+    allowed.update(line for node in imports for line in _references(node, CHAR_POLY))
+    assert set(_references(tree, CHAR_POLY)) == allowed
+
+
+# -- no dead surface -------------------------------------------------------
+
+#: Public names that no other module and no benchmark uses, kept because
+#: they carry a notion of the paper or are the way tests build inputs.
+KEEP = {
+    "vector": "builds a Vector from plain values, as Matrix.from_rows builds a Matrix",
+    "necessary_trace_condition": "the paper's trace obstruction sum b_i a_i = 0",
+    "dim_phi_x_squared_range": "the paper's rank bound on phi(x)^2 for the exceptional forms",
+    "special_plane_member": "the paper's exceptional plane of nilpotent 3 x 3 matrices",
+    "construct_triangular_rep": "the paper's representation with v_i u_j = 0 for i >= j",
+    "structure_dimv1": "the paper's structure theorem for dim V(phi) = 1",
+    "gerstenhaber_check": "Gerstenhaber's bound on the dimension of a nil space",
+    "hat_space": "the paper's evaluation maps, bounded by the local dimension",
+    "is_locally_linearly_dependent": "the paper's local linear dependence",
+    "adjoint_flip": "the paper's flip of every pair (a_i, b_i) to (b_i, a_i)",
+    "compose_is_zero": "the paper's vanishing compositions psi(phi(x)) = 0",
+}
+
+
+def _orphans():
+    """Public top-level functions and classes of src/elemop that no other
+    top-level statement there names (re-exports in __init__ aside) and no
+    file of perfbench/ names, counting the strings of its tables of traced
+    functions."""
+    tops = [
+        node
+        for path in MODULES
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+    ]
+    names_in = [{n for sub in ast.walk(top) for n in _named(sub)} for top in tops]
+    bench = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            bench.update(_named(node))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                bench.add(node.value)
+    return {
+        top.name
+        for top in tops
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith("_")
+        and top.name not in bench
+        and not any(top.name in names for other, names in zip(tops, names_in) if other is not top)
+    }
+
+
+def test_every_public_name_is_used_or_kept_on_purpose():
+    assert sorted(_orphans() - KEEP.keys()) == []
+
+
+def test_every_kept_name_is_still_unused_elsewhere():
+    assert sorted(KEEP.keys() - _orphans()) == []

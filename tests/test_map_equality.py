@@ -9,7 +9,6 @@ from elemop.exact import (
     I_UNIT,
     Matrix,
     derive_seed,
-    matrix_units,
     random_invertible,
     random_matrix,
 )
@@ -27,12 +26,16 @@ from conftest import single_pair, specimen_form_ii, specimen_form_iii, unit
 CASES = [(n, d, seed) for n in (1, 2, 3) for d in (2, 3, 5) for seed in (1, 2)]
 
 
+def _matrix_units(d):
+    return [Matrix.unit(d, i, j) for i in range(d) for j in range(d)]
+
+
 def _units_equal(phi, psi) -> bool:
-    return all(apply(phi, u) == apply(psi, u) for u in matrix_units(phi.dim))
+    return all(apply(phi, u) == apply(psi, u) for u in _matrix_units(phi.dim))
 
 
 def _units_compose_zero(psi, phi) -> bool:
-    return all(apply(psi, apply(phi, u)).is_zero for u in matrix_units(phi.dim))
+    return all(apply(psi, apply(phi, u)).is_zero for u in _matrix_units(phi.dim))
 
 
 def _gaussian(d, seed) -> Matrix:

@@ -1,6 +1,7 @@
 """Nilpotency deciders, flags, the plane dichotomy, block flags."""
 
 import hashlib
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from elemop.exact import (
     char_poly,
     derive_seed,
     inverse,
+    is_nilpotent_matrix,
     lambda_power,
     random_invertible,
     I_UNIT,
@@ -40,8 +42,6 @@ from elemop.nilpotency import (
     block_strict_triangularize,
     classify_nilpotent_2dim_m3,
     gerstenhaber_check,
-    graded_product_check,
-    is_nilpotent,
     refutes,
     strict_triangularize,
     subspace_all_nilpotent,
@@ -49,7 +49,15 @@ from elemop.nilpotency import (
     special_plane_member,
     witness_search,
 )
-from elemop.operators import apply, gram, minimal_length, sum_bi_ai
+from elemop.operators import (
+    ElementaryOperator,
+    Representation,
+    apply,
+    gram,
+    maps_equal,
+    minimal_length,
+    sum_bi_ai,
+)
 from elemop.spaces import reduce_basis
 from conftest import specimen_form_ii, single_pair, strictly_upper_basis, unit
 
@@ -64,11 +72,11 @@ def conjugated_space(space, q):
 
 
 def test_is_nilpotent_examples():
-    assert is_nilpotent(Matrix.from_rows([[0, 1], [0, 0]]))
-    assert not is_nilpotent(Matrix.identity(2))
+    assert is_nilpotent_matrix(Matrix.from_rows([[0, 1], [0, 0]]))
+    assert not is_nilpotent_matrix(Matrix.identity(2))
     m = Matrix.from_rows([[0, 1, 0], [1, 0, 1], [0, -1, 0]])
     assert (m @ m @ m).is_zero  # oracle
-    assert is_nilpotent(m)
+    assert is_nilpotent_matrix(m)
 
 
 def test_subspace_strictly_upper_certified():
@@ -407,6 +415,28 @@ def test_all_x_nilpotent_grid_mode_certifies_dimension_two():
             assert c.re.denominator == 1 and c.im == 0
 
 
+def test_all_x_nilpotent_refutes_structurally_without_a_second_search(monkeypatch):
+    # the classifier's Unknown on a length-3 operator is a proof of NotLQN
+    # that lacks a witness; all_x_nilpotent says so instead of sampling again
+    from elemop.classify import generate
+
+    classify_module = importlib.import_module("elemop.classify")
+
+    phi = generate("remark45", 3, 5, seed=1)
+    searches = []
+    search = nilpotency.witness_search
+
+    def counting_search(*args, **kwargs):
+        searches.append(1)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(nilpotency, "witness_search", counting_search)
+    monkeypatch.setattr(classify_module, "witness_search", counting_search)
+    result = all_x_nilpotent(phi, trials=0)
+    assert result == Refuted(by="pattern blocks are not rank one", witness=None, trials_used=0)
+    assert len(searches) == 1
+
+
 def test_witness_search_reverifies():
     eye = Matrix.identity(3)
     found = witness_search(single_pair(3, eye, eye), trials=20, seed=1)
@@ -414,6 +444,29 @@ def test_witness_search_reverifies():
     x, trial = found
     assert trial >= 1
     assert refutes(single_pair(3, eye, eye), x)
+
+
+def test_witness_search_stops_at_the_power_test(monkeypatch):
+    # phi(x) = E01 x E00 - E11 x E01 = x_10 (E00 - E11): sum b_i a_i = 0 and
+    # every image is traceless, so the power test alone decides each trial
+    # and its hit is returned without a second nilpotency check
+    from elemop import exact
+
+    phi = ElementaryOperator.from_pairs(
+        2, [(unit(2, 0, 1), unit(2, 0, 0)), (-1 * unit(2, 1, 1), unit(2, 0, 1))]
+    )
+    assert sum_bi_ai(phi).is_zero
+    applied = []
+    char_polys = []
+    apply_phi = nilpotency.apply
+    monkeypatch.setattr(nilpotency, "apply", lambda f, x: applied.append(x) or apply_phi(f, x))
+    for module in (exact, nilpotency):
+        monkeypatch.setattr(module, "char_poly", lambda m: char_polys.append(m), raising=False)
+    found = witness_search(phi, trials=10, seed=0)
+    assert found is not None and found[1] == 1
+    assert not is_nilpotent_matrix(apply_phi(phi, found[0]))
+    assert len(applied) == 1
+    assert char_polys == []
 
 
 def test_witness_search_trace_screen_matches_scalar_trace(monkeypatch):
@@ -442,35 +495,49 @@ def test_witness_search_trace_screen_matches_scalar_trace(monkeypatch):
 
 
 def test_graded_product_single_part_square_zero():
+    # x -> E01 x E01: the one product v_0 u_0 = E01 E01 vanishes, so every
+    # product of two values of phi vanishes
+    from elemop.classify import classify, verify_certificate
+
     phi = single_pair(2, unit(2, 0, 1), unit(2, 0, 1))
-    probes = [
-        (random_matrix(2, derive_seed(260, 2 * s), 5), random_matrix(2, derive_seed(260, 2 * s + 1), 5))
-        for s in range(5)
-    ]
-    assert graded_product_check([phi], probes).ok
+    verdict = classify(phi)
+    assert verdict.form == "length2-zeros" and verify_certificate(phi, verdict)
+    assert verdict.representation.gram().block(0, 0).is_zero
+    for s in range(5):
+        x = random_matrix(2, derive_seed(260, 2 * s), 5)
+        y = random_matrix(2, derive_seed(260, 2 * s + 1), 5)
+        assert (apply(phi, x) @ apply(phi, y)).is_zero
 
 
 def test_graded_product_pattern_parts():
+    # v_i u_j = 0 for i >= j makes every product of n + 1 = 4 values of phi
+    # vanish: the word u_i1 x v_i1 u_i2 y v_i2 ... needs i1 < i2 < i3 < i4
     from elemop.classify import construct_triangular_rep, generate
 
     phi = generate("i", 3, 4, seed=31)
     rep = construct_triangular_rep(phi)
     assert rep is not None
-    parts = [single_pair(4, u, v) for u, v in zip(rep.u, rep.v)]
-    probes = [
-        tuple(random_matrix(4, derive_seed(270, 4 * s + k), 4) for k in range(4))
-        for s in range(20)
-    ]
-    report = graded_product_check(parts, probes)
-    assert report.ok
+    assert maps_equal(rep.as_operator(), phi)
+    g = rep.gram()
+    for i in range(3):
+        for j in range(i + 1):
+            assert g.block(i, j).is_zero
+    for s in range(20):
+        acc = Matrix.identity(4)
+        for k in range(4):
+            acc = acc @ apply(phi, random_matrix(4, derive_seed(270, 4 * s + k), 4))
+        assert acc.is_zero
 
 
 def test_graded_product_rejects_identity():
-    eye = Matrix.identity(2)
-    probes = [(eye, eye)]
-    report = graded_product_check([single_pair(2, eye, eye)], probes)
-    assert not report.ok and "hypothesis" in report.failure
+    # x -> x has v_0 u_0 = I, so the boundary rejects it as a zero pattern
+    from elemop.classify import ClassificationVerdict, verify_certificate
 
+    eye = Matrix.identity(2)
+    phi = single_pair(2, eye, eye)
+    rep = Representation(2, (eye,), (eye,), None)
+    check = verify_certificate(phi, ClassificationVerdict("LQN", "length2-zeros", rep))
+    assert not check and check.failed == "zero pattern at block (0, 0)"
 
 
 # -- the trace-identity expansion ----------------------------------------

@@ -31,7 +31,6 @@ from elemop.operators import (
     change_left_basis,
     compose_is_zero,
     gram,
-    gram_conjugate,
     left_space,
     local_matrix,
     maps_equal,
@@ -265,11 +264,28 @@ def test_similarity_transform_identity_and_diag():
             assert g1.block(i, j) == scale * g0.block(i, j)
 
 
+def _gram_conjugate(g, p):
+    """Reference: the blockwise conjugate P^{-1} G P, whose block (i, j)
+    is the sum over k, l of (P^{-1})_ik G_kl P_lj."""
+    p_inv = inverse(p)
+    blocks = []
+    for i in range(g.n):
+        row = []
+        for j in range(g.n):
+            acc = Matrix.zeros(g.ambient_dim)
+            for k in range(g.n):
+                for l in range(g.n):
+                    acc = acc + (p_inv.entry(i, k) * p.entry(l, j)) * g.block(k, l)
+            row.append(acc)
+        blocks.append(tuple(row))
+    return tuple(blocks)
+
+
 def test_similarity_transform_gram_conjugation():
     phi = specimen_form_ii()
     p = random_invertible(3, 17, 5)
     rep = similarity_transform(phi, p)
-    assert rep.gram().blocks == gram_conjugate(gram(phi), p).blocks
+    assert rep.gram().blocks == _gram_conjugate(gram(phi), p)
     assert maps_equal(rep.as_operator(), phi)
 
 
@@ -295,7 +311,7 @@ def test_similarity_transform_builds_one_matrix_per_coefficient(monkeypatch):
     # u_j = sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k: one matrix each
     assert len(built) == 2 * n
     assert maps_equal(rep.as_operator(), phi)
-    assert rep.gram().blocks == gram_conjugate(gram(phi), p).blocks
+    assert rep.gram().blocks == _gram_conjugate(gram(phi), p)
 
 
 def test_similarity_transform_rejects_singular():
@@ -441,10 +457,11 @@ def test_local_matrix_specimen_lands_in_exceptional_plane():
     assert local == expected
     # bridge property: the restriction is nilpotent because the operator
     # itself is certified locally nilpotent
-    from elemop.nilpotency import Certified, all_x_nilpotent, is_nilpotent
+    from elemop.exact import is_nilpotent_matrix
+    from elemop.nilpotency import Certified, all_x_nilpotent
 
     assert isinstance(all_x_nilpotent(phi), Certified)
-    assert is_nilpotent(local)
+    assert is_nilpotent_matrix(local)
     # postcondition: the matrix represents phi(x) on span{a_i zeta}
     for j in range(3):
         a_j = phi.pairs[j][0]

@@ -24,15 +24,12 @@ from elemop.serialize import (
     operator_to_json,
     scalar_from_json,
     scalar_to_json,
-    space_from_json,
-    space_to_json,
     vector_from_json,
     vector_to_json,
     verdict_from_json,
     verdict_to_json,
 )
-from elemop.spaces import reduce_basis
-from conftest import specimen_form_ii, unit
+from conftest import specimen_form_ii
 
 
 def test_scalar_round_trip():
@@ -74,12 +71,6 @@ def test_vector_round_trip():
 def test_operator_round_trip():
     phi = specimen_form_ii()
     assert operator_from_json(operator_to_json(phi)) == phi
-
-
-def test_space_round_trip():
-    space = reduce_basis([unit(2, 0, 0), unit(2, 0, 1)])
-    again = space_from_json(space_to_json(space))
-    assert again.basis == space.basis and again.ambient_dim == 2
 
 
 def test_verdict_round_trip():
@@ -337,11 +328,6 @@ def test_cli_verify_malformed_certificate_is_bad_input(tmp_path, capsys, path, v
     cert.write_text(json.dumps(data))
     assert main(["verify", str(inst), str(cert)]) == 2
     assert path[-1] in capsys.readouterr().err
-
-
-def test_space_basis_must_be_an_array():
-    with pytest.raises(FormatError, match="basis"):
-        space_from_json({"dim": 2, "basis": 7})
 
 
 def test_cli_classify_reduces_the_operator_once(tmp_path, monkeypatch):
