@@ -24,7 +24,6 @@ from .errors import (
 from .exact import (
     Matrix,
     Scalar,
-    Vector,
     is_nilpotent_matrix,
     kernel_basis,
     random_matrix,

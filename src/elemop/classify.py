@@ -29,21 +29,18 @@ from .errors import (
 from .exact import (
     Matrix,
     ONE,
-    Vector,
-    ZERO,
     basis_vector,
     derive_seed,
     independent_subset,
     inverse,
     is_nilpotent_matrix,
     linear_combination,
-    outer,
     random_invertible,
     random_matrix,
     random_nonzero_vector,
     rank,
-    vec_is_zero,
-    vec_scale,
+    ratio,
+    zero_vector,
 )
 from .nilpotency import (
     DEFAULT_SUBSPACE_BUDGET,
@@ -90,10 +87,13 @@ GENERATOR_HEIGHT = 3
 
 @dataclass(frozen=True)
 class FormParameters:
-    zeta0: Vector | None = None
-    zeta1: Vector | None = None
-    f: Vector | None = None
-    g: Vector | None = None
+    """The columns zeta0, zeta1 and functionals f, g of the exceptional
+    forms, each a d x 1 matrix, and the corner size r of dimv1-block."""
+
+    zeta0: Matrix | None = None
+    zeta1: Matrix | None = None
+    f: Matrix | None = None
+    g: Matrix | None = None
     r: int | None = None
 
 
@@ -121,7 +121,7 @@ def necessary_trace_condition(phi: ElementaryOperator) -> bool:
     return sum_bi_ai(phi).is_zero
 
 
-def _vectors_independent(*vectors: Vector) -> bool:
+def _vectors_independent(*vectors: Matrix) -> bool:
     return len(independent_subset(vectors)[0]) == len(vectors)
 
 
@@ -273,12 +273,9 @@ def classify_length3(
                 evidence={"branch": "shared functional"},
             ),
         )
-    if len(independent_subset([fx.column, fy.column])[0]) == 1:
-        zeta0 = fy.column
-        pivot = next(i for i, c in enumerate(zeta0) if not c.is_zero)
-        ratio = fx.column[pivot] / zeta0[pivot]
-        g_fun = vec_scale(ratio, fx.functional)
-        params = FormParameters(zeta0=zeta0, f=fy.functional, g=g_fun)
+    shared = ratio(fx.column, fy.column)
+    if shared is not None:
+        params = FormParameters(zeta0=fy.column, f=fy.functional, g=shared * fx.functional)
         return _checked_lqn(
             phi,
             ClassificationVerdict(
@@ -350,7 +347,7 @@ def structure_dimv1(
     adjusted = ElementaryOperator(d, tuple(new_pairs))
 
     w0_zeta = w0 @ zeta
-    if vec_is_zero(w0_zeta):  # pragma: no cover
+    if w0_zeta.is_zero:  # pragma: no cover
         raise InconsistencyError("separating vector failed for the product line")
     x = _map_onto(zeta, w0_zeta, d)
 
@@ -366,7 +363,8 @@ def structure_dimv1(
     if not isinstance(tri, Flag):  # pragma: no cover
         raise InconsistencyError("a nilpotent matrix failed to triangularize")
     new_left = [
-        linear_combination(column, [a for a, _ in new_pairs[:r]]) for column in tri.vectors
+        linear_combination(column.transpose().row(0), [a for a, _ in new_pairs[:r]])
+        for column in tri.vectors
     ]
     new_left.extend(new_pairs[r + t_idx][0] for t_idx in range(len(tail)))
     rep = change_left_basis(adjusted, new_left)
@@ -383,13 +381,11 @@ def structure_dimv1(
     )
 
 
-def _map_onto(target: Vector, source: Vector, d: int) -> Matrix:
+def _map_onto(target: Matrix, source: Matrix, d: int) -> Matrix:
     """A matrix sending source to target and a complement of source to 0."""
     candidates = [source] + [basis_vector(d, i) for i in range(d)]
     kept, _ = independent_subset(candidates)
-    basis = Matrix.from_columns([candidates[i] for i in kept])
-    images = [target] + [tuple(ZERO for _ in range(d))] * (d - 1)
-    return Matrix.from_columns(images) @ inverse(basis)
+    return _targets_to_map(inverse(Matrix.from_columns([candidates[i] for i in kept])), [target], d)
 
 
 def dim_phi_x_squared_range(phi: ElementaryOperator, x: Matrix) -> int:
@@ -401,15 +397,11 @@ def dim_phi_x_squared_range(phi: ElementaryOperator, x: Matrix) -> int:
 # -- generators ---------------------------------------------------------
 
 
-def _targets_to_map(q_inv: Matrix, images: Sequence[Vector], d: int) -> Matrix:
+def _targets_to_map(q_inv: Matrix, images: Sequence[Matrix], d: int) -> Matrix:
     """Matrix sending column j of q to images[j] and later columns to 0,
     given q_inv, the inverse of q."""
-    padded = list(images) + [tuple(ZERO for _ in range(d))] * (d - len(images))
+    padded = list(images) + [zero_vector(d)] * (d - len(images))
     return Matrix.from_columns(padded) @ q_inv
-
-
-def _zero_vec(d: int) -> Vector:
-    return tuple(ZERO for _ in range(d))
 
 
 def generate(form: str, n: int, d: int, seed: int) -> ElementaryOperator:
@@ -456,7 +448,7 @@ def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:
             random_nonzero_vector(d, derive_seed(s, 10 + j), GENERATOR_HEIGHT)
             for j in range(n)
         ]
-        u = [outer(xi[j], eta[j]) for j in range(n)]
+        u = [xi[j] @ eta[j].transpose() for j in range(n)]
         v = []
         for i in range(n):
             images = []
@@ -468,7 +460,7 @@ def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:
                         )
                     )
                 else:
-                    images.append(_zero_vec(d))
+                    images.append(zero_vector(d))
             v.append(_targets_to_map(q_inv, images, d))
         phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
         length, _ = minimal_length(phi)
@@ -495,27 +487,26 @@ def _generate_special(n: int, d: int, seed: int, shared: str) -> ElementaryOpera
             zeta1 = random_nonzero_vector(d, derive_seed(s, 4), GENERATOR_HEIGHT)
             if not _vectors_independent(zeta0, zeta1):
                 continue
-            u = [outer(q.column(j), f) for j in range(3)]
-            image_table = [
-                [_zero_vec(d), zeta1, _zero_vec(d)],
-                [zeta0, _zero_vec(d), zeta1],
-                [_zero_vec(d), vec_scale(-ONE, zeta0), _zero_vec(d)],
-            ]
+            u = [q.column(j) @ f.transpose() for j in range(3)]
+            zero = zero_vector(d)
+            image_table = [[zero, zeta1, zero], [zeta0, zero, zeta1], [zero, -zeta0, zero]]
         else:
             f = random_nonzero_vector(d, derive_seed(s, 2), GENERATOR_HEIGHT)
             g_fun = random_nonzero_vector(d, derive_seed(s, 3), GENERATOR_HEIGHT)
             if not _vectors_independent(f, g_fun):
                 continue
             zeta0 = random_nonzero_vector(d, derive_seed(s, 4), GENERATOR_HEIGHT)
+            f_t, g_t = f.transpose(), g_fun.transpose()
             u = [
-                outer(q.column(0), f),
-                outer(q.column(1), g_fun) + outer(q.column(2), f),
-                outer(q.column(3), g_fun),
+                q.column(0) @ f_t,
+                q.column(1) @ g_t + q.column(2) @ f_t,
+                q.column(3) @ g_t,
             ]
+            zero = zero_vector(d)
             image_table = [
-                [_zero_vec(d), zeta0, _zero_vec(d), _zero_vec(d)],
-                [zeta0, _zero_vec(d), _zero_vec(d), zeta0],
-                [_zero_vec(d), _zero_vec(d), vec_scale(-ONE, zeta0), _zero_vec(d)],
+                [zero, zeta0, zero, zero],
+                [zeta0, zero, zero, zeta0],
+                [zero, zero, -zeta0, zero],
             ]
         q_inv = inverse(q)
         v = [_targets_to_map(q_inv, row, d) for row in image_table]
@@ -550,13 +541,13 @@ def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
         s2 = Matrix.from_columns([basis_q.column(2), basis_q.column(3)])
         s3 = s1 @ quotient
         u = [s1 @ r_mat, s2 @ r_mat, s3 @ r_mat]
-        zero2 = [_zero_vec(d), _zero_vec(d)]
+        zero2 = [zero_vector(d)] * 2
         cx = c_mat @ lam_x
         cy = c_mat @ lam_y
         tables = [
             zero2 + [cx.column(0), cx.column(1)],
             [cy.column(0), cy.column(1)] + zero2,
-            zero2 + [vec_scale(-ONE, cy.column(0)), vec_scale(-ONE, cy.column(1))],
+            zero2 + [-cy.column(0), -cy.column(1)],
         ]
         basis_q_inv = inverse(basis_q)
         v = [_targets_to_map(basis_q_inv, row, d) for row in tables]
@@ -613,7 +604,8 @@ def verify_certificate(
         return CertificateCheck(False, "status")
     p = verdict.parameters
     if p is not None and any(
-        vec is not None and len(vec) != phi.dim for vec in (p.zeta0, p.zeta1, p.f, p.g)
+        vec is not None and (vec.rows, vec.cols) != (phi.dim, 1)
+        for vec in (p.zeta0, p.zeta1, p.f, p.g)
     ):
         return CertificateCheck(False, "parameter length")
 
@@ -642,12 +634,13 @@ def verify_certificate(
             return CertificateCheck(False, "parameters missing")
         if n != 3:
             return CertificateCheck(False, "representation arity")
-        if vec_is_zero(p.f):
+        if p.f.is_zero:
             return CertificateCheck(False, "functional is zero")
         if not _vectors_independent(p.zeta0, p.zeta1):
             return CertificateCheck(False, "zeta independence")
-        x = outer(p.zeta1, p.f)
-        y = outer(p.zeta0, p.f)
+        f_t = p.f.transpose()
+        x = p.zeta1 @ f_t
+        y = p.zeta0 @ f_t
         return _check_exceptional_grid(g, x, y)
 
     if verdict.form == FORM_SPECIAL_III:
@@ -656,12 +649,12 @@ def verify_certificate(
             return CertificateCheck(False, "parameters missing")
         if n != 3:
             return CertificateCheck(False, "representation arity")
-        if vec_is_zero(p.zeta0):
+        if p.zeta0.is_zero:
             return CertificateCheck(False, "column is zero")
         if not _vectors_independent(p.f, p.g):
             return CertificateCheck(False, "functional independence")
-        x = outer(p.zeta0, p.g)
-        y = outer(p.zeta0, p.f)
+        x = p.zeta0 @ p.g.transpose()
+        y = p.zeta0 @ p.f.transpose()
         return _check_exceptional_grid(g, x, y)
 
     if verdict.form == FORM_DIMV1:

@@ -55,8 +55,8 @@ class UnsupportedLengthError(ElemopError):
 class SeparatingVectorError(ElemopError):
     """No simultaneous separating vector was found within the trial budget.
 
-    Carries the best candidate seen and the index of the space that
-    rejected it, so callers can report honest evidence.
+    Carries the best candidate seen, a d x 1 column, and the index of
+    the space that rejected it, so callers can report honest evidence.
     """
 
     def __init__(self, best, failing_space: int, trials: int):

@@ -4,13 +4,15 @@ Scalars are complex numbers whose real and imaginary parts are rationals
 kept in lowest terms.  Matrices are dense, immutable and row-major, stored
 only as Gaussian-integer grids over one canonical denominator; the
 kernels compute on those grids, and a matrix builds Scalars only when its
-entries are read.  Every operation is exact: there is no floating point
-anywhere in this module, and equality always means structural equality
-of reduced forms.
+entries are read.  A vector is a d x 1 `Matrix`, so products, sums and
+scalings of vectors are the matrix ones and there is one storage format.
+Every operation is exact: there is no floating point anywhere in this
+module, and equality always means structural equality of reduced forms.
 
 There is one elimination, `rref` on Scalar rows, and one reader of it,
-`independent_subset`: which vectors are kept, and what the coordinates
-of the others in them are.  `rank`, `kernel_basis`, `solve` and
+`independent_subset`: which of some same-shape matrices are kept, and
+what the coordinates of the others in them are.  It is the one place
+that turns grids into `rref` rows.  `rank`, `kernel_basis`, `solve` and
 `inverse` are questions to it, and no other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
@@ -139,9 +141,6 @@ ZERO = Scalar(0)
 ONE = Scalar(1)
 I_UNIT = Scalar(0, 1)
 
-#: A vector is a plain tuple of scalars; helpers below keep usage terse.
-Vector = tuple[Scalar, ...]
-
 
 def scalar(re, im=0) -> Scalar:
     return Scalar(_fraction(re), _fraction(im))
@@ -155,31 +154,17 @@ def _entry(value) -> Scalar:
     return Scalar(_fraction(value))
 
 
-def vector(values: Iterable) -> Vector:
-    return tuple(_entry(v) for v in values)
+def vector(values: Iterable) -> "Matrix":
+    """The column with these entries, as `Matrix.from_rows` reads them."""
+    return Matrix.from_rows([v] for v in values)
 
 
-def zero_vector(dim: int) -> Vector:
-    return (ZERO,) * dim
+def zero_vector(dim: int) -> "Matrix":
+    return Matrix.zeros(dim, 1)
 
 
-def basis_vector(dim: int, index: int) -> Vector:
-    return tuple(ONE if j == index else ZERO for j in range(dim))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ShapeError("vector lengths differ")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Vector) -> Vector:
-    c = _entry(c)
-    return tuple(c * a for a in u)
-
-
-def vec_is_zero(u: Vector) -> bool:
-    return all(a.is_zero for a in u)
+def basis_vector(dim: int, index: int) -> "Matrix":
+    return Matrix(1, tuple((int(r == index),) for r in range(dim)), ((0,),) * dim)
 
 
 @dataclass(frozen=True)
@@ -193,10 +178,13 @@ class Matrix:
     equal hashes.  The constructor normalizes any triple to that form,
     and the kernels below build their results from grids directly.
     Scalar input is converted once, by `from_rows`; `Scalar`s are built
-    only when read, by `entry`, `row`, `column`, `vectorize`, `entries`,
-    `to_text` and the repr, and none of them is cached.
+    only when read, by `entry`, `row`, `entries`, `to_text` and the repr,
+    and none of them is cached.
 
-    Immutable; all binary operations require exactly matching shapes.
+    A vector is a d x 1 matrix: `column` reads one from the grids,
+    `from_columns` joins them, and a vector times a scalar, a matrix or
+    another vector's transpose is the matrix product.  Immutable; all
+    binary operations require exactly matching shapes.
     """
 
     den: int
@@ -234,12 +222,22 @@ class Matrix:
         )
 
     @classmethod
-    def from_columns(cls, cols: Sequence[Vector]) -> "Matrix":
+    def from_columns(cls, cols: Sequence["Matrix"]) -> "Matrix":
+        """The matrix whose columns are these d x 1 matrices, joined on
+        their grids over the least common denominator."""
         if not cols:
             raise ShapeError("no columns given")
-        if any(len(c) != len(cols[0]) for c in cols):
+        if any(c.cols != 1 for c in cols):
+            raise ShapeError("columns must be d x 1 matrices")
+        if any(c.rows != cols[0].rows for c in cols):
             raise ShapeError("ragged columns")
-        return cls.from_rows(zip(*cols))
+        den = lcm(*(c.den for c in cols))
+        scaled = [(den // c.den, c) for c in cols]
+        return cls(
+            den,
+            [[s * c.re[r][0] for s, c in scaled] for r in range(cols[0].rows)],
+            [[s * c.im[r][0] for s, c in scaled] for r in range(cols[0].rows)],
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "Matrix":
@@ -285,25 +283,21 @@ class Matrix:
     def entry(self, i: int, j: int) -> Scalar:
         return _scalar_over(self.re[i][j], self.im[i][j], self.den)
 
-    def row(self, i: int) -> Vector:
+    def row(self, i: int) -> tuple[Scalar, ...]:
         den = self.den
         return tuple(_scalar_over(x, y, den) for x, y in zip(self.re[i], self.im[i]))
 
-    def column(self, j: int) -> Vector:
-        den = self.den
-        return tuple(_scalar_over(x[j], y[j], den) for x, y in zip(self.re, self.im))
+    def column(self, j: int) -> "Matrix":
+        """Column j as a d x 1 matrix, read from the grids."""
+        return Matrix(self.den, tuple((r[j],) for r in self.re), tuple((r[j],) for r in self.im))
 
     @property
-    def entries(self) -> tuple[Vector, ...]:
+    def entries(self) -> tuple[tuple[Scalar, ...], ...]:
         """The rows as Scalars, built on every read."""
         return tuple(self.row(i) for i in range(self.rows))
 
     def transpose(self) -> "Matrix":
         return Matrix(self.den, tuple(zip(*self.re)), tuple(zip(*self.im)))
-
-    def vectorize(self) -> Vector:
-        """Row-major flattening, the bridge between matrices and vectors."""
-        return tuple(e for row in self.entries for e in row)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -329,13 +323,6 @@ class Matrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        if isinstance(other, tuple):
-            if self.cols != len(other):
-                raise ShapeError("matrix-vector length mismatch")
-            col = Matrix.from_columns([other])
-            return Matrix(
-                self.den * col.den, *gaussian_int_matmul(self.re, self.im, col.re, col.im)
-            ).column(0)
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -529,7 +516,7 @@ def trace(m: Matrix) -> Scalar:
 # -- row reduction and everything built on it -------------------------
 
 
-def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[tuple[Scalar, ...]], list[int]]:
     """Reduced row echelon form of a list of row vectors.
 
     Returns (nonzero reduced rows, pivot column indices).  Exact Gaussian
@@ -565,51 +552,64 @@ def rref(rows: Sequence[Vector]) -> tuple[list[Vector], list[int]]:
     return out, pivots
 
 
-def independent_subset(vectors: Sequence[Vector]) -> tuple[list[int], dict[int, Vector]]:
-    """Indices of the earliest linearly independent vectors, and for every
-    other index its coordinates in the kept vectors.
+def independent_subset(
+    mats: Sequence[Matrix],
+) -> tuple[list[int], dict[int, tuple[Scalar, ...]]]:
+    """Indices of the earliest linearly independent matrices, and for
+    every other index its coordinates in the kept ones.
 
-    One rref of the matrix whose columns are the vectors: the pivot
-    columns are the kept vectors, and each non-pivot column of the
-    reduced form is that vector's coordinate column.  The one reader of
-    `rref`: rank, kernels, solutions and inverses are questions to it.
+    The matrices share one shape and each is read as its row-major vec,
+    so a d x 1 column is read as itself.  One rref of the matrix whose
+    columns are those vecs, its Scalar rows built here from the grids:
+    the pivot columns are the kept matrices, and each non-pivot column of
+    the reduced form is that matrix's coordinate column.  The one reader
+    of `rref`: rank, kernels, solutions and inverses are questions to it.
     """
-    if not vectors:
+    if not mats:
         return [], {}
-    length = len(vectors[0])
-    if any(len(v) != length for v in vectors):
-        raise ShapeError("vectors must share one length")
-    reduced, pivots = rref(list(zip(*vectors)))
+    shape = (mats[0].rows, mats[0].cols)
+    if any((m.rows, m.cols) != shape for m in mats):
+        raise ShapeError("matrices must share one shape")
+    vecs = [(m.den, *_vec_grids(m)) for m in mats]
+    reduced, pivots = rref(
+        [[_scalar_over(re[p], im[p], den) for den, re, im in vecs] for p in range(shape[0] * shape[1])]
+    )
     kept = set(pivots)
     coords = {
-        j: tuple(row[j] for row in reduced) for j in range(len(vectors)) if j not in kept
+        j: tuple(row[j] for row in reduced) for j in range(len(mats)) if j not in kept
     }
     return pivots, coords
 
 
+def _vec_grids(m: Matrix) -> tuple[list[int], list[int]]:
+    """The row-major vecs of the real and imaginary grids of m."""
+    return list(chain.from_iterable(m.re)), list(chain.from_iterable(m.im))
+
+
+def _columns(m: Matrix) -> list[Matrix]:
+    return [m.column(j) for j in range(m.cols)]
+
+
 def rank(m: Matrix) -> int:
     """The number of kept columns of m."""
-    return len(independent_subset(m.transpose().entries)[0])
+    return len(independent_subset(_columns(m))[0])
 
 
-def kernel_basis(m: Matrix) -> list[Vector]:
-    """Exact basis of the right kernel {v : m v = 0}.
+def kernel_basis(m: Matrix) -> list[Matrix]:
+    """Exact basis of the right kernel {v : m v = 0}, as columns.
 
     One vector e_c - sum_k coords[c][k] e_(kept[k]) per dependent column
     c of m, in column order, scaled so its first nonzero entry is 1.
     """
-    kept, coords = independent_subset(m.transpose().entries)
-    basis: list[Vector] = []
+    kept, coords = independent_subset(_columns(m))
+    basis = []
     for c, coord in coords.items():
         v = [ZERO] * m.cols
         v[c] = ONE
         for k, x in zip(kept, coord):
             v[k] = -x
         first = next(x for x in v if not x.is_zero)
-        if first != ONE:
-            inv = ONE / first
-            v = [inv * x for x in v]
-        basis.append(tuple(v))
+        basis.append(vector(v if first == ONE else [x / first for x in v]))
     return basis
 
 
@@ -624,7 +624,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     if a.rows != b.rows:
         raise ShapeError("row counts differ")
     n = a.cols
-    kept, coords = independent_subset(a.transpose().entries + b.transpose().entries)
+    kept, coords = independent_subset(_columns(a) + _columns(b))
     if kept and kept[-1] >= n:
         return None
     sol = [[ZERO] * b.cols for _ in range(n)]
@@ -644,9 +644,26 @@ def inverse(m: Matrix) -> Matrix:
     return inv
 
 
-def outer(column: Vector, functional: Vector) -> Matrix:
-    """The rank-one (or zero) matrix column * functional^T."""
-    return Matrix.from_rows([[c * f for f in functional] for c in column])
+def ratio(w: Matrix, v: Matrix) -> Scalar | None:
+    """The scalar c with w = c v for a nonzero v of w's shape, or None
+    when w is no multiple of v.
+
+    Cross-multiplies the grids against the first nonzero entry of v, so
+    it eliminates nothing and builds only c.
+    """
+    if (w.rows, w.cols) != (v.rows, v.cols):
+        raise ShapeError("ratio needs two matrices of one shape")
+    w_re, w_im = _vec_grids(w)
+    v_re, v_im = _vec_grids(v)
+    p = next((i for i, (x, y) in enumerate(zip(v_re, v_im)) if x or y), None)
+    if p is None:
+        raise DomainError("ratio needs a nonzero v")
+    a, b, x, y = w_re[p], w_im[p], v_re[p], v_im[p]
+    # w_i (x + iy) == (a + ib) v_i at every i, in Gaussian integers
+    for wr, wi, vr, vi in zip(w_re, w_im, v_re, v_im):
+        if wr * x - wi * y != a * vr - b * vi or wr * y + wi * x != a * vi + b * vr:
+            return None
+    return _scalar_over(a, b, w.den) / _scalar_over(x, y, v.den)
 
 
 # -- polynomials -------------------------------------------------------
@@ -765,11 +782,11 @@ def random_scalar(rng: random.Random, height: int) -> Scalar:
     return Scalar(Fraction(num, den))
 
 
-def random_vector(dim: int, seed: int, height: int) -> Vector:
+def random_vector(dim: int, seed: int, height: int) -> Matrix:
     if height < 1:
         raise DomainError("sampling height must be at least 1")
     rng = random.Random(seed)
-    return tuple(random_scalar(rng, height) for _ in range(dim))
+    return vector([random_scalar(rng, height) for _ in range(dim)])
 
 
 def random_matrix(dim: int, seed: int, height: int) -> Matrix:
@@ -792,9 +809,9 @@ def random_invertible(dim: int, seed: int, height: int) -> Matrix:
     raise DomainError("could not sample an invertible matrix")  # pragma: no cover
 
 
-def random_nonzero_vector(dim: int, seed: int, height: int) -> Vector:
+def random_nonzero_vector(dim: int, seed: int, height: int) -> Matrix:
     for attempt in range(64):
         v = random_vector(dim, derive_seed(seed, attempt), height)
-        if not vec_is_zero(v):
+        if not v.is_zero:
             return v
     raise DomainError("could not sample a nonzero vector")  # pragma: no cover

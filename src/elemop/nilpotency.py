@@ -13,8 +13,9 @@ with a nonzero trace.  That takes k * C(k+m-1, m-1) products where the
 ordered words would take k + k^2 + ... + k^m.  Realness is decided once
 per space: a real space expands on one integer grid per matrix with
 `int_matmul`, any other on the real and imaginary grids with
-`gaussian_int_matmul`.  Any nonzero coefficient guarantees an explicit
-counterexample on the integer grid {0..m}^k.
+`gaussian_int_matmul`.  The first multiset beta with a nonzero trace
+pins an explicit counterexample on the integer grid {0..|beta|} over
+the support of beta.
 
 Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
@@ -40,7 +41,6 @@ from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
     ONE,
-    Vector,
     derive_seed,
     gaussian_int_matmul,
     int_matmul,
@@ -49,7 +49,7 @@ from .exact import (
     kernel_basis,
     linear_combination,
     random_matrix,
-    vec_is_zero,
+    ratio,
 )
 from .operators import (
     ElementaryOperator,
@@ -75,15 +75,17 @@ class NilpotentSpaceReport:
     counterexample: Matrix | None = None
 
 
-def _trace_identities_vanish(space: OperatorSpace) -> bool:
-    """Whether tr((sum t_i N_i)^p) is the zero polynomial for p = 1..m.
+def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
+    """The first multiset beta with tr S_beta nonzero, or None when
+    tr((sum t_i N_i)^p) is the zero polynomial for every p = 1..m.
 
     The coefficient of t^beta in (sum t_i N_i)^p, for a multiset beta of
     size p, is S_beta = sum over i in beta of S_(beta - e_i) N_i, and the
     identities vanish iff every tr S_beta is zero.  The expansion keeps
     one level of S's at a time, on the integer grids of the basis
     (denominators cleared per element, which only rescales each t_i), and
-    returns False at the first nonzero trace.  Each S_beta is one product:
+    returns beta, as sorted indices, at the first nonzero trace; levels
+    and multisets go in increasing order.  Each S_beta is one product:
     its S_(beta - e_i) side by side times its N_i stacked.  The last level
     needs only the traces, so there the S's become rows vec(S) and the N's
     columns vec(N^T), and each product is the 1 x 1 trace.
@@ -102,8 +104,9 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
     else:
         factors = [(n.re,) for n in space.basis]
         matmul = _real_matmul
-    if any(_has_trace(n) for n in factors):
-        return False
+    first = next((i for i, n in enumerate(factors) if _has_trace(n)), None)
+    if first is not None:
+        return (first,)
     level = {(i,): n for i, n in enumerate(factors)}
     for p in range(2, m + 1):
         if p == m:
@@ -122,10 +125,10 @@ def _trace_identities_vanish(space: OperatorSpace) -> bool:
                 *_stacked([factors[i] for _, i in terms]),
             )
             if _has_trace(s_beta):
-                return False
+                return beta
             following[beta] = s_beta
         level = following
-    return True
+    return None
 
 
 # Helpers on matrices held as tuples of integer grids: (re,) for a real
@@ -160,27 +163,23 @@ def _as_transposed_column(grids):
     return tuple([[g[b][a]] for a in range(len(g)) for b in range(len(g))] for g in grids)
 
 
-def _search_counterexample(space: OperatorSpace) -> Matrix:
-    """An element with nonzero trace power; exists once the certificate
-    fails, and sits on the integer grid {0..m}^k in the worst case."""
-    m = space.ambient_dim
-    k = space.dim
-    for n in space.basis:
-        if not is_nilpotent_matrix(n):
-            return n
-    for i in range(k):
-        for j in range(i + 1, k):
-            for sign in (ONE, -ONE):
-                cand = linear_combination((ONE, sign), (space.basis[i], space.basis[j]))
-                if not is_nilpotent_matrix(cand):
-                    return cand
-    for point in product(range(m + 1), repeat=k):
-        if not any(point):
-            continue
-        cand = linear_combination(point, space.basis)
+def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matrix:
+    """A non-nilpotent element on the grid {0..|beta|} over supp beta,
+    every other coefficient zero, for beta with tr S_beta nonzero.
+
+    With the t_i outside supp beta set to zero, tr((sum t_i N_i)^p) for
+    p = |beta| keeps the monomial t^beta and has degree at most p in
+    each remaining variable, so it is nonzero at some point of that grid
+    (Alon, Combinatorial Nullstellensatz, 1999); points go in product
+    order.
+    """
+    support = sorted(set(beta))
+    basis = [space.basis[i] for i in support]
+    for point in product(range(len(beta) + 1), repeat=len(support)):
+        cand = linear_combination(point, basis)
         if not is_nilpotent_matrix(cand):
             return cand
-    raise InconsistencyError("certificate failed but no grid counterexample exists")
+    raise InconsistencyError("nonzero trace but no grid counterexample exists")
 
 
 def subspace_all_nilpotent(
@@ -202,10 +201,10 @@ def subspace_all_nilpotent(
         return NilpotentSpaceReport(space, True, "exact-grid")
     cost = k * comb(k + m - 1, m - 1)
     if cost <= budget:
-        if _trace_identities_vanish(space):
+        beta = _first_nonzero_trace(space)
+        if beta is None:
             return NilpotentSpaceReport(space, True, "exact-grid")
-        counterexample = _search_counterexample(space)
-        return NilpotentSpaceReport(space, False, "exact-grid", counterexample)
+        return NilpotentSpaceReport(space, False, "exact-grid", _search_counterexample(space, beta))
     for t in range(trials):
         coeffs = _random_int_point(derive_seed(seed, t), k, DEFAULT_WITNESS_HEIGHT)
         cand = linear_combination(coeffs, space.basis)
@@ -243,7 +242,7 @@ class Flag:
     """Ordered independent vectors whose prefix spans are strictly shrunk
     by every element of the triangularized space."""
 
-    vectors: tuple[Vector, ...]
+    vectors: tuple[Matrix, ...]
 
 
 @dataclass(frozen=True)
@@ -251,10 +250,12 @@ class NotTriangularizable:
     stage: int
 
 
-def _quotient_map(flag: Sequence[Vector], m: int) -> Matrix:
+def _quotient_map(flag: Sequence[Matrix], m: int) -> Matrix:
     """Q with Q w = 0 exactly when w lies in span(flag): its rows are a
     kernel basis of the flag as rows, the identity for the empty flag."""
-    return Matrix.from_rows(kernel_basis(Matrix.from_rows(flag))) if flag else Matrix.identity(m)
+    if not flag:
+        return Matrix.identity(m)
+    return Matrix.from_columns(kernel_basis(Matrix.from_columns(flag).transpose())).transpose()
 
 
 def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
@@ -269,14 +270,14 @@ def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
     from 1) and is definitive.
     """
     m = space.ambient_dim
-    flag: list[Vector] = []
+    flag: list[Matrix] = []
     while len(flag) < m:
         q = _quotient_map(flag, m)
         images = [q @ t for t in space.basis] or [Matrix.zeros(1, m)]
         stacked = Matrix(
             1, [row for qt in images for row in qt.re], [row for qt in images for row in qt.im]
         )
-        cand = next((w for w in kernel_basis(stacked) if not vec_is_zero(q @ w)), None)
+        cand = next((w for w in kernel_basis(stacked) if not (q @ w).is_zero), None)
         if cand is None:
             return NotTriangularizable(stage=len(flag) + 1)
         flag.append(cand)
@@ -355,14 +356,12 @@ def special_plane_form(space: OperatorSpace) -> SpecialForm:
     if len(kernel) != 1:
         raise InconsistencyError("dichotomy violated: kernel is not a line")
     p1 = kernel[0]
-    image = second @ (first @ p1)
-    pivot = next((i for i, x in enumerate(p1) if not x.is_zero))
-    delta = image[pivot] / p1[pivot]
-    if delta.is_zero or image != tuple(delta * x for x in p1):
+    col2 = first @ p1
+    delta = ratio(second @ col2, p1)
+    if delta is None or delta.is_zero:
         raise InconsistencyError("dichotomy violated: no fixed line")
     second_scaled = (ONE / delta) * second
-    col2 = first @ p1
-    col3 = tuple(-x for x in (first @ col2))
+    col3 = -(first @ col2)
     conjugator = Matrix.from_columns([p1, col2, col3])
     try:
         p_inv = inverse(conjugator)

@@ -31,18 +31,13 @@ from .errors import (
 from .exact import (
     Matrix,
     ONE,
-    Scalar,
-    Vector,
-    ZERO,
     coefficient_tensor_is_zero,
     gaussian_int_combination,
     gaussian_int_matmul,
     independent_subset,
     inverse,
     linear_combination,
-    solve,
-    vec_scale,
-    vec_sub,
+    ratio,
 )
 from .spaces import OperatorSpace, reduce_basis
 
@@ -134,7 +129,7 @@ def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
 def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]]:
     """Keep the earliest independent left coefficients and fold every
     dropped pair's right coefficient into the kept pairs."""
-    kept, coords = independent_subset([a.vectorize() for a, _ in pairs])
+    kept, coords = independent_subset([a for a, _ in pairs])
     if len(kept) == len(pairs):
         return pairs
     dropped = [pairs[j][1] for j in coords]
@@ -214,8 +209,11 @@ def _require_reduced(phi: ElementaryOperator, op_name: str):
 def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Representation:
     """Rewrite phi over a chosen basis of its left coefficient space.
 
-    Solves u_j = sum_k P[k][j] a_k for the unique P, then carries the
-    right coefficients through P^{-1}, which keeps the map.  Dependent
+    Solves u_j = sum_k P[k][j] a_k for the unique P: the a_k are
+    independent, so one independent subset of a_1..a_n, u_1..u_n keeps
+    every a_k, keeps no u_j exactly when each lies in the left space,
+    and gives column j of P as the coordinates of u_j.  Then the right
+    coefficients go through P^{-1}, which keeps the map.  Dependent
     proposals make P singular, and the DomainError of that one inverse
     becomes BasisError.
     """
@@ -223,12 +221,10 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     n = phi.term_count
     if len(new_left) != n:
         raise BasisError(f"expected {n} basis matrices, got {len(new_left)}")
-    p = solve(
-        Matrix.from_columns([a.vectorize() for a, _ in phi.pairs]),
-        Matrix.from_columns([u.vectorize() for u in new_left]),
-    )
-    if p is None:
+    kept, coords = independent_subset([a for a, _ in phi.pairs] + list(new_left))
+    if len(kept) > n:
         raise BasisError("a proposed basis matrix lies outside the left space")
+    p = Matrix.from_rows([[coords[n + j][k] for j in range(n)] for k in range(n)])
     try:
         p_inv = inverse(p)
     except DomainError:
@@ -252,7 +248,7 @@ def _apply_scalar_change(phi: ElementaryOperator, p: Matrix, p_inv: Matrix) -> R
     n = phi.term_count
     left = [a for a, _ in phi.pairs]
     right = [b for _, b in phi.pairs]
-    u = tuple(linear_combination(p.column(j), left) for j in range(n))
+    u = tuple(linear_combination(column, left) for column in p.transpose().entries)
     v = tuple(linear_combination(row, right) for row in p_inv.entries)
     return Representation(phi.dim, u, v, p)
 
@@ -272,32 +268,27 @@ def compose_is_zero(psi: ElementaryOperator, phi: ElementaryOperator) -> bool:
     )
 
 
-def local_matrix(phi: ElementaryOperator, zeta: Vector, x: Matrix) -> Matrix:
+def local_matrix(phi: ElementaryOperator, zeta: Matrix, x: Matrix) -> Matrix:
     """Matrix of phi(x) restricted to span{a_i zeta} in that image basis.
 
-    Requires {a_i zeta} independent and x * b_i a_j zeta proportional to
-    zeta for every block; both are checked exactly and violations name
-    the offending condition and block.
+    Requires a column zeta with {a_i zeta} independent and x * b_i a_j
+    zeta proportional to zeta for every block; both are checked exactly
+    and violations name the offending condition and block.
     """
     n = phi.term_count
     if n == 0:
         raise ContractError("the zero operator has no local matrix")
-    if len(zeta) != phi.dim:
+    if zeta.rows != phi.dim or zeta.cols != 1:
         raise ShapeError("vector length does not match the ambient dimension")
     images = [a @ zeta for a, _ in phi.pairs]
     if len(independent_subset(images)[0]) != n:
         raise PreconditionError("the images a_i zeta are linearly dependent")
-    pivot_index = next(i for i in range(len(zeta)) if not zeta[i].is_zero)
-    rows: list[list[Scalar]] = [[ZERO] * n for _ in range(n)]
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            w = x @ (phi.pairs[i][1] @ (phi.pairs[j][0] @ zeta))
-            lam = w[pivot_index] / zeta[pivot_index]
-            if vec_sub(w, vec_scale(lam, zeta)) != tuple(ZERO for _ in zeta):
-                raise PreconditionError(
-                    f"x b_{i} a_{j} zeta is not proportional to zeta"
-                )
-            rows[i][j] = lam
+            rows[i][j] = ratio(x @ (phi.pairs[i][1] @ images[j]), zeta)
+            if rows[i][j] is None:
+                raise PreconditionError(f"x b_{i} a_{j} zeta is not proportional to zeta")
     return Matrix.from_rows(rows)
 
 

@@ -1,7 +1,8 @@
 """JSON formats shared by every module, plus content digests.
 
 A scalar is a two-element array of reduced-fraction strings, real part
-then imaginary part; a matrix is a row-major array of scalars.  The
+then imaginary part; a matrix is a row-major array of scalars, and a
+vector, a d x 1 matrix, is the flat array of its d scalars.  The
 boundary is strict on purpose: decimal literals are rejected rather than
 converted, unknown keys are rejected rather than ignored, and everything
 round-trips bit for bit.
@@ -16,7 +17,7 @@ from typing import Any
 
 from .classify import ClassificationVerdict, FormParameters
 from .errors import FormatError
-from .exact import Matrix, Scalar, Vector
+from .exact import Matrix, Scalar
 from .operators import ElementaryOperator, Representation
 
 SCHEMA_VERSION = "1"
@@ -74,14 +75,14 @@ def scalar_from_json(data: Any, where: str) -> Scalar:
     )
 
 
-def vector_to_json(v: Vector) -> list:
-    return [scalar_to_json(s) for s in v]
+def vector_to_json(v: Matrix) -> list:
+    return [scalar_to_json(s) for (s,) in v.entries]
 
 
-def vector_from_json(data: Any, where: str) -> Vector:
+def vector_from_json(data: Any, where: str) -> Matrix:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{where}: expected a nonempty array")
-    return tuple(scalar_from_json(e, f"{where}[{i}]") for i, e in enumerate(data))
+    return Matrix.from_rows([scalar_from_json(e, f"{where}[{i}]")] for i, e in enumerate(data))
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -137,14 +138,14 @@ def operator_from_json(data: Any, where: str = "operator") -> ElementaryOperator
     return ElementaryOperator(dim, tuple(pairs))
 
 
-def representation_to_json(rep: Representation, include_p: bool = True) -> dict:
-    out: dict = {
+def representation_to_json(rep: Representation) -> dict:
+    """The pairs u, v only.  P ties a representation to one particular
+    source pair list and is not re-checkable from the instance alone, so
+    no writer emits it; the reader still accepts an optional "P"."""
+    return {
         "u": [matrix_to_json(m) for m in rep.u],
         "v": [matrix_to_json(m) for m in rep.v],
     }
-    if include_p and rep.P is not None:
-        out["P"] = matrix_to_json(rep.P)
-    return out
 
 
 def representation_from_json(data: Any, dim: int, where: str = "representation") -> Representation:
@@ -175,7 +176,7 @@ def parameters_from_json(data: Any, dim: int, where: str = "parameters") -> Form
     for key in ("zeta0", "zeta1", "f", "g"):
         if key in data:
             vectors[key] = vector_from_json(data[key], f"{where}.{key}")
-            if len(vectors[key]) != dim:
+            if vectors[key].rows != dim:
                 raise FormatError(f"{where}.{key}: expected {dim} entries")
     r = data.get("r")
     if r is not None:
@@ -199,11 +200,7 @@ def verdict_to_json(verdict: ClassificationVerdict, dim: int) -> dict:
     if verdict.form is not None:
         out["form"] = verdict.form
     if verdict.representation is not None:
-        # P ties the representation to one particular source pair list and
-        # is not re-checkable from the instance alone, so it stays out.
-        out["representation"] = representation_to_json(
-            verdict.representation, include_p=False
-        )
+        out["representation"] = representation_to_json(verdict.representation)
     if verdict.witness is not None:
         out["witness"] = matrix_to_json(verdict.witness)
     if verdict.parameters is not None:

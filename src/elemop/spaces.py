@@ -17,14 +17,11 @@ from .errors import ContractError, InconsistencyError, RankError, SeparatingVect
 from .exact import (
     Matrix,
     ONE,
-    Vector,
     derive_seed,
     independent_subset,
-    outer,
     random_vector,
     rank,
-    scalar,
-    vec_is_zero,
+    vector,
     zero_vector,
 )
 
@@ -67,13 +64,13 @@ def reduce_basis(mats: Sequence[Matrix], ambient_dim: int | None = None) -> Oper
     for m in mats:
         if m.rows != d or m.cols != d:
             raise ShapeError("generators must share one square shape")
-    kept, _ = independent_subset([m.vectorize() for m in mats])
+    kept, _ = independent_subset(mats)
     return OperatorSpace(d, tuple(mats[i] for i in kept))
 
 
-def evaluate(space: OperatorSpace, zeta: Vector) -> list[Vector]:
-    """Reduced basis of span{T zeta : T in the basis}."""
-    if len(zeta) != space.ambient_dim:
+def evaluate(space: OperatorSpace, zeta: Matrix) -> list[Matrix]:
+    """Reduced basis of span{T zeta : T in the basis}, for a column zeta."""
+    if zeta.rows != space.ambient_dim or zeta.cols != 1:
         raise ShapeError("vector length does not match the ambient dimension")
     images = [t @ zeta for t in space.basis]
     kept, _ = independent_subset(images)
@@ -91,12 +88,12 @@ class LocalDimResult:
     """
 
     value: int
-    witness: Vector
+    witness: Matrix
     trials_used: int
     exact: bool
 
 
-def _image_dim(space: OperatorSpace, zeta: Vector) -> int:
+def _image_dim(space: OperatorSpace, zeta: Matrix) -> int:
     return len(evaluate(space, zeta))
 
 
@@ -120,7 +117,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
         count = 0
         for point in product(range(cap + 1), repeat=d):
             count += 1
-            zeta = tuple(scalar(c) for c in point)
+            zeta = vector(point)
             dim_here = _image_dim(space, zeta)
             if dim_here > best:
                 best = dim_here
@@ -136,7 +133,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
     for t in range(trials):
         used += 1
         if t == 0:
-            zeta = tuple(ONE for _ in range(d))
+            zeta = vector([1] * d)
         else:
             zeta = random_vector(d, derive_seed(seed, t), DEFAULT_SAMPLE_HEIGHT)
         dim_here = _image_dim(space, zeta)
@@ -150,7 +147,7 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
 
 def simultaneous_separating_vector(
     spaces: Sequence[OperatorSpace], seed: int = 0, trials: int = 32
-) -> Vector:
+) -> Matrix:
     """A single vector attaining the local dimension of every given space.
 
     Such vectors are generic, so seeded sampling finds one quickly; if the
@@ -163,12 +160,12 @@ def simultaneous_separating_vector(
     if any(s.ambient_dim != d for s in spaces):
         raise ShapeError("spaces must share the ambient dimension")
     targets = [local_dimension(s, seed=derive_seed(seed, 101 + i)).value for i, s in enumerate(spaces)]
-    best: Vector = zero_vector(d)
+    best = zero_vector(d)
     best_score = -1
     failing = 0
     for t in range(trials):
         if t == 0:
-            zeta = tuple(ONE for _ in range(d))
+            zeta = vector([1] * d)
         else:
             zeta = random_vector(d, derive_seed(seed, 7_000 + t), DEFAULT_SAMPLE_HEIGHT)
         score = 0
@@ -200,27 +197,29 @@ def is_locally_linearly_dependent(space: OperatorSpace, seed: int = 0, trials: i
 
 @dataclass(frozen=True)
 class RankOne:
-    """Factorization m = column * functional^T of a rank-one matrix.
+    """Factorization m = column @ functional^T of a rank-one matrix, both
+    factors d x 1.
 
     Normalized so the first nonzero entry of the functional is 1, which
     makes factorizations canonical and comparable.
     """
 
-    column: Vector
-    functional: Vector
+    column: Matrix
+    functional: Matrix
 
     def reconstruct(self) -> Matrix:
-        return outer(self.column, self.functional)
+        return self.column @ self.functional.transpose()
 
 
 def rank_one_factor(m: Matrix) -> RankOne:
+    """The column is the first nonzero column of m; with i the row of its
+    first nonzero entry c, the functional is row i of m divided by c."""
     actual = rank(m)
     if actual != 1:
         raise RankError(actual)
-    column = next(c for c in map(m.column, range(m.cols)) if not vec_is_zero(c))
-    row_index = next(i for i in range(m.rows) if not column[i].is_zero)
-    pivot = column[row_index]
-    functional = tuple(e / pivot for e in m.row(row_index))
+    column = next(c for c in map(m.column, range(m.cols)) if not c.is_zero)
+    i = next(i for i in range(m.rows) if column.re[i][0] or column.im[i][0])
+    functional = (ONE / column.entry(i, 0)) * m.transpose().column(i)
     factored = RankOne(column, functional)
     if factored.reconstruct() != m:
         raise InconsistencyError("rank-one reconstruction failed")  # pragma: no cover
@@ -233,7 +232,7 @@ class HatSpaceCheck(NamedTuple):
     local_dim: int
 
 
-def hat_space(space: OperatorSpace, probes: Sequence[Vector], seed: int = 0) -> HatSpaceCheck:
+def hat_space(space: OperatorSpace, probes: Sequence[Matrix], seed: int = 0) -> HatSpaceCheck:
     """Rank of the evaluation maps z -> (T -> T z) over the given probes.
 
     Each such map has rank dim(space applied at z), so the maximum over

@@ -1,9 +1,11 @@
 """Shared builders for the test suite."""
 
+import sys
+
 import pytest
 
 from elemop import exact
-from elemop.exact import Matrix, basis_vector, outer, zero_vector
+from elemop.exact import Matrix, basis_vector, zero_vector
 from elemop.operators import ElementaryOperator
 
 CRITERION_LINES = []
@@ -16,16 +18,19 @@ def record_criterion(line):
 
 @pytest.fixture
 def elimination_calls(monkeypatch):
-    """The vector counts of every `exact.independent_subset` call, the one
-    elimination, made while the test runs."""
+    """The matrix counts of every `exact.independent_subset` call, the one
+    elimination, made while the test runs, through whichever elemop module
+    binds it."""
     calls = []
     real = exact.independent_subset
 
-    def counting(vectors):
-        calls.append(len(vectors))
-        return real(vectors)
+    def counting(mats):
+        calls.append(len(mats))
+        return real(mats)
 
-    monkeypatch.setattr(exact, "independent_subset", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("elemop") and getattr(module, "independent_subset", None) is real:
+            monkeypatch.setattr(module, "independent_subset", counting)
     return calls
 
 
@@ -74,7 +79,7 @@ def dim_v1_operator(nilpotent_scalar_part=True):
     eta = basis_vector(d, 0)
     xi1, xi2 = basis_vector(d, 1), basis_vector(d, 2)
     rho = basis_vector(d, 3)
-    a1, a2 = outer(xi1, eta), outer(xi2, eta)
+    a1, a2 = xi1 @ eta.transpose(), xi2 @ eta.transpose()
     if nilpotent_scalar_part:
         b1 = Matrix.from_columns(
             [zero_vector(d), zero_vector(d), rho, basis_vector(d, 1)]

@@ -237,8 +237,8 @@ def test_criterion_06_plane_dichotomy():
         for v in flag.vectors:
             lower_rank = len(rref(prefix)[0])
             for t in plane.basis:
-                assert len(rref(prefix + [t @ v])[0]) == lower_rank
-            prefix.append(v)
+                assert len(rref(prefix + [(t @ v).transpose().row(0)])[0]) == lower_rank
+            prefix.append(v.transpose().row(0))
     record_criterion(
         "criterion 06: PASS - 50 special planes certified by exact conjugation, "
         "50 triangularizable planes verified by their flags"

@@ -306,6 +306,25 @@ def test_verify_rejects_parameter_vectors_of_wrong_length(specimen, field, value
     assert not check.ok and check.failed == "parameter length"
 
 
+@pytest.mark.parametrize("specimen, field", [
+    (specimen_form_ii, "zeta1"),
+    (specimen_form_ii, "f"),
+    (specimen_form_iii, "g"),
+    (specimen_form_iii, "zeta0"),
+])
+def test_verify_rejects_parameters_that_are_not_columns(specimen, field):
+    # the right entries laid out as a 1 x d row, or as a d x d matrix
+    phi = specimen()
+    verdict = classify_length3(phi)
+    column = getattr(verdict.parameters, field)
+    for value in (column.transpose(), Matrix.from_columns([column] * phi.dim)):
+        bad = dataclasses.replace(
+            verdict, parameters=dataclasses.replace(verdict.parameters, **{field: value})
+        )
+        check = verify_certificate(phi, bad)
+        assert not check.ok and check.failed == "parameter length"
+
+
 def test_verify_rejects_wrong_shape_representation():
     phi = generate("ii", 3, 4, seed=7)
     verdict = classify(phi)

@@ -31,10 +31,10 @@ from elemop.exact import (
     random_scalar,
     random_vector,
     rank,
+    ratio,
     rref,
     solve,
     trace,
-    vec_scale,
     vector,
     zero_vector,
 )
@@ -85,11 +85,22 @@ def test_shape_mismatch_rejected():
         trace(Matrix.zeros(2, 3))
     with pytest.raises(ShapeError):
         char_poly(Matrix.zeros(2, 3))
-    for ragged in ([vector([1, 2]), vector([1])], [vector([1]), vector([1, 2])]):
+    for ragged in ([[1, 2], [1]], [[1], [1, 2]]):
         with pytest.raises(ShapeError):
-            Matrix.from_columns(ragged)
+            Matrix.from_columns([vector(c) for c in ragged])
         with pytest.raises(ShapeError):
             Matrix.from_rows(ragged)
+    with pytest.raises(ShapeError):
+        Matrix.from_columns([Matrix.identity(2)])
+
+
+def test_vectors_are_columns_and_tuples_do_not_multiply():
+    v = vector([1, "1/2"])
+    assert (v.rows, v.cols) == (2, 1)
+    assert Matrix.from_rows([[1, 2], [3, 4]]) @ v == vector([2, 5])
+    assert Matrix.from_columns([v, 2 * v]) == Matrix.from_rows([[1, 2], ["1/2", 1]])
+    with pytest.raises(TypeError):
+        Matrix.identity(2) @ (ONE, ZERO)
 
 
 entry_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -428,6 +439,20 @@ def test_matrix_arithmetic_matches_scalar_reference():
     assert 3 * Matrix.identity(2) == Matrix.diagonal([3, 3])
 
 
+def test_ratio_reads_a_multiple_without_elimination(elimination_calls):
+    v = vector([0, "2/3", (1, -1)])
+    for c in (Scalar(Fraction(-5, 4)), Scalar(2, 3), ZERO):
+        assert ratio(c * v, v) == c
+    assert ratio(v + vector([0, 0, 1]), v) is None
+    assert ratio(vector([1, 0, 0]), v) is None
+    assert ratio(Scalar(0, 1) * v, Scalar(Fraction(1, 7)) * v) == Scalar(0, 7)
+    assert elimination_calls == []
+    with pytest.raises(DomainError):
+        ratio(v, zero_vector(3))
+    with pytest.raises(ShapeError):
+        ratio(v, v.transpose())
+
+
 def test_kernel_zero_matrix_is_standard_basis():
     basis = kernel_basis(Matrix.zeros(3))
     expected = [vector([1, 0, 0]), vector([0, 1, 0]), vector([0, 0, 1])]
@@ -471,7 +496,7 @@ def _incremental_subset(vectors):
     the coordinates of every dropped vector."""
     kept = []
     for idx, v in enumerate(vectors):
-        if len(rref([vectors[i] for i in kept] + [v])[0]) == len(kept) + 1:
+        if len(rref([_flat(vectors[i]) for i in kept] + [_flat(v)])[0]) == len(kept) + 1:
             kept.append(idx)
     coords = {}
     for idx, v in enumerate(vectors):
@@ -481,12 +506,13 @@ def _incremental_subset(vectors):
             coords[idx] = ()
             continue
         solution = solve(Matrix.from_columns([vectors[i] for i in kept]), Matrix.from_columns([v]))
-        coords[idx] = solution.column(0)
+        coords[idx] = _flat(solution)
     return kept, coords
 
 
-def _vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _flat(m):
+    """The entries of m as Scalars, row-major."""
+    return tuple(e for row in m.entries for e in row)
 
 
 def _mixed_vectors(seed):
@@ -506,7 +532,7 @@ def _mixed_vectors(seed):
         else:
             extra = zero_vector(length)
             for v in rng.sample(vectors, rng.randint(1, len(vectors))):
-                extra = _vec_add(extra, vec_scale(random_scalar(rng, 4), v))
+                extra = extra + random_scalar(rng, 4) * v
         vectors.insert(rng.randint(0, len(vectors)), extra)
     return vectors
 
@@ -518,15 +544,17 @@ def test_independent_subset_matches_incremental_reference():
         kept, coords = independent_subset(vectors)
         assert (kept, coords) == _incremental_subset(vectors)
         for idx, c in coords.items():
-            total = zero_vector(len(vectors[idx]))
+            total = zero_vector(vectors[idx].rows)
             for pos, k in enumerate(kept):
-                total = _vec_add(total, vec_scale(c[pos], vectors[k]))
+                total = total + c[pos] * vectors[k]
             assert total == vectors[idx]
 
 
 def test_independent_subset_rejects_ragged_vectors():
     with pytest.raises(ShapeError):
         independent_subset([vector([1, 2]), vector([1])])
+    with pytest.raises(ShapeError):
+        independent_subset([vector([1, 2, 3, 4]), Matrix.identity(2)])
 
 
 # -- elimination against sympy's Gaussian-rational field ------------------
@@ -567,24 +595,31 @@ def test_elimination_matches_sympy():
             for row in dm.to_Matrix().tolist()
         ]
 
+    def check_subset(mats):
+        # each matrix read as its row-major vec: kept = the pivots of the
+        # matrix of those vecs as columns, coordinates = the reduced
+        # form's non-pivot columns over the pivot rows
+        reduced, pivots = to_domain(Matrix.from_rows(zip(*map(_flat, mats)))).rref()
+        reduced_rows = to_rows(reduced)[:len(pivots)]
+        kept, coords = independent_subset(mats)
+        assert kept == list(pivots)
+        assert coords == {
+            j: tuple(row[j] for row in reduced_rows) for j in range(len(mats)) if j not in pivots
+        }
+        return pivots
+
     for d in range(1, 7):
-        for m in _elimination_inputs(d):
+        inputs = _elimination_inputs(d)
+        for m in inputs:
             dm = to_domain(m)
             assert rank(m) == dm.rank()
             expected_kernel = []
             for v in to_rows(dm.nullspace()):
                 first = next(x for x in v if not x.is_zero)
-                expected_kernel.append(tuple(x / first for x in v))
+                expected_kernel.append(vector(x / first for x in v))
             assert kernel_basis(m) == expected_kernel
-            # the columns of m as vectors: kept = pivots, coordinates = the
-            # reduced form's non-pivot columns over the pivot rows
-            reduced, pivots = dm.rref()
-            reduced_rows = to_rows(reduced)[:len(pivots)]
-            kept, coords = independent_subset([m.column(j) for j in range(m.cols)])
-            assert kept == list(pivots)
-            assert coords == {
-                j: tuple(row[j] for row in reduced_rows) for j in range(m.cols) if j not in pivots
-            }
+            # the columns of m as d x 1 matrices
+            pivots = check_subset([m.column(j) for j in range(m.cols)])
             # solve sets free variables to zero: with the pivots fixed, the
             # solution is unique, and b is consistent iff the ranks agree
             for b in (m @ _gaussian_matrix(m.cols, 2, derive_seed(1300, d)),
@@ -602,6 +637,10 @@ def test_elimination_matches_sympy():
             elif m.is_square:
                 with pytest.raises(DomainError):
                     inverse(m)
+        # square matrices over different denominators, with a dependent
+        # combination and a repeat among them
+        square = [Scalar(Fraction(1, k + 2)) * m for k, m in enumerate(inputs) if m.is_square]
+        check_subset(square + [square[0] - Scalar(Fraction(3, 7)) * square[1], square[0]])
 
 
 # -- nilpotency characterization -----------------------------------------

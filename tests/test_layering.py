@@ -8,9 +8,10 @@ module names `rref`.  So a change of elimination touches `rref` and
 `map(mul, ...)` is written only in `exact.int_matmul`, so no module
 forks a second product loop.  The characteristic polynomial is named
 only in `exact` and in the `oracle` printout of `cli`, so every verdict
-asks `is_nilpotent_matrix`.  And every public top-level function or
-class is used by some other module or by the benchmark, or is kept on
-purpose with its reason.  This parses the sources under src/ and
+asks `is_nilpotent_matrix`.  A vector is a d x 1 `Matrix`, so no
+module names the retired tuple-vector helpers.  And every public
+top-level function or class is used by some other module or by the
+benchmark, or is kept on purpose with its reason.  This parses the sources under src/ and
 perfbench/ and imports nothing from them.
 """
 
@@ -112,12 +113,32 @@ def test_cli_names_char_poly_only_for_the_oracle_printout():
     assert set(_references(tree, CHAR_POLY)) == allowed
 
 
+# -- one storage for vectors ----------------------------------------------
+
+TUPLE_VECTORS = {"Vector", "vectorize", "vec_sub", "vec_scale", "vec_is_zero", "outer", "_zero_vec"}
+
+
+def _defined(node):
+    """The name a definition binds, if any."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return (node.name,)
+    return ()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_names_a_tuple_vector_helper(path):
+    tree = ast.parse(path.read_text())
+    named = {
+        name for node in ast.walk(tree) for name in _named(node) + _defined(node)
+    }
+    assert sorted(named & TUPLE_VECTORS) == []
+
+
 # -- no dead surface -------------------------------------------------------
 
 #: Public names that no other module and no benchmark uses, kept because
 #: they carry a notion of the paper or are the way tests build inputs.
 KEEP = {
-    "vector": "builds a Vector from plain values, as Matrix.from_rows builds a Matrix",
     "necessary_trace_condition": "the paper's trace obstruction sum b_i a_i = 0",
     "dim_phi_x_squared_range": "the paper's rank bound on phi(x)^2 for the exceptional forms",
     "special_plane_member": "the paper's exceptional plane of nilpotent 3 x 3 matrices",

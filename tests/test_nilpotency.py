@@ -37,7 +37,7 @@ from elemop.nilpotency import (
     SPECIAL_PLANE_SECOND,
     SpecialForm,
     Triangularizable,
-    _trace_identities_vanish,
+    _first_nonzero_trace,
     all_x_nilpotent,
     block_strict_triangularize,
     classify_nilpotent_2dim_m3,
@@ -71,6 +71,11 @@ def conjugated_space(space, q):
     return reduce_basis([q_inv @ m @ q for m in space.basis])
 
 
+def _rows(columns):
+    """The d x 1 columns as rref's Scalar rows."""
+    return [c.transpose().row(0) for c in columns]
+
+
 def test_is_nilpotent_examples():
     assert is_nilpotent_matrix(Matrix.from_rows([[0, 1], [0, 0]]))
     assert not is_nilpotent_matrix(Matrix.identity(2))
@@ -100,6 +105,33 @@ def test_subspace_special_plane_certified():
         assert member.power(3).is_zero
     report = subspace_all_nilpotent(special_plane_space())
     assert report.all_nilpotent and report.method == "exact-grid"
+
+
+def test_counterexample_searches_the_support_of_the_first_nonzero_trace(monkeypatch):
+    # E01 E12 E20 is the cycle 0 -> 1 -> 2 -> 0, so the first nonzero
+    # trace is t0 t1 t2 at p = 3 and E13 stays out of the support: the
+    # search tests points of {0..3}^3 only, at most 64 of them.
+    space = reduce_basis([unit(4, 0, 1), unit(4, 1, 2), unit(4, 2, 0), unit(4, 1, 3)])
+    assert _first_nonzero_trace(space) == (0, 1, 2)
+    tested = []
+    real = nilpotency.is_nilpotent_matrix
+
+    def counting(m):
+        tested.append(m)
+        return real(m)
+
+    monkeypatch.setattr(nilpotency, "is_nilpotent_matrix", counting)
+    report = subspace_all_nilpotent(space)
+    assert not report.all_nilpotent and report.method == "exact-grid"
+    assert len(tested) <= 4**3
+    assert report.counterexample == unit(4, 0, 1) + unit(4, 1, 2) + unit(4, 2, 0)
+    assert char_poly(report.counterexample) != lambda_power(4)
+
+
+def test_counterexample_is_the_first_basis_element_with_a_trace():
+    space = reduce_basis([unit(3, 0, 1), unit(3, 2, 2) + unit(3, 0, 2), unit(3, 1, 1)])
+    assert _first_nonzero_trace(space) == (1,)
+    assert subspace_all_nilpotent(space).counterexample == space.basis[1]
 
 
 def test_subspace_zero_space():
@@ -156,7 +188,7 @@ def test_strict_triangularize_special_plane_fails_at_stage_one():
     k1 = kernel_basis(SPECIAL_PLANE_FIRST)
     k2 = kernel_basis(SPECIAL_PLANE_SECOND)
     assert k1 == [basis_vector(3, 2)] and k2 == [basis_vector(3, 0)]
-    assert len(rref(k1 + k2)[0]) == 2  # no common direction
+    assert len(rref(_rows(k1 + k2))[0]) == 2  # no common direction
     result = strict_triangularize(special_plane_space())
     assert isinstance(result, NotTriangularizable) and result.stage == 1
 
@@ -189,7 +221,7 @@ def test_strict_triangularize_gaussian_conjugated_upper(d):
     assert isinstance(flag, Flag)
     p_cols = [p.column(j) for j in range(d)]
     for j in range(1, d + 1):
-        assert rank(Matrix.from_rows(list(flag.vectors[:j]) + p_cols[:j])) == j
+        assert rank(Matrix.from_columns(list(flag.vectors[:j]) + p_cols[:j])) == j
     f = Matrix.from_columns(list(flag.vectors))
     f_inv = inverse(f)
     for t in space.basis:
@@ -209,10 +241,10 @@ def test_flag_invariant_holds_on_output():
         assert isinstance(flag, Flag)
         prefix = []
         for k, v in enumerate(flag.vectors):
-            lower_rank = len(rref(prefix)[0])
+            lower_rank = len(rref(_rows(prefix))[0])
             for t in space.basis:
                 image = t @ v
-                assert len(rref(prefix + [image])[0]) == lower_rank
+                assert len(rref(_rows(prefix + [image]))[0]) == lower_rank
             prefix.append(v)
 
 
@@ -626,7 +658,7 @@ def _kernel_cases():
     "space, expected", [pytest.param(s, e, id=name) for name, s, e in _kernel_cases()]
 )
 def test_trace_identities_match_ordered_word_walk(space, expected):
-    assert _trace_identities_vanish(space) is expected
+    assert (_first_nonzero_trace(space) is None) is expected
     assert _ordered_word_walk(space) is expected
 
 
@@ -646,7 +678,7 @@ def test_trace_identities_match_walk_on_seeded_spaces():
         if s % 5 == 0:
             mats.append(_gaussian_matrix(m, derive_seed(seed, 2), 4))
         space = reduce_basis(mats)
-        verdict = _trace_identities_vanish(space)
+        verdict = _first_nonzero_trace(space) is None
         assert verdict == _ordered_word_walk(space), s
         seen.add(verdict)
     assert seen == {True, False}
@@ -674,11 +706,11 @@ def _count_products(monkeypatch, kernel):
 def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
     calls = _count_products(monkeypatch, "int_matmul")
     # A nonzero trace among the generators decides before any product.
-    assert not _trace_identities_vanish(reduce_basis([unit(4, 0, 1), unit(4, 3, 3)]))
+    assert _first_nonzero_trace(reduce_basis([unit(4, 0, 1), unit(4, 3, 3)])) is not None
     assert calls == []
     # The cyclic permutation passes levels 1 and 2 and fails at the last
     # level, whose one product is a 1 x 1 trace.
-    assert not _trace_identities_vanish(reduce_basis([CYCLIC_3]))
+    assert _first_nonzero_trace(reduce_basis([CYCLIC_3])) is not None
     assert calls == [3, 1]
 
 
@@ -686,7 +718,7 @@ def test_trace_identities_stop_at_first_nonzero_level_on_gaussian_grids(monkeypa
     calls = _count_products(monkeypatch, "gaussian_int_matmul")
     # i P has tr (iP) = tr (iP)^2 = 0 and tr (iP)^3 = -3i: the same levels
     # as P, on the real and imaginary grids.
-    assert not _trace_identities_vanish(reduce_basis([I_UNIT * CYCLIC_3]))
+    assert _first_nonzero_trace(reduce_basis([I_UNIT * CYCLIC_3])) is not None
     assert calls == [3, 1]
 
 
@@ -707,10 +739,10 @@ def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, sw
         x = random_matrix(m, derive_seed(seed, 1), 3)
         mats[-1] = x - (trace(x) / scalar(m)) * Matrix.identity(m)
     space = reduce_basis(mats)
-    verdict = _trace_identities_vanish(space)
+    verdict = _first_nonzero_trace(space) is None
     assert not any(any(map(any, n.im)) for n in space.basis)
     for c in (I_UNIT, ONE + I_UNIT):
-        assert _trace_identities_vanish(reduce_basis([c * n for n in space.basis])) is verdict
+        assert (_first_nonzero_trace(reduce_basis([c * n for n in space.basis])) is None) is verdict
     if not swap:
         assert verdict is True
 
@@ -740,7 +772,7 @@ def test_trace_identities_against_sympy_expansion():
             if sympy.Poly(power.trace(), *t).as_dict():
                 vanish = False
                 break
-        assert _trace_identities_vanish(space) is vanish, name
+        assert (_first_nonzero_trace(space) is None) is vanish, name
 
 
 def test_subspace_budget_counts_the_multiset_recursion():

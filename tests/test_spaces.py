@@ -7,7 +7,6 @@ from elemop.exact import (
     Matrix,
     basis_vector,
     derive_seed,
-    outer,
     random_matrix,
     solve,
     vector,
@@ -51,9 +50,14 @@ def test_reduce_basis_idempotent_and_span_preserving():
     again = reduce_basis(list(space.basis))
     assert again.basis == space.basis
     # every input is an exact combination of the output basis
-    basis_matrix = Matrix.from_columns([b.vectorize() for b in space.basis])
+    basis_matrix = Matrix.from_columns([_vec(b) for b in space.basis])
     for m in mats:
-        assert solve(basis_matrix, Matrix.from_columns([m.vectorize()])) is not None
+        assert solve(basis_matrix, _vec(m)) is not None
+
+
+def _vec(m):
+    """vec(m), row-major, as a column."""
+    return vector(e for row in m.entries for e in row)
 
 
 def test_evaluate_examples():
@@ -112,7 +116,7 @@ def test_local_dimension_witness_reverifies():
 def test_separating_vector_single_space():
     space = reduce_basis([unit(2, 0, 0)])
     zeta = simultaneous_separating_vector([space])
-    assert not zeta[0].is_zero
+    assert not zeta.entry(0, 0).is_zero
 
 
 def test_separating_vector_two_diagonal_spaces():
@@ -160,7 +164,8 @@ def test_rank_one_factor_derived_example():
     factored = rank_one_factor(m)
     assert factored.column == vector([2, 1])
     assert factored.functional == vector([1, 2])
-    assert outer(factored.column, factored.functional) == m
+    assert factored.column @ factored.functional.transpose() == m
+    assert factored.reconstruct() == m
 
 
 def test_rank_one_factor_rejects_other_ranks():
@@ -175,9 +180,10 @@ def test_rank_one_normalization_canonical():
     for s in range(10):
         col = vector([s + 1, 2 * s + 1, 3])
         fun = vector([0, s + 2, 5])
-        factored = rank_one_factor(outer(col, fun))
-        first = next(c for c in factored.functional if not c.is_zero)
-        assert first == factored.functional[1] or not factored.functional[1].is_zero
+        factored = rank_one_factor(col @ fun.transpose())
+        entries = [c for (c,) in factored.functional.entries]
+        first = next(c for c in entries if not c.is_zero)
+        assert first == entries[1] or not entries[1].is_zero
 
 
 def test_hat_space_examples():
