@@ -328,7 +328,8 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix(
-            self.den * other.den, *gaussian_int_matmul(self.re, self.im, other.re, other.im)
+            self.den * other.den,
+            *gaussian_int_matmul(self.re, self.im, [*zip(*other.re)], [*zip(*other.im)]),
         )
 
     def power(self, k: int) -> "Matrix":
@@ -363,59 +364,57 @@ def _scalar_over(x: int, y: int, den: int) -> Scalar:
 
 
 #: Products with fewer output entries than this stay on the fused loop:
-#: there the transposition and the two realness scans cost more than the
-#: dot products save (measured on CPython 3.11, where 2 x 2 and 1 x L by
-#: L x 1 products run faster fused).
+#: there the two realness scans cost more than the dot products save
+#: (measured on CPython 3.11, where 2 x 2 and 1 x L by L x 1 products run
+#: faster fused).
 _DOT_MIN_ENTRIES = 9
 
 
-def int_matmul(a, b):
-    """The product of two integer matrices held as row grids, as a new
-    grid; the inputs are only read.
+def int_matmul(a, b_cols):
+    """The product of two integer matrices, a held as its rows and b as
+    its columns, as a new row grid; the inputs are only read.
 
     Every output entry is one integer dot product of a row of a with a
-    column of b, the columns transposed once per call.  This is the one
-    integer dot-product loop: the real branch of `gaussian_int_matmul`
-    and the real-space trace-identity expansion run on it.
+    column of b.  Taking b by columns leaves the transposition to the
+    caller, which makes it once per matrix rather than once per product.
+    This is the one integer dot-product loop: the real branch of
+    `gaussian_int_matmul` and the real-space trace-identity expansion run
+    on it.
     """
-    cols = [*zip(*b)]
-    return [[sum(map(mul, r, c)) for c in cols] for r in a]
+    return [[sum(map(mul, r, c)) for c in b_cols] for r in a]
 
 
-def gaussian_int_matmul(a_re, a_im, b_re, b_im):
-    """The product of two Gaussian-integer matrices held as real and
-    imaginary row grids, such as a `Matrix` stores.
+def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
+    """The product of two Gaussian-integer matrices, a held as real and
+    imaginary row grids, such as a `Matrix` stores, and b as its real and
+    imaginary column lists, the transposes of such grids.
 
-    Returns new (re_grid, im_grid) lists; the inputs are only read.  This
-    is the one product loop on Gaussian-integer grids:
+    Returns new (re_grid, im_grid) row lists; the inputs are only read.
+    This is the one product loop on Gaussian-integer grids:
     `Matrix.__matmul__`, `is_nilpotent_matrix`, `char_poly`,
-    `operators.apply` and the trace-identity expansion of complex spaces
-    all run on it.
+    `operators.apply` and `operators.sum_bi_ai` transpose their right
+    factor at the call, and the trace-identity expansion of complex
+    spaces builds its right factors as columns.
 
-    When both imaginary grids are all zero, the real grid is
-    `int_matmul(a_re, b_re)` and the imaginary grid is zero.  Otherwise,
-    and for products with few entries, each entry takes the four real
-    products in one fused loop.
+    When both imaginary parts are all zero, the real grid is
+    `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
+    Otherwise, and for products with few entries, each entry takes the
+    four real products in one fused loop over a row and a column pair.
     """
     if (
-        len(a_re) * len(b_re[0]) >= _DOT_MIN_ENTRIES
+        len(a_re) * len(b_re_cols) >= _DOT_MIN_ENTRIES
         and not any(map(any, a_im))
-        and not any(map(any, b_im))
+        and not any(map(any, b_im_cols))
     ):
-        return int_matmul(a_re, b_re), [[0] * len(b_re[0]) for _ in a_re]
-    inner = range(len(b_re))
-    cols = range(len(b_re[0]))
+        return int_matmul(a_re, b_re_cols), [[0] * len(b_re_cols) for _ in a_re]
+    cols = [*zip(b_re_cols, b_im_cols)]
     out_re, out_im = [], []
     for ar, ai in zip(a_re, a_im):
         row_re, row_im = [], []
-        for j in cols:
+        for br, bi in cols:
             acc_re = 0
             acc_im = 0
-            for t in inner:
-                x = ar[t]
-                y = ai[t]
-                u = b_re[t][j]
-                v = b_im[t][j]
+            for x, y, u, v in zip(ar, ai, br, bi):
                 acc_re += x * u - y * v
                 acc_im += x * v + y * u
             row_re.append(acc_re)
@@ -740,7 +739,10 @@ def char_poly(m: Matrix) -> Polynomial:
         coeffs_high.append(_scalar_over(c_re, c_im, den**k))
         if k < d:
             am_re, am_im = gaussian_int_matmul(
-                g_re, g_im, _add_to_diagonal(am_re, c_re), _add_to_diagonal(am_im, c_im)
+                g_re,
+                g_im,
+                [*zip(*_add_to_diagonal(am_re, c_re))],
+                [*zip(*_add_to_diagonal(am_im, c_im))],
             )
     return Polynomial(tuple(reversed(coeffs_high)))
 
@@ -763,7 +765,7 @@ def is_nilpotent_matrix(m: Matrix) -> bool:
     re_g, im_g = m.re, m.im
     steps = 1
     while steps < m.rows:
-        re_g, im_g = gaussian_int_matmul(re_g, im_g, re_g, im_g)
+        re_g, im_g = gaussian_int_matmul(re_g, im_g, [*zip(*re_g)], [*zip(*im_g)])
         steps *= 2
     return not any(map(any, re_g)) and not any(map(any, im_g))
 

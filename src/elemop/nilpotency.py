@@ -9,11 +9,14 @@ The certified mode expands those polynomials level by level over
 monomial multisets: the matrix coefficient of t^beta is
 S_beta = sum over i in beta of S_(beta - e_i) N_i, computed on the
 integer grids of the basis, and the expansion stops at the first level
-with a nonzero trace.  That takes k * C(k+m-1, m-1) products where the
-ordered words would take k + k^2 + ... + k^m.  Realness is decided once
-per space: a real space expands on one integer grid per matrix with
-`int_matmul`, any other on the real and imaginary grids with
-`gaussian_int_matmul`.  The first multiset beta with a nonzero trace
+with a nonzero trace.  That takes k * C(k+m-1, m-1) multiplications of
+m x m matrices where the ordered words would take k + k^2 + ... + k^m,
+in one kernel product per multiset: the S_(beta - e_i) side by side
+times the factor columns of the N_i stacked, where each N_i is
+transposed once per expansion and each stack is built once.  Realness
+is decided once per space: a real space expands on one integer grid per
+matrix with `int_matmul`, any other on the real and imaginary grids
+with `gaussian_int_matmul`.  The first multiset beta with a nonzero trace
 pins an explicit counterexample on the integer grid {0..|beta|} over
 the support of beta.
 
@@ -35,6 +38,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 from math import comb, lcm
+from operator import getitem
 from typing import Sequence
 
 from .errors import ContractError, DomainError, InconsistencyError
@@ -85,45 +89,52 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     one level of S's at a time, on the integer grids of the basis
     (denominators cleared per element, which only rescales each t_i), and
     returns beta, as sorted indices, at the first nonzero trace; levels
-    and multisets go in increasing order.  Each S_beta is one product:
-    its S_(beta - e_i) side by side times its N_i stacked.  The last level
-    needs only the traces, so there the S's become rows vec(S) and the N's
-    columns vec(N^T), and each product is the 1 x 1 trace.
+    and multisets go in increasing order.
+
+    Each S_beta is one kernel product: the rows of its S_(beta - e_i)
+    side by side times the columns of its N_i stacked.  Each basis
+    element is transposed once per call, and the stacked columns of each
+    distinct index tuple are built once per call and reused at every
+    level.  The last level needs only the traces, so there the S's
+    become rows vec(S) and the N's columns vec(N^T), each product is the
+    1 x 1 trace, and the stacks are those columns joined.
 
     Whether every basis element is real is read once, from the input.  A
     real space has real S's throughout, so each matrix is the one grid
     (re,) and each product one `int_matmul`; otherwise each is (re, im)
-    and each product one `gaussian_int_matmul`.  Both give the same
-    integer traces, so the verdict does not depend on the path.
+    and each product one `gaussian_int_matmul`.  Both kernels take the
+    same stacked columns and give the same integer traces, so the
+    verdict does not depend on the path.
     """
     m = space.ambient_dim
     k = space.dim
-    if any(any(map(any, n.im)) for n in space.basis):
-        factors = [(n.re, n.im) for n in space.basis]
-        matmul = gaussian_int_matmul
-    else:
-        factors = [(n.re,) for n in space.basis]
-        matmul = _real_matmul
+    real = not any(any(map(any, n.im)) for n in space.basis)
+    factors = [(n.re,) if real else (n.re, n.im) for n in space.basis]
     first = next((i for i, n in enumerate(factors) if _has_trace(n)), None)
     if first is not None:
         return (first,)
-    level = {(i,): n for i, n in enumerate(factors)}
+    # rows and columns as lists, which `_joined` adds
+    level = {(i,): tuple([*map(list, g)] for g in n) for i, n in enumerate(factors)}
+    columns = [tuple([*map(list, zip(*g))] for g in n) for n in factors]
+    stacks = {}
     for p in range(2, m + 1):
         if p == m:
             level = {alpha: _as_row(s) for alpha, s in level.items()}
-            factors = [_as_transposed_column(n) for n in factors]
+            columns = [_as_row(c) for c in columns]
+            stacks = {}
         following = {}
         for beta in combinations_with_replacement(range(k), p):
-            # (beta - e_i, i) for each distinct i in beta
-            terms = [
-                (beta[:j] + beta[j + 1:], beta[j])
-                for j in range(p)
-                if j == 0 or beta[j] != beta[j - 1]
-            ]
-            s_beta = matmul(
-                *_side_by_side([level[alpha] for alpha, _ in terms]),
-                *_stacked([factors[i] for _, i in terms]),
-            )
+            # the distinct i in beta, and beta - e_i for each
+            indices = tuple(dict.fromkeys(beta))
+            alphas = [beta[:j] + beta[j + 1:] for j in map(beta.index, indices)]
+            right = stacks.get(indices)
+            if right is None:
+                right = stacks[indices] = _joined([columns[i] for i in indices])
+            left = _joined([level[alpha] for alpha in alphas])
+            if real:
+                s_beta = (int_matmul(*left, *right),)
+            else:
+                s_beta = gaussian_int_matmul(*left, *right)
             if _has_trace(s_beta):
                 return beta
             following[beta] = s_beta
@@ -132,35 +143,25 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
 
 
 # Helpers on matrices held as tuples of integer grids: (re,) for a real
-# space, (re, im) otherwise.
-
-
-def _real_matmul(a, b):
-    return (int_matmul(a, b),)
+# space, (re, im) otherwise.  A grid is a list of rows, or of columns
+# where it is a right factor.
 
 
 def _has_trace(grids) -> bool:
-    return any(sum(g[r][r] for r in range(len(g))) for g in grids)
+    return any(sum(map(getitem, g, range(len(g)))) for g in grids)
 
 
-def _side_by_side(mats):
-    return tuple(
-        [[x for g in grids for x in g[r]] for r in range(len(grids[0]))] for grids in zip(*mats)
-    )
-
-
-def _stacked(mats):
-    return tuple([row for g in grids for row in g] for grids in zip(*mats))
+def _joined(mats):
+    """The matrices' lines joined index by index: rows side by side, or
+    columns stacked."""
+    return [[sum(lines, []) for lines in zip(*grids)] for grids in zip(*mats)]
 
 
 def _as_row(grids):
-    """vec(S) as a 1 x m^2 matrix."""
+    """vec(S) as the one row of a 1 x m^2 matrix; of a column list, vec(N^T)
+    as the one column of an m^2 x 1 matrix, so that tr(S N) is their
+    product."""
     return tuple([[x for row in g for x in row]] for g in grids)
-
-
-def _as_transposed_column(grids):
-    """vec(N^T) as an m^2 x 1 matrix, so that tr(S N) = vec(S) vec(N^T)."""
-    return tuple([[g[b][a]] for a in range(len(g)) for b in range(len(g))] for g in grids)
 
 
 def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matrix:
@@ -467,7 +468,8 @@ def witness_search(
     d = phi.dim
     s = sum_bi_ai(phi)
     s_zero = s.is_zero
-    s_column = _as_transposed_column((s.re, s.im))
+    s_t = s.transpose()
+    s_column = _as_row((s_t.re, s_t.im))
     for t in range(1, trials + 1):
         x = random_matrix(d, derive_seed(seed, 40_000 + t), height)
         traced = not s_zero and _has_trace(

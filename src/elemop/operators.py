@@ -112,10 +112,12 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
+    x_cols = [*zip(*x.re)], [*zip(*x.im)]
     terms = []
     for a, b in phi.pairs:
-        ax = gaussian_int_matmul(a.re, a.im, x.re, x.im)
-        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, b.re, b.im)))
+        ax = gaussian_int_matmul(a.re, a.im, *x_cols)
+        b_cols = [*zip(*b.re)], [*zip(*b.im)]
+        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, *b_cols)))
     return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))
 
 
@@ -296,7 +298,7 @@ def sum_bi_ai(phi: ElementaryOperator) -> Matrix:
     """The trace obstruction sum b_i a_i, each product formed on the
     integer grids and summed over one common denominator, as in apply."""
     terms = [
-        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, a.re, a.im))
+        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, [*zip(*a.re)], [*zip(*a.im)]))
         for a, b in phi.pairs
     ]
     return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))

@@ -270,6 +270,11 @@ def _naive_product(a_re, a_im, b_re, b_im):
     return out_re, out_im
 
 
+def _columns(grid):
+    """A row grid's columns, the form the kernels take their right factor in."""
+    return [list(c) for c in zip(*grid)]
+
+
 def _int_grids(rows, cols, kind, rng, height):
     """(re, im) integer grids; kind is "real", "complex" or "mixed"
     (every other row has a zero imaginary part)."""
@@ -302,12 +307,13 @@ def test_gaussian_int_matmul_matches_naive_product(a_kind, b_kind):
         for height in (3, 10**30):
             a = _int_grids(rows, inner, a_kind, rng, height)
             b = _int_grids(inner, cols, b_kind, rng, height)
-            before = repr((a, b))
-            out = gaussian_int_matmul(*a, *b)
+            b_cols = [_columns(g) for g in b]
+            before = repr((a, b_cols))
+            out = gaussian_int_matmul(*a, *b_cols)
             assert out == _naive_product(*a, *b)
-            assert repr((a, b)) == before  # the inputs are only read
+            assert repr((a, b_cols)) == before  # the inputs are only read
             # fresh output rows, never an input's
-            ids = {id(row) for grid in (*a, *b) for row in grid}
+            ids = {id(row) for grid in (*a, *b_cols) for row in grid}
             assert not any(id(row) in ids for grid in out for row in grid)
 
 
@@ -319,22 +325,42 @@ def test_int_matmul_matches_naive_product():
             b = _int_grids(inner, cols, "real", rng, height)[0]
             zero_a = [[0] * inner for _ in range(rows)]
             zero_b = [[0] * cols for _ in range(inner)]
-            before = repr((a, b))
-            out = int_matmul(a, b)
+            b_cols = _columns(b)
+            before = repr((a, b_cols))
+            out = int_matmul(a, b_cols)
             assert out == _naive_product(a, zero_a, b, zero_b)[0]
-            assert repr((a, b)) == before  # the inputs are only read
-            ids = {id(row) for grid in (a, b) for row in grid}
+            assert repr((a, b_cols)) == before  # the inputs are only read
+            ids = {id(row) for grid in (a, b_cols) for row in grid}
             assert not any(id(row) in ids for row in out)
 
 
 def test_gaussian_int_matmul_zero_and_unit_sides():
     zero = ([[0, 0], [0, 0]], [[0, 0], [0, 0]])
     m = ([[1, -2], [3, 4]], [[0, 5], [-6, 0]])
-    assert gaussian_int_matmul(*zero, *m) == zero
-    assert gaussian_int_matmul(*m, *zero) == zero
+    assert gaussian_int_matmul(*zero, *map(_columns, m)) == zero
+    assert gaussian_int_matmul(*m, *map(_columns, zero)) == zero
     i_unit = ([[0, 0], [0, 0]], [[1, 0], [0, 1]])
     # i * (re + i im) = -im + i re
-    assert gaussian_int_matmul(*i_unit, *m) == ([[0, -5], [6, 0]], [[1, -2], [3, 4]])
+    assert gaussian_int_matmul(*i_unit, *map(_columns, m)) == (
+        [[0, -5], [6, 0]],
+        [[1, -2], [3, 4]],
+    )
+
+
+def test_kernels_take_one_column_for_the_trace_screen():
+    # A 1 x L row times the one column of an L x 1 matrix, as the
+    # expansion's last level and the witness-search screen pass them: the
+    # right factor is [column], not L rows of one entry.
+    assert int_matmul([[1, 2, 3]], [[4, 5, 6]]) == [[32]]
+    assert int_matmul([[1, 0, 2]], [[-2, 7, 1]]) == [[0]]
+    # (1, 2 + i) . (3 + i, 4) = 3 + i + 8 + 4i
+    assert gaussian_int_matmul([[1, 2]], [[0, 1]], [[3, 4]], [[1, 0]]) == ([[11]], [[5]])
+    # the real branch takes the dot product only from 9 entries on, so
+    # this 1 x 1 real product runs the fused loop
+    assert gaussian_int_matmul([[1, 2, 3]], [[0, 0, 0]], [[4, 5, 6]], [[0, 0, 0]]) == (
+        [[32]],
+        [[0]],
+    )
 
 
 # -- kernels and rank ----------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -617,6 +618,28 @@ def _gaussian_invertible(m, seed):
 
 
 CYCLIC_3 = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+# Two 2 x 2 blocks [[0, t1], [t2, 0]] and [[0, t1], [-t2, 0]]: the traces
+# vanish up to p = 3, and the t1^2 t2^2 coefficient of the fourth power
+# is 4 tr(N1^2 N2^2) + 2 tr((N1 N2)^2) = 0 + 4.
+FIRST_NONZERO_P4 = [unit(4, 0, 1) + unit(4, 2, 3), unit(4, 1, 0) - unit(4, 3, 2)]
+
+
+def _late_trace_cases():
+    """(name, space, False) with the first nonzero trace at p = 3 and 4:
+    CYCLIC_3 and FIRST_NONZERO_P4, their i and (1 + i) multiples, and a
+    seeded conjugate of each, so both kernels meet the late levels."""
+    cases = []
+    for j, (name, mats) in enumerate(
+        [("first-nonzero-p3", [CYCLIC_3]), ("first-nonzero-p4-mixed", FIRST_NONZERO_P4)]
+    ):
+        m = mats[0].rows
+        multiples = [("", ONE), ("-times-i", I_UNIT), ("-times-1+i", ONE + I_UNIT)]
+        for t, (tag, c) in enumerate(multiples):
+            space = reduce_basis([c * n for n in mats])
+            q = random_invertible(m, derive_seed(340, 3 * j + t), 3)
+            cases.append((name + tag, space, False))
+            cases.append((name + tag + "-conjugated", conjugated_space(space, q), False))
+    return cases
 
 
 def _kernel_cases():
@@ -638,13 +661,19 @@ def _kernel_cases():
         # E12 and E21 are both nilpotent; the t1 t2 coefficient of the
         # square, E12 E21 + E21 E12 = I, is the first nonzero trace.
         ("first-nonzero-p2", reduce_basis([unit(2, 0, 1), unit(2, 1, 0)]), False),
-        # tr P = tr P^2 = 0 and tr P^3 = 3 for the cyclic permutation.
-        ("first-nonzero-p3", reduce_basis([CYCLIC_3]), False),
-        # Two 2 x 2 blocks [[0, t1], [t2, 0]] and [[0, t1], [-t2, 0]]: the
-        # traces vanish up to p = 3, and the t1^2 t2^2 coefficient of the
-        # fourth power is 4 tr(N1^2 N2^2) + 2 tr((N1 N2)^2) = 0 + 4.
-        ("first-nonzero-p4-mixed",
-         reduce_basis([unit(4, 0, 1) + unit(4, 2, 3), unit(4, 1, 0) - unit(4, 3, 2)]), False),
+        # tr P = tr P^2 = 0 and tr P^3 = 3 for the cyclic permutation,
+        # and FIRST_NONZERO_P4 first traces at p = 4; with multiples and
+        # conjugates of both.
+        *_late_trace_cases(),
+        # Several nonzero coefficients on the first nonzero level, so the
+        # order of the multisets decides beta: t0 t1 and t1^2 at p = 2
+        # (tr(E01 E10) = 1, tr N^2 = 2), t0 t1^2 and t1^3 at p = 3
+        # (tr(E01 P^2) = 1, tr P^3 = 3).
+        ("several-nonzero-p2",
+         reduce_basis([unit(2, 0, 1), unit(2, 1, 0) + unit(2, 0, 0) - unit(2, 1, 1)]), False),
+        ("several-nonzero-p3", reduce_basis([unit(3, 0, 1), CYCLIC_3]), False),
+        ("several-nonzero-p3-times-1+i",
+         reduce_basis([(ONE + I_UNIT) * unit(3, 0, 1), (ONE + I_UNIT) * CYCLIC_3]), False),
         # tr(N1 N2 + N2 N1) = 2i, a purely imaginary first nonzero trace.
         ("imaginary-trace-p2", reduce_basis([unit(3, 0, 1), I_UNIT * unit(3, 1, 0)]), False),
         # A real conjugated upper basis with one element made complex: the
@@ -722,6 +751,18 @@ def test_trace_identities_stop_at_first_nonzero_level_on_gaussian_grids(monkeypa
     assert calls == [3, 1]
 
 
+@pytest.mark.parametrize("kernel, scale", [("int_matmul", ONE), ("gaussian_int_matmul", I_UNIT)])
+def test_trace_identities_make_one_kernel_call_per_multiset(monkeypatch, kernel, scale):
+    # Conjugated strictly uppers of M_4, k = 6, all nilpotent: levels 2 and
+    # 3 take one 4-row product per multiset, C(7, 2) + C(8, 3) = 21 + 56,
+    # and the last level one 1-row trace per multiset, C(9, 4) = 126.
+    upper = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
+    space = reduce_basis([scale * n for n in upper.basis])
+    calls = _count_products(monkeypatch, kernel)
+    assert _first_nonzero_trace(space) is None
+    assert calls == [4] * (21 + 56) + [1] * 126
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(2, 5),
@@ -742,7 +783,9 @@ def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, sw
     verdict = _first_nonzero_trace(space) is None
     assert not any(any(map(any, n.im)) for n in space.basis)
     for c in (I_UNIT, ONE + I_UNIT):
-        assert (_first_nonzero_trace(reduce_basis([c * n for n in space.basis])) is None) is verdict
+        # ambient_dim: a swap for the zero matrix leaves the zero space
+        multiple = reduce_basis([c * n for n in space.basis], ambient_dim=m)
+        assert (_first_nonzero_trace(multiple) is None) is verdict
     if not swap:
         assert verdict is True
 
@@ -767,12 +810,21 @@ def test_trace_identities_against_sympy_expansion():
             element += ti * to_sympy(n)
         power = sympy.eye(m)
         vanish = True
-        for _ in range(m):
+        first = None
+        for p in range(1, m + 1):
             power = (power * element).expand()
-            if sympy.Poly(power.trace(), *t).as_dict():
+            coefficients = sympy.Poly(power.trace(), *t).as_dict()
+            if coefficients:
                 vanish = False
+                # lowest p first, then combinations_with_replacement order
+                first = next(
+                    beta
+                    for beta in combinations_with_replacement(range(space.dim), p)
+                    if coefficients.get(tuple(map(beta.count, range(space.dim))), 0) != 0
+                )
                 break
         assert (_first_nonzero_trace(space) is None) is vanish, name
+        assert _first_nonzero_trace(space) == first, name
 
 
 def test_subspace_budget_counts_the_multiset_recursion():
