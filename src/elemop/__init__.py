@@ -79,8 +79,6 @@ from .classify import (
     ClassificationVerdict,
     FormParameters,
     classify,
-    classify_length2,
-    classify_length3,
     construct_triangular_rep,
     dim_phi_x_squared_range,
     generate,

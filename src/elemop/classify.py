@@ -1,18 +1,19 @@
 """Decision procedures for local nilpotency of length <= 3 operators.
 
-The pipeline is exact end to end.  The vanishing of sum b_i a_i is a
-complete trace obstruction with a deterministic refuting argument when it
-fails.  A block flag on the coefficient products settles the fully
-triangular form at any length.  For length 3 the remaining structure
-lives in the scalar slice span of the block grid: writing the grid as
-sum_w S_w (x) M_w with scalar 3x3 matrices S_w, a representation change
-by P conjugates every S_w by P, so the classification reduces to the
-dichotomy for 2-dimensional nilpotent planes in M_3 followed by rank-one
-matching of the two surviving blocks.
+`classify` is one ladder of the paper's tests, exact end to end.  At
+length 3 the vanishing of sum b_i a_i is a complete trace obstruction
+with a deterministic refuting argument when it fails.  At every length a
+block flag on the coefficient products settles the fully triangular
+form, and at length <= 2 it is the whole decision.  For length 3 the
+remaining structure lives in the scalar slice span of the block grid:
+writing the grid as sum_w S_w (x) M_w with scalar 3x3 matrices S_w, a
+representation change by P conjugates every S_w by P, so the
+classification reduces to the dichotomy for 2-dimensional nilpotent
+planes in M_3 followed by rank-one matching of the two surviving blocks.
 
-Every positive verdict carries a representation whose claimed identities
-are re-checked, and an independent verifier re-validates certificates
-from the serialized data alone.
+Every positive verdict is built by `_lqn`, which returns it only once
+`verify_certificate` accepts it; that independent verifier also
+re-validates certificates from the serialized data alone.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import (
     ContractError,
     DimensionError,
     InconsistencyError,
+    RankError,
     UnsupportedLengthError,
 )
 from .exact import (
@@ -43,7 +45,6 @@ from .exact import (
     zero_vector,
 )
 from .nilpotency import (
-    DEFAULT_SUBSPACE_BUDGET,
     DEFAULT_TRIALS,
     block_strict_triangularize,
     refutes,
@@ -145,42 +146,22 @@ def _refutation(
     )
 
 
-def _checked_lqn(
-    phi: ElementaryOperator, verdict: ClassificationVerdict
+def _lqn(
+    phi: ElementaryOperator,
+    form: str,
+    rep: Representation,
+    branch: str,
+    parameters: FormParameters | None = None,
 ) -> ClassificationVerdict:
+    """The one builder of LQN verdicts: the verdict leaves only once the
+    independent verifier accepts it against phi."""
+    verdict = ClassificationVerdict(
+        "LQN", form, rep, parameters=parameters, evidence={"branch": branch}
+    )
     check = verify_certificate(phi, verdict)
     if not check:
         raise InconsistencyError(f"classifier produced an invalid certificate: {check.failed}")
     return verdict
-
-
-def classify_length2(
-    phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> ClassificationVerdict:
-    """Length <= 2: locally nilpotent iff the block grid strictly
-    triangularizes, in which case the two products on and below the
-    diagonal and the off-product all vanish."""
-    n, reduced = minimal_length(phi)
-    if n > 2:
-        raise ContractError(f"classify_length2 needs length <= 2, got {n}")
-    if n == 0:
-        rep = Representation(phi.dim, (), (), None)
-        return _checked_lqn(
-            phi,
-            ClassificationVerdict(
-                "LQN", FORM_LENGTH2, rep, evidence={"branch": "zero operator"}
-            ),
-        )
-    p = block_strict_triangularize(gram(reduced))
-    if p is not None:
-        rep = similarity_transform(reduced, p)
-        return _checked_lqn(
-            phi,
-            ClassificationVerdict(
-                "LQN", FORM_LENGTH2, rep, evidence={"branch": "block flag"}
-            ),
-        )
-    return _refutation(reduced, trials, seed, branch="length2 block flag failed")
 
 
 def construct_triangular_rep(phi: ElementaryOperator) -> Representation | None:
@@ -217,93 +198,57 @@ def _pattern_blocks(g: GramMatrix) -> tuple[Matrix, Matrix]:
     return x, y
 
 
-def classify_length3(
-    phi: ElementaryOperator,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    budget: int = DEFAULT_SUBSPACE_BUDGET,
+def classify(
+    phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> ClassificationVerdict:
-    """Complete classification of length-3 operators.
+    """Complete classification at minimal length <= 3, as one ladder;
+    longer operators raise UnsupportedLengthError.
 
-    Deterministic except for witness sampling on refutations: trace
-    obstruction, then the block flag as the strict flag of the slice
-    span, built and triangularized once; failing that, the span's
-    conjugation onto the exceptional plane of M_3 with rank-one matching
-    of the surviving blocks.
+    Deterministic except for witness sampling on refutations.  At length
+    3 the trace obstruction comes first.  At every length the block flag
+    is the strict flag of the slice span, built and triangularized once;
+    at length <= 2 it is the whole decision.  At length 3, failing the
+    flag, the span is conjugated onto the exceptional plane of M_3 and
+    the two surviving blocks are matched as rank-one factors.
     """
     n, reduced = minimal_length(phi)
-    if n != 3:
-        raise ContractError(f"classify_length3 needs length 3, got {n}")
-    if not sum_bi_ai(reduced).is_zero:
+    if n > 3:
+        raise UnsupportedLengthError(n)
+    if n == 0:
+        return _lqn(phi, FORM_LENGTH2, Representation(phi.dim, (), (), None), "zero operator")
+    if n == 3 and not necessary_trace_condition(reduced):
         return _refutation(reduced, trials, seed, branch="trace condition")
     slices = slice_span(gram(reduced))
     flag = strict_triangularize(slices)
     if isinstance(flag, Flag):
         rep = similarity_transform(reduced, Matrix.from_columns(flag.vectors))
-        return _checked_lqn(
-            phi,
-            ClassificationVerdict(
-                "LQN", FORM_PATTERN_I, rep, evidence={"branch": "block flag"}
-            ),
-        )
+        return _lqn(phi, FORM_PATTERN_I if n == 3 else FORM_LENGTH2, rep, "block flag")
+    if n < 3:
+        return _refutation(reduced, trials, seed, branch="length2 block flag failed")
     if slices.dim != 2:
         return _refutation(
             reduced, trials, seed, branch=f"slice span has dimension {slices.dim}"
         )
-    nil_report = subspace_all_nilpotent(slices, budget=budget)
-    if not nil_report.all_nilpotent:
+    if not subspace_all_nilpotent(slices).all_nilpotent:
         return _refutation(reduced, trials, seed, branch="slice span not nilpotent")
     rep = similarity_transform(reduced, special_plane_form(slices).conjugator)
     x, y = _pattern_blocks(rep.gram())
-    if rank(x) != 1 or rank(y) != 1:
+    try:
+        fx, fy = rank_one_factor(x), rank_one_factor(y)
+    except RankError:
         return _refutation(
             reduced, trials, seed, branch="pattern blocks are not rank one"
         )
-    fx = rank_one_factor(x)
-    fy = rank_one_factor(y)
     if fx.functional == fy.functional:
         params = FormParameters(zeta0=fy.column, zeta1=fx.column, f=fy.functional)
-        return _checked_lqn(
-            phi,
-            ClassificationVerdict(
-                "LQN",
-                FORM_SPECIAL_II,
-                rep,
-                parameters=params,
-                evidence={"branch": "shared functional"},
-            ),
-        )
+        return _lqn(phi, FORM_SPECIAL_II, rep, "shared functional", params)
     shared = ratio(fx.column, fy.column)
     if shared is not None:
         params = FormParameters(zeta0=fy.column, f=fy.functional, g=shared * fx.functional)
-        return _checked_lqn(
-            phi,
-            ClassificationVerdict(
-                "LQN",
-                FORM_SPECIAL_III,
-                rep,
-                parameters=params,
-                evidence={"branch": "shared column"},
-            ),
-        )
+        return _lqn(phi, FORM_SPECIAL_III, rep, "shared column", params)
     return _refutation(
         reduced, trials, seed, branch="pattern blocks share no column or functional"
     )
-
-
-def classify(
-    phi: ElementaryOperator,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    budget: int = DEFAULT_SUBSPACE_BUDGET,
-) -> ClassificationVerdict:
-    """Dispatch on the minimal length; lengths above 3 are unsupported."""
-    n, _ = minimal_length(phi)
-    if n > 3:
-        raise UnsupportedLengthError(n)
-    if n <= 2:
-        return classify_length2(phi, trials=trials, seed=seed)
-    return classify_length3(phi, trials=trials, seed=seed, budget=budget)
 
 
 def structure_dimv1(
@@ -369,16 +314,7 @@ def structure_dimv1(
     new_left.extend(new_pairs[r + t_idx][0] for t_idx in range(len(tail)))
     rep = change_left_basis(adjusted, new_left)
 
-    return _checked_lqn(
-        phi,
-        ClassificationVerdict(
-            "LQN",
-            FORM_DIMV1,
-            rep,
-            parameters=FormParameters(r=r),
-            evidence={"branch": "dimv1 structure"},
-        ),
-    )
+    return _lqn(phi, FORM_DIMV1, rep, "dimv1 structure", FormParameters(r=r))
 
 
 def _map_onto(target: Matrix, source: Matrix, d: int) -> Matrix:

@@ -17,7 +17,7 @@ from . import __version__
 from .classify import classify, generate, verify_certificate
 from .errors import DimensionError, ElemopError, FormatError, UnsupportedLengthError
 from .exact import char_poly
-from .nilpotency import DEFAULT_SUBSPACE_BUDGET, DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT
+from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT
 from .nilpotency import ProbablyNilpotent, Refuted, all_x_nilpotent
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
 from .serialize import (
@@ -118,7 +118,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     phi, _, data = _load_instance(args.path)
-    verdict = classify(phi, trials=args.trials, seed=args.seed, budget=args.budget)
+    verdict = classify(phi, trials=args.trials, seed=args.seed)
     digest = instance_digest(data)
     certificate = certificate_to_json(digest, verdict_to_json(verdict, phi.dim), TOOLCHAIN)
     out = args.out or (args.path + ".cert.json")
@@ -221,7 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify and write a certificate")
     p.add_argument("path")
     p.add_argument("--out")
-    p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_SUBSPACE_BUDGET)
     # 0 skips the witness search: a verdict the structural tiers cannot
     # reach is then Unknown (exit 3), never a pass
     p.add_argument("--trials", type=_int_at_least(0), default=DEFAULT_TRIALS)

@@ -97,6 +97,15 @@ def _image_dim(space: OperatorSpace, zeta: Matrix) -> int:
     return len(evaluate(space, zeta))
 
 
+def _sampled_candidates(d: int, seed: int, salt: int, trials: int):
+    """`trials` columns: the all-ones column, then seeded random columns."""
+    for t in range(trials):
+        if t == 0:
+            yield vector([1] * d)
+        else:
+            yield random_vector(d, derive_seed(seed, salt + t), DEFAULT_SAMPLE_HEIGHT)
+
+
 def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> LocalDimResult:
     """Max over z of dim(space applied to z), with a verifying witness.
 
@@ -111,38 +120,25 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
     cap = min(d, k)
     if k == 0:
         return LocalDimResult(0, zero_vector(d), 0, True)
-    if d * d * k <= EXACT_LOCAL_DIM_GATE:
-        best = 0
-        best_witness = zero_vector(d)
-        count = 0
-        for point in product(range(cap + 1), repeat=d):
-            count += 1
-            zeta = vector(point)
-            dim_here = _image_dim(space, zeta)
-            if dim_here > best:
-                best = dim_here
-                best_witness = zeta
-                if best == cap:
-                    break
-        return LocalDimResult(best, best_witness, count, True)
-    if trials < 1:
+    exact = d * d * k <= EXACT_LOCAL_DIM_GATE
+    if exact:
+        candidates = map(vector, product(range(cap + 1), repeat=d))
+    elif trials < 1:
         raise ContractError("at least one trial is required")
+    else:
+        candidates = _sampled_candidates(d, seed, 0, trials)
     best = 0
     best_witness = zero_vector(d)
     used = 0
-    for t in range(trials):
+    for zeta in candidates:
         used += 1
-        if t == 0:
-            zeta = vector([1] * d)
-        else:
-            zeta = random_vector(d, derive_seed(seed, t), DEFAULT_SAMPLE_HEIGHT)
         dim_here = _image_dim(space, zeta)
         if dim_here > best:
             best = dim_here
             best_witness = zeta
             if best == cap:
                 break
-    return LocalDimResult(best, best_witness, used, False)
+    return LocalDimResult(best, best_witness, used, exact)
 
 
 def simultaneous_separating_vector(
@@ -163,11 +159,7 @@ def simultaneous_separating_vector(
     best = zero_vector(d)
     best_score = -1
     failing = 0
-    for t in range(trials):
-        if t == 0:
-            zeta = vector([1] * d)
-        else:
-            zeta = random_vector(d, derive_seed(seed, 7_000 + t), DEFAULT_SAMPLE_HEIGHT)
+    for zeta in _sampled_candidates(d, seed, 7_000, trials):
         score = 0
         reject = -1
         for i, s in enumerate(spaces):

@@ -9,8 +9,6 @@ from elemop.classify import (
     ClassificationVerdict,
     FormParameters,
     classify,
-    classify_length2,
-    classify_length3,
     construct_triangular_rep,
     dim_phi_x_squared_range,
     generate,
@@ -53,7 +51,7 @@ def test_trace_condition_examples():
 
 def test_classify_length2_square_zero_pair():
     phi = single_pair(2, unit(2, 0, 1), unit(2, 0, 1))
-    verdict = classify_length2(phi)
+    verdict = classify(phi)
     assert verdict.status == "LQN" and verdict.form == "length2-zeros"
     assert verify_certificate(phi, verdict)
 
@@ -67,13 +65,13 @@ def test_classify_length2_swap_pair_refuted():
     g = gram(phi)
     assert g.block(0, 0).is_zero and g.block(1, 1).is_zero
     assert g.block(0, 1) == unit(2, 1, 1) and g.block(1, 0) == unit(2, 0, 0)
-    verdict = classify_length2(phi)
+    verdict = classify(phi)
     assert verdict.status == "NotLQN"
     assert refutes(phi, verdict.witness)
 
 
 def test_classify_length2_zero_operator():
-    verdict = classify_length2(ElementaryOperator.zero(2))
+    verdict = classify(ElementaryOperator.zero(2))
     assert verdict.status == "LQN"
     assert verify_certificate(ElementaryOperator.zero(2), verdict)
 
@@ -82,15 +80,10 @@ def test_classify_length2_certificate_has_cor35_zeros():
     # the two kept products on and below the diagonal vanish, as does the
     # off product in flag order
     phi = generate("i", 2, 3, seed=9)
-    verdict = classify_length2(phi)
+    verdict = classify(phi)
     assert verdict.status == "LQN"
     g = verdict.representation.gram()
     assert g.block(0, 0).is_zero and g.block(1, 0).is_zero and g.block(1, 1).is_zero
-
-
-def test_classify_length2_rejects_length3():
-    with pytest.raises(ContractError):
-        classify_length2(specimen_form_ii())
 
 
 def test_construct_triangular_rep_recovery():
@@ -116,7 +109,7 @@ def test_construct_triangular_rep_single_square_zero():
 
 def test_classify_length3_specimen_ii():
     phi = specimen_form_ii()
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     assert verdict.status == "LQN" and verdict.form == "special-ii"
     assert verdict.parameters.zeta0 == vector([1, 0, 0])
     assert verdict.parameters.zeta1 == vector([0, 1, 0])
@@ -126,7 +119,7 @@ def test_classify_length3_specimen_ii():
 
 def test_classify_length3_specimen_iii():
     phi = specimen_form_iii()
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     assert verdict.status == "LQN" and verdict.form == "special-iii"
     assert verdict.parameters.zeta0 == vector([1, 0, 0, 0])
     assert verdict.parameters.f == vector([1, 0, 0, 0])
@@ -136,7 +129,7 @@ def test_classify_length3_specimen_iii():
 
 def test_classify_length3_near_miss_refuted():
     phi = generate("remark45", 3, 4, seed=8)
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     assert verdict.status == "NotLQN"
     assert refutes(phi, verdict.witness)
 
@@ -149,21 +142,38 @@ def test_classify_length3_builds_and_triangularizes_the_slice_span_once(monkeypa
         monkeypatch.setattr(
             classify_module, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
         )
+    swap = ElementaryOperator.from_pairs(
+        2, [(unit(2, 0, 0), unit(2, 1, 1)), (unit(2, 1, 1), unit(2, 0, 0))]
+    )
     cases = [
+        (single_pair(2, unit(2, 0, 1), unit(2, 0, 1)), "length2-zeros"),
+        (swap, None),
+        (generate("i", 2, 3, seed=9), "length2-zeros"),
         (specimen_form_ii(), "special-ii"),
         (generate("i", 3, 4, seed=1), "pattern-i"),
         (generate("remark45", 3, 4, seed=8), None),
     ]
     for phi, form in cases:
         calls.clear()
-        verdict = classify_length3(phi)
+        verdict = classify(phi)
         assert verdict.form == form
         assert calls == ["slice_span", "strict_triangularize"]
 
 
-def test_classify_length3_wrong_length():
-    with pytest.raises(ContractError):
-        classify_length3(single_pair(2, unit(2, 0, 1), unit(2, 0, 1)))
+def test_classify_factors_each_pattern_block_with_one_elimination(elimination_calls):
+    # rank_one_factor decides rank one itself, so the special rung asks
+    # no separate rank of either block
+    cases = [
+        (specimen_form_ii(), "shared functional", 10),
+        (specimen_form_iii(), "shared column", 10),
+        (generate("ii", 3, 8, 5), "shared functional", 10),
+        (generate("remark45", 3, 8, 8), "pattern blocks are not rank one", 8),
+    ]
+    for phi, branch, eliminations in cases:
+        elimination_calls.clear()
+        verdict = classify(phi)
+        assert verdict.evidence["branch"] == branch
+        assert len(elimination_calls) == eliminations
 
 
 def test_classify_dispatcher_unsupported_length():
@@ -271,7 +281,7 @@ def test_generate_infeasible_dimensions():
 
 def test_verify_accepts_valid_and_names_tampering():
     phi = specimen_form_ii()
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     assert verify_certificate(phi, verdict)
     bumped = vector([0, 1, 1])  # tampered zeta1
     tampered = ClassificationVerdict(
@@ -295,7 +305,7 @@ def test_verify_accepts_valid_and_names_tampering():
 ])
 def test_verify_rejects_parameter_vectors_of_wrong_length(specimen, field, value):
     phi = specimen()
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     ragged = ClassificationVerdict(
         verdict.status,
         verdict.form,
@@ -315,7 +325,7 @@ def test_verify_rejects_parameter_vectors_of_wrong_length(specimen, field, value
 def test_verify_rejects_parameters_that_are_not_columns(specimen, field):
     # the right entries laid out as a 1 x d row, or as a d x d matrix
     phi = specimen()
-    verdict = classify_length3(phi)
+    verdict = classify(phi)
     column = getattr(verdict.parameters, field)
     for value in (column.transpose(), Matrix.from_columns([column] * phi.dim)):
         bad = dataclasses.replace(

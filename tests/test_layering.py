@@ -9,10 +9,12 @@ module names `rref`.  So a change of elimination touches `rref` and
 forks a second product loop.  The characteristic polynomial is named
 only in `exact` and in the `oracle` printout of `cli`, so every verdict
 asks `is_nilpotent_matrix`.  A vector is a d x 1 `Matrix`, so no
-module names the retired tuple-vector helpers.  And every public
-top-level function or class is used by some other module or by the
-benchmark, or is kept on purpose with its reason.  This parses the sources under src/ and
-perfbench/ and imports nothing from them.
+module names the retired tuple-vector helpers.  Every LQN verdict is
+built in `classify._lqn`, the one caller of `verify_certificate` in its
+module, so no positive verdict skips the trust boundary.  And every
+public top-level function or class is used by some other module or by
+the benchmark, or is kept on purpose with its reason.  This parses the
+sources under src/ and perfbench/ and imports nothing from them.
 """
 
 import ast
@@ -134,12 +136,46 @@ def test_no_module_names_a_tuple_vector_helper(path):
     assert sorted(named & TUPLE_VECTORS) == []
 
 
+# -- one builder of LQN verdicts ------------------------------------------
+
+
+def _lqn_builds(tree):
+    """Line numbers of every ClassificationVerdict(...) call whose status
+    is the constant "LQN", given by position or by keyword."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "ClassificationVerdict" in _named(node.func):
+            status = node.args[0] if node.args else None
+            for keyword in node.keywords:
+                if keyword.arg == "status":
+                    status = keyword.value
+            if isinstance(status, ast.Constant) and status.value == "LQN":
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "classify.py"], ids=lambda p: p.name)
+def test_no_other_module_builds_an_lqn_verdict(path):
+    assert _lqn_builds(ast.parse(path.read_text())) == []
+
+
+def test_only_lqn_builds_an_lqn_verdict_and_verifies_it():
+    tree = ast.parse((SRC / "classify.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    inside = set(_lqn_builds(functions["_lqn"]))
+    assert inside, "_lqn must build the LQN verdict"
+    assert set(_lqn_builds(tree)) == inside
+    verify = {"verify_certificate"}
+    checked = set(_references(functions["_lqn"], verify))
+    assert checked, "_lqn must call verify_certificate"
+    assert set(_references(tree, verify)) == checked
+
+
 # -- no dead surface -------------------------------------------------------
 
 #: Public names that no other module and no benchmark uses, kept because
 #: they carry a notion of the paper or are the way tests build inputs.
 KEEP = {
-    "necessary_trace_condition": "the paper's trace obstruction sum b_i a_i = 0",
     "dim_phi_x_squared_range": "the paper's rank bound on phi(x)^2 for the exceptional forms",
     "special_plane_member": "the paper's exceptional plane of nilpotent 3 x 3 matrices",
     "construct_triangular_rep": "the paper's representation with v_i u_j = 0 for i >= j",

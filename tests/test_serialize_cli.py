@@ -241,7 +241,6 @@ def test_cli_classify_unknown_exit_code(tmp_path):
         ("oracle", "--trials", "-3"),
         ("oracle", "--trials", "0"),
         ("classify", "--trials", "-1"),
-        ("classify", "--budget", "-5"),
     ],
 )
 def test_cli_rejects_out_of_range_counts(tmp_path, capsys, command, option, value):
@@ -255,12 +254,6 @@ def test_cli_rejects_out_of_range_counts(tmp_path, capsys, command, option, valu
     captured = capsys.readouterr()
     assert f"argument {option}: must be at least" in captured.err
     assert captured.out == "" and not out.exists()
-
-
-def test_cli_classify_accepts_zero_budget(tmp_path):
-    # budget 0 only moves subspace decisions to sampling; the verdict stands
-    inst = _generate_file(tmp_path, "ii", 3, seed=3)
-    assert main(["classify", str(inst), "--out", str(tmp_path / "c.json"), "--budget", "0"]) == 0
 
 
 def test_cli_classify_verify_round_trip(tmp_path):

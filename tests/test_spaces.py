@@ -8,6 +8,7 @@ from elemop.exact import (
     basis_vector,
     derive_seed,
     random_matrix,
+    random_vector,
     solve,
     vector,
     zero_vector,
@@ -145,6 +146,20 @@ def test_separating_vector_exhaustion_reports_evidence():
         # trials=0 exhausts immediately
         simultaneous_separating_vector([space], trials=0)
     assert err.value.trials == 0
+
+
+def test_sampled_candidates_are_all_ones_then_salted_seeds():
+    # both samplers try the all-ones column first; a space that kills it
+    # shows the next draw: salt 0 for the local dimension, 7000 for the
+    # separating vector
+    killed = Matrix.from_rows([[1, -1, 0], [0, 0, 0], [0, 0, 0]])
+    space = reduce_basis([killed, Matrix.from_rows([[0, 0, 0], [1, -1, 0], [0, 0, 0]])])
+    res = local_dimension(space, seed=3)
+    assert not res.exact and res.value == 2 and res.trials_used == 2
+    assert res.witness == random_vector(3, derive_seed(3, 1), 100)
+    line = reduce_basis([killed])
+    zeta = simultaneous_separating_vector([line], seed=3)
+    assert zeta == random_vector(3, derive_seed(3, 7_001), 100)
 
 
 def test_locally_linearly_dependent_examples():
