@@ -251,9 +251,7 @@ def classify(
     )
 
 
-def structure_dimv1(
-    phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> ClassificationVerdict:
+def structure_dimv1(phi: ElementaryOperator, seed: int = 0) -> ClassificationVerdict:
     """Structure theory when the products span a single line.
 
     Builds a representation whose block grid is strictly upper in its

@@ -17,8 +17,7 @@ from . import __version__
 from .classify import classify, generate, verify_certificate
 from .errors import DimensionError, ElemopError, FormatError, UnsupportedLengthError
 from .exact import char_poly
-from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT
-from .nilpotency import ProbablyNilpotent, Refuted, all_x_nilpotent
+from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT, witness_search
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
 from .serialize import (
     certificate_from_json,
@@ -172,32 +171,30 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     phi, _, _ = _load_instance(args.path)
-    result = all_x_nilpotent(
-        phi, trials=args.trials, seed=args.seed, height=args.height, mode="sampling"
-    )
-    if isinstance(result, Refuted):
-        poly = char_poly(apply(phi, result.witness))
+    found = witness_search(phi, trials=args.trials, seed=args.seed, height=args.height)
+    if found is not None:
+        witness, trial = found
+        poly = char_poly(apply(phi, witness))
         if args.json:
             print(
                 json.dumps(
                     {
-                        "witness": matrix_to_json(result.witness),
-                        "trial": result.trials_used,
+                        "witness": matrix_to_json(witness),
+                        "trial": trial,
                         "char_poly": [str(c) for c in poly.coefficients],
                     },
                     sort_keys=True,
                 )
             )
         else:
-            print(f"witness found at trial {result.trials_used}:")
-            print(result.witness.to_text())
+            print(f"witness found at trial {trial}:")
+            print(witness.to_text())
             print(f"char poly of phi(witness): {poly}")
         return EXIT_REFUTED
-    assert isinstance(result, ProbablyNilpotent)
     if args.json:
-        print(json.dumps({"witness": None, "trials": result.trials}, sort_keys=True))
+        print(json.dumps({"witness": None, "trials": args.trials}, sort_keys=True))
     else:
-        print(f"no witness found in {result.trials} trials")
+        print(f"no witness found in {args.trials} trials")
     return EXIT_OK
 
 
@@ -245,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     # with no trial, "no witness found" would read as a clean sampling pass
     p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=int, default=DEFAULT_WITNESS_HEIGHT)
+    p.add_argument("--height", type=_int_at_least(1), default=DEFAULT_WITNESS_HEIGHT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -66,7 +66,6 @@ from .operators import (
 from .spaces import OperatorSpace, reduce_basis
 
 DEFAULT_SUBSPACE_BUDGET = 200_000
-DEFAULT_GRID_BUDGET = 10_000
 DEFAULT_TRIALS = 200
 DEFAULT_WITNESS_HEIGHT = 100
 
@@ -415,7 +414,7 @@ def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
 @dataclass(frozen=True)
 class Certified:
     by: str
-    exponent: int | None = None
+    exponent: int
 
 
 @dataclass(frozen=True)
@@ -481,89 +480,62 @@ def witness_search(
 
 
 def all_x_nilpotent(
-    phi: ElementaryOperator,
-    budget: int = DEFAULT_GRID_BUDGET,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-    height: int = DEFAULT_WITNESS_HEIGHT,
-    mode: str = "auto",
+    phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> Certified | Refuted | ProbablyNilpotent:
-    """Is phi(x) nilpotent for every x?  Three tiers of evidence.
+    """Is phi(x) nilpotent for every x?  One ladder on the minimal form.
 
-    Structural: the length-at-most-3 classifier, whose verdict may come
-    from its own witness sampling, or a block flag at any length.  It
-    certifies all x at once with an explicit power exponent.  An Unknown
-    from the classifier is a branch that proves phi not locally nilpotent
-    but whose search found no witness; it is `Refuted` without a witness
-    unless the grid tier fits, and the search is not repeated.  Grid:
-    when (d+1)^(d*d) fits the budget, integer grid enumeration of the
-    trace-power identities is a complete decision.  Sampling: seeded
-    random arguments, where any hit is an exact refutation.
-
-    mode "auto" runs the tiers in that order; "grid" skips the
-    structural tier; "sampling" skips the first two tiers and the
-    zero-operator shortcut, giving an oracle that shares nothing with
-    the classifier's search.
+    The zero operator is certified at once.  Length at most 3 goes to
+    `classify`, whose LQN certifies all x with an explicit power exponent
+    and whose NotLQN is a refutation; `trials` and `seed` are its own
+    witness-sampling knobs.  Its Unknown is a branch that proves phi not
+    locally nilpotent but whose search found no witness, and that search
+    is not repeated.  A longer operator is certified by a block flag.  At
+    d <= 2 every case left is a proven refutation (a classifier Unknown,
+    or length d*d, which makes phi bijective), and the complete integer
+    grid attaches a witness to it.  Past that, an Unknown stays
+    `Refuted` without a witness, and anything else goes to
+    `witness_search`, where any hit is an exact refutation.
     """
-    if mode not in ("auto", "grid", "sampling"):
-        raise ContractError(f"unknown mode {mode!r}")
     n, reduced = minimal_length(phi)
-    if n == 0 and mode != "sampling":
+    if n == 0:
         return Certified(by="zero operator", exponent=1)
-    d = phi.dim
 
     unwitnessed = None  # the classifier branch of a refutation without a witness
-    if mode == "auto":
-        if n <= 3:
-            from .classify import classify
+    if n <= 3:
+        from .classify import FORM_SPECIAL_II, FORM_SPECIAL_III, classify
 
-            verdict = classify(reduced, trials=trials, seed=seed)
-            if verdict.status == "LQN":
-                return Certified(by=verdict.form or "canonical form", exponent=_form_exponent(verdict, n))
-            if verdict.status == "NotLQN":
-                return Refuted(
-                    by=verdict.evidence["branch"],
-                    witness=verdict.witness,
-                    trials_used=verdict.evidence["trials"],
-                )
-            unwitnessed = verdict.evidence["branch"]
-        else:
-            p = block_strict_triangularize(gram(reduced))
-            if p is not None:
-                return Certified(by="pattern-i", exponent=n + 1)
+        verdict = classify(reduced, trials=trials, seed=seed)
+        if verdict.status == "LQN":
+            special = verdict.form in (FORM_SPECIAL_II, FORM_SPECIAL_III)
+            return Certified(by=verdict.form, exponent=5 if special else n + 1)
+        if verdict.status == "NotLQN":
+            return Refuted(
+                by=verdict.evidence["branch"],
+                witness=verdict.witness,
+                trials_used=verdict.evidence["trials"],
+            )
+        unwitnessed = verdict.evidence["branch"]
+    elif block_strict_triangularize(gram(reduced)) is not None:
+        return Certified(by="pattern-i", exponent=n + 1)
 
-    if mode in ("auto", "grid") and (d + 1) ** (d * d) <= budget:
-        witness = _grid_refutation(reduced)
-        if witness is None:
-            return Certified(by="exact-grid", exponent=None)
-        return Refuted(by="exact-grid", witness=witness)
-
+    if phi.dim <= 2:
+        return Refuted(by="exact-grid", witness=_grid_refutation(reduced))
     if unwitnessed is not None:
         return Refuted(by=unwitnessed, witness=None, trials_used=trials)
-    found = witness_search(reduced, trials=trials, seed=seed, height=height)
+    found = witness_search(reduced, trials=trials, seed=seed)
     if found is not None:
         x, t = found
         return Refuted(by="witness search", witness=x, trials_used=t)
     return ProbablyNilpotent(trials=trials)
 
 
-def _form_exponent(verdict, n: int) -> int:
-    if verdict.form in ("pattern-i", "length2-zeros"):
-        return n + 1
-    if verdict.form in ("special-ii", "special-iii"):
-        return 5
-    if verdict.form == "dimv1-block":
-        r = verdict.parameters.r if verdict.parameters else n
-        return (r or n) + 2
-    return n + 2
-
-
-def _grid_refutation(phi: ElementaryOperator) -> Matrix | None:
-    """Complete integer-grid decision of the trace-power identities.
+def _grid_refutation(phi: ElementaryOperator) -> Matrix:
+    """An integer witness on the grid {0..d}^(d*d) for phi proven not
+    locally nilpotent.
 
     tr(phi(x)^p) has degree at most p <= d in every entry of x, so if
-    phi(x) is nilpotent at every point of {0..d}^(d*d) the identities
-    vanish everywhere.
+    phi(x) were nilpotent at every point of the grid the identities would
+    vanish everywhere; finding no witness contradicts the proof.
     """
     d = phi.dim
     for values in product(range(d + 1), repeat=d * d):
@@ -572,4 +544,4 @@ def _grid_refutation(phi: ElementaryOperator) -> Matrix | None:
         )
         if not is_nilpotent_matrix(apply(phi, x)):
             return x
-    return None
+    raise InconsistencyError("proven refutation but no grid witness exists")

@@ -15,7 +15,15 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .classify import ClassificationVerdict, FormParameters
+from .classify import (
+    FORM_DIMV1,
+    FORM_LENGTH2,
+    FORM_PATTERN_I,
+    FORM_SPECIAL_II,
+    FORM_SPECIAL_III,
+    ClassificationVerdict,
+    FormParameters,
+)
 from .errors import FormatError
 from .exact import Matrix, Scalar
 from .operators import ElementaryOperator, Representation
@@ -192,7 +200,7 @@ def parameters_from_json(data: Any, dim: int, where: str = "parameters") -> Form
 
 _VERDICT_KEYS = {"status", "form", "representation", "witness", "parameters", "evidence"}
 _STATUSES = {"LQN", "NotLQN", "Unknown"}
-_FORMS = {"pattern-i", "special-ii", "special-iii", "length2-zeros", "dimv1-block"}
+_FORMS = {FORM_PATTERN_I, FORM_SPECIAL_II, FORM_SPECIAL_III, FORM_LENGTH2, FORM_DIMV1}
 
 
 def verdict_to_json(verdict: ClassificationVerdict, dim: int) -> dict:

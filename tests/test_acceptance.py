@@ -28,17 +28,15 @@ from elemop.exact import (
     scalar,
 )
 from elemop.nilpotency import (
-    ProbablyNilpotent,
-    Refuted,
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
     SpecialForm,
     Triangularizable,
-    all_x_nilpotent,
     classify_nilpotent_2dim_m3,
     gerstenhaber_check,
     refutes,
     subspace_all_nilpotent,
+    witness_search,
 )
 from elemop.operators import (
     ElementaryOperator,
@@ -132,10 +130,11 @@ def test_criterion_03_trace_obstruction():
             eye = Matrix.identity(d)
             phi = ElementaryOperator.from_pairs(d, list(phi.pairs) + [(eye, eye)])
         assert not sum_bi_ai(phi).is_zero
-        result = all_x_nilpotent(phi, mode="sampling", trials=200, seed=s)
-        assert isinstance(result, Refuted), "oracle missed a trace violation"
-        assert result.trials_used <= 200
-        assert char_poly(apply(phi, result.witness)) != lambda_power(d)
+        found = witness_search(phi, trials=200, seed=s)
+        assert found is not None, "oracle missed a trace violation"
+        witness, trial = found
+        assert trial <= 200
+        assert char_poly(apply(phi, witness)) != lambda_power(d)
         refuted += 1
     assert refuted == 20
     record_criterion(
@@ -253,10 +252,11 @@ def test_criterion_07_near_miss_family():
         d = 4 + s % 2
         phi = generate("remark45", 3, d, seed=derive_seed(7100, s))
         assert necessary_trace_condition(phi)
-        result = all_x_nilpotent(phi, mode="sampling", trials=500, seed=s)
-        assert isinstance(result, Refuted)
-        assert result.trials_used <= 500
-        assert char_poly(apply(phi, result.witness)) != lambda_power(d)
+        found = witness_search(phi, trials=500, seed=s)
+        assert found is not None
+        witness, trial = found
+        assert trial <= 500
+        assert char_poly(apply(phi, witness)) != lambda_power(d)
     record_criterion(
         "criterion 07: PASS - 20 near-miss instances pass the trace "
         "obstruction and are refuted by sampling"
@@ -294,16 +294,15 @@ def test_criterion_08_classifier_oracle_agreement():
                 continue
         if verdict.status == "LQN":
             lqn += 1
-            result = all_x_nilpotent(phi, mode="sampling", trials=40, seed=seed)
-            assert isinstance(result, ProbablyNilpotent), (
+            assert witness_search(phi, trials=40, seed=seed) is None, (
                 "oracle found a witness against a certified instance"
             )
             assert verify_certificate(phi, verdict)
         elif verdict.status == "NotLQN":
             notlqn += 1
-            result = all_x_nilpotent(phi, mode="sampling", trials=1000, seed=seed)
-            if isinstance(result, Refuted):
-                assert refutes(phi, result.witness)
+            found = witness_search(phi, trials=1000, seed=seed)
+            if found is not None:
+                assert refutes(phi, found[0])
             else:  # pragma: no cover - sampling essentially always succeeds
                 assert refutes(phi, verdict.witness)
     assert generated_total > 0

@@ -25,7 +25,7 @@ from elemop.exact import (
     random_matrix,
     vector,
 )
-from elemop.nilpotency import Refuted, all_x_nilpotent, refutes
+from elemop.nilpotency import Refuted, all_x_nilpotent, refutes, witness_search
 from elemop.operators import (
     ElementaryOperator,
     adjoint_flip,
@@ -263,9 +263,9 @@ def test_generate_special_ii_at_minimal_dimension():
 def test_generate_near_miss_is_refuted_by_sampling():
     phi = generate("remark45", 3, 4, seed=13)
     assert necessary_trace_condition(phi)
-    result = all_x_nilpotent(phi, mode="sampling", trials=100, seed=4)
-    assert isinstance(result, Refuted)
-    assert char_poly(apply(phi, result.witness)) != lambda_power(4)
+    found = witness_search(phi, trials=100, seed=4)
+    assert found is not None
+    assert char_poly(apply(phi, found[0])) != lambda_power(4)
 
 
 def test_generate_infeasible_dimensions():

@@ -8,7 +8,9 @@ module names `rref`.  So a change of elimination touches `rref` and
 `map(mul, ...)` is written only in `exact.int_matmul`, so no module
 forks a second product loop.  The characteristic polynomial is named
 only in `exact` and in the `oracle` printout of `cli`, so every verdict
-asks `is_nilpotent_matrix`.  A vector is a d x 1 `Matrix`, so no
+asks `is_nilpotent_matrix`.  The `oracle` command names none of the
+classifier's structural tools, so its sampling shares no shortcut with
+the classifier.  A vector is a d x 1 `Matrix`, so no
 module names the retired tuple-vector helpers.  Every LQN verdict is
 built in `classify._lqn`, the one caller of `verify_certificate` in its
 module, so no positive verdict skips the trust boundary.  And every
@@ -113,6 +115,21 @@ def test_cli_names_char_poly_only_for_the_oracle_printout():
     allowed = set(_references(functions["_cmd_oracle"], CHAR_POLY))
     allowed.update(line for node in imports for line in _references(node, CHAR_POLY))
     assert set(_references(tree, CHAR_POLY)) == allowed
+
+
+CLASSIFIER_SHORTCUTS = {
+    "classify",
+    "minimal_length",
+    "all_x_nilpotent",
+    "block_strict_triangularize",
+    "subspace_all_nilpotent",
+}
+
+
+def test_oracle_names_no_classifier_shortcut():
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert _references(functions["_cmd_oracle"], CLASSIFIER_SHORTCUTS) == []
 
 
 # -- one storage for vectors ----------------------------------------------

@@ -268,11 +268,6 @@ def test_check_flag_rejects_a_broken_flag(basis, order):
         nilpotency._check_flag(space, flag)
 
 
-def test_all_x_nilpotent_rejects_unknown_modes():
-    with pytest.raises(ContractError):
-        all_x_nilpotent(specimen_form_ii(), mode="structural")
-
-
 def test_classify_plane_triangularizable():
     space = reduce_basis([unit(3, 0, 1), unit(3, 0, 2)])
     outcome = classify_nilpotent_2dim_m3(space)
@@ -421,10 +416,9 @@ def test_all_x_nilpotent_refutes_near_miss_family():
 
 
 def test_all_x_nilpotent_sampling_mode_is_pure():
+    # the sampling oracle is `witness_search` alone
     phi = specimen_form_ii()
-    result = all_x_nilpotent(phi, mode="sampling", trials=25)
-    assert isinstance(result, ProbablyNilpotent)
-    assert result.trials == 25
+    assert witness_search(phi, trials=25) is None
 
 
 def test_all_x_nilpotent_zero_operator_by_mode():
@@ -432,20 +426,43 @@ def test_all_x_nilpotent_zero_operator_by_mode():
     assert minimal_length(zero)[0] == 0
     assert all_x_nilpotent(zero) == Certified(by="zero operator", exponent=1)
     # the sampling oracle shares no shortcut with the classifier
-    assert all_x_nilpotent(zero, mode="sampling", trials=7) == ProbablyNilpotent(trials=7)
+    assert witness_search(zero, trials=7) is None
 
 
-def test_all_x_nilpotent_grid_mode_certifies_dimension_two():
-    phi = single_pair(2, unit(2, 0, 1), unit(2, 0, 1))
-    result = all_x_nilpotent(phi, mode="grid")
-    assert isinstance(result, Certified) and result.by == "exact-grid"
-    eye = Matrix.identity(2)
-    result = all_x_nilpotent(single_pair(2, eye, eye), mode="grid")
-    assert isinstance(result, Refuted)
-    # grid witnesses are integer matrices
-    for row in result.witness.entries:
-        for c in row:
-            assert c.re.denominator == 1 and c.im == 0
+def test_all_x_nilpotent_grid_tier_witnesses_dimension_two():
+    e00, e11 = unit(2, 0, 0), unit(2, 1, 1)
+    cases = [
+        # the anti-diagonal pair: with no sampling the classifier proves
+        # NotLQN without a witness
+        ([(e00, e11), (e11, e00)], 0),
+        # the transpose map sum E_ij x E_ij: length 4 = d^2, so bijective
+        ([(unit(2, i, j), unit(2, i, j)) for i in range(2) for j in range(2)], 200),
+    ]
+    for pairs, trials in cases:
+        phi = ElementaryOperator.from_pairs(2, pairs)
+        result = all_x_nilpotent(phi, trials=trials)
+        assert isinstance(result, Refuted) and result.by == "exact-grid"
+        assert refutes(phi, result.witness)
+        # grid witnesses are integer matrices
+        for row in result.witness.entries:
+            for c in row:
+                assert c.re.denominator == 1 and c.im == 0
+
+
+def test_all_x_nilpotent_past_the_block_flag_is_probably_nilpotent():
+    # special-ii on the leading 3 x 3 corner of M_5 plus x -> E23 x E33:
+    # locally nilpotent at length 4, where the block flag fails and only
+    # sampling is left
+    from elemop.classify import generate
+
+    def pad(m):
+        return Matrix.from_rows([[*row, ZERO, ZERO] for row in m.entries] + [[ZERO] * 5] * 2)
+
+    psi = generate("ii", 3, 3, seed=5)
+    pairs = [(pad(a), pad(b)) for a, b in psi.pairs] + [(unit(5, 2, 3), unit(5, 3, 3))]
+    phi = ElementaryOperator.from_pairs(5, pairs)
+    assert minimal_length(phi)[0] == 4
+    assert all_x_nilpotent(phi, trials=20) == ProbablyNilpotent(trials=20)
 
 
 def test_all_x_nilpotent_refutes_structurally_without_a_second_search(monkeypatch):

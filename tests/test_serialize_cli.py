@@ -240,6 +240,7 @@ def test_cli_classify_unknown_exit_code(tmp_path):
     [
         ("oracle", "--trials", "-3"),
         ("oracle", "--trials", "0"),
+        ("oracle", "--height", "0"),
         ("classify", "--trials", "-1"),
     ],
 )
