@@ -101,7 +101,7 @@ def _cmd_analyze(args) -> int:
     print(f"length: {n}")
     for label, space in named:
         ldim = local_dimension(space, seed=args.seed)
-        witness = "[" + ", ".join(str(c) for (c,) in ldim.witness.entries) + "]"
+        witness = ldim.witness.transpose().to_text()
         mode = "exact" if ldim.exact else f"sampled({ldim.trials_used})"
         print(f"{label}(phi): dim {space.dim}, local dim {ldim.value} ({mode}), witness {witness}")
     print("sum b_i a_i:" + (" zero" if s.is_zero else ""))

@@ -4,8 +4,11 @@ Scalars are complex numbers whose real and imaginary parts are rationals
 kept in lowest terms.  Matrices are dense, immutable and row-major, stored
 only as Gaussian-integer grids over one canonical denominator; the
 kernels compute on those grids, and a matrix builds Scalars only when its
-entries are read.  A vector is a d x 1 `Matrix`, so products, sums and
-scalings of vectors are the matrix ones and there is one storage format.
+entries are read.  Printing reads the grids too: `fraction_text` spells
+one part x/den, and matrix text, Scalar and Polynomial text and the JSON
+writers all go through it.  A vector is a d x 1 `Matrix`, so products,
+sums and scalings of vectors are the matrix ones and there is one storage
+format.
 Every operation is exact: there is no floating point anywhere in this
 module, and equality always means structural equality of reduced forms.
 
@@ -22,6 +25,7 @@ here can be regenerated bit for bit on any platform.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -32,6 +36,39 @@ from typing import Iterable, Sequence
 from .errors import DomainError, ShapeError
 
 _ZERO = Fraction(0)
+
+
+def fraction_text(x: int, den: int) -> str:
+    """The canonical spelling of x/den for den >= 1, equal to
+    str(Fraction(x, den)) byte for byte: "p", or "p/q" in lowest terms
+    with q > 1.
+
+    The one printer of numbers: matrix text, Scalar and Polynomial text
+    and the JSON writers read every part through it.  A part too long for
+    the interpreter's integer-to-text limit raises DomainError, so an
+    oversized number is bad input, never a crash.
+    """
+    try:
+        if den == 1:
+            return str(x)
+        g = gcd(x, den)
+        if g == den:
+            return str(x // g)
+        return f"{x // g}/{den // g}"
+    except ValueError:
+        raise DomainError(
+            f"a number has more than {sys.get_int_max_str_digits()} digits, too long to print"
+        ) from None
+
+
+def _gaussian_text(re: str, im: str) -> str:
+    """The text of re + im*i from its two part texts: "re", "imi" or
+    "re+imi" / "re-imi", leaving out a zero part."""
+    if im == "0":
+        return re
+    if re == "0":
+        return f"{im}i"
+    return f"{re}{'' if im[0] == '-' else '+'}{im}i"
 
 
 def _fraction(value) -> Fraction:
@@ -125,13 +162,10 @@ class Scalar:
         return other / self
 
     def __str__(self) -> str:
-        if not self.im:
-            return str(self.re)
-        im = f"{self.im}i"
-        if not self.re:
-            return im
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{im}"
+        re, im = self.re, self.im
+        return _gaussian_text(
+            fraction_text(re.numerator, re.denominator), fraction_text(im.numerator, im.denominator)
+        )
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -175,11 +209,13 @@ class Matrix:
     is (re + i*im)/den for integer row grids re and im, with den >= 1 and
     gcd(den, every grid entry) == 1.  So den is the least common
     denominator of the entries, and equal matrices have equal fields and
-    equal hashes.  The constructor normalizes any triple to that form,
-    and the kernels below build their results from grids directly.
+    equal hashes.  The constructor normalizes any triple with den != 0 to
+    that form, and the kernels below build their results from grids
+    directly.
     Scalar input is converted once, by `from_rows`; `Scalar`s are built
-    only when read, by `entry`, `row`, `entries`, `to_text` and the repr,
-    and none of them is cached.
+    only when read, by `entry`, `row` and `entries`, and none of them is
+    cached.  `to_text`, the repr and the JSON reader and writers work on
+    the grids and build none.
 
     A vector is a d x 1 matrix: `column` reads one from the grids,
     `from_columns` joins them, and a vector times a scalar, a matrix or
@@ -195,6 +231,12 @@ class Matrix:
         if not self.re or not self.re[0]:
             raise ShapeError("matrices must have at least one row and column")
         den, re, im = self.den, self.re, self.im
+        if den < 1:
+            if not den:
+                raise DomainError("a matrix denominator must not be zero")
+            den = -den
+            re = [[-x for x in row] for row in re]
+            im = [[-x for x in row] for row in im]
         g = den if den == 1 else gcd(den, *chain.from_iterable(re), *chain.from_iterable(im))
         if g > 1:
             den //= g
@@ -328,8 +370,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         return Matrix(
-            self.den * other.den,
-            *gaussian_int_matmul(self.re, self.im, [*zip(*other.re)], [*zip(*other.im)]),
+            self.den * other.den, *gaussian_int_matmul(self.re, self.im, *grid_columns(other))
         )
 
     def power(self, k: int) -> "Matrix":
@@ -346,13 +387,32 @@ class Matrix:
             k >>= 1
         return result
 
+    def _text_rows(self) -> list[str]:
+        """One "[e, e, ...]" per row, each entry printed from the grids as
+        its Scalar prints."""
+        den = self.den
+        return [
+            "["
+            + ", ".join(
+                _gaussian_text(fraction_text(x, den), fraction_text(y, den)) for x, y in zip(re, im)
+            )
+            + "]"
+            for re, im in zip(self.re, self.im)
+        ]
+
     def to_text(self) -> str:
         """Fixed row-major layout with reduced fractions, for reports."""
-        return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
+        return "\n".join(self._text_rows())
 
     def __repr__(self) -> str:
-        body = "; ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
-        return f"Matrix({body})"
+        return f"Matrix({'; '.join(self._text_rows())})"
+
+
+def grid_columns(m: Matrix):
+    """m's real and imaginary column lists, the form in which the kernels
+    take a right factor.  The imaginary list is None for a real m, whose
+    zero grid is then never transposed."""
+    return [*zip(*m.re)], ([*zip(*m.im)] if any(map(any, m.im)) else None)
 
 
 def _scalar_over(x: int, y: int, den: int) -> Scalar:
@@ -387,14 +447,15 @@ def int_matmul(a, b_cols):
 def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     """The product of two Gaussian-integer matrices, a held as real and
     imaginary row grids, such as a `Matrix` stores, and b as its real and
-    imaginary column lists, the transposes of such grids.
+    imaginary column lists, the transposes of such grids; b_im_cols may be
+    None for a real b, as `grid_columns` gives it.
 
     Returns new (re_grid, im_grid) row lists; the inputs are only read.
     This is the one product loop on Gaussian-integer grids:
-    `Matrix.__matmul__`, `is_nilpotent_matrix`, `char_poly`,
-    `operators.apply` and `operators.sum_bi_ai` transpose their right
-    factor at the call, and the trace-identity expansion of complex
-    spaces builds its right factors as columns.
+    `Matrix.__matmul__`, `operators.apply` and `operators.sum_bi_ai`
+    take their right factor from `grid_columns`, `is_nilpotent_matrix`
+    and `char_poly` transpose theirs at the call, and the trace-identity
+    expansion of complex spaces builds its right factors as columns.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -404,9 +465,11 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     if (
         len(a_re) * len(b_re_cols) >= _DOT_MIN_ENTRIES
         and not any(map(any, a_im))
-        and not any(map(any, b_im_cols))
+        and (b_im_cols is None or not any(map(any, b_im_cols)))
     ):
         return int_matmul(a_re, b_re_cols), [[0] * len(b_re_cols) for _ in a_re]
+    if b_im_cols is None:
+        b_im_cols = [(0,) * len(b_re_cols[0])] * len(b_re_cols)
     cols = [*zip(b_re_cols, b_im_cols)]
     out_re, out_im = [], []
     for ar, ai in zip(a_re, a_im):

@@ -34,6 +34,7 @@ from .exact import (
     coefficient_tensor_is_zero,
     gaussian_int_combination,
     gaussian_int_matmul,
+    grid_columns,
     independent_subset,
     inverse,
     linear_combination,
@@ -112,12 +113,11 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
-    x_cols = [*zip(*x.re)], [*zip(*x.im)]
+    x_cols = grid_columns(x)
     terms = []
     for a, b in phi.pairs:
         ax = gaussian_int_matmul(a.re, a.im, *x_cols)
-        b_cols = [*zip(*b.re)], [*zip(*b.im)]
-        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, *b_cols)))
+        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, *grid_columns(b))))
     return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))
 
 
@@ -298,7 +298,7 @@ def sum_bi_ai(phi: ElementaryOperator) -> Matrix:
     """The trace obstruction sum b_i a_i, each product formed on the
     integer grids and summed over one common denominator, as in apply."""
     terms = [
-        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, [*zip(*a.re)], [*zip(*a.im)]))
+        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, *grid_columns(a)))
         for a, b in phi.pairs
     ]
     return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))

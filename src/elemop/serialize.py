@@ -6,13 +6,19 @@ vector, a d x 1 matrix, is the flat array of its d scalars.  The
 boundary is strict on purpose: decimal literals are rejected rather than
 converted, unknown keys are rejected rather than ignored, and everything
 round-trips bit for bit.
+
+Matrices cross the boundary on their Gaussian-integer grids: the reader
+parses each part with `int` into a numerator and a denominator and
+builds one `Matrix` over their least common denominator, and the writers
+print each part x/den of the grids with `exact.fraction_text`.  Neither
+direction builds a `Scalar` or a `Fraction`.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Any
 
 from .classify import (
@@ -25,32 +31,62 @@ from .classify import (
     FormParameters,
 )
 from .errors import FormatError
-from .exact import Matrix, Scalar
+from .exact import Matrix, fraction_text
 from .operators import ElementaryOperator, Representation
 
 SCHEMA_VERSION = "1"
 
-_FRACTION_CHARS = frozenset("-/0123456789")
+_FRACTION_CHARS = "-/0123456789"
 
 
-def _fraction_from_string(text: Any, where: str) -> Fraction:
-    """Parse the canonical spelling only, so one value has one spelling
-    and one operator has one digest."""
+def _part(text: Any, index: int) -> tuple[int, int]:
+    """(p, q) of the part `text` of a scalar, q >= 1, in the canonical
+    spelling only ("p" or "p/q" with q > 1 and gcd(p, q) == 1), so one
+    value has one spelling and one operator has one digest.
+
+    A rejection is a FormatError whose message starts with "[index]", so
+    the caller only puts the entry's location in front of it.
+    """
     if not isinstance(text, str):
-        raise FormatError(f"{where}: expected a fraction string, got {text!r}")
-    value = None
+        raise FormatError(f"[{index}]: expected a fraction string, got {text!r}")
     # Sign, digits and slash spell every canonical value.  Filtering first
-    # keeps Fraction from expanding an exponent such as "1e999999999".
-    if set(text) <= _FRACTION_CHARS:
+    # keeps int() from reading spaces, underscores, a plus sign or other
+    # scripts' digits, and exponents such as "1e999999999" never reach it.
+    if not text.strip(_FRACTION_CHARS):
+        num, slash, den = text.partition("/")
         try:
-            value = Fraction(text)
-        except ZeroDivisionError:
-            raise FormatError(f"{where}: zero denominator in {text!r}") from None
+            # ValueError: not an integer, or too many digits for int()
+            p = int(num)
+            q = int(den) if slash else 1
         except ValueError:
             pass
-    if value is None or str(value) != text:
-        raise FormatError(f"{where}: {text!r} is not a canonical integer or reduced fraction")
-    return value
+        else:
+            if q == 0 and den.isdigit():
+                raise FormatError(f"[{index}]: zero denominator in {text!r}")
+            if str(p) == num and (
+                not slash or (q > 1 and str(q) == den and gcd(p, q) == 1)
+            ):
+                return p, q
+    raise FormatError(f"[{index}]: {text!r} is not a canonical integer or reduced fraction")
+
+
+def _entry(data: Any) -> tuple[int, int, int, int]:
+    """(p_re, q_re, p_im, q_im) of one [re, im] scalar; rejections as in
+    `_part`, with a message that follows the entry's location."""
+    if not isinstance(data, list) or len(data) != 2:
+        raise FormatError(f": expected [re, im], got {data!r}")
+    return (*_part(data[0], 0), *_part(data[1], 1))
+
+
+def _matrix_over_entries(rows: list[list[tuple[int, int, int, int]]]) -> Matrix:
+    """The matrix of parsed entries, its grids over the lcm of the part
+    denominators, which is already the canonical one."""
+    den = lcm(*(q for row in rows for _, q_re, _, q_im in row for q in (q_re, q_im)))
+    return Matrix(
+        den,
+        [[p * (den // q) for p, q, _, _ in row] for row in rows],
+        [[p * (den // q) for _, _, p, q in row] for row in rows],
+    )
 
 
 def _positive_int(value: Any, where: str) -> int:
@@ -70,31 +106,28 @@ def _require_keys(data: dict, allowed: set[str], required: set[str], where: str)
         raise FormatError(f"{where}: missing field(s) {sorted(missing)}")
 
 
-def scalar_to_json(s: Scalar) -> list[str]:
-    return [str(s.re), str(s.im)]
-
-
-def scalar_from_json(data: Any, where: str) -> Scalar:
-    if not isinstance(data, list) or len(data) != 2:
-        raise FormatError(f"{where}: expected [re, im], got {data!r}")
-    return Scalar(
-        _fraction_from_string(data[0], f"{where}[0]"),
-        _fraction_from_string(data[1], f"{where}[1]"),
-    )
-
-
 def vector_to_json(v: Matrix) -> list:
-    return [scalar_to_json(s) for (s,) in v.entries]
+    return [entry for (entry,) in matrix_to_json(v)]
 
 
 def vector_from_json(data: Any, where: str) -> Matrix:
     if not isinstance(data, list) or not data:
         raise FormatError(f"{where}: expected a nonempty array")
-    return Matrix.from_rows([scalar_from_json(e, f"{where}[{i}]")] for i, e in enumerate(data))
+    rows = []
+    for i, e in enumerate(data):
+        try:
+            rows.append([_entry(e)])
+        except FormatError as exc:
+            raise FormatError(f"{where}[{i}]{exc}") from None
+    return _matrix_over_entries(rows)
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(e) for e in row] for row in m.entries]
+    den = m.den
+    return [
+        [[fraction_text(x, den), fraction_text(y, den)] for x, y in zip(re, im)]
+        for re, im in zip(m.re, m.im)
+    ]
 
 
 def matrix_from_json(data: Any, where: str) -> Matrix:
@@ -109,10 +142,14 @@ def matrix_from_json(data: Any, where: str) -> Matrix:
             width = len(row)
         elif len(row) != width:
             raise FormatError(f"{where}[{i}]: ragged row")
-        rows.append(
-            tuple(scalar_from_json(e, f"{where}[{i}][{j}]") for j, e in enumerate(row))
-        )
-    return Matrix.from_rows(rows)
+        parsed = []
+        for j, e in enumerate(row):
+            try:
+                parsed.append(_entry(e))
+            except FormatError as exc:
+                raise FormatError(f"{where}[{i}][{j}]{exc}") from None
+        rows.append(parsed)
+    return _matrix_over_entries(rows)
 
 
 def _matrices_from_json(data: Any, where: str) -> tuple[Matrix, ...]:

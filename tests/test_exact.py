@@ -18,7 +18,9 @@ from elemop.exact import (
     ZERO,
     char_poly,
     derive_seed,
+    fraction_text,
     gaussian_int_matmul,
+    grid_columns,
     int_matmul,
     independent_subset,
     inverse,
@@ -58,6 +60,22 @@ def test_scalar_rejects_floats():
 def test_scalar_division_by_zero():
     with pytest.raises(DomainError):
         ONE / ZERO
+
+
+def test_oversized_numbers_are_a_domain_error_in_every_printer():
+    # 5000 digits pass the interpreter's 4300-digit limit for int -> str
+    big = 10**4999 + 1
+    for printed in (
+        lambda: fraction_text(big, 3),
+        lambda: fraction_text(-big, 1),
+        lambda: str(Scalar(1, Fraction(1, big))),
+        lambda: str(Polynomial.of([0, big])),
+        lambda: Matrix.from_rows([[1, big]]).to_text(),
+        lambda: repr(Matrix.from_rows([[(0, big)]])),
+    ):
+        with pytest.raises(DomainError, match="digits"):
+            printed()
+    assert fraction_text(-(10**4299), 10**4299 + 1) == str(Fraction(-(10**4299), 10**4299 + 1))
 
 
 small_fractions = st.fractions(
@@ -345,6 +363,22 @@ def test_gaussian_int_matmul_zero_and_unit_sides():
         [[0, -5], [6, 0]],
         [[1, -2], [3, 4]],
     )
+
+
+@pytest.mark.parametrize("a_kind", KINDS)
+def test_real_right_factor_needs_no_imaginary_columns(a_kind):
+    # grid_columns gives None for a real matrix, and the kernel reads it
+    # as all-zero columns on both of its branches
+    rng = random.Random(f"real-right-{a_kind}")
+    for rows, inner, cols in KERNEL_SHAPES:
+        a = _int_grids(rows, inner, a_kind, rng, 7)
+        b = _int_grids(inner, cols, "real", rng, 7)
+        b_cols = _columns(b[0])
+        assert gaussian_int_matmul(*a, b_cols, None) == _naive_product(*a, *b)
+        m = Matrix(1, b[0], b[1])
+        assert grid_columns(m) == ([tuple(c) for c in b_cols], None)
+    complex_m = Matrix(1, [[1, 2]], [[0, 3]])
+    assert grid_columns(complex_m) == ([(1,), (2,)], [(0,), (3,)])
 
 
 def test_kernels_take_one_column_for_the_trace_screen():

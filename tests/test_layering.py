@@ -13,7 +13,10 @@ classifier's structural tools, so its sampling shares no shortcut with
 the classifier.  A vector is a d x 1 `Matrix`, so no
 module names the retired tuple-vector helpers.  Every LQN verdict is
 built in `classify._lqn`, the one caller of `verify_certificate` in its
-module, so no positive verdict skips the trust boundary.  And every
+module, so no positive verdict skips the trust boundary.  Matrices are
+read and written at the JSON boundary, and printed as text, on their
+integer grids: `serialize` names neither `Fraction` nor `Scalar`, and
+`Matrix.to_text` and the repr read no `Scalar` entries.  And every
 public top-level function or class is used by some other module or by
 the benchmark, or is kept on purpose with its reason.  This parses the
 sources under src/ and perfbench/ and imports nothing from them.
@@ -186,6 +189,40 @@ def test_only_lqn_builds_an_lqn_verdict_and_verifies_it():
     checked = set(_references(functions["_lqn"], verify))
     assert checked, "_lqn must call verify_certificate"
     assert set(_references(tree, verify)) == checked
+
+
+# -- the text and JSON boundary on the grids ------------------------------
+
+SCALAR_TYPES = {"Fraction", "fractions", "Scalar"}
+SCALAR_READERS = {"entries", "entry", "row", "Scalar", "_scalar_over"}
+
+
+def test_serialize_names_neither_fraction_nor_scalar():
+    assert _references(ast.parse((SRC / "serialize.py").read_text()), SCALAR_TYPES) == []
+
+
+def test_matrix_text_reads_no_scalar_entries():
+    """to_text and the repr, and every Matrix method they reach through
+    self, read the grids only."""
+    tree = ast.parse((SRC / "exact.py").read_text())
+    matrix = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Matrix")
+    methods = {n.name: n for n in matrix.body if isinstance(n, ast.FunctionDef)}
+    todo, seen = ["to_text", "__repr__"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        assert _references(methods[name], SCALAR_READERS) == [], name
+        todo.extend(
+            node.attr
+            for node in ast.walk(methods[name])
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and node.attr in methods
+        )
+    assert {"to_text", "__repr__"} <= seen
 
 
 # -- no dead surface -------------------------------------------------------

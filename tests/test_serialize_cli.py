@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from elemop import operators
+from elemop import operators, serialize
 from elemop.classify import classify, generate
 from elemop.cli import main
-from elemop.errors import FormatError
-from elemop.exact import Matrix, scalar, vector
+from elemop.errors import DomainError, FormatError
+from elemop.exact import Matrix, fraction_text, scalar, vector
 from elemop.operators import ElementaryOperator
 from elemop.serialize import (
     instance_digest,
@@ -22,8 +25,6 @@ from elemop.serialize import (
     matrix_to_json,
     operator_from_json,
     operator_to_json,
-    scalar_from_json,
-    scalar_to_json,
     vector_from_json,
     vector_to_json,
     verdict_from_json,
@@ -32,28 +33,175 @@ from elemop.serialize import (
 from conftest import specimen_form_ii
 
 
+def _one_by_one(entry):
+    """The JSON of a 1 x 1 matrix whose one entry is `entry`."""
+    return [[entry]]
+
+
 def test_scalar_round_trip():
     values = [scalar("2/3", "-1/7"), scalar(-5), scalar(0, "9/4"), scalar(0)]
     for s in values:
-        assert scalar_from_json(scalar_to_json(s), "t") == s
+        data = matrix_to_json(Matrix.from_rows([[s]]))
+        assert matrix_from_json(data, "t").entry(0, 0) == s
 
 
 def test_scalar_rejects_decimals_and_numbers():
     with pytest.raises(FormatError) as err:
-        scalar_from_json(["0.5", "0"], "entry")
+        matrix_from_json(_one_by_one(["0.5", "0"]), "entry")
     assert "0.5" in str(err.value)
     with pytest.raises(FormatError):
-        scalar_from_json([0.5, "0"], "entry")
+        matrix_from_json(_one_by_one([0.5, "0"]), "entry")
     with pytest.raises(FormatError):
-        scalar_from_json(["1/0", "0"], "entry")
+        matrix_from_json(_one_by_one(["1/0", "0"]), "entry")
     # one value, one spelling: non-canonical forms would give one operator
     # several digests
     # exponents are never canonical, and must be refused before expansion
     for text in ("2/4", "+1/2", "01/02", "-0", "0/1", " 1", "1_0", "1e5000", "1E2"):
         with pytest.raises(FormatError) as err:
-            scalar_from_json([text, "0"], "entry")
+            matrix_from_json(_one_by_one([text, "0"]), "entry")
         assert repr(text) in str(err.value)
-    assert scalar_from_json(["1/2", "0"], "entry") == scalar("1/2")
+    assert matrix_from_json(_one_by_one(["1/2", "0"]), "entry").entry(0, 0) == scalar("1/2")
+
+
+# -- the grid boundary against Fraction -------------------------------------
+
+NON_CANONICAL = [
+    "-0", "0/1", "1/1", "2/4", "01", "+1", "1/-2", "1//2", "/2", "1/", "", "1_0", " 1", "1e5000",
+]
+
+
+@pytest.mark.parametrize("text", NON_CANONICAL)
+@pytest.mark.parametrize("part", [0, 1], ids=["re", "im"])
+def test_non_canonical_spellings_are_rejected_by_name(text, part):
+    entry = [text, "0"] if part == 0 else ["0", text]
+    for read, data, where in (
+        (matrix_from_json, [[["1", "0"], entry]], "m[0][1]"),
+        (vector_from_json, [["1", "0"], entry], "v[1]"),
+    ):
+        with pytest.raises(FormatError) as err:
+            read(data, where[0])
+        message = str(err.value)
+        assert message.startswith(f"{where}[{part}]: ") and repr(text) in message
+
+
+def test_the_character_filter_runs_before_int(monkeypatch):
+    # int() would read spaces, underscores, a plus sign and other scripts'
+    # digits; none of these spellings may reach it
+    seen = []
+    monkeypatch.setattr(serialize, "int", lambda text: seen.append(text) or int(text), raising=False)
+    for text in ("1e5000", "1_0", " 1", "+1", "\u0661", "1\n"):
+        with pytest.raises(FormatError):
+            matrix_from_json(_one_by_one([text, "0"]), "m")
+    assert seen == []
+    matrix_from_json(_one_by_one(["-3/4", "0"]), "m")
+    assert seen == ["-3", "4", "0"]
+
+
+def test_zero_denominators_are_named_as_such():
+    for text in ("1/0", "-3/00", "0/0", "07/0"):
+        with pytest.raises(FormatError) as err:
+            matrix_from_json(_one_by_one(["1", text]), "m")
+        assert str(err.value) == f"m[0][0][1]: zero denominator in {text!r}"
+    # a signed denominator is no denominator at all
+    with pytest.raises(FormatError) as err:
+        matrix_from_json(_one_by_one(["1/-0", "0"]), "m")
+    assert "not a canonical" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text", ["1" * 4301, "-" + "7" * 5000, "1/" + "3" * 4301, "1/" + "0" * 4301], ids=len
+)
+def test_over_long_parts_are_format_errors(text):
+    # past int()'s digit limit the part is rejected by name, not with a
+    # ValueError
+    with pytest.raises(FormatError) as err:
+        matrix_from_json(_one_by_one([text, "0"]), "m")
+    assert repr(text) in str(err.value)
+
+
+def test_parts_up_to_the_digit_limit_are_read():
+    big = "9" * 4300
+    m = matrix_from_json(_one_by_one([big, f"-1/{big}"]), "m")
+    assert m.entry(0, 0) == scalar(int(big), Fraction(-1, int(big)))
+    assert matrix_to_json(m) == _one_by_one([big, f"-1/{big}"])
+
+
+def _reference_text(x: Fraction, y: Fraction) -> str:
+    """A Gaussian rational printed through Fraction's own str."""
+    if not y:
+        return str(x)
+    if not x:
+        return f"{y}i"
+    return f"{x}{'+' if y > 0 else ''}{y}i"
+
+
+_INTEGERS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-30, 30),
+    st.integers(-(2**200), 2**200),
+)
+_DENOMINATORS = st.one_of(
+    st.integers(1, 12), st.integers(-12, -1), st.integers(-(2**200), 2**200).filter(bool)
+)
+
+
+@st.composite
+def _grids(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    grid = st.lists(st.lists(_INTEGERS, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return draw(_DENOMINATORS), draw(grid), draw(grid)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_grids())
+def test_grid_printer_matches_fraction_and_round_trips(grids):
+    den, re, im = grids
+    for row_re, row_im in zip(re, im):
+        for x, y in zip(row_re, row_im):
+            assert fraction_text(x, abs(den)) == str(Fraction(x, abs(den)))
+            assert fraction_text(y, abs(den)) == str(Fraction(y, abs(den)))
+    # a negative denominator is normalized by the constructor
+    m = Matrix(den, re, im)
+    assert m.den >= 1
+    data = matrix_to_json(m)
+    values = [[(Fraction(x, den), Fraction(y, den)) for x, y in zip(*rows)] for rows in zip(re, im)]
+    assert data == [[[str(x), str(y)] for x, y in row] for row in values]
+    assert matrix_from_json(data, "m") == m
+    text = [", ".join(_reference_text(x, y) for x, y in row) for row in values]
+    assert m.to_text() == "\n".join(f"[{t}]" for t in text)
+    assert repr(m) == "Matrix(" + "; ".join(f"[{t}]" for t in text) + ")"
+    column = m.column(0)
+    assert vector_to_json(column) == [row[0] for row in data]
+    assert vector_from_json(vector_to_json(column), "v") == column
+
+
+def test_a_zero_denominator_is_no_matrix():
+    with pytest.raises(DomainError):
+        Matrix(0, [[1]], [[0]])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet="-/0123456789 _+e", max_size=7))
+def test_part_reader_accepts_exactly_the_canonical_fraction_spellings(text):
+    expected = None
+    zero_denominator = False
+    if set(text) <= set("-/0123456789"):
+        try:
+            value = Fraction(text)
+        except ZeroDivisionError:
+            zero_denominator = True
+        except ValueError:
+            pass
+        else:
+            if str(value) == text:
+                expected = value
+    try:
+        got = matrix_from_json(_one_by_one(["0", text]), "m")
+    except FormatError as err:
+        assert expected is None and repr(text) in str(err)
+        assert ("zero denominator" in str(err)) == zero_denominator
+    else:
+        assert got.entry(0, 0) == scalar(0, expected)
 
 
 def test_matrix_round_trip_preserves_fractions():
@@ -206,6 +354,28 @@ def test_cli_analyze_rejects_decimal_entry(tmp_path, capsys):
     assert main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
     assert "0.5" in err and "pairs[0].a[0][0]" in err
+
+
+def _oversized_instance(tmp_path):
+    """A d=2 instance whose entries have 3000 digits: it reads, but its
+    products pass the interpreter's 4300-digit limit for printing."""
+    big = str(10**2999 + 7)
+    eye = [[[big, "0"], ["0", "0"]], [["0", "0"], [big, "0"]]]
+    path = tmp_path / "oversized.json"
+    path.write_text(
+        json.dumps({"schema_version": "1", "operator": {"dim": 2, "pairs": [{"a": eye, "b": eye}]}})
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "args", [["analyze"], ["analyze", "--json"], ["oracle", "--trials", "3"]], ids=" ".join
+)
+def test_cli_oversized_numbers_are_bad_input(tmp_path, capsys, args):
+    path = _oversized_instance(tmp_path)
+    assert main([args[0], str(path), *args[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
 
 
 def test_cli_classify_exit_codes(tmp_path):
