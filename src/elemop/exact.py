@@ -412,7 +412,12 @@ def grid_columns(m: Matrix):
     """m's real and imaginary column lists, the form in which the kernels
     take a right factor.  The imaginary list is None for a real m, whose
     zero grid is then never transposed."""
-    return [*zip(*m.re)], ([*zip(*m.im)] if any(map(any, m.im)) else None)
+    return _grid_columns(m.re, m.im)
+
+
+def _grid_columns(re_g, im_g):
+    """`grid_columns` of the matrix with these row grids."""
+    return [*zip(*re_g)], ([*zip(*im_g)] if any(map(any, im_g)) else None)
 
 
 def _scalar_over(x: int, y: int, den: int) -> Scalar:
@@ -452,10 +457,10 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
 
     Returns new (re_grid, im_grid) row lists; the inputs are only read.
     This is the one product loop on Gaussian-integer grids:
-    `Matrix.__matmul__`, `operators.apply` and `operators.sum_bi_ai`
-    take their right factor from `grid_columns`, `is_nilpotent_matrix`
-    and `char_poly` transpose theirs at the call, and the trace-identity
-    expansion of complex spaces builds its right factors as columns.
+    `Matrix.__matmul__`, `operators.apply`, `operators.sum_bi_ai`,
+    `is_nilpotent_matrix` and `char_poly` take their right factor from
+    `grid_columns`, and the trace-identity expansion of complex spaces
+    builds its right factors as columns.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -804,8 +809,7 @@ def char_poly(m: Matrix) -> Polynomial:
             am_re, am_im = gaussian_int_matmul(
                 g_re,
                 g_im,
-                [*zip(*_add_to_diagonal(am_re, c_re))],
-                [*zip(*_add_to_diagonal(am_im, c_im))],
+                *_grid_columns(_add_to_diagonal(am_re, c_re), _add_to_diagonal(am_im, c_im)),
             )
     return Polynomial(tuple(reversed(coeffs_high)))
 
@@ -828,7 +832,7 @@ def is_nilpotent_matrix(m: Matrix) -> bool:
     re_g, im_g = m.re, m.im
     steps = 1
     while steps < m.rows:
-        re_g, im_g = gaussian_int_matmul(re_g, im_g, [*zip(*re_g)], [*zip(*im_g)])
+        re_g, im_g = gaussian_int_matmul(re_g, im_g, *_grid_columns(re_g, im_g))
         steps *= 2
     return not any(map(any, re_g)) and not any(map(any, im_g))
 

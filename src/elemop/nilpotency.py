@@ -9,11 +9,18 @@ The certified mode expands those polynomials level by level over
 monomial multisets: the matrix coefficient of t^beta is
 S_beta = sum over i in beta of S_(beta - e_i) N_i, computed on the
 integer grids of the basis, and the expansion stops at the first level
-with a nonzero trace.  That takes k * C(k+m-1, m-1) multiplications of
-m x m matrices where the ordered words would take k + k^2 + ... + k^m,
-in one kernel product per multiset: the S_(beta - e_i) side by side
-times the factor columns of the N_i stacked, where each N_i is
-transposed once per expansion and each stack is built once.  Realness
+with a nonzero trace.  Below the top level that is one kernel product
+per multiset: the S_(beta - e_i) side by side times the factor columns
+of the N_i stacked, where each N_i is transposed once per expansion and
+each stack is built once.  The top level p = m needs only traces, and
+with A = sum t_i N_i the identity d/dt_i tr(A^m) = m tr(A^(m-1) N_i)
+gives tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in
+beta.  So the top level builds no S_beta: one kernel product per
+multiset alpha of level m-1, the row vec(S_alpha) times the columns
+vec(N_i^T) for i >= max alpha, holds the traces of every alpha + (i,).
+The gate k * C(k+m-1, m-1), one multiplication of m x m matrices per
+S_alpha N_i below level m, where the ordered words would take
+k + k^2 + ... + k^m, is unchanged and is now an upper bound.  Realness
 is decided once per space: a real space expands on one integer grid per
 matrix with `int_matmul`, any other on the real and imaginary grids
 with `gaussian_int_matmul`.  The first multiset beta with a nonzero trace
@@ -90,13 +97,20 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     returns beta, as sorted indices, at the first nonzero trace; levels
     and multisets go in increasing order.
 
-    Each S_beta is one kernel product: the rows of its S_(beta - e_i)
-    side by side times the columns of its N_i stacked.  Each basis
-    element is transposed once per call, and the stacked columns of each
-    distinct index tuple are built once per call and reused at every
-    level.  The last level needs only the traces, so there the S's
-    become rows vec(S) and the N's columns vec(N^T), each product is the
-    1 x 1 trace, and the stacks are those columns joined.
+    Below level m each S_beta is one kernel product: the rows of its
+    S_(beta - e_i) side by side times the columns of its N_i stacked.
+    Each basis element is transposed once per call, and the stacked
+    columns of each distinct index tuple are built once per call and
+    reused at every level.  Level m needs only the traces, and
+    tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in
+    beta, from d/dt_i tr(A^m) = m tr(A^(m-1) N_i) with A = sum t_i N_i;
+    the factor is nonzero, so it does not change which traces vanish.
+    Taking i = max beta, each alpha of level m-1 makes one product, the
+    row vec(S_alpha) times the columns vec(N_i^T) for i >= max alpha
+    (built once per start index), whose entries are the traces of
+    beta = alpha + (i,) in order: alpha in combinations_with_replacement
+    order and i ascending visit beta in that same order.  That is
+    C(k+m-2, m-1) products for the C(k+m-1, m) traces of level m.
 
     Whether every basis element is real is read once, from the input.  A
     real space has real S's throughout, so each matrix is the one grid
@@ -116,11 +130,7 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     level = {(i,): tuple([*map(list, g)] for g in n) for i, n in enumerate(factors)}
     columns = [tuple([*map(list, zip(*g))] for g in n) for n in factors]
     stacks = {}
-    for p in range(2, m + 1):
-        if p == m:
-            level = {alpha: _as_row(s) for alpha, s in level.items()}
-            columns = [_as_row(c) for c in columns]
-            stacks = {}
+    for p in range(2, m):
         following = {}
         for beta in combinations_with_replacement(range(k), p):
             # the distinct i in beta, and beta - e_i for each
@@ -138,6 +148,18 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
                 return beta
             following[beta] = s_beta
         level = following
+    # level m: one row vec(S_alpha) times the columns vec(N_i^T), i >= max alpha
+    vecs = [tuple([x for col in g for x in col] for g in c) for c in columns]
+    tails = [[*zip(*vecs[j:])] for j in range(k)]
+    for alpha, s_alpha in level.items():
+        j = alpha[-1]
+        if real:
+            traces = (int_matmul(*_as_row(s_alpha), *tails[j]),)
+        else:
+            traces = gaussian_int_matmul(*_as_row(s_alpha), *tails[j])
+        hit = next((i for i, t in enumerate(zip(*(g[0] for g in traces))) if any(t)), None)
+        if hit is not None:
+            return alpha + (j + hit,)
     return None
 
 
@@ -194,6 +216,10 @@ def subspace_all_nilpotent(
     k * C(k+m-1, m-1) for a k-dimensional space of m x m matrices, fits
     the budget; otherwise seeded random combinations are tested, where
     any hit is a genuine counterexample but a clean pass is only evidence.
+    The count is the full expansion's, one S_alpha N_i per multiset alpha
+    below level m; reading level m from the traces of S_alpha N_i with
+    i >= max alpha makes it an upper bound, and the gate stays where it
+    was, so the same inputs take each mode.
     """
     m = space.ambient_dim
     k = space.dim

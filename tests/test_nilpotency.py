@@ -772,12 +772,97 @@ def test_trace_identities_stop_at_first_nonzero_level_on_gaussian_grids(monkeypa
 def test_trace_identities_make_one_kernel_call_per_multiset(monkeypatch, kernel, scale):
     # Conjugated strictly uppers of M_4, k = 6, all nilpotent: levels 2 and
     # 3 take one 4-row product per multiset, C(7, 2) + C(8, 3) = 21 + 56,
-    # and the last level one 1-row trace per multiset, C(9, 4) = 126.
+    # and the last level one 1-row product per level-3 multiset alpha,
+    # C(8, 3) = 56, whose entries are the traces of alpha + (i,).
     upper = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
     space = reduce_basis([scale * n for n in upper.basis])
     calls = _count_products(monkeypatch, kernel)
     assert _first_nonzero_trace(space) is None
-    assert calls == [4] * (21 + 56) + [1] * 126
+    assert calls == [4] * (21 + 56) + [1] * 56
+
+
+def _full_sum_first_trace(space):
+    """Reference: the first multiset beta with tr S_beta nonzero, levels in
+    increasing order and multisets in combinations_with_replacement order,
+    with every S_beta, the last level's included, the full sum over the
+    distinct i in beta of S_(beta - e_i) N_i on `Matrix` arithmetic."""
+    m, k, basis = space.ambient_dim, space.dim, space.basis
+    level = {(i,): n for i, n in enumerate(basis)}
+    for p in range(1, m + 1):
+        if p > 1:
+            level = {
+                beta: sum(
+                    (level[beta[:j] + beta[j + 1:]] @ basis[beta[j]]
+                     for j in map(beta.index, dict.fromkeys(beta))),
+                    Matrix.zeros(m),
+                )
+                for beta in combinations_with_replacement(range(k), p)
+            }
+        first = next((beta for beta, s in level.items() if not trace(s).is_zero), None)
+        if first is not None:
+            return first
+    return None
+
+
+def _split_cycle(m, groups):
+    """The cyclic permutation e_j -> e_(j+1 mod m) split by edges: edge j
+    goes to basis element groups[j].  sum t_g N_g is a weighted cycle, so
+    every trace below level m vanishes and level m holds the one monomial
+    whose multiset is the sorted groups."""
+    mats = [Matrix.zeros(m) for _ in range(max(groups) + 1)]
+    for j, g in enumerate(groups):
+        mats[g] = mats[g] + unit(m, (j + 1) % m, j)
+    return mats
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    swap=st.sampled_from(["none", "traceless", "cycle"]),
+    edges=st.lists(st.integers(0, 3), min_size=5, max_size=5),
+)
+def test_top_level_traces_match_the_full_sum(m, k, seed, swap, edges):
+    # The last level reads tr S_beta from one row vec(S_alpha) times the
+    # columns vec(N_i^T); the reference sums every S_beta in full.  A
+    # traceless element replaces the last basis element, so that the
+    # decision rests on levels above 1, or a conjugated cycle split over k
+    # elements replaces them all, so that it rests on the last level with
+    # repeated indices; real spaces take `int_matmul`, i S and (1 + i) S
+    # `gaussian_int_matmul`.
+    q = random_invertible(m, derive_seed(seed, 0), 3)
+    q_inv = inverse(q)
+    mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]  # none at m = 1
+    if swap == "traceless":
+        x = random_matrix(m, derive_seed(seed, 1), 3)
+        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+    elif swap == "cycle":
+        mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
+    for c in (ONE, I_UNIT, ONE + I_UNIT):
+        # ambient_dim: a swap for the zero matrix leaves the zero space
+        space = reduce_basis([c * n for n in mats], ambient_dim=m)
+        assert _first_nonzero_trace(space) == _full_sum_first_trace(space)
+
+
+@pytest.mark.parametrize(
+    "mats, first",
+    [
+        pytest.param([CYCLIC_3], (0, 0, 0), id="cyclic-3"),
+        pytest.param([I_UNIT * CYCLIC_3], (0, 0, 0), id="cyclic-3-times-i"),
+        pytest.param(_split_cycle(4, [1, 0, 1, 1]), (0, 1, 1, 1), id="split-cycle-4"),
+        pytest.param(FIRST_NONZERO_P4, (0, 0, 1, 1), id="first-nonzero-p4"),
+        pytest.param([unit(3, 0, 1), CYCLIC_3], (0, 1, 1), id="several-nonzero-p3"),
+        pytest.param([unit(3, 0, 1), (ONE + I_UNIT) * CYCLIC_3], (0, 1, 1),
+                     id="several-nonzero-p3-times-1+i"),
+    ],
+)
+def test_top_level_reads_repeated_indices(mats, first):
+    # beta with a repeated largest index: alpha = beta[:-1] already holds
+    # that index, and the row of alpha starts at it.
+    space = reduce_basis(mats)
+    assert _first_nonzero_trace(space) == first
+    assert _full_sum_first_trace(space) == first
 
 
 @settings(max_examples=25, deadline=None)
@@ -845,8 +930,11 @@ def test_trace_identities_against_sympy_expansion():
 
 
 def test_subspace_budget_counts_the_multiset_recursion():
-    # Conjugated strictly uppers of M_4: k = 6, so the recursion makes
-    # 6 * C(9, 3) = 504 products (the ordered words numbered 1554).
+    # Conjugated strictly uppers of M_4: k = 6, so the gate counts the full
+    # recursion's 6 * C(9, 3) = 504 products, 336 of them S_alpha N_i at
+    # level 4 (the ordered words numbered 1554).  Level 4 reads its 126
+    # traces from 56 products instead, so 504 is an upper bound, and the
+    # gate stays at it.
     space = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
     report = subspace_all_nilpotent(space, budget=600)
     assert report.all_nilpotent and report.method == "exact-grid"
