@@ -59,6 +59,11 @@ from .operators import (
     sum_bi_ai,
     v_space,
 )
+from .certificate import (
+    ClassificationVerdict,
+    FormParameters,
+    verify_certificate,
+)
 from .nilpotency import (
     Certified,
     Flag,
@@ -76,13 +81,10 @@ from .nilpotency import (
     subspace_all_nilpotent,
 )
 from .classify import (
-    ClassificationVerdict,
-    FormParameters,
     classify,
     construct_triangular_rep,
     dim_phi_x_squared_range,
     generate,
     necessary_trace_condition,
     structure_dimv1,
-    verify_certificate,
 )

@@ -12,15 +12,28 @@ classification reduces to the dichotomy for 2-dimensional nilpotent
 planes in M_3 followed by rank-one matching of the two surviving blocks.
 
 Every positive verdict is built by `_lqn`, which returns it only once
-`verify_certificate` accepts it; that independent verifier also
-re-validates certificates from the serialized data alone.
+`verify_certificate` accepts it; that independent verifier, the trust
+boundary in `certificate`, also re-validates certificates from the
+serialized data alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
+from .certificate import (
+    FORM_DIMV1,
+    FORM_LENGTH2,
+    FORM_PATTERN_I,
+    FORM_SPECIAL_II,
+    FORM_SPECIAL_III,
+    ClassificationVerdict,
+    FormParameters,
+    _check_exceptional_grid,
+    _vectors_independent,
+    refutes,
+    verify_certificate,
+)
 from .errors import (
     ContractError,
     DimensionError,
@@ -47,7 +60,6 @@ from .exact import (
 from .nilpotency import (
     DEFAULT_TRIALS,
     block_strict_triangularize,
-    refutes,
     slice_span,
     special_plane_form,
     strict_triangularize,
@@ -64,7 +76,6 @@ from .operators import (
     change_left_basis,
     gram,
     local_matrix,
-    maps_equal,
     minimal_length,
     similarity_transform,
     sum_bi_ai,
@@ -77,53 +88,12 @@ from .spaces import (
     simultaneous_separating_vector,
 )
 
-FORM_PATTERN_I = "pattern-i"
-FORM_SPECIAL_II = "special-ii"
-FORM_SPECIAL_III = "special-iii"
-FORM_LENGTH2 = "length2-zeros"
-FORM_DIMV1 = "dimv1-block"
-
 GENERATOR_HEIGHT = 3
-
-
-@dataclass(frozen=True)
-class FormParameters:
-    """The columns zeta0, zeta1 and functionals f, g of the exceptional
-    forms, each a d x 1 matrix, and the corner size r of dimv1-block."""
-
-    zeta0: Matrix | None = None
-    zeta1: Matrix | None = None
-    f: Matrix | None = None
-    g: Matrix | None = None
-    r: int | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class ClassificationVerdict:
-    status: str  # "LQN" | "NotLQN" | "Unknown"
-    form: str | None = None
-    representation: Representation | None = None
-    witness: Matrix | None = None
-    parameters: FormParameters | None = None
-    evidence: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    ok: bool
-    failed: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def necessary_trace_condition(phi: ElementaryOperator) -> bool:
     """sum b_i a_i = 0; failing it refutes local nilpotency outright."""
     return sum_bi_ai(phi).is_zero
-
-
-def _vectors_independent(*vectors: Matrix) -> bool:
-    return len(independent_subset(vectors)[0]) == len(vectors)
 
 
 def _refutation(
@@ -510,108 +480,3 @@ def _generate_random(n: int, d: int, seed: int) -> ElementaryOperator:
         pairs.append((a, b))
     return ElementaryOperator.from_pairs(d, pairs)
 
-
-# -- the independent verifier -------------------------------------------
-
-
-def verify_certificate(
-    phi: ElementaryOperator, verdict: ClassificationVerdict
-) -> CertificateCheck:
-    """Re-validate every identity a verdict claims, from scratch.
-
-    Uses only the arithmetic layer plus block products and map equality
-    on the coefficient tensor sum vec(a_i) vec(b_i)^T, whose entries are
-    the values on the matrix units; no search code is shared with the
-    classifier.  Returns the first failed check by name.
-    """
-    if verdict.status == "Unknown":
-        return CertificateCheck(True)
-    if verdict.status == "NotLQN":
-        if verdict.witness is None:
-            return CertificateCheck(False, "witness missing")
-        if verdict.witness.rows != phi.dim or verdict.witness.cols != phi.dim:
-            return CertificateCheck(False, "witness shape")
-        if not refutes(phi, verdict.witness):
-            return CertificateCheck(False, "witness image is nilpotent")
-        return CertificateCheck(True)
-    if verdict.status != "LQN":
-        return CertificateCheck(False, "status")
-    p = verdict.parameters
-    if p is not None and any(
-        vec is not None and (vec.rows, vec.cols) != (phi.dim, 1)
-        for vec in (p.zeta0, p.zeta1, p.f, p.g)
-    ):
-        return CertificateCheck(False, "parameter length")
-
-    rep = verdict.representation
-    if rep is None:
-        return CertificateCheck(False, "representation missing")
-    if len(rep.u) != len(rep.v):
-        return CertificateCheck(False, "representation arity")
-    if any(m.rows != phi.dim or m.cols != phi.dim for m in rep.u + rep.v):
-        return CertificateCheck(False, "representation shape")
-    if not maps_equal(rep.as_operator(), phi):
-        return CertificateCheck(False, "reconstruction")
-    g = rep.gram()
-    n = len(rep.u)
-
-    if verdict.form in (FORM_PATTERN_I, FORM_LENGTH2):
-        for i in range(n):
-            for j in range(i + 1):
-                if not g.block(i, j).is_zero:
-                    return CertificateCheck(False, f"zero pattern at block ({i}, {j})")
-        return CertificateCheck(True)
-
-    if verdict.form == FORM_SPECIAL_II:
-        p = verdict.parameters
-        if p is None or p.zeta0 is None or p.zeta1 is None or p.f is None:
-            return CertificateCheck(False, "parameters missing")
-        if n != 3:
-            return CertificateCheck(False, "representation arity")
-        if p.f.is_zero:
-            return CertificateCheck(False, "functional is zero")
-        if not _vectors_independent(p.zeta0, p.zeta1):
-            return CertificateCheck(False, "zeta independence")
-        f_t = p.f.transpose()
-        x = p.zeta1 @ f_t
-        y = p.zeta0 @ f_t
-        return _check_exceptional_grid(g, x, y)
-
-    if verdict.form == FORM_SPECIAL_III:
-        p = verdict.parameters
-        if p is None or p.zeta0 is None or p.f is None or p.g is None:
-            return CertificateCheck(False, "parameters missing")
-        if n != 3:
-            return CertificateCheck(False, "representation arity")
-        if p.zeta0.is_zero:
-            return CertificateCheck(False, "column is zero")
-        if not _vectors_independent(p.f, p.g):
-            return CertificateCheck(False, "functional independence")
-        x = p.zeta0 @ p.g.transpose()
-        y = p.zeta0 @ p.f.transpose()
-        return _check_exceptional_grid(g, x, y)
-
-    if verdict.form == FORM_DIMV1:
-        p = verdict.parameters
-        if p is None or p.r is None or not (1 <= p.r <= n):
-            return CertificateCheck(False, "parameters missing")
-        r = p.r
-        for i in range(n):
-            for j in range(n):
-                if j >= r and not g.block(i, j).is_zero:
-                    return CertificateCheck(False, f"right column block ({i}, {j})")
-                if j < r and i < r and i >= j and not g.block(i, j).is_zero:
-                    return CertificateCheck(False, f"strict corner block ({i}, {j})")
-        return CertificateCheck(True)
-
-    return CertificateCheck(False, "form")
-
-
-def _check_exceptional_grid(g: GramMatrix, x: Matrix, y: Matrix) -> CertificateCheck:
-    z = Matrix.zeros(g.ambient_dim)
-    expected = [[z, x, z], [y, z, x], [z, -ONE * y, z]]
-    for i in range(3):
-        for j in range(3):
-            if g.block(i, j) != expected[i][j]:
-                return CertificateCheck(False, f"gram block ({i}, {j})")
-    return CertificateCheck(True)

@@ -14,7 +14,8 @@ from functools import cache
 from pathlib import Path
 
 from . import __version__
-from .classify import classify, generate, verify_certificate
+from .certificate import verify_certificate
+from .classify import classify, generate
 from .errors import DimensionError, ElemopError, FormatError, UnsupportedLengthError
 from .exact import char_poly
 from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT, witness_search

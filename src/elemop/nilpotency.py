@@ -18,9 +18,9 @@ gives tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in
 beta.  So the top level builds no S_beta: one kernel product per
 multiset alpha of level m-1, the row vec(S_alpha) times the columns
 vec(N_i^T) for i >= max alpha, holds the traces of every alpha + (i,).
-The gate k * C(k+m-1, m-1), one multiplication of m x m matrices per
-S_alpha N_i below level m, where the ordered words would take
-k + k^2 + ... + k^m, is unchanged and is now an upper bound.  Realness
+The gate counts that work: k * C(k+p-2, p-1) products S_alpha N_i of
+m x m matrices at each level p = 2..m-1, plus the C(k+m-1, m) traces of
+level m, where the ordered words would take k + k^2 + ... + k^m.  Realness
 is decided once per space: a real space expands on one integer grid per
 matrix with `int_matmul`, any other on the real and imaginary grids
 with `gaussian_int_matmul`.  The first multiset beta with a nonzero trace
@@ -48,6 +48,7 @@ from math import comb, lcm
 from operator import getitem
 from typing import Sequence
 
+from .certificate import FORM_SPECIAL_II, FORM_SPECIAL_III, refutes
 from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
@@ -65,7 +66,6 @@ from .exact import (
 from .operators import (
     ElementaryOperator,
     GramMatrix,
-    apply,
     gram,
     minimal_length,
     sum_bi_ai,
@@ -204,35 +204,28 @@ def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matri
     raise InconsistencyError("nonzero trace but no grid counterexample exists")
 
 
-def subspace_all_nilpotent(
-    space: OperatorSpace,
-    budget: int = DEFAULT_SUBSPACE_BUDGET,
-    trials: int = DEFAULT_TRIALS,
-    seed: int = 0,
-) -> NilpotentSpaceReport:
+def subspace_all_nilpotent(space: OperatorSpace) -> NilpotentSpaceReport:
     """Decide whether every element of the space is nilpotent.
 
-    Certified mode runs whenever the multiset expansion's product count,
-    k * C(k+m-1, m-1) for a k-dimensional space of m x m matrices, fits
-    the budget; otherwise seeded random combinations are tested, where
-    any hit is a genuine counterexample but a clean pass is only evidence.
-    The count is the full expansion's, one S_alpha N_i per multiset alpha
-    below level m; reading level m from the traces of S_alpha N_i with
-    i >= max alpha makes it an upper bound, and the gate stays where it
-    was, so the same inputs take each mode.
+    Certified mode runs whenever the expansion's work fits
+    DEFAULT_SUBSPACE_BUDGET: for a k-dimensional space of m x m matrices,
+    k * C(k+p-2, p-1) products S_alpha N_i at each level p = 2..m-1 and
+    the C(k+m-1, m) traces of level m.  Otherwise DEFAULT_TRIALS seeded
+    random combinations are tested, where any hit is a genuine
+    counterexample but a clean pass is only evidence.
     """
     m = space.ambient_dim
     k = space.dim
     if k == 0:
         return NilpotentSpaceReport(space, True, "exact-grid")
-    cost = k * comb(k + m - 1, m - 1)
-    if cost <= budget:
+    cost = sum(k * comb(k + p - 2, p - 1) for p in range(2, m)) + comb(k + m - 1, m)
+    if cost <= DEFAULT_SUBSPACE_BUDGET:
         beta = _first_nonzero_trace(space)
         if beta is None:
             return NilpotentSpaceReport(space, True, "exact-grid")
         return NilpotentSpaceReport(space, False, "exact-grid", _search_counterexample(space, beta))
-    for t in range(trials):
-        coeffs = _random_int_point(derive_seed(seed, t), k, DEFAULT_WITNESS_HEIGHT)
+    for t in range(DEFAULT_TRIALS):
+        coeffs = _random_int_point(derive_seed(0, t), k, DEFAULT_WITNESS_HEIGHT)
         cand = linear_combination(coeffs, space.basis)
         if not is_nilpotent_matrix(cand):
             return NilpotentSpaceReport(space, False, "randomized", cand)
@@ -459,11 +452,6 @@ class ProbablyNilpotent:
     trials: int
 
 
-def refutes(phi: ElementaryOperator, x: Matrix) -> bool:
-    """Whether phi(x) is not nilpotent, by the one nilpotency predicate."""
-    return not is_nilpotent_matrix(apply(phi, x))
-
-
 def trace_condition_witness(phi: ElementaryOperator) -> Matrix | None:
     """Deterministic witness when sum b_i a_i is nonzero: tr(phi(x)) is
     x -> tr(x sum b_i a_i), so a single matrix unit exposes it."""
@@ -488,7 +476,7 @@ def witness_search(
     tr(phi(x)) = tr(x s), s = sum b_i a_i, as the one dot product
     vec(x) vec(s^T) on the integer grids; their denominators do not
     change whether it is zero.  A nonzero trace already makes phi(x)
-    non-nilpotent, so only a zero one goes on to `is_nilpotent_matrix`.
+    non-nilpotent, so only a zero one goes on to the power test, `refutes`.
     """
     d = phi.dim
     s = sum_bi_ai(phi)
@@ -500,7 +488,7 @@ def witness_search(
         traced = not s_zero and _has_trace(
             gaussian_int_matmul(*_as_row((x.re, x.im)), *s_column)
         )
-        if traced or not is_nilpotent_matrix(apply(phi, x)):
+        if traced or refutes(phi, x):
             return x, t
     return None
 
@@ -528,7 +516,7 @@ def all_x_nilpotent(
 
     unwitnessed = None  # the classifier branch of a refutation without a witness
     if n <= 3:
-        from .classify import FORM_SPECIAL_II, FORM_SPECIAL_III, classify
+        from .classify import classify
 
         verdict = classify(reduced, trials=trials, seed=seed)
         if verdict.status == "LQN":
@@ -568,6 +556,6 @@ def _grid_refutation(phi: ElementaryOperator) -> Matrix:
         x = Matrix.from_rows(
             [[values[i * d + j] for j in range(d)] for i in range(d)]
         )
-        if not is_nilpotent_matrix(apply(phi, x)):
+        if refutes(phi, x):
             return x
     raise InconsistencyError("proven refutation but no grid witness exists")

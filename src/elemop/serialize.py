@@ -21,7 +21,7 @@ import json
 from math import gcd, lcm
 from typing import Any
 
-from .classify import (
+from .certificate import (
     FORM_DIMV1,
     FORM_LENGTH2,
     FORM_PATTERN_I,

@@ -13,7 +13,11 @@ classifier's structural tools, so its sampling shares no shortcut with
 the classifier.  A vector is a d x 1 `Matrix`, so no
 module names the retired tuple-vector helpers.  Every LQN verdict is
 built in `classify._lqn`, the one caller of `verify_certificate` in its
-module, so no positive verdict skips the trust boundary.  Matrices are
+module, so no positive verdict skips the trust boundary.  That boundary,
+`certificate`, imports only `errors`, `exact` and `operators`; neither
+its import closure nor that of `serialize` reaches `nilpotency` or
+`classify`, and the CLI `verify` command names nothing those two define,
+so no search code takes part in a check.  Matrices are
 read and written at the JSON boundary, and printed as text, on their
 integer grids: `serialize` names neither `Fraction` nor `Scalar`, and
 `Matrix.to_text` and the repr read no `Scalar` entries.  And every
@@ -188,7 +192,72 @@ def test_only_lqn_builds_an_lqn_verdict_and_verifies_it():
     verify = {"verify_certificate"}
     checked = set(_references(functions["_lqn"], verify))
     assert checked, "_lqn must call verify_certificate"
-    assert set(_references(tree, verify)) == checked
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    imported = {line for node in imports for line in _references(node, verify)}
+    assert imported, "classify must take verify_certificate from certificate"
+    assert set(_references(tree, verify)) == checked | imported
+
+
+# -- one trust boundary ----------------------------------------------------
+
+SEARCH_MODULES = {"nilpotency", "classify"}
+
+
+def _imported_modules(tree):
+    """The elemop modules a module imports: `from .x import ...` names x,
+    and `from . import ...` the package itself, whose __init__ imports
+    every layer."""
+    return {
+        node.module or "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def _import_closure(name):
+    seen, todo = set(), [name]
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        todo.extend(_imported_modules(ast.parse((SRC / f"{module}.py").read_text())))
+    return seen - {name}
+
+
+@pytest.mark.parametrize("name", ["certificate", "serialize"])
+def test_the_trust_boundary_imports_no_search_code(name):
+    assert sorted(_import_closure(name) & SEARCH_MODULES) == []
+
+
+def test_certificate_imports_only_the_arithmetic_and_operator_layers():
+    tree = ast.parse((SRC / "certificate.py").read_text())
+    assert _imported_modules(tree) <= {"errors", "exact", "operators"}
+
+
+def test_cli_verify_names_no_search_code():
+    """_cmd_verify, and every cli function it reaches by name, names
+    nothing that nilpotency or classify defines."""
+    searched = set()
+    for module in SEARCH_MODULES:
+        for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+            searched.update(_defined(node))
+            if isinstance(node, ast.Assign):
+                searched.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    todo, seen = ["_cmd_verify"], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        assert _references(functions[name], searched) == [], name
+        todo.extend(
+            node.id for node in ast.walk(functions[name])
+            if isinstance(node, ast.Name) and node.id in functions
+        )
+    assert "_load_instance" in seen
 
 
 # -- the text and JSON boundary on the grids ------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import inspect
 from itertools import combinations_with_replacement
 
 import pytest
@@ -27,7 +28,7 @@ from elemop.exact import (
     scalar,
     trace,
 )
-from elemop import nilpotency
+from elemop import certificate, nilpotency
 from elemop.nilpotency import (
     Certified,
     Flag,
@@ -508,9 +509,9 @@ def test_witness_search_stops_at_the_power_test(monkeypatch):
     assert sum_bi_ai(phi).is_zero
     applied = []
     char_polys = []
-    apply_phi = nilpotency.apply
-    monkeypatch.setattr(nilpotency, "apply", lambda f, x: applied.append(x) or apply_phi(f, x))
-    for module in (exact, nilpotency):
+    apply_phi = certificate.apply
+    monkeypatch.setattr(certificate, "apply", lambda f, x: applied.append(x) or apply_phi(f, x))
+    for module in (exact, nilpotency, certificate):
         monkeypatch.setattr(module, "char_poly", lambda m: char_polys.append(m), raising=False)
     found = witness_search(phi, trials=10, seed=0)
     assert found is not None and found[1] == 1
@@ -526,9 +527,9 @@ def test_witness_search_trace_screen_matches_scalar_trace(monkeypatch):
     phi = single_pair(3, I_UNIT * unit(3, 0, 1), unit(3, 2, 0))
     s = sum_bi_ai(phi)
     power_tests = []
-    power_test = nilpotency.is_nilpotent_matrix
+    power_test = certificate.is_nilpotent_matrix
     monkeypatch.setattr(
-        nilpotency, "is_nilpotent_matrix", lambda y: power_tests.append(y) or power_test(y)
+        certificate, "is_nilpotent_matrix", lambda y: power_tests.append(y) or power_test(y)
     )
     for seed in range(12):
         power_tests.clear()
@@ -929,13 +930,25 @@ def test_trace_identities_against_sympy_expansion():
         assert _first_nonzero_trace(space) == first, name
 
 
-def test_subspace_budget_counts_the_multiset_recursion():
-    # Conjugated strictly uppers of M_4: k = 6, so the gate counts the full
-    # recursion's 6 * C(9, 3) = 504 products, 336 of them S_alpha N_i at
-    # level 4 (the ordered words numbered 1554).  Level 4 reads its 126
-    # traces from 56 products instead, so 504 is an upper bound, and the
-    # gate stays at it.
+def test_subspace_budget_counts_the_multiset_recursion(monkeypatch):
+    # Conjugated strictly uppers of M_4: k = 6, so the gate counts the
+    # expansion's work, 6 * C(6, 1) + 6 * C(7, 2) = 162 products S_alpha N_i
+    # at levels 2 and 3 and C(9, 4) = 126 traces at level 4, 288 in all
+    # (the full recursion's 6 * C(9, 3) = 504, the ordered words' 1554).
     space = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
-    report = subspace_all_nilpotent(space, budget=600)
+    monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", 288)
+    report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
-    assert subspace_all_nilpotent(space, budget=503).method == "randomized"
+    monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", 287)
+    assert subspace_all_nilpotent(space).method == "randomized"
+
+
+def test_subspace_strictly_upper_m6_is_decided_exactly():
+    # k = 15: the expansion's work is 225 + 1800 + 10200 + 45900 products
+    # at levels 2..5 and C(20, 6) = 38760 traces at level 6, 96885 in all,
+    # inside the default budget (the full recursion's count, 232560, is not)
+    assert list(inspect.signature(subspace_all_nilpotent).parameters) == ["space"]
+    space = reduce_basis(strictly_upper_basis(6))
+    assert space.dim == 15
+    report = subspace_all_nilpotent(space)
+    assert report.all_nilpotent and report.method == "exact-grid"
