@@ -45,7 +45,6 @@ from .spaces import (
 from .operators import (
     ElementaryOperator,
     GramMatrix,
-    Representation,
     adjoint_flip,
     apply,
     change_left_basis,

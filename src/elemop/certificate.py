@@ -1,9 +1,12 @@
 """The trust boundary: verdict types and the independent verifier.
 
 A verdict reaches users as a certificate: an LQN verdict carries a
-representation whose block grid has the triangular zero pattern
-(v_i u_j = 0 for i >= j) or one of the exceptional length-3 shapes, and
-a NotLQN verdict carries a witness x with phi(x) not nilpotent.
+representation, another `ElementaryOperator` (u_i, v_i) for the same
+map, whose block grid has the triangular zero pattern (v_i u_j = 0 for
+i >= j) or one of the exceptional length-3 shapes, and a NotLQN verdict
+carries a witness x with phi(x) not nilpotent.  The operator type
+guarantees square coefficients of one dimension, so the verifier checks
+only that this dimension is phi's.
 `verify_certificate` re-checks either from the operator and the verdict
 alone.  This module imports only the arithmetic layer and the operator
 layer, so no search code of the classifier or of the nilpotency
@@ -15,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .exact import Matrix, independent_subset, is_nilpotent_matrix
-from .operators import ElementaryOperator, GramMatrix, Representation, apply, maps_equal
+from .operators import ElementaryOperator, GramMatrix, apply, gram, maps_equal
 
 FORM_PATTERN_I = "pattern-i"
 FORM_SPECIAL_II = "special-ii"
@@ -40,7 +43,7 @@ class FormParameters:
 class ClassificationVerdict:
     status: str  # "LQN" | "NotLQN" | "Unknown"
     form: str | None = None
-    representation: Representation | None = None
+    representation: ElementaryOperator | None = None
     witness: Matrix | None = None
     parameters: FormParameters | None = None
     evidence: dict = field(default_factory=dict)
@@ -96,14 +99,12 @@ def verify_certificate(
     rep = verdict.representation
     if rep is None:
         return CertificateCheck(False, "representation missing")
-    if len(rep.u) != len(rep.v):
-        return CertificateCheck(False, "representation arity")
-    if any(m.rows != phi.dim or m.cols != phi.dim for m in rep.u + rep.v):
+    if rep.dim != phi.dim:
         return CertificateCheck(False, "representation shape")
-    if not maps_equal(rep.as_operator(), phi):
+    if not maps_equal(rep, phi):
         return CertificateCheck(False, "reconstruction")
-    g = rep.gram()
-    n = len(rep.u)
+    g = gram(rep)
+    n = rep.term_count
 
     if verdict.form in (FORM_PATTERN_I, FORM_LENGTH2):
         for i in range(n):

@@ -29,7 +29,6 @@ from .certificate import (
     FORM_SPECIAL_III,
     ClassificationVerdict,
     FormParameters,
-    _check_exceptional_grid,
     _vectors_independent,
     refutes,
     verify_certificate,
@@ -70,8 +69,6 @@ from .nilpotency import (
 )
 from .operators import (
     ElementaryOperator,
-    GramMatrix,
-    Representation,
     apply,
     change_left_basis,
     gram,
@@ -119,7 +116,7 @@ def _refutation(
 def _lqn(
     phi: ElementaryOperator,
     form: str,
-    rep: Representation,
+    rep: ElementaryOperator,
     branch: str,
     parameters: FormParameters | None = None,
 ) -> ClassificationVerdict:
@@ -134,7 +131,7 @@ def _lqn(
     return verdict
 
 
-def construct_triangular_rep(phi: ElementaryOperator) -> Representation | None:
+def construct_triangular_rep(phi: ElementaryOperator) -> ElementaryOperator | None:
     """A representation with v_i u_j = 0 for all i >= j, or None.
 
     On success the strictly-upper zero pattern is exact and the product
@@ -142,12 +139,12 @@ def construct_triangular_rep(phi: ElementaryOperator) -> Representation | None:
     """
     n, reduced = minimal_length(phi)
     if n == 0:
-        return Representation(phi.dim, (), (), None)
+        return ElementaryOperator.zero(phi.dim)
     p = block_strict_triangularize(gram(reduced))
     if p is None:
         return None
     rep = similarity_transform(reduced, p)
-    g = rep.gram()
+    g = gram(rep)
     for i in range(n):
         for j in range(i + 1):
             if not g.block(i, j).is_zero:  # pragma: no cover
@@ -155,17 +152,6 @@ def construct_triangular_rep(phi: ElementaryOperator) -> Representation | None:
     if v_space(reduced).dim > n * (n - 1) // 2:  # pragma: no cover
         raise InconsistencyError("product space dimension exceeds its bound")
     return rep
-
-
-def _pattern_blocks(g: GramMatrix) -> tuple[Matrix, Matrix]:
-    """Read off (X, Y) from a grid of the exceptional scalar shape and
-    confirm all its equalities exactly."""
-    x = g.block(0, 1)
-    y = g.block(1, 0)
-    check = _check_exceptional_grid(g, x, y)
-    if not check:
-        raise InconsistencyError(f"exceptional pattern failed at {check.failed}")
-    return x, y
 
 
 def classify(
@@ -185,7 +171,7 @@ def classify(
     if n > 3:
         raise UnsupportedLengthError(n)
     if n == 0:
-        return _lqn(phi, FORM_LENGTH2, Representation(phi.dim, (), (), None), "zero operator")
+        return _lqn(phi, FORM_LENGTH2, ElementaryOperator.zero(phi.dim), "zero operator")
     if n == 3 and not necessary_trace_condition(reduced):
         return _refutation(reduced, trials, seed, branch="trace condition")
     slices = slice_span(gram(reduced))
@@ -202,7 +188,10 @@ def classify(
     if not subspace_all_nilpotent(slices).all_nilpotent:
         return _refutation(reduced, trials, seed, branch="slice span not nilpotent")
     rep = similarity_transform(reduced, special_plane_form(slices).conjugator)
-    x, y = _pattern_blocks(rep.gram())
+    # special_plane_form conjugates the slices exactly, which forces the
+    # grid into [[0, X, 0], [Y, 0, X], [0, -Y, 0]]; _lqn re-checks it all
+    g = gram(rep)
+    x, y = g.block(0, 1), g.block(1, 0)
     try:
         fx, fy = rank_one_factor(x), rank_one_factor(y)
     except RankError:
@@ -221,7 +210,7 @@ def classify(
     )
 
 
-def structure_dimv1(phi: ElementaryOperator, seed: int = 0) -> ClassificationVerdict:
+def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
     """Structure theory when the products span a single line.
 
     Builds a representation whose block grid is strictly upper in its
@@ -238,7 +227,7 @@ def structure_dimv1(phi: ElementaryOperator, seed: int = 0) -> ClassificationVer
         raise ContractError(f"structure_dimv1 needs dim V = 1, got {products.dim}")
     w0 = products.basis[0]
     lspace = left_space(reduced)
-    zeta = simultaneous_separating_vector([lspace, products], seed=derive_seed(seed, 5))
+    zeta = simultaneous_separating_vector([lspace, products], seed=derive_seed(0, 5))
     d = reduced.dim
 
     # Head indices: earliest a_i with independent images at zeta; every
@@ -335,7 +324,7 @@ def _scramble(phi: ElementaryOperator, seed: int) -> ElementaryOperator:
     if n <= 1:
         return phi
     p = random_invertible(n, seed, GENERATOR_HEIGHT)
-    return similarity_transform(phi, p).as_operator()
+    return similarity_transform(phi, p)
 
 
 def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:

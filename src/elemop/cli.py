@@ -1,7 +1,8 @@
 """Command-line surface: analyze, classify, generate, verify, oracle.
 
 Exit codes: 0 success or locally-nilpotent, 1 refuted or invalid
-certificate, 2 bad input, 3 unknown verdict, 4 unsupported length.
+certificate, 2 bad input (a malformed file, or a file that cannot be
+read or written), 3 unknown verdict, 4 unsupported length.
 Identical flags and seed produce byte-identical output files.
 """
 
@@ -42,21 +43,31 @@ EXIT_UNKNOWN = 3
 EXIT_UNSUPPORTED = 4
 
 
-def _load_instance(path: str):
+def _read_json(path: str, what: str):
+    """The JSON document in the file at path.  Failing to read or to
+    parse it is a FormatError (exit 2) that names the file."""
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from None
-    try:
-        data = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON ({exc})") from None
+        raise FormatError(f"cannot read {what} {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bytes that are not UTF-8, text that is not JSON, or
+        # an integer past the interpreter's digit limit; RecursionError:
+        # arrays or objects nested past the parser's depth
+        raise FormatError(f"cannot parse {what} {path}: {exc}") from None
+
+
+def _load_instance(path: str):
+    data = _read_json(path, "instance")
     phi, metadata = instance_from_json(data)
     return phi, metadata, data
 
 
 def _write_json(path: str, data: dict):
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from None
 
 
 def _int_at_least(minimum: int):
@@ -152,11 +163,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_verify(args) -> int:
     phi, _, instance_data = _load_instance(args.instance)
-    try:
-        raw = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read certificate: {exc}") from None
-    digest, verdict_data, _ = certificate_from_json(raw)
+    digest, verdict_data, _ = certificate_from_json(_read_json(args.certificate, "certificate"))
     actual = instance_digest(instance_data)
     if digest != actual:
         print("verification failed: digest does not match the instance", file=sys.stderr)

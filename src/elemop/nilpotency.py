@@ -469,26 +469,11 @@ def witness_search(
     seed: int = 0,
     height: int = DEFAULT_WITNESS_HEIGHT,
 ) -> tuple[Matrix, int] | None:
-    """Seeded sampling for x with phi(x) non-nilpotent.
-
-    Cheap trace screen first, then the power test; the first trial where
-    either proves phi(x) non-nilpotent is returned.  The screen reads
-    tr(phi(x)) = tr(x s), s = sum b_i a_i, as the one dot product
-    vec(x) vec(s^T) on the integer grids; their denominators do not
-    change whether it is zero.  A nonzero trace already makes phi(x)
-    non-nilpotent, so only a zero one goes on to the power test, `refutes`.
-    """
-    d = phi.dim
-    s = sum_bi_ai(phi)
-    s_zero = s.is_zero
-    s_t = s.transpose()
-    s_column = _as_row((s_t.re, s_t.im))
+    """Seeded sampling for x with phi(x) non-nilpotent: the first trial
+    whose x `refutes` phi is returned with its number."""
     for t in range(1, trials + 1):
-        x = random_matrix(d, derive_seed(seed, 40_000 + t), height)
-        traced = not s_zero and _has_trace(
-            gaussian_int_matmul(*_as_row((x.re, x.im)), *s_column)
-        )
-        if traced or refutes(phi, x):
+        x = random_matrix(phi.dim, derive_seed(seed, 40_000 + t), height)
+        if refutes(phi, x):
             return x, t
     return None
 

@@ -4,9 +4,12 @@ An operator is an ordered list of coefficient pairs over a fixed square
 ambient dimension.  Different pair lists can encode the same map; the
 minimal number of pairs is the length, and any two minimal-length pair
 lists are related by an invertible scalar change of representation that
-conjugates the block matrix (b_i a_j) entrywise.  The minimal form is
-computed once per operator object and kept on it, so every decision that
-starts from a minimal-length representation shares one reduction.
+conjugates the block matrix (b_i a_j) entrywise.  A representation is
+therefore just another `ElementaryOperator` for the same map: the
+representation changes return one, and certificates carry one.  The
+minimal form is computed once per operator object and kept on it, so
+every decision that starts from a minimal-length representation shares
+one reduction.
 
 Equality of operators as maps is decided on the coefficient tensor
 M(phi) = sum_i vec(a_i) vec(b_i)^T, whose entries are exactly the entries
@@ -186,29 +189,12 @@ def gram(phi: ElementaryOperator) -> GramMatrix:
     return GramMatrix(n, phi.dim, blocks)
 
 
-@dataclass(frozen=True)
-class Representation:
-    """An alternative pair list (u_i, v_i) for an operator, optionally with
-    the scalar matrix P relating it to the source coefficients."""
-
-    dim: int
-    u: tuple[Matrix, ...]
-    v: tuple[Matrix, ...]
-    P: Matrix | None = None
-
-    def as_operator(self) -> ElementaryOperator:
-        return ElementaryOperator(self.dim, tuple(zip(self.u, self.v)))
-
-    def gram(self) -> GramMatrix:
-        return gram(self.as_operator())
-
-
 def _require_reduced(phi: ElementaryOperator, op_name: str):
     if minimal_length(phi)[0] != phi.term_count:
         raise ContractError(f"{op_name} requires a length-reduced operator")
 
 
-def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Representation:
+def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> ElementaryOperator:
     """Rewrite phi over a chosen basis of its left coefficient space.
 
     Solves u_j = sum_k P[k][j] a_k for the unique P: the a_k are
@@ -234,7 +220,7 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> Re
     return _apply_scalar_change(phi, p, p_inv)
 
 
-def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
+def similarity_transform(phi: ElementaryOperator, p: Matrix) -> ElementaryOperator:
     """Representation change by an invertible scalar matrix P: u_j =
     sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k, one matrix built per
     new coefficient by `linear_combination`.  A singular P raises
@@ -246,13 +232,12 @@ def similarity_transform(phi: ElementaryOperator, p: Matrix) -> Representation:
     return _apply_scalar_change(phi, p, inverse(p))
 
 
-def _apply_scalar_change(phi: ElementaryOperator, p: Matrix, p_inv: Matrix) -> Representation:
-    n = phi.term_count
+def _apply_scalar_change(phi: ElementaryOperator, p: Matrix, p_inv: Matrix) -> ElementaryOperator:
     left = [a for a, _ in phi.pairs]
     right = [b for _, b in phi.pairs]
-    u = tuple(linear_combination(column, left) for column in p.transpose().entries)
-    v = tuple(linear_combination(row, right) for row in p_inv.entries)
-    return Representation(phi.dim, u, v, p)
+    u = [linear_combination(column, left) for column in p.transpose().entries]
+    v = [linear_combination(row, right) for row in p_inv.entries]
+    return ElementaryOperator(phi.dim, tuple(zip(u, v)))
 
 
 def adjoint_flip(phi: ElementaryOperator) -> ElementaryOperator:

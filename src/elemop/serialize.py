@@ -12,6 +12,13 @@ parses each part with `int` into a numerator and a denominator and
 builds one `Matrix` over their least common denominator, and the writers
 print each part x/den of the grids with `exact.fraction_text`.  Neither
 direction builds a `Scalar` or a `Fraction`.
+
+An operator is written as its pair list, and the representation in a
+certificate, another `ElementaryOperator` for the same map, as the two
+parallel arrays u and v of its pairs.  Both readers check every
+coefficient against the instance's dim, and a u and v of different
+lengths are rejected, so a malformed representation is a `FormatError`
+that names the field.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .certificate import (
 )
 from .errors import FormatError
 from .exact import Matrix, fraction_text
-from .operators import ElementaryOperator, Representation
+from .operators import ElementaryOperator
 
 SCHEMA_VERSION = "1"
 
@@ -152,10 +159,11 @@ def matrix_from_json(data: Any, where: str) -> Matrix:
     return _matrix_over_entries(rows)
 
 
-def _matrices_from_json(data: Any, where: str) -> tuple[Matrix, ...]:
-    if not isinstance(data, list):
-        raise FormatError(f"{where}: expected an array")
-    return tuple(matrix_from_json(m, f"{where}[{i}]") for i, m in enumerate(data))
+def _coefficient(data: Any, dim: int, where: str) -> Matrix:
+    m = matrix_from_json(data, where)
+    if m.rows != dim or m.cols != dim:
+        raise FormatError(f"{where}: coefficient shape differs from dim")
+    return m
 
 
 def operator_to_json(phi: ElementaryOperator) -> dict:
@@ -175,30 +183,35 @@ def operator_from_json(data: Any, where: str = "operator") -> ElementaryOperator
     pairs = []
     for i, item in enumerate(data["pairs"]):
         _require_keys(item, {"a", "b"}, {"a", "b"}, f"{where}.pairs[{i}]")
-        a = matrix_from_json(item["a"], f"{where}.pairs[{i}].a")
-        b = matrix_from_json(item["b"], f"{where}.pairs[{i}].b")
-        if a.rows != dim or a.cols != dim or b.rows != dim or b.cols != dim:
-            raise FormatError(f"{where}.pairs[{i}]: coefficient shape differs from dim")
+        a = _coefficient(item["a"], dim, f"{where}.pairs[{i}].a")
+        b = _coefficient(item["b"], dim, f"{where}.pairs[{i}].b")
         pairs.append((a, b))
     return ElementaryOperator(dim, tuple(pairs))
 
 
-def representation_to_json(rep: Representation) -> dict:
-    """The pairs u, v only.  P ties a representation to one particular
-    source pair list and is not re-checkable from the instance alone, so
-    no writer emits it; the reader still accepts an optional "P"."""
+def representation_to_json(rep: ElementaryOperator) -> dict:
+    """The pairs of a representation as two parallel arrays u and v."""
     return {
-        "u": [matrix_to_json(m) for m in rep.u],
-        "v": [matrix_to_json(m) for m in rep.v],
+        "u": [matrix_to_json(u) for u, _ in rep.pairs],
+        "v": [matrix_to_json(v) for _, v in rep.pairs],
     }
 
 
-def representation_from_json(data: Any, dim: int, where: str = "representation") -> Representation:
-    _require_keys(data, {"u", "v", "P"}, {"u", "v"}, where)
-    u = _matrices_from_json(data["u"], f"{where}.u")
-    v = _matrices_from_json(data["v"], f"{where}.v")
-    p = matrix_from_json(data["P"], f"{where}.P") if "P" in data else None
-    return Representation(dim, u, v, p)
+def representation_from_json(data: Any, dim: int, where: str = "representation") -> ElementaryOperator:
+    _require_keys(data, {"u", "v"}, {"u", "v"}, where)
+    u, v = data["u"], data["v"]
+    for key, value in (("u", u), ("v", v)):
+        if not isinstance(value, list):
+            raise FormatError(f"{where}.{key}: expected an array")
+    if len(u) != len(v):
+        raise FormatError(f"{where}.v: expected {len(u)} coefficients like u, got {len(v)}")
+    return ElementaryOperator(
+        dim,
+        tuple(
+            (_coefficient(a, dim, f"{where}.u[{i}]"), _coefficient(b, dim, f"{where}.v[{i}]"))
+            for i, (a, b) in enumerate(zip(u, v))
+        ),
+    )
 
 
 _PARAM_KEYS = {"zeta0", "zeta1", "f", "g", "r"}

@@ -30,6 +30,9 @@ EXACT_LOCAL_DIM_GATE = 16
 
 DEFAULT_SAMPLE_HEIGHT = 100
 
+#: Columns sampled above the gate: the all-ones column, then seeded ones.
+LOCAL_DIM_TRIALS = 24
+
 
 @dataclass(frozen=True)
 class OperatorSpace:
@@ -106,7 +109,7 @@ def _sampled_candidates(d: int, seed: int, salt: int, trials: int):
             yield random_vector(d, derive_seed(seed, salt + t), DEFAULT_SAMPLE_HEIGHT)
 
 
-def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> LocalDimResult:
+def local_dimension(space: OperatorSpace, seed: int = 0) -> LocalDimResult:
     """Max over z of dim(space applied to z), with a verifying witness.
 
     Instances with ambient_dim^2 * dim <= 16 are settled exactly by
@@ -123,10 +126,8 @@ def local_dimension(space: OperatorSpace, seed: int = 0, trials: int = 24) -> Lo
     exact = d * d * k <= EXACT_LOCAL_DIM_GATE
     if exact:
         candidates = map(vector, product(range(cap + 1), repeat=d))
-    elif trials < 1:
-        raise ContractError("at least one trial is required")
     else:
-        candidates = _sampled_candidates(d, seed, 0, trials)
+        candidates = _sampled_candidates(d, seed, 0, LOCAL_DIM_TRIALS)
     best = 0
     best_witness = zero_vector(d)
     used = 0
@@ -177,14 +178,13 @@ def simultaneous_separating_vector(
     raise SeparatingVectorError(best, failing, trials)
 
 
-def is_locally_linearly_dependent(space: OperatorSpace, seed: int = 0, trials: int = 24) -> bool:
+def is_locally_linearly_dependent(space: OperatorSpace) -> bool:
     """True iff the local dimension falls short of the dimension.
 
     Exact below the enumeration gate; otherwise the sampled witness makes
     a False answer certified and a True answer generically correct.
     """
-    result = local_dimension(space, seed=seed, trials=trials)
-    return result.value < space.dim
+    return local_dimension(space).value < space.dim
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,14 @@ class HatSpaceCheck(NamedTuple):
     local_dim: int
 
 
-def hat_space(space: OperatorSpace, probes: Sequence[Matrix], seed: int = 0) -> HatSpaceCheck:
+def hat_space(space: OperatorSpace, probes: Sequence[Matrix]) -> HatSpaceCheck:
     """Rank of the evaluation maps z -> (T -> T z) over the given probes.
 
     Each such map has rank dim(space applied at z), so the maximum over
     probes never exceeds the local dimension.  When the local dimension is
     known exactly a violation is impossible and raises loudly.
     """
-    ldim = local_dimension(space, seed=seed)
+    ldim = local_dimension(space)
     max_rank = 0
     for zeta in probes:
         max_rank = max(max_rank, _image_dim(space, zeta))

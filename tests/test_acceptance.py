@@ -44,6 +44,7 @@ from elemop.operators import (
     apply,
     change_left_basis,
     compose_is_zero,
+    gram,
     maps_equal,
     minimal_length,
     sum_bi_ai,
@@ -152,8 +153,8 @@ def test_criterion_04_triangular_round_trip():
         assert products.dim == 3  # n(n-1)/2 at n = 3
         rep = construct_triangular_rep(phi)
         assert rep is not None
-        assert maps_equal(rep.as_operator(), phi)
-        g = rep.gram()
+        assert maps_equal(rep, phi)
+        g = gram(rep)
         for i in range(3):
             for j in range(i + 1):
                 assert g.block(i, j).is_zero
@@ -332,7 +333,7 @@ def test_criterion_09_basis_changes_and_separating_vectors():
                     acc = acc + mix.entry(k, j) * reduced.pairs[k][0]
             new_left.append(acc)
         rep = change_left_basis(reduced, new_left)
-        assert maps_equal(rep.as_operator(), phi)
+        assert maps_equal(rep, phi)
         reconstructed += 1
     found = 0
     for s in range(100):

@@ -16,7 +16,7 @@ from elemop.classify import (
     structure_dimv1,
     verify_certificate,
 )
-from elemop.errors import ContractError, DimensionError, UnsupportedLengthError
+from elemop.errors import ContractError, DimensionError, ShapeError, UnsupportedLengthError
 from elemop.exact import (
     Matrix,
     char_poly,
@@ -82,7 +82,7 @@ def test_classify_length2_certificate_has_cor35_zeros():
     phi = generate("i", 2, 3, seed=9)
     verdict = classify(phi)
     assert verdict.status == "LQN"
-    g = verdict.representation.gram()
+    g = gram(verdict.representation)
     assert g.block(0, 0).is_zero and g.block(1, 0).is_zero and g.block(1, 1).is_zero
 
 
@@ -91,8 +91,8 @@ def test_construct_triangular_rep_recovery():
         phi = generate("i", 3, 4, seed=derive_seed(300, s))
         rep = construct_triangular_rep(phi)
         assert rep is not None
-        assert maps_equal(rep.as_operator(), phi)
-        g = rep.gram()
+        assert maps_equal(rep, phi)
+        g = gram(rep)
         for i in range(3):
             for j in range(i + 1):
                 assert g.block(i, j).is_zero
@@ -104,7 +104,7 @@ def test_construct_triangular_rep_none_for_specimen():
 
 def test_construct_triangular_rep_single_square_zero():
     rep = construct_triangular_rep(single_pair(2, unit(2, 0, 1), unit(2, 0, 1)))
-    assert rep is not None and rep.gram().block(0, 0).is_zero
+    assert rep is not None and gram(rep).block(0, 0).is_zero
 
 
 def test_classify_length3_specimen_ii():
@@ -339,12 +339,14 @@ def test_verify_rejects_wrong_shape_representation():
     phi = generate("ii", 3, 4, seed=7)
     verdict = classify(phi)
     assert verdict.status == "LQN" and verify_certificate(phi, verdict)
-    rep = verdict.representation
-    for field in ("u", "v"):
-        coefficients = list(getattr(rep, field))
-        coefficients[0] = Matrix.identity(1)
-        bad_rep = dataclasses.replace(rep, **{field: tuple(coefficients)})
-        bad = dataclasses.replace(verdict, representation=bad_rep)
+    (u, v), *rest = verdict.representation.pairs
+    # a representation is an operator, so every coefficient has its
+    # dimension and only the dimension as a whole can be wrong
+    for pair in ((Matrix.identity(1), v), (u, Matrix.identity(1))):
+        with pytest.raises(ShapeError):
+            ElementaryOperator(phi.dim, (pair, *rest))
+    for rep in (ElementaryOperator.zero(3), generate("ii", 3, 3, seed=7)):
+        bad = dataclasses.replace(verdict, representation=rep)
         check = verify_certificate(phi, bad)
         assert not check.ok and check.failed == "representation shape"
 

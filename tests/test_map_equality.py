@@ -66,7 +66,7 @@ def test_equal_under_similarity_transform(n, d, seed):
     phi = _random_operator(n, d, seed)
     length, reduced = minimal_length(phi)
     p = random_invertible(length, derive_seed(seed, 77), 3)
-    rep = similarity_transform(reduced, p).as_operator()
+    rep = similarity_transform(reduced, p)
     _agree(rep, phi, True)
     _agree(reduced, phi, True)
 

@@ -218,23 +218,22 @@ def test_gram_trivial_cases():
 def test_change_left_basis_identity():
     phi = specimen_form_ii()
     rep = change_left_basis(phi, [a for a, _ in phi.pairs])
-    assert rep.P == Matrix.identity(3)
-    assert rep.v == tuple(b for _, b in phi.pairs)
+    assert rep.pairs == phi.pairs
 
 
 def test_change_left_basis_scaling():
     phi = specimen_form_ii()
     rep = change_left_basis(phi, [2 * a for a, _ in phi.pairs])
     half = Scalar("1/2")
-    assert rep.v == tuple(half * b for _, b in phi.pairs)
+    assert tuple(v for _, v in rep.pairs) == tuple(half * b for _, b in phi.pairs)
 
 
 def test_change_left_basis_permutation():
     phi = specimen_form_ii()
     perm = [phi.pairs[2][0], phi.pairs[0][0], phi.pairs[1][0]]
     rep = change_left_basis(phi, perm)
-    assert rep.v == (phi.pairs[2][1], phi.pairs[0][1], phi.pairs[1][1])
-    assert maps_equal(rep.as_operator(), phi)
+    assert tuple(v for _, v in rep.pairs) == (phi.pairs[2][1], phi.pairs[0][1], phi.pairs[1][1])
+    assert maps_equal(rep, phi)
 
 
 def test_change_left_basis_rejects_non_basis():
@@ -262,11 +261,11 @@ def test_change_left_basis_eliminates_once_per_question(elimination_calls):
 def test_similarity_transform_identity_and_diag():
     phi = specimen_form_ii()
     rep = similarity_transform(phi, Matrix.identity(3))
-    assert rep.u == tuple(a for a, _ in phi.pairs)
+    assert tuple(u for u, _ in rep.pairs) == tuple(a for a, _ in phi.pairs)
     diag = Matrix.diagonal([2, 1, 1])
     rep = similarity_transform(phi, diag)
     g0 = gram(phi)
-    g1 = rep.gram()
+    g1 = gram(rep)
     for i in range(3):
         for j in range(3):
             scale = (Scalar(1) / diag.entry(i, i)) * diag.entry(j, j)
@@ -294,8 +293,8 @@ def test_similarity_transform_gram_conjugation():
     phi = specimen_form_ii()
     p = random_invertible(3, 17, 5)
     rep = similarity_transform(phi, p)
-    assert rep.gram().blocks == _gram_conjugate(gram(phi), p)
-    assert maps_equal(rep.as_operator(), phi)
+    assert gram(rep).blocks == _gram_conjugate(gram(phi), p)
+    assert maps_equal(rep, phi)
 
 
 def test_similarity_transform_builds_one_matrix_per_coefficient(monkeypatch):
@@ -319,8 +318,8 @@ def test_similarity_transform_builds_one_matrix_per_coefficient(monkeypatch):
     monkeypatch.undo()
     # u_j = sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k: one matrix each
     assert len(built) == 2 * n
-    assert maps_equal(rep.as_operator(), phi)
-    assert rep.gram().blocks == _gram_conjugate(gram(phi), p)
+    assert maps_equal(rep, phi)
+    assert gram(rep).blocks == _gram_conjugate(gram(phi), p)
 
 
 def test_similarity_transform_rejects_singular():
@@ -370,7 +369,7 @@ def test_representation_invariance_on_units():
         phi = specimen_form_iii()
         p = random_invertible(3, derive_seed(90, s), 4)
         rep = similarity_transform(phi, p)
-        assert maps_equal(rep.as_operator(), phi)
+        assert maps_equal(rep, phi)
 
 
 def test_minimal_length_representation_independent():
@@ -378,7 +377,7 @@ def test_minimal_length_representation_independent():
     # block grids must be related by some invertible scalar conjugation
     phi = specimen_form_ii()
     p0 = random_invertible(3, 23, 4)
-    other = similarity_transform(phi, p0).as_operator()
+    other = similarity_transform(phi, p0)
     n1, red1 = minimal_length(phi)
     n2, red2 = minimal_length(other)
     assert n1 == n2 == 3

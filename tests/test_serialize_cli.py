@@ -227,8 +227,7 @@ def test_verdict_round_trip():
     data = verdict_to_json(verdict, phi.dim)
     back = verdict_from_json(data, phi.dim)
     assert back.status == verdict.status and back.form == verdict.form
-    assert back.representation.u == verdict.representation.u
-    assert back.representation.v == verdict.representation.v
+    assert back.representation.pairs == verdict.representation.pairs
     assert back.parameters == verdict.parameters
     assert back.evidence == verdict.evidence
 
@@ -378,6 +377,44 @@ def test_cli_oversized_numbers_are_bad_input(tmp_path, capsys, args):
     assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
 
 
+#: Files the JSON reader cannot turn into a document: bytes that are not
+#: UTF-8, nesting past the parser's depth, and an integer past the
+#: interpreter's 4300-digit limit.
+_UNPARSABLE = {
+    "utf16-bom": b"\xff\xfe{}",
+    "deep-nesting": b"[" * 200_000,
+    "5000-digit-dim": b'{"schema_version": "1", "operator": {"dim": '
+    + b"9" * 5000
+    + b', "pairs": []}}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNPARSABLE))
+def test_cli_unparsable_file_is_bad_input(tmp_path, capsys, name):
+    bad = tmp_path / f"{name}.json"
+    bad.write_bytes(_UNPARSABLE[name])
+    inst = _generate_file(tmp_path, "ii", 3, seed=3)
+    cert = tmp_path / "cert.json"
+    assert main(["classify", str(inst), "--out", str(cert)]) == 0
+    for argv in (["classify", str(bad)], ["verify", str(bad), str(cert)], ["verify", str(inst), str(bad)]):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse ") and str(bad) in err
+
+
+@pytest.mark.parametrize("command", ["generate", "classify"])
+def test_cli_unwritable_output_is_bad_input(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.json"
+    if command == "generate":
+        argv = ["generate", "--form", "ii", "--dim", "3", str(out)]
+    else:
+        argv = ["classify", str(_generate_file(tmp_path, "ii", 3, seed=3)), "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+
 def test_cli_classify_exit_codes(tmp_path):
     lqn = _generate_file(tmp_path, "ii", 3, seed=3)
     assert main(["classify", str(lqn), "--out", str(tmp_path / "c1.json")]) == 0
@@ -455,8 +492,10 @@ def test_cli_verify_rejects_wrong_shape_representation(tmp_path, capsys):
     data["verdict"]["representation"]["u"][0] = matrix_to_json(Matrix.identity(1))
     cert.write_text(json.dumps(data))
     capsys.readouterr()
-    assert main(["verify", str(inst), str(cert)]) == 1
-    assert "verification failed: representation shape" in capsys.readouterr().err
+    # a malformed certificate is bad input, not a failed identity
+    assert main(["verify", str(inst), str(cert)]) == 2
+    err = capsys.readouterr().err
+    assert "error: verdict.representation.u[0]: coefficient shape differs from dim" in err
 
 
 def test_cli_verify_rejects_digest_mismatch(tmp_path, capsys):
