@@ -1,8 +1,10 @@
 """Command-line surface: analyze, classify, generate, verify, oracle.
 
 Exit codes: 0 success or locally-nilpotent, 1 refuted or invalid
-certificate, 2 bad input (a malformed file, or a file that cannot be
-read or written), 3 unknown verdict, 4 unsupported length.
+certificate, 2 bad input (a malformed file, an instance dim above
+`serialize.MAX_DIM`, or a file that cannot be read or written), 3 unknown
+verdict, 4 unsupported length, and 141 when standard output closes before
+a command has written it all.
 Identical flags and seed produce byte-identical output files.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -22,6 +25,7 @@ from .exact import char_poly
 from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT, witness_search
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
 from .serialize import (
+    MAX_DIM,
     certificate_from_json,
     certificate_to_json,
     instance_digest,
@@ -70,17 +74,19 @@ def _write_json(path: str, data: dict):
         raise FormatError(f"cannot write {path}: {exc}") from None
 
 
-def _int_at_least(minimum: int):
-    """An argparse type for integer options with a lower bound; a value
-    below it is a usage error (exit 2) that names the option."""
+def _int_within(minimum: int | None = None, maximum: int | None = None):
+    """An argparse type for integer options with bounds; a value outside
+    them is a usage error (exit 2) that names the option."""
 
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < minimum:
+        if minimum is not None and value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
         return value
 
     return parse
@@ -228,14 +234,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     # 0 skips the witness search: a verdict the structural tiers cannot
     # reach is then Unknown (exit 3), never a pass
-    p.add_argument("--trials", type=_int_at_least(0), default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_int_within(0), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("generate", help="write a seeded instance file")
     p.add_argument("--form", required=True, choices=["i", "ii", "iii", "remark45", "random"])
     p.add_argument("--n", type=int, default=3)
-    p.add_argument("--dim", type=int, required=True)
+    # the instance reader's bound; a smaller dim that no form admits is
+    # reported by the generator
+    p.add_argument("--dim", type=_int_within(maximum=MAX_DIM), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("out")
     p.set_defaults(func=_cmd_generate)
@@ -248,9 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="pure sampling search for a refuting argument")
     p.add_argument("path")
     # with no trial, "no witness found" would read as a clean sampling pass
-    p.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
+    p.add_argument("--trials", type=_int_within(1), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--height", type=_int_at_least(1), default=DEFAULT_WITNESS_HEIGHT)
+    p.add_argument("--height", type=_int_within(1), default=DEFAULT_WITNESS_HEIGHT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 
@@ -269,5 +277,23 @@ def main(argv=None) -> int:
         return EXIT_BAD_INPUT
 
 
-def entry_point():  # pragma: no cover
-    sys.exit(main())
+#: The exit status of a command whose standard output closed before it
+#: had written it all: 128 + SIGPIPE, as a shell reports a process that
+#: the signal ended.
+EXIT_BROKEN_PIPE = 141
+
+
+def entry_point():
+    """`main` as a program.  When the reader of standard output closes it
+    early (`elemop analyze x.json | head -3`), the command stops quietly:
+    it keeps its own exit code if it had finished, and exits with
+    EXIT_BROKEN_PIPE otherwise."""
+    code = EXIT_BROKEN_PIPE
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more on exit; let that flush
+        # go nowhere rather than raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)

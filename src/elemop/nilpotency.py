@@ -7,25 +7,28 @@ power of t_1 N_1 + ... + t_k N_k is a homogeneous polynomial in t of
 degree p, and all of them vanish identically iff the space is nilpotent.
 The certified mode expands those polynomials level by level over
 monomial multisets: the matrix coefficient of t^beta is
-S_beta = sum over i in beta of S_(beta - e_i) N_i, computed on the
-integer grids of the basis, and the expansion stops at the first level
-with a nonzero trace.  Below the top level that is one kernel product
-per multiset: the S_(beta - e_i) side by side times the factor columns
-of the N_i stacked, where each N_i is transposed once per expansion and
-each stack is built once.  The top level p = m needs only traces, and
-with A = sum t_i N_i the identity d/dt_i tr(A^m) = m tr(A^(m-1) N_i)
-gives tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in
-beta.  So the top level builds no S_beta: one kernel product per
-multiset alpha of level m-1, the row vec(S_alpha) times the columns
-vec(N_i^T) for i >= max alpha, holds the traces of every alpha + (i,).
-The gate counts that work: k * C(k+p-2, p-1) products S_alpha N_i of
-m x m matrices at each level p = 2..m-1, plus the C(k+m-1, m) traces of
-level m, where the ordered words would take k + k^2 + ... + k^m.  Realness
-is decided once per space: a real space expands on one integer grid per
-matrix with `int_matmul`, any other on the real and imaginary grids
-with `gaussian_int_matmul`.  The first multiset beta with a nonzero trace
-pins an explicit counterexample on the integer grid {0..|beta|} over
-the support of beta.
+S_beta = sum over the distinct i in beta of S_(beta - e_i) N_i, computed
+on the integer grids of the basis, and the expansion stops at the first
+level with a nonzero trace.  Level p is built forward from level p-1, as
+beta = alpha + (i,) for i >= max alpha, in one loop whose arithmetic is
+picked once per space: a real space holds each S as one integer grid and
+multiplies with `int_matmul`, any other holds (re, im) grids and
+multiplies with `gaussian_int_matmul`.  Below the top level each multiset
+is one kernel product: its parents S_(beta - e_i) side by side times the
+columns of the N_i stacked, where each N_i is transposed once per
+expansion and each stack is built once.  The top level p = m needs only
+traces, and with A = sum t_i N_i the identity
+d/dt_i tr(A^m) = m tr(A^(m-1) N_i) gives
+tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in beta.
+So the top level builds no S_beta and is streamed off level m-1: as soon
+as each S_alpha of level m-1 is built, one kernel product, the row
+vec(S_alpha) times the columns vec(N_i^T) for i >= max alpha, holds the
+traces of every alpha + (i,), and level m-1 is never stored.  The gate
+counts that work: k * C(k+p-2, p-1) products S_alpha N_i of m x m
+matrices at each level p = 2..m-1, plus the C(k+m-1, m) traces of level
+m, where the ordered words would take k + k^2 + ... + k^m.  The first
+multiset beta with a nonzero trace pins an explicit counterexample on
+the integer grid {0..|beta|} over the support of beta.
 
 Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
@@ -90,99 +93,147 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     tr((sum t_i N_i)^p) is the zero polynomial for every p = 1..m.
 
     The coefficient of t^beta in (sum t_i N_i)^p, for a multiset beta of
-    size p, is S_beta = sum over i in beta of S_(beta - e_i) N_i, and the
-    identities vanish iff every tr S_beta is zero.  The expansion keeps
-    one level of S's at a time, on the integer grids of the basis
-    (denominators cleared per element, which only rescales each t_i), and
-    returns beta, as sorted indices, at the first nonzero trace; levels
-    and multisets go in increasing order.
+    size p, is S_beta = sum over the distinct i in beta of S_(beta - e_i) N_i,
+    and the identities vanish iff every tr S_beta is zero.  The expansion
+    runs on the integer grids of the basis (denominators cleared per
+    element, which only rescales each t_i) and returns beta, as sorted
+    indices, at the first nonzero trace; levels and multisets go in
+    increasing order, multisets in combinations_with_replacement order.
 
-    Below level m each S_beta is one kernel product: the rows of its
-    S_(beta - e_i) side by side times the columns of its N_i stacked.
-    Each basis element is transposed once per call, and the stacked
-    columns of each distinct index tuple are built once per call and
-    reused at every level.  Level m needs only the traces, and
-    tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in
-    beta, from d/dt_i tr(A^m) = m tr(A^(m-1) N_i) with A = sum t_i N_i;
-    the factor is nonzero, so it does not change which traces vanish.
-    Taking i = max beta, each alpha of level m-1 makes one product, the
-    row vec(S_alpha) times the columns vec(N_i^T) for i >= max alpha
-    (built once per start index), whose entries are the traces of
-    beta = alpha + (i,) in order: alpha in combinations_with_replacement
-    order and i ascending visit beta in that same order.  That is
-    C(k+m-2, m-1) products for the C(k+m-1, m) traces of level m.
+    Level p is built forward from level p-1: beta = alpha + (i,) for
+    i >= max alpha, which visits level p in that order.  The parents
+    beta - e_x of beta are (alpha - e_x) + (i,) for each distinct x in
+    alpha, which is alpha itself for x = i, and alpha for a new i.  Each
+    S_beta is one kernel product: the rows of its parents side by side
+    times the columns of their N_x stacked, where each basis element is
+    transposed once per call and the stacked columns of each distinct
+    index tuple are built once per call and reused at every level.
 
-    Whether every basis element is real is read once, from the input.  A
-    real space has real S's throughout, so each matrix is the one grid
-    (re,) and each product one `int_matmul`; otherwise each is (re, im)
-    and each product one `gaussian_int_matmul`.  Both kernels take the
-    same stacked columns and give the same integer traces, so the
-    verdict does not depend on the path.
+    Level m needs only the traces: tr S_beta = (m / beta_i)
+    tr(S_(beta - e_i) N_i) for any one i in beta, from
+    d/dt_i tr(A^m) = m tr(A^(m-1) N_i) with A = sum t_i N_i, and the factor
+    is nonzero, so it does not change which traces vanish.  Taking
+    i = max beta, each S_alpha of level m-1 makes one product as soon as
+    it is built and its own trace is zero: the row vec(S_alpha) times the
+    columns vec(N_i^T) for i >= max alpha, whose entries are the traces of
+    alpha + (i,) in order.  The first such hit is kept and returned only
+    once every trace of level m-1 is zero, so a lower level still wins;
+    the rest of level m-1 is built for its own traces and takes no more
+    row products.  No level m-1 is stored.  On a nil space that is
+    C(k+m-2, m-1) products for the C(k+m-1, m) traces of level m; at
+    m = 2 they read the basis directly.
+
+    Whether every basis element is real is read once, from the input, and
+    picks the arithmetic: a real space holds each S as one integer grid
+    and multiplies with `int_matmul`, any other holds (re, im) grids and
+    multiplies with `gaussian_int_matmul`.  Both give the same integer
+    traces, so the verdict does not depend on the path.  The kernels are
+    looked up on this module at each call.  Level 1 is the basis itself,
+    so its traces are read before any product.
     """
-    m = space.ambient_dim
-    k = space.dim
-    real = not any(any(map(any, n.im)) for n in space.basis)
-    factors = [(n.re,) if real else (n.re, n.im) for n in space.basis]
-    first = next((i for i, n in enumerate(factors) if _has_trace(n)), None)
-    if first is not None:
-        return (first,)
-    # rows and columns as lists, which `_joined` adds
-    level = {(i,): tuple([*map(list, g)] for g in n) for i, n in enumerate(factors)}
-    columns = [tuple([*map(list, zip(*g))] for g in n) for n in factors]
+    m, k = space.ambient_dim, space.dim
+    if any(any(map(any, n.im)) for n in space.basis):
+        mats = [(_rows(n.re), _rows(n.im)) for n in space.basis]
+        columns = [(_columns(re), _columns(im)) for re, im in mats]
+        vecs = [_vec(re) for re, _ in columns], [_vec(im) for _, im in columns]
+        join, multiply = _gaussian_join, _gaussian_product
+        trace, traces = _gaussian_trace, _gaussian_traces
+    else:
+        mats = [_rows(n.re) for n in space.basis]
+        columns = [_columns(s) for s in mats]
+        vecs = [_vec(c) for c in columns]
+        join, multiply = _join, int_matmul
+        trace, traces = _trace, _traces
+    first = next(((i,) for i, s in enumerate(mats) if trace(s)), None)
+    if first is not None or m == 1:
+        return first
     stacks = {}
-    for p in range(2, m):
+    top = None
+    # alpha -> (S_alpha, the distinct x in alpha ascending, alpha - e_x for
+    # each x); level 0 is S_() = I, whose products with the N_i are the
+    # basis, so at m = 2 the top level streams off the basis itself
+    level = {(): (None, (), ())}
+    for p in range(1, m):
         following = {}
-        for beta in combinations_with_replacement(range(k), p):
-            # the distinct i in beta, and beta - e_i for each
-            indices = tuple(dict.fromkeys(beta))
-            alphas = [beta[:j] + beta[j + 1:] for j in map(beta.index, indices)]
-            right = stacks.get(indices)
-            if right is None:
-                right = stacks[indices] = _joined([columns[i] for i in indices])
-            left = _joined([level[alpha] for alpha in alphas])
-            if real:
-                s_beta = (int_matmul(*left, *right),)
-            else:
-                s_beta = gaussian_int_matmul(*left, *right)
-            if _has_trace(s_beta):
-                return beta
-            following[beta] = s_beta
+        for alpha, (_, indices, parents) in level.items():
+            start = alpha[-1] if alpha else 0
+            for i in range(start, k):
+                beta = alpha + (i,)
+                beta_parents = [gamma + (i,) for gamma in parents]
+                beta_indices = indices
+                if i != start or not alpha:  # i is new to alpha, so beta - e_i = alpha
+                    beta_parents.append(alpha)
+                    beta_indices = indices + (i,)
+                if p == 1:
+                    s_beta = mats[i]
+                else:
+                    right = stacks.get(beta_indices)
+                    if right is None:
+                        right = stacks[beta_indices] = join([columns[x] for x in beta_indices])
+                    s_beta = multiply(join([level[gamma][0] for gamma in beta_parents]), right)
+                if trace(s_beta):
+                    return beta
+                if p < m - 1:
+                    following[beta] = (s_beta, beta_indices, beta_parents)
+                elif top is None:
+                    hits = traces(s_beta, vecs, i)
+                    if any(hits):
+                        top = beta + (i + next(j for j, t in enumerate(hits) if t),)
         level = following
-    # level m: one row vec(S_alpha) times the columns vec(N_i^T), i >= max alpha
-    vecs = [tuple([x for col in g for x in col] for g in c) for c in columns]
-    tails = [[*zip(*vecs[j:])] for j in range(k)]
-    for alpha, s_alpha in level.items():
-        j = alpha[-1]
-        if real:
-            traces = (int_matmul(*_as_row(s_alpha), *tails[j]),)
-        else:
-            traces = gaussian_int_matmul(*_as_row(s_alpha), *tails[j])
-        hit = next((i for i, t in enumerate(zip(*(g[0] for g in traces))) if any(t)), None)
-        if hit is not None:
-            return alpha + (j + hit,)
-    return None
+    return top
 
 
-# Helpers on matrices held as tuples of integer grids: (re,) for a real
-# space, (re, im) otherwise.  A grid is a list of rows, or of columns
-# where it is a right factor.
+# The arithmetic of the expansion.  A real space holds each matrix as one
+# integer grid, a list of rows, or of columns where it is a right factor,
+# and multiplies with `int_matmul`; any other holds an (re, im) pair of
+# grids and multiplies with `gaussian_int_matmul`.
 
 
-def _has_trace(grids) -> bool:
-    return any(sum(map(getitem, g, range(len(g)))) for g in grids)
+def _rows(grid):
+    return [*map(list, grid)]
 
 
-def _joined(mats):
-    """The matrices' lines joined index by index: rows side by side, or
+def _columns(grid):
+    return [*map(list, zip(*grid))]
+
+
+def _vec(grid):
+    """The lines of a grid one after another: vec(S) of its rows, or
+    vec(N^T) of its columns, so that tr(S N) is their dot product."""
+    return [x for line in grid for x in line]
+
+
+def _join(grids):
+    """The grids' lines joined index by index: rows side by side, or
     columns stacked."""
-    return [[sum(lines, []) for lines in zip(*grids)] for grids in zip(*mats)]
+    return [sum(lines, []) for lines in zip(*grids)]
 
 
-def _as_row(grids):
-    """vec(S) as the one row of a 1 x m^2 matrix; of a column list, vec(N^T)
-    as the one column of an m^2 x 1 matrix, so that tr(S N) is their
-    product."""
-    return tuple([[x for row in g for x in row]] for g in grids)
+def _trace(grid) -> int:
+    return sum(map(getitem, grid, range(len(grid))))
+
+
+def _traces(grid, vecs, i: int) -> list[int]:
+    """tr(S N_j) for j >= i, from vec(S) and the vec(N_j^T)."""
+    return int_matmul([_vec(grid)], vecs[i:])[0]
+
+
+def _gaussian_join(pairs):
+    return _join([re for re, _ in pairs]), _join([im for _, im in pairs])
+
+
+def _gaussian_product(left, right):
+    return gaussian_int_matmul(*left, *right)
+
+
+def _gaussian_trace(pair) -> int:
+    return _trace(pair[0]) or _trace(pair[1])
+
+
+def _gaussian_traces(pair, vecs, i: int) -> list[int]:
+    """Of each such trace, its real part or else its imaginary part."""
+    re, im = gaussian_int_matmul([_vec(pair[0])], [_vec(pair[1])], vecs[0][i:], vecs[1][i:])
+    return [a or b for a, b in zip(re[0], im[0])]
 
 
 def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matrix:

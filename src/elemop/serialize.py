@@ -43,6 +43,12 @@ from .operators import ElementaryOperator
 
 SCHEMA_VERSION = "1"
 
+#: The largest instance dim the reader accepts.  Every command finishes in
+#: seconds on a pair-less instance of this size, while a dim with no bound
+#: let `analyze` and `oracle` allocate dim x dim matrices until memory ran
+#: out.
+MAX_DIM = 32
+
 _FRACTION_CHARS = "-/0123456789"
 
 
@@ -178,6 +184,8 @@ def operator_to_json(phi: ElementaryOperator) -> dict:
 def operator_from_json(data: Any, where: str = "operator") -> ElementaryOperator:
     _require_keys(data, {"dim", "pairs"}, {"dim", "pairs"}, where)
     dim = _positive_int(data["dim"], f"{where}.dim")
+    if dim > MAX_DIM:
+        raise FormatError(f"{where}.dim: at most {MAX_DIM} is supported, got {dim}")
     if not isinstance(data["pairs"], list):
         raise FormatError(f"{where}.pairs: expected an array")
     pairs = []

@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import inspect
 from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -747,12 +748,13 @@ def test_trace_identities_make_one_kernel_call_per_multiset(monkeypatch, kernel,
     # Conjugated strictly uppers of M_4, k = 6, all nilpotent: levels 2 and
     # 3 take one 4-row product per multiset, C(7, 2) + C(8, 3) = 21 + 56,
     # and the last level one 1-row product per level-3 multiset alpha,
-    # C(8, 3) = 56, whose entries are the traces of alpha + (i,).
+    # C(8, 3) = 56, whose entries are the traces of alpha + (i,).  That
+    # row product follows the product of S_alpha at once.
     upper = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
     space = reduce_basis([scale * n for n in upper.basis])
     calls = _count_products(monkeypatch, kernel)
     assert _first_nonzero_trace(space) is None
-    assert calls == [4] * (21 + 56) + [1] * 56
+    assert calls == [4] * 21 + [4, 1] * 56
 
 
 def _full_sum_first_trace(space):
@@ -839,6 +841,52 @@ def test_top_level_reads_repeated_indices(mats, first):
     assert _full_sum_first_trace(space) == first
 
 
+def _streamed_level_order_cases():
+    """(name, mats, earlier, first): the first nonzero trace is at level
+    m-1, on the multiset first, while the earlier level-(m-1) multiset
+    earlier already has a nonzero trace at level m, of earlier + (i,)
+    for some i."""
+    # CYCLIC_3 P has tr P = tr P^2 = 0 and tr P^3 = 3, so alpha = (0, 0)
+    # has the level-3 trace of (0, 0, 0).  D = E00 - E11 has tr D = 0,
+    # tr(P D) = 0 and tr D^2 = 2, so level 2 first traces at (1, 1).
+    diagonal = unit(3, 0, 0) - unit(3, 1, 1)
+    # The 4-cycle C = E10 + E21 + E32 + E03 has tr C^p = 0 for p < 4 and
+    # tr C^4 = 4, so alpha = (0, 0, 0) has the level-4 trace of
+    # (0, 0, 0, 0).  The 3-cycle Q = E10 + E21 + E02 has
+    # tr Q = tr(C Q) = tr Q^2 = tr C^3 = 0, so level 3 first traces at
+    # (0, 0, 1), since tr(C^2 Q) = 1.
+    cycle_4 = _split_cycle(4, [0, 0, 0, 0])[0]
+    cycle_3 = unit(4, 1, 0) + unit(4, 2, 1) + unit(4, 0, 2)
+    return [
+        ("m3", [CYCLIC_3, diagonal], (0, 0), (1, 1)),
+        ("m4", [cycle_4, cycle_3], (0, 0, 0), (0, 0, 1)),
+    ]
+
+
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+@pytest.mark.parametrize(
+    "mats, earlier, first",
+    [pytest.param(mats, e, f, id=name) for name, mats, e, f in _streamed_level_order_cases()],
+)
+def test_streamed_top_level_keeps_level_order(monkeypatch, scale, mats, earlier, first):
+    # The top level streams off level m-1: the row product of S_earlier
+    # finds a nonzero level-m trace before S_first is built, and the loop
+    # must still return first, a multiset of the lower level.
+    space = reduce_basis([scale * n for n in mats])
+    m = space.ambient_dim
+    assert earlier < first and len(first) == m - 1
+    # tr S_(earlier + (0,)) = tr N_0^m, the first nonzero trace of N_0 alone
+    alone = reduce_basis([scale * mats[0]])
+    assert _full_sum_first_trace(alone) == earlier + (0,)
+    kernel = "int_matmul" if scale == ONE else "gaussian_int_matmul"
+    calls = _count_products(monkeypatch, kernel)
+    assert _first_nonzero_trace(space) == first
+    # a top-level row product came before the product of S_first, the last
+    assert 1 in calls and calls[-1] == m
+    assert _full_sum_first_trace(space) == first
+    assert _ordered_word_walk(space) is False
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     m=st.integers(2, 5),
@@ -913,6 +961,41 @@ def test_subspace_budget_counts_the_multiset_recursion(monkeypatch):
     report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
     monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", 287)
+    assert subspace_all_nilpotent(space).method == "randomized"
+
+
+@pytest.mark.parametrize("kernel, scale", [("int_matmul", ONE), ("gaussian_int_matmul", I_UNIT)])
+@pytest.mark.parametrize(
+    "m, k", [(m, k) for m in range(2, 7) for k in range(1, 6) if k <= m * (m - 1) // 2]
+)
+def test_budget_gate_counts_the_work_of_the_expansion(monkeypatch, kernel, scale, m, k):
+    # On a nil space every level is built and every top-level trace read,
+    # so the gate's count is exactly the work done: a level product holds
+    # one S_alpha N_i per block of m rows of its stacked right factor, and
+    # a 1-row product one top-level trace per column.  (m, k) runs over
+    # {2..6} x {1..5} up to the dimension m(m-1)/2 that a nil space can
+    # have.
+    q = random_invertible(m, derive_seed(350, 10 * m + k), 3)
+    space = reduce_basis([scale * n for n in conjugated_space(
+        reduce_basis(strictly_upper_basis(m)[:k]), q).basis])
+    assert space.dim == k
+    work = []
+    real = getattr(nilpotency, kernel)
+
+    def counting(left, *grids):
+        columns = grids[-2] if kernel == "gaussian_int_matmul" else grids[-1]
+        work.append(len(columns) if len(left) == 1 else len(columns[0]) // m)
+        return real(left, *grids)
+
+    monkeypatch.setattr(nilpotency, kernel, counting)
+    report = subspace_all_nilpotent(space)
+    assert report.all_nilpotent and report.method == "exact-grid"
+    done = sum(work)
+    assert done == sum(k * comb(k + p - 2, p - 1) for p in range(2, m)) + comb(k + m - 1, m)
+    # the gate lets the expansion run exactly when its budget covers that work
+    monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", done)
+    assert subspace_all_nilpotent(space).method == "exact-grid"
+    monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", done - 1)
     assert subspace_all_nilpotent(space).method == "randomized"
 
 

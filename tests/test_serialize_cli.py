@@ -579,3 +579,71 @@ def test_python_dash_m_runs_the_cli_from_a_source_checkout(tmp_path):
     assert run.returncode == 0, run.stderr
     direct = _generate_file(tmp_path, "ii", 3, seed=2)
     assert out.read_bytes() == direct.read_bytes()
+
+
+def _pairless_instance(path, dim):
+    path.write_text(json.dumps({"schema_version": "1", "operator": {"dim": dim, "pairs": []}}))
+    return path
+
+
+def test_cli_takes_a_pairless_instance_at_the_dim_bound(tmp_path):
+    inst = _pairless_instance(tmp_path / "zero.json", serialize.MAX_DIM)
+    cert = tmp_path / "zero.cert.json"
+    assert main(["analyze", str(inst)]) == 0
+    assert main(["classify", str(inst), "--out", str(cert)]) == 0
+    assert main(["verify", str(inst), str(cert)]) == 0
+    assert main(["oracle", str(inst), "--trials", "1"]) == 0
+
+
+@pytest.mark.parametrize("command", ["analyze", "oracle", "classify", "verify"])
+def test_cli_rejects_an_instance_dim_past_the_bound(tmp_path, capsys, command):
+    # {"dim": 100000, "pairs": []} once passed the reader, and `analyze`
+    # and `oracle` then ran out of memory
+    at_bound = _pairless_instance(tmp_path / "zero.json", serialize.MAX_DIM)
+    cert = tmp_path / "zero.cert.json"
+    assert main(["classify", str(at_bound), "--out", str(cert)]) == 0
+    past = _pairless_instance(tmp_path / "past.json", serialize.MAX_DIM + 1)
+    argv = {
+        "analyze": ["analyze", str(past)],
+        "oracle": ["oracle", str(past)],
+        "classify": ["classify", str(past), "--out", str(tmp_path / "past.cert.json")],
+        "verify": ["verify", str(past), str(cert)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "past.cert.json").exists()
+    assert captured.err == (
+        f"error: instance.operator.dim: at most {serialize.MAX_DIM} is supported, "
+        f"got {serialize.MAX_DIM + 1}\n"
+    )
+
+
+def test_cli_generate_rejects_a_dim_past_the_bound(tmp_path, capsys):
+    out = tmp_path / "past.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--form", "random", "--n", "1", "--dim", str(serialize.MAX_DIM + 1), str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument --dim: must be at most {serialize.MAX_DIM}, got {serialize.MAX_DIM + 1}" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_exits_quietly_when_stdout_closes_early(tmp_path):
+    # `analyze --json` of a random length-3 operator at d = 16 prints about
+    # 160 KB, more than a pipe and the output buffer hold, so the command
+    # is still writing when the reader goes away after one line.
+    inst = _generate_file(tmp_path, "random", 16, seed=1)
+    src = Path(__file__).resolve().parents[1] / "src"
+    paths = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "elemop", "analyze", "--json", str(inst)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
