@@ -460,8 +460,13 @@ def _is_scalar_matrix(m: Matrix) -> bool:
 
 
 def _generate_random(n: int, d: int, seed: int) -> ElementaryOperator:
+    """n pairs of seeded random matrices.  The coefficient tensor of an
+    operator on M_d is d^2 x d^2, so no operator has length above d^2,
+    and a longer request is refused before any matrix is drawn."""
     if n < 1:
         raise DimensionError("random operators need at least one pair")
+    if n > d * d:
+        raise DimensionError(f"an operator on M_{d} has length at most {d * d}, got n={n}")
     pairs = []
     for i in range(n):
         a = random_matrix(d, derive_seed(seed, 2 * i), GENERATOR_HEIGHT)

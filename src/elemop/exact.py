@@ -780,38 +780,54 @@ def lambda_power(d: int) -> Polynomial:
 def char_poly(m: Matrix) -> Polynomial:
     """Characteristic polynomial det(tI - m), monic of degree = side.
 
-    Runs the Faddeev-LeVerrier recurrence on the Gaussian-integer grid
-    G = den*m that `m` stores: with M_0 = I,
-
-        c_k = -tr(G M_(k-1)) / k,    M_k = G M_(k-1) + c_k I,
-
-    gives det(tI - G) = sum_k c_k t^(d-k).  Every c_k is a polynomial in
-    the entries of G with integer coefficients, so it is a Gaussian
-    integer, every M_k is a Gaussian-integer matrix, and each division by
-    k is an exact integer division.  Since det(tI - G) = den^d det(t/den I
-    - m), the coefficient of t^(d-k) in det(tI - m) is c_k / den^k: one
-    fraction pair per coefficient and none per entry.
+    Built from the integer coefficients c_k of `_char_coefficients`, the
+    Faddeev-LeVerrier recurrence on the grid G = den*m: since
+    det(tI - G) = den^d det(t/den I - m), the coefficient of t^(d-k) in
+    det(tI - m) is c_k / den^k, one fraction pair per coefficient and
+    none per entry.
 
     `oracle` prints it; no verdict reads it, since nilpotency is decided
     by `is_nilpotent_matrix`.
     """
     if not m.is_square:
         raise ShapeError("characteristic polynomial needs a square matrix")
+    coeffs = [
+        _scalar_over(c_re, c_im, m.den**k)
+        for k, (c_re, c_im) in enumerate(_char_coefficients(m), 1)
+    ]
+    return Polynomial((*reversed(coeffs), ONE))
+
+
+def _char_coefficients(m: Matrix) -> list[tuple[int, int]]:
+    """The coefficients c_1..c_d of det(tI - G) = sum_k c_k t^(d-k), with
+    c_0 = 1, for the Gaussian-integer grid G = den*m of a square m, as
+    (re, im) integer pairs.
+
+    The Faddeev-LeVerrier recurrence: with M_0 = I,
+
+        c_k = -tr(G M_(k-1)) / k,    M_k = G M_(k-1) + c_k I.
+
+    Every c_k is a polynomial in the entries of G with integer
+    coefficients, so it is a Gaussian integer, every M_k is a
+    Gaussian-integer matrix, and each division by k is an exact integer
+    division.  The last one, c_d = (-1)^d det G, is nonzero exactly when
+    m is invertible.  It builds no Scalar or Fraction.
+    """
     d = m.rows
-    den, g_re, g_im = m.den, m.re, m.im
-    coeffs_high = [ONE]  # coefficient of t^d
+    g_re, g_im = m.re, m.im
+    coeffs = []
     am_re, am_im = g_re, g_im  # G M_0
     for k in range(1, d + 1):
         c_re = -sum(am_re[i][i] for i in range(d)) // k
         c_im = -sum(am_im[i][i] for i in range(d)) // k
-        coeffs_high.append(_scalar_over(c_re, c_im, den**k))
+        coeffs.append((c_re, c_im))
         if k < d:
             am_re, am_im = gaussian_int_matmul(
                 g_re,
                 g_im,
                 *_grid_columns(_add_to_diagonal(am_re, c_re), _add_to_diagonal(am_im, c_im)),
             )
-    return Polynomial(tuple(reversed(coeffs_high)))
+    return coeffs
 
 
 def _add_to_diagonal(grid, c: int):
@@ -871,9 +887,16 @@ def random_matrix(dim: int, seed: int, height: int) -> Matrix:
 
 
 def random_invertible(dim: int, seed: int, height: int) -> Matrix:
+    """The first invertible `random_matrix` over the sub-seeds of seed.
+
+    A draw is invertible iff its determinant is nonzero, read as the
+    last Faddeev-LeVerrier coefficient c_d = (-1)^d det(den*m) of
+    `_char_coefficients` on its integer grid, so the test eliminates
+    nothing and builds no Scalar.
+    """
     for attempt in range(64):
         m = random_matrix(dim, derive_seed(seed, attempt), height)
-        if rank(m) == dim:
+        if any(_char_coefficients(m)[-1]):
             return m
     raise DomainError("could not sample an invertible matrix")  # pragma: no cover
 

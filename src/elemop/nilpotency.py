@@ -129,9 +129,13 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     multiplies with `gaussian_int_matmul`.  Both give the same integer
     traces, so the verdict does not depend on the path.  The kernels are
     looked up on this module at each call.  Level 1 is the basis itself,
-    so its traces are read before any product.
+    so its traces are read off the stored row grids before any column,
+    vec or product is built, and a basis with a trace returns at once.
     """
     m, k = space.ambient_dim, space.dim
+    first = next(((i,) for i, n in enumerate(space.basis) if _trace(n.re) or _trace(n.im)), None)
+    if first is not None or m == 1:
+        return first
     if any(any(map(any, n.im)) for n in space.basis):
         mats = [(_rows(n.re), _rows(n.im)) for n in space.basis]
         columns = [(_columns(re), _columns(im)) for re, im in mats]
@@ -144,9 +148,6 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
         vecs = [_vec(c) for c in columns]
         join, multiply = _join, int_matmul
         trace, traces = _trace, _traces
-    first = next(((i,) for i, s in enumerate(mats) if trace(s)), None)
-    if first is not None or m == 1:
-        return first
     stacks = {}
     top = None
     # alpha -> (S_alpha, the distinct x in alpha ascending, alpha - e_x for

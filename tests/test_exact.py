@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elemop import exact
 from elemop.errors import DomainError, ShapeError
 from elemop.exact import (
     Matrix,
@@ -16,6 +17,7 @@ from elemop.exact import (
     Polynomial,
     Scalar,
     ZERO,
+    _char_coefficients,
     char_poly,
     derive_seed,
     fraction_text,
@@ -270,6 +272,74 @@ def test_nilpotency_and_char_poly_build_few_scalars(monkeypatch):
             char_poly(m)
             assert len(built) <= d + 1
             monkeypatch.setattr(Scalar, "__post_init__", post_init)
+
+
+@st.composite
+def square_gaussian_matrices(draw):
+    """(m, made_singular): a d x d Gaussian-rational matrix for d <= 6.
+    Half of them are made singular, by a repeated row or as a product
+    with a factor of rank below d; the others are drawn as they come."""
+    d = draw(st.integers(1, 6))
+    entries = st.builds(Scalar, entry_fractions, entry_fractions)
+
+    def rows(count, cols):
+        return [draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(count)]
+
+    drawn = rows(d, d)
+    made_singular = draw(st.booleans())
+    if made_singular and d > 1 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(d)))[:2]
+        drawn[j] = drawn[i]
+    elif made_singular:
+        r = draw(st.integers(0, d - 1))
+        factor = Matrix.from_rows(rows(d, r)) @ Matrix.from_rows(rows(r, d)) if r else Matrix.zeros(d)
+        return Matrix.from_rows(drawn) @ factor, True
+    return Matrix.from_rows(drawn), made_singular
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(square_gaussian_matrices())
+def test_last_char_coefficient_decides_invertibility(case):
+    sympy = pytest.importorskip("sympy")
+    m, made_singular = case
+    d = m.rows
+    c_re, c_im = _char_coefficients(m)[-1]
+    invertible = bool(c_re or c_im)
+    assert invertible == (rank(m) == d)
+    det = sympy.expand(sympy.Matrix([
+        [sympy.Rational(str(e.re)) + sympy.I * sympy.Rational(str(e.im)) for e in row]
+        for row in m.entries
+    ]).det())
+    assert invertible == (det != 0)
+    # c_d = (-1)^d det(den*m), exactly
+    assert sympy.expand(c_re + sympy.I * c_im - (-1) ** d * m.den**d * det) == 0
+    if made_singular:
+        assert not invertible
+
+
+def test_invertibility_test_eliminates_nothing_and_builds_no_scalar(monkeypatch):
+    built = []
+    post_init = Scalar.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    for d in (1, 4, 7):
+        m = _gaussian_matrix(d, d, derive_seed(970, d))
+        monkeypatch.setattr(Scalar, "__post_init__", counting)
+        assert any(_char_coefficients(m)[-1])
+        monkeypatch.setattr(Scalar, "__post_init__", post_init)
+    assert built == []
+
+    def forbidden(*args):
+        raise AssertionError("random_invertible eliminated")
+
+    monkeypatch.setattr(exact, "independent_subset", forbidden)
+    monkeypatch.setattr(exact, "rref", forbidden)
+    drawn = [random_invertible(d, derive_seed(971, d), 1) for d in (1, 4, 7)]
+    monkeypatch.undo()
+    assert [rank(m) for m in drawn] == [1, 4, 7]
 
 
 # -- the Gaussian-integer product kernel -----------------------------------
@@ -747,3 +817,26 @@ def test_random_matrix_determinism_and_bounds():
 def test_random_matrix_zero_height_rejected():
     with pytest.raises(DomainError):
         random_matrix(2, 1, 0)
+
+
+def _first_full_rank_draw(dim, seed, height):
+    """The draw that `random_invertible` returned when it tested each
+    draw by elimination: the first of full rank."""
+    for attempt in range(64):
+        m = random_matrix(dim, derive_seed(seed, attempt), height)
+        if rank(m) == dim:
+            return m
+    raise AssertionError("no draw of full rank")
+
+
+def test_random_invertible_returns_the_first_full_rank_draw():
+    rejected = 0
+    for dim in range(1, 9):
+        for height in range(1, 5):
+            for s in range(4):
+                seed = derive_seed(7000 + 10 * dim + height, s)
+                expected = _first_full_rank_draw(dim, seed, height)
+                assert random_invertible(dim, seed, height) == expected, (dim, height, s)
+                rejected += expected != random_matrix(dim, derive_seed(seed, 0), height)
+    # singular first draws were met and skipped the same way
+    assert rejected >= 5

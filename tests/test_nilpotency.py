@@ -136,6 +136,20 @@ def test_counterexample_is_the_first_basis_element_with_a_trace():
     assert subspace_all_nilpotent(space).counterexample == space.basis[1]
 
 
+@pytest.mark.parametrize("scale", [ONE, I_UNIT])
+def test_a_basis_trace_is_read_before_any_column_is_built(monkeypatch, scale):
+    # the swapped benchmark spaces exit here: level 1 is read off the
+    # stored grids, so no row list, column, vec or product is made
+    space = reduce_basis([scale * n for n in (unit(3, 0, 1), unit(3, 2, 2) + unit(3, 0, 2))])
+
+    def forbidden(*args):
+        raise AssertionError("built before the level-1 traces were read")
+
+    for name in ("_rows", "_columns", "_vec", "int_matmul", "gaussian_int_matmul"):
+        monkeypatch.setattr(nilpotency, name, forbidden)
+    assert _first_nonzero_trace(space) == (1,)
+
+
 def test_subspace_zero_space():
     report = subspace_all_nilpotent(reduce_basis([], ambient_dim=2))
     assert report.all_nilpotent and report.method == "exact-grid"

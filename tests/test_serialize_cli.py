@@ -297,6 +297,25 @@ def test_cli_generate_infeasible(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cli_generate_random_length_is_bounded_by_the_tensor(tmp_path, capsys, dim):
+    # the coefficient tensor is d^2 x d^2, so no operator on M_d is longer
+    # than d^2 pairs, and a longer request is refused before any draw
+    at_bound = tmp_path / "at.json"
+    argv = ["generate", "--form", "random", "--dim", str(dim), "--seed", "3"]
+    assert main(argv + ["--n", str(dim * dim), str(at_bound)]) == 0
+    assert len(json.loads(at_bound.read_text())["operator"]["pairs"]) == dim * dim
+    past = tmp_path / "past.json"
+    capsys.readouterr()
+    assert main(argv + ["--n", str(dim * dim + 1), str(past)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not past.exists()
+    assert captured.err == (
+        f"infeasible parameters: an operator on M_{dim} has length at most {dim * dim}, "
+        f"got n={dim * dim + 1}\n"
+    )
+
+
 def test_cli_analyze_specimen(tmp_path, capsys):
     path = tmp_path / "specimen.json"
     path.write_text(json.dumps(instance_to_json(specimen_form_ii())))
