@@ -64,12 +64,9 @@ from .certificate import (
     verify_certificate,
 )
 from .nilpotency import (
-    Certified,
     Flag,
     NilpotentSpaceReport,
     NotTriangularizable,
-    ProbablyNilpotent,
-    Refuted,
     SpecialForm,
     Triangularizable,
     all_x_nilpotent,

@@ -1,15 +1,17 @@
-"""Decision procedures for local nilpotency of length <= 3 operators.
+"""Decision procedure for local nilpotency at every length.
 
-`classify` is one ladder of the paper's tests, exact end to end.  At
-length 3 the vanishing of sum b_i a_i is a complete trace obstruction
-with a deterministic refuting argument when it fails.  At every length a
-block flag on the coefficient products settles the fully triangular
-form, and at length <= 2 it is the whole decision.  For length 3 the
-remaining structure lives in the scalar slice span of the block grid:
-writing the grid as sum_w S_w (x) M_w with scalar 3x3 matrices S_w, a
-representation change by P conjugates every S_w by P, so the
-classification reduces to the dichotomy for 2-dimensional nilpotent
-planes in M_3 followed by rank-one matching of the two surviving blocks.
+`classify` is one ladder of the paper's tests, exact end to end.  From
+length 3 on, the vanishing of sum b_i a_i is a trace obstruction with a
+deterministic refuting argument when it fails.  At every length a block
+flag on the coefficient products settles the fully triangular form
+(v_i u_j = 0 for i >= j), and at length <= 2 it is the whole decision.
+For length 3 the remaining structure lives in the scalar slice span of
+the block grid: writing the grid as sum_w S_w (x) M_w with scalar 3x3
+matrices S_w, a representation change by P conjugates every S_w by P,
+so the classification reduces to the dichotomy for 2-dimensional
+nilpotent planes in M_3 followed by rank-one matching of the two
+surviving blocks.  Past length 3 a failed flag is not a proof, so it
+goes to the witness search alone.
 
 Every positive verdict is built by `_lqn`, which returns it only once
 `verify_certificate` accepts it; that independent verifier, the trust
@@ -19,6 +21,7 @@ serialized data alone.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 from .certificate import (
@@ -38,7 +41,6 @@ from .errors import (
     DimensionError,
     InconsistencyError,
     RankError,
-    UnsupportedLengthError,
 )
 from .exact import (
     Matrix,
@@ -96,6 +98,9 @@ def necessary_trace_condition(phi: ElementaryOperator) -> bool:
 def _refutation(
     phi: ElementaryOperator, trials: int, seed: int, branch: str
 ) -> ClassificationVerdict:
+    """NotLQN with a witness, or Unknown when none is found.  At d <= 2
+    every caller has proven phi not locally nilpotent, so a search that
+    misses falls back on the complete integer grid."""
     # tr phi(w) is the nonzero entry of sum b_i a_i that w was read from
     w = trace_condition_witness(phi)
     if w is not None:
@@ -108,9 +113,31 @@ def _refutation(
         return ClassificationVerdict(
             "NotLQN", witness=x, evidence={"branch": branch, "trials": used}
         )
+    if phi.dim <= 2:
+        return ClassificationVerdict(
+            "NotLQN", witness=_grid_refutation(phi), evidence={"branch": branch, "trials": trials}
+        )
     return ClassificationVerdict(
         "Unknown", evidence={"branch": branch, "trials": trials}
     )
+
+
+def _grid_refutation(phi: ElementaryOperator) -> Matrix:
+    """An integer witness on the grid {0..d}^(d*d) for phi proven not
+    locally nilpotent.
+
+    tr(phi(x)^p) has degree at most p <= d in every entry of x, so if
+    phi(x) were nilpotent at every point of the grid the identities would
+    vanish everywhere; finding no witness contradicts the proof.
+    """
+    d = phi.dim
+    for values in product(range(d + 1), repeat=d * d):
+        x = Matrix.from_rows(
+            [[values[i * d + j] for j in range(d)] for i in range(d)]
+        )
+        if refutes(phi, x):
+            return x
+    raise InconsistencyError("proven refutation but no grid witness exists")
 
 
 def _lqn(
@@ -157,30 +184,33 @@ def construct_triangular_rep(phi: ElementaryOperator) -> ElementaryOperator | No
 def classify(
     phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
 ) -> ClassificationVerdict:
-    """Complete classification at minimal length <= 3, as one ladder;
-    longer operators raise UnsupportedLengthError.
+    """Classification at every minimal length, as one ladder.
 
-    Deterministic except for witness sampling on refutations.  At length
-    3 the trace obstruction comes first.  At every length the block flag
-    is the strict flag of the slice span, built and triangularized once;
-    at length <= 2 it is the whole decision.  At length 3, failing the
-    flag, the span is conjugated onto the exceptional plane of M_3 and
-    the two surviving blocks are matched as rank-one factors.
+    Deterministic except for witness sampling on refutations.  From
+    length 3 on the trace obstruction comes first.  At every length the
+    block flag is the strict flag of the slice span, built and
+    triangularized once; at length <= 2 it is the whole decision.  At
+    length 3, failing the flag, the span is conjugated onto the
+    exceptional plane of M_3 and the two surviving blocks are matched as
+    rank-one factors.  So at length <= 3 every refutation is proven, and
+    Unknown means that no witness was found for it; past length 3 a
+    failed flag proves nothing, and Unknown means no flag and no witness.
+    At d <= 2 every refutation is proven and carries a witness.
     """
     n, reduced = minimal_length(phi)
-    if n > 3:
-        raise UnsupportedLengthError(n)
     if n == 0:
         return _lqn(phi, FORM_LENGTH2, ElementaryOperator.zero(phi.dim), "zero operator")
-    if n == 3 and not necessary_trace_condition(reduced):
+    if n >= 3 and not necessary_trace_condition(reduced):
         return _refutation(reduced, trials, seed, branch="trace condition")
     slices = slice_span(gram(reduced))
     flag = strict_triangularize(slices)
     if isinstance(flag, Flag):
         rep = similarity_transform(reduced, Matrix.from_columns(flag.vectors))
-        return _lqn(phi, FORM_PATTERN_I if n == 3 else FORM_LENGTH2, rep, "block flag")
+        return _lqn(phi, FORM_PATTERN_I if n >= 3 else FORM_LENGTH2, rep, "block flag")
     if n < 3:
         return _refutation(reduced, trials, seed, branch="length2 block flag failed")
+    if n > 3:
+        return _refutation(reduced, trials, seed, branch="no block flag past length 3")
     if slices.dim != 2:
         return _refutation(
             reduced, trials, seed, branch=f"slice span has dimension {slices.dim}"
@@ -230,30 +260,28 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
     zeta = simultaneous_separating_vector([lspace, products], seed=derive_seed(0, 5))
     d = reduced.dim
 
-    # Head indices: earliest a_i with independent images at zeta; every
-    # tail image is adjusted by its coordinates in the head images.
+    # Head indices: earliest a_i with independent images at zeta.  Each
+    # tail a_t less its coordinates in the head images kills zeta; for
+    # that left basis the right coefficients are unique.
     head, adjustments = independent_subset([a @ zeta for a, _ in reduced.pairs])
     r = len(head)
-    tail = list(adjustments)
-
-    pairs = reduced.pairs
-    head_left = [pairs[h][0] for h in head]
-    tail_right = [pairs[t][1] for t in tail]
-    new_pairs = [
-        (a, linear_combination((ONE, *(adjustments[t][pos] for t in tail)), (b, *tail_right)))
-        for pos, (a, b) in enumerate(pairs[h] for h in head)
-    ]
-    for t in tail:
-        a_new = linear_combination((ONE, *(-c for c in adjustments[t])), (pairs[t][0], *head_left))
-        new_pairs.append((a_new, pairs[t][1]))
-    adjusted = ElementaryOperator(d, tuple(new_pairs))
+    left = [a for a, _ in reduced.pairs]
+    head_left = [left[h] for h in head]
+    adjusted = change_left_basis(
+        reduced,
+        head_left
+        + [
+            linear_combination((ONE, *(-c for c in coords)), (left[t], *head_left))
+            for t, coords in adjustments.items()
+        ],
+    )
 
     w0_zeta = w0 @ zeta
     if w0_zeta.is_zero:  # pragma: no cover
         raise InconsistencyError("separating vector failed for the product line")
     x = _map_onto(zeta, w0_zeta, d)
 
-    head_op = ElementaryOperator(d, tuple(new_pairs[:r]))
+    head_op = ElementaryOperator(d, adjusted.pairs[:r])
     local = local_matrix(head_op, zeta, x)
     if not is_nilpotent_matrix(local):
         if not refutes(phi, x):  # pragma: no cover
@@ -264,11 +292,12 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
     tri = strict_triangularize(reduce_basis([local], ambient_dim=r))
     if not isinstance(tri, Flag):  # pragma: no cover
         raise InconsistencyError("a nilpotent matrix failed to triangularize")
+    adjusted_left = [a for a, _ in adjusted.pairs]
     new_left = [
-        linear_combination(column.transpose().row(0), [a for a, _ in new_pairs[:r]])
+        linear_combination(column.transpose().row(0), adjusted_left[:r])
         for column in tri.vectors
     ]
-    new_left.extend(new_pairs[r + t_idx][0] for t_idx in range(len(tail)))
+    new_left.extend(adjusted_left[r:])
     rep = change_left_basis(adjusted, new_left)
 
     return _lqn(phi, FORM_DIMV1, rep, "dimv1 structure", FormParameters(r=r))

@@ -135,6 +135,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     phi, _, data = _load_instance(args.path)
+    n, _ = minimal_length(phi)
+    if n > 3:
+        raise UnsupportedLengthError(n)
     verdict = classify(phi, trials=args.trials, seed=args.seed)
     digest = instance_digest(data)
     certificate = certificate_to_json(digest, verdict_to_json(verdict, phi.dim), TOOLCHAIN)
@@ -233,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--out")
     # 0 skips the witness search: a verdict the structural tiers cannot
-    # reach is then Unknown (exit 3), never a pass
+    # reach is then Unknown (exit 3), never a pass; at dim <= 2 the
+    # integer grid still attaches a witness
     p.add_argument("--trials", type=_int_within(0), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)

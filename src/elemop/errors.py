@@ -45,7 +45,7 @@ class InconsistencyError(ElemopError):
 
 
 class UnsupportedLengthError(ElemopError):
-    """The classifier only handles operators of length at most three."""
+    """The `classify` command takes operators of length at most three."""
 
     def __init__(self, length: int):
         super().__init__(f"classification is only supported up to length 3, got {length}")

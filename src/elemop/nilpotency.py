@@ -1,5 +1,10 @@
-"""Nilpotency deciders at three levels: one matrix, a whole matrix
-subspace, and an elementary operator over every argument.
+"""Nilpotency deciders for a whole matrix subspace, flags, and the
+refuting arguments of an elementary operator.
+
+The decision for an operator over every argument is `classify`, one
+ladder at every length; this module gives it the block flag, the trace
+witness and the seeded witness search, and `all_x_nilpotent` is only a
+name for that ladder.
 
 Deciding that every element of span{N_1..N_k} inside the m x m matrices
 is nilpotent is a polynomial identity problem: the trace of the p-th
@@ -51,7 +56,7 @@ from math import comb, lcm
 from operator import getitem
 from typing import Sequence
 
-from .certificate import FORM_SPECIAL_II, FORM_SPECIAL_III, refutes
+from .certificate import ClassificationVerdict, refutes
 from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
@@ -66,13 +71,7 @@ from .exact import (
     random_matrix,
     ratio,
 )
-from .operators import (
-    ElementaryOperator,
-    GramMatrix,
-    gram,
-    minimal_length,
-    sum_bi_ai,
-)
+from .operators import ElementaryOperator, GramMatrix, sum_bi_ai
 from .spaces import OperatorSpace, reduce_basis
 
 DEFAULT_SUBSPACE_BUDGET = 200_000
@@ -482,28 +481,6 @@ def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
 # -- nilpotency of phi(x) for every x ----------------------------------
 
 
-@dataclass(frozen=True)
-class Certified:
-    by: str
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Refuted:
-    """phi(x) is not nilpotent for some x.  `by` names the tier or the
-    classifier branch that decided it; `witness` is such an x, or None
-    when a structural branch decided it and no search hit."""
-
-    by: str
-    witness: Matrix | None
-    trials_used: int = 0
-
-
-@dataclass(frozen=True)
-class ProbablyNilpotent:
-    trials: int
-
-
 def trace_condition_witness(phi: ElementaryOperator) -> Matrix | None:
     """Deterministic witness when sum b_i a_i is nonzero: tr(phi(x)) is
     x -> tr(x sum b_i a_i), so a single matrix unit exposes it."""
@@ -532,67 +509,9 @@ def witness_search(
 
 def all_x_nilpotent(
     phi: ElementaryOperator, trials: int = DEFAULT_TRIALS, seed: int = 0
-) -> Certified | Refuted | ProbablyNilpotent:
-    """Is phi(x) nilpotent for every x?  One ladder on the minimal form.
+) -> ClassificationVerdict:
+    """Is phi(x) nilpotent for every x?  The one ladder is `classify`, and
+    this name only delegates to it, because the benchmark traces it."""
+    from .classify import classify
 
-    The zero operator is certified at once.  Length at most 3 goes to
-    `classify`, whose LQN certifies all x with an explicit power exponent
-    and whose NotLQN is a refutation; `trials` and `seed` are its own
-    witness-sampling knobs.  Its Unknown is a branch that proves phi not
-    locally nilpotent but whose search found no witness, and that search
-    is not repeated.  A longer operator is certified by a block flag.  At
-    d <= 2 every case left is a proven refutation (a classifier Unknown,
-    or length d*d, which makes phi bijective), and the complete integer
-    grid attaches a witness to it.  Past that, an Unknown stays
-    `Refuted` without a witness, and anything else goes to
-    `witness_search`, where any hit is an exact refutation.
-    """
-    n, reduced = minimal_length(phi)
-    if n == 0:
-        return Certified(by="zero operator", exponent=1)
-
-    unwitnessed = None  # the classifier branch of a refutation without a witness
-    if n <= 3:
-        from .classify import classify
-
-        verdict = classify(reduced, trials=trials, seed=seed)
-        if verdict.status == "LQN":
-            special = verdict.form in (FORM_SPECIAL_II, FORM_SPECIAL_III)
-            return Certified(by=verdict.form, exponent=5 if special else n + 1)
-        if verdict.status == "NotLQN":
-            return Refuted(
-                by=verdict.evidence["branch"],
-                witness=verdict.witness,
-                trials_used=verdict.evidence["trials"],
-            )
-        unwitnessed = verdict.evidence["branch"]
-    elif block_strict_triangularize(gram(reduced)) is not None:
-        return Certified(by="pattern-i", exponent=n + 1)
-
-    if phi.dim <= 2:
-        return Refuted(by="exact-grid", witness=_grid_refutation(reduced))
-    if unwitnessed is not None:
-        return Refuted(by=unwitnessed, witness=None, trials_used=trials)
-    found = witness_search(reduced, trials=trials, seed=seed)
-    if found is not None:
-        x, t = found
-        return Refuted(by="witness search", witness=x, trials_used=t)
-    return ProbablyNilpotent(trials=trials)
-
-
-def _grid_refutation(phi: ElementaryOperator) -> Matrix:
-    """An integer witness on the grid {0..d}^(d*d) for phi proven not
-    locally nilpotent.
-
-    tr(phi(x)^p) has degree at most p <= d in every entry of x, so if
-    phi(x) were nilpotent at every point of the grid the identities would
-    vanish everywhere; finding no witness contradicts the proof.
-    """
-    d = phi.dim
-    for values in product(range(d + 1), repeat=d * d):
-        x = Matrix.from_rows(
-            [[values[i * d + j] for j in range(d)] for i in range(d)]
-        )
-        if refutes(phi, x):
-            return x
-    raise InconsistencyError("proven refutation but no grid witness exists")
+    return classify(phi, trials=trials, seed=seed)

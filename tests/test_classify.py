@@ -2,9 +2,11 @@
 
 import dataclasses
 import importlib
+import json
 
 import pytest
 
+from elemop.certificate import CertificateCheck
 from elemop.classify import (
     ClassificationVerdict,
     FormParameters,
@@ -16,16 +18,27 @@ from elemop.classify import (
     structure_dimv1,
     verify_certificate,
 )
-from elemop.errors import ContractError, DimensionError, ShapeError, UnsupportedLengthError
+from elemop.cli import build_parser
+from elemop.errors import (
+    ContractError,
+    DimensionError,
+    InconsistencyError,
+    ShapeError,
+    UnsupportedLengthError,
+)
 from elemop.exact import (
     Matrix,
+    basis_vector,
     char_poly,
     derive_seed,
+    inverse,
     lambda_power,
+    random_invertible,
     random_matrix,
     vector,
+    zero_vector,
 )
-from elemop.nilpotency import Refuted, all_x_nilpotent, refutes, witness_search
+from elemop.nilpotency import refutes, witness_search
 from elemop.operators import (
     ElementaryOperator,
     adjoint_flip,
@@ -37,6 +50,7 @@ from elemop.operators import (
     sum_bi_ai,
     v_space,
 )
+from elemop.serialize import instance_to_json
 from elemop.spaces import local_dimension
 from conftest import dim_v1_operator, single_pair, specimen_form_ii, specimen_form_iii, unit
 
@@ -176,10 +190,76 @@ def test_classify_factors_each_pattern_block_with_one_elimination(elimination_ca
         assert len(elimination_calls) == eliminations
 
 
-def test_classify_dispatcher_unsupported_length():
+def test_classify_dispatcher_unsupported_length(tmp_path):
+    # classify decides every length; the classify command keeps its
+    # length bound at the input boundary
     phi = generate("i", 4, 6, seed=3)
+    verdict = classify(phi)
+    assert verdict.status == "LQN" and verdict.form == "pattern-i"
+    assert verdict.representation.term_count == 4
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(instance_to_json(phi)))
+    args = build_parser().parse_args(["classify", str(path), "--out", str(tmp_path / "c.json")])
     with pytest.raises(UnsupportedLengthError):
-        classify(phi)
+        args.func(args)
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_classify_certifies_pattern_i_past_length_three(n):
+    phi = generate("i", n, n + 2, seed=derive_seed(330, n))
+    verdict = classify(phi)
+    assert verdict.status == "LQN" and verdict.form == "pattern-i"
+    assert verdict.evidence == {"branch": "block flag"}
+    assert verdict.representation.term_count == n
+    assert verify_certificate(phi, verdict)
+
+
+def test_classify_past_length_three_goes_through_the_trust_boundary(monkeypatch):
+    classify_module = importlib.import_module("elemop.classify")
+    monkeypatch.setattr(
+        classify_module, "verify_certificate", lambda phi, verdict: CertificateCheck(False, "rejected")
+    )
+    with pytest.raises(InconsistencyError, match="rejected"):
+        classify(generate("i", 4, 6, seed=3))
+
+
+def test_classify_past_length_three_refutes_the_trace_condition():
+    # the transpose map on M_3 has length 9 and sum b_i a_i = 3 I
+    phi = ElementaryOperator.from_pairs(
+        3, [(unit(3, i, j), unit(3, i, j)) for i in range(3) for j in range(3)]
+    )
+    verdict = classify(phi, trials=0)
+    assert verdict.status == "NotLQN"
+    assert verdict.evidence == {"branch": "trace condition", "trials": 0}
+    assert verify_certificate(phi, verdict)
+
+
+def test_classify_at_dimension_two_is_never_unknown():
+    # every refutation at d <= 2 is proven, so with no sampling the grid
+    # still finds its witness.  The last pair is fitted to make
+    # sum b_i a_i = 0, so no refutation comes from the trace witness;
+    # lengths 0..4 and every refuting branch of the ladder occur.
+    branches = set()
+    for s in range(120):
+        pairs = [
+            (random_matrix(2, derive_seed(s, 2 * i), 1), random_matrix(2, derive_seed(s, 2 * i + 1), 1))
+            for i in range(s % 4)
+        ]
+        a = random_invertible(2, derive_seed(s, 99), 1)
+        products = [b @ c for c, b in pairs]
+        pairs.append((a, -sum(products, Matrix.zeros(2)) @ inverse(a)))
+        phi = ElementaryOperator.from_pairs(2, pairs)
+        assert sum_bi_ai(phi).is_zero
+        verdict = classify(phi, trials=0)
+        assert verdict.status in ("LQN", "NotLQN")
+        assert verify_certificate(phi, verdict)
+        branches.add(verdict.evidence["branch"])
+    assert {
+        "length2 block flag failed",
+        "slice span has dimension 4",
+        "no block flag past length 3",
+    } <= branches
 
 
 def test_classified_lqn_satisfies_trace_condition():
@@ -224,6 +304,30 @@ def test_structure_dimv1_lqn_instance():
     assert compose_is_zero(adjoint_flip(phi), phi)
 
 
+def test_structure_dimv1_folds_a_tail_pair():
+    # a_1 zeta and a_3 zeta both lie on e_1, so the left space has local
+    # dimension 2 < 3 and one pair is a tail; every b_i kills e_1 and
+    # sends e_2 into span{e_3}, so the products span the line e_3 e_0^T
+    e = [basis_vector(4, i) for i in range(4)]
+    z = zero_vector(4)
+    phi = ElementaryOperator.from_pairs(
+        4,
+        [
+            (e[1] @ e[0].transpose(), Matrix.from_columns([e[2], z, e[3], e[0]])),
+            (e[2] @ e[0].transpose(), Matrix.from_columns([e[0], z, z, e[2]])),
+            (e[1] @ e[3].transpose(), Matrix.from_columns([e[3], z, 2 * e[3], e[1]])),
+        ],
+    )
+    assert minimal_length(phi)[0] == 3 and v_space(phi).dim == 1
+    verdict = structure_dimv1(phi)
+    assert verdict.status == "LQN" and verdict.form == "dimv1-block"
+    assert verdict.parameters.r == 2 and verdict.representation.term_count == 3
+    assert verify_certificate(phi, verdict)
+    for s in range(10):
+        x = random_matrix(4, derive_seed(311, s), 6)
+        assert apply(phi, x).power(4).is_zero
+
+
 def test_structure_dimv1_contract_error_on_other_dims():
     with pytest.raises(ContractError):
         structure_dimv1(specimen_form_ii())  # dim V = 2
@@ -239,7 +343,9 @@ def test_structure_dimv1_single_pair_consistency():
     verdict = structure_dimv1(phi)
     assert verdict.status == "NotLQN"
     assert refutes(phi, verdict.witness)
-    assert isinstance(all_x_nilpotent(phi), Refuted)
+    verdict = classify(phi)
+    assert verdict.status == "NotLQN"
+    assert refutes(phi, verdict.witness)
 
 
 def test_structure_dimv1_refutes_and_matches_oracle():

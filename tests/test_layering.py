@@ -13,7 +13,10 @@ classifier's structural tools, so its sampling shares no shortcut with
 the classifier.  A vector is a d x 1 `Matrix`, so no
 module names the retired tuple-vector helpers.  Every LQN verdict is
 built in `classify._lqn`, the one caller of `verify_certificate` in its
-module, so no positive verdict skips the trust boundary.  That boundary,
+module, so no positive verdict skips the trust boundary.  `classify` is
+the one ladder for an operator: `nilpotency` defines no verdict type of
+its own and names `classify` only in `all_x_nilpotent`, which does
+nothing but delegate to it.  That boundary,
 `certificate`, imports only `errors`, `exact` and `operators`; neither
 its import closure nor that of `serialize` reaches `nilpotency` or
 `classify`, and the CLI `verify` command names nothing those two define,
@@ -196,6 +199,46 @@ def test_only_lqn_builds_an_lqn_verdict_and_verifies_it():
     imported = {line for node in imports for line in _references(node, verify)}
     assert imported, "classify must take verify_certificate from certificate"
     assert set(_references(tree, verify)) == checked | imported
+
+
+# -- one ladder for an operator ---------------------------------------------
+
+
+def _top_level(tree):
+    return {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
+def test_nilpotency_defines_no_verdict_type():
+    """No function of nilpotency that takes an operator returns a class
+    that nilpotency defines; the operator's verdict is classify's."""
+    tops = _top_level(ast.parse((SRC / "nilpotency.py").read_text()))
+    classes = {name for name, node in tops.items() if isinstance(node, ast.ClassDef)}
+    assert not classes & {"Certified", "Refuted", "ProbablyNilpotent"}
+    on_operators = [
+        node
+        for node in tops.values()
+        if isinstance(node, ast.FunctionDef)
+        and node.args.args
+        and "ElementaryOperator" in {n for sub in ast.walk(node.args.args[0]) for n in _named(sub)}
+    ]
+    assert on_operators, "nilpotency must still hold operator-level helpers"
+    for node in on_operators:
+        assert node.returns is not None, node.name
+        returned = {n for sub in ast.walk(node.returns) for n in _named(sub)}
+        assert sorted(returned & classes) == [], node.name
+
+
+def test_nilpotency_names_classify_only_to_delegate():
+    tree = ast.parse((SRC / "nilpotency.py").read_text())
+    delegate = _top_level(tree)["all_x_nilpotent"]
+    inside = set(_references(delegate, {"classify"}))
+    assert inside, "all_x_nilpotent must delegate to classify"
+    assert set(_references(tree, {"classify"})) == inside
+    docstring, imported, returned = delegate.body
+    assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
+    assert isinstance(imported, ast.ImportFrom) and imported.module == "classify"
+    assert isinstance(returned, ast.Return) and isinstance(returned.value, ast.Call)
+    assert _named(returned.value.func) == ("classify",)
 
 
 # -- one trust boundary ----------------------------------------------------

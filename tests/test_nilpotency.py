@@ -30,12 +30,11 @@ from elemop.exact import (
     trace,
 )
 from elemop import certificate, nilpotency
+from elemop.classify import classify
+from elemop.serialize import verdict_to_json
 from elemop.nilpotency import (
-    Certified,
     Flag,
     NotTriangularizable,
-    ProbablyNilpotent,
-    Refuted,
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
     SpecialForm,
@@ -359,8 +358,9 @@ def test_block_flag_recovers_scrambled_pattern():
         for i in range(n):
             for j in range(i + 1):
                 assert g2.block(i, j).is_zero
-        result = all_x_nilpotent(phi)
-        assert isinstance(result, Certified) and result.exponent == n + 1
+        verdict = classify(phi)
+        assert verdict.status == "LQN" and verdict.form == ("pattern-i" if n >= 3 else "length2-zeros")
+        assert verdict.representation.term_count == n
 
 
 # sha256 of the block flags below as chosen by a separate quotient-and-
@@ -406,9 +406,9 @@ def test_block_flag_rejects_specimen_grid():
 
 def test_all_x_nilpotent_certifies_square_zero_pair():
     phi = single_pair(2, unit(2, 0, 1), unit(2, 0, 1))
-    result = all_x_nilpotent(phi)
-    assert isinstance(result, Certified)
-    assert result.exponent == 2
+    verdict = classify(phi)
+    assert verdict.status == "LQN" and verdict.form == "length2-zeros"
+    assert verdict.representation.term_count == 1
     for s in range(10):
         x = random_matrix(2, derive_seed(250, s), 8)
         assert apply(phi, x).power(2).is_zero
@@ -416,18 +416,18 @@ def test_all_x_nilpotent_certifies_square_zero_pair():
 
 def test_all_x_nilpotent_refutes_identity_pair():
     eye = Matrix.identity(2)
-    result = all_x_nilpotent(single_pair(2, eye, eye))
-    assert isinstance(result, Refuted)
-    assert char_poly(apply(single_pair(2, eye, eye), result.witness)) != lambda_power(2)
+    verdict = classify(single_pair(2, eye, eye))
+    assert verdict.status == "NotLQN"
+    assert char_poly(apply(single_pair(2, eye, eye), verdict.witness)) != lambda_power(2)
 
 
 def test_all_x_nilpotent_refutes_near_miss_family():
     from elemop.classify import generate
 
     phi = generate("remark45", 3, 4, seed=2)
-    result = all_x_nilpotent(phi)
-    assert isinstance(result, Refuted)
-    assert refutes(phi, result.witness)
+    verdict = classify(phi)
+    assert verdict.status == "NotLQN"
+    assert refutes(phi, verdict.witness)
 
 
 def test_all_x_nilpotent_sampling_mode_is_pure():
@@ -439,7 +439,12 @@ def test_all_x_nilpotent_sampling_mode_is_pure():
 def test_all_x_nilpotent_zero_operator_by_mode():
     zero = single_pair(2, Matrix.identity(2), Matrix.zeros(2))
     assert minimal_length(zero)[0] == 0
-    assert all_x_nilpotent(zero) == Certified(by="zero operator", exponent=1)
+    verdict = classify(zero)
+    assert verdict.status == "LQN" and verdict.form == "length2-zeros"
+    assert verdict.representation.term_count == 0
+    assert verdict.evidence == {"branch": "zero operator"}
+    # the old name is only a delegate to the one ladder
+    assert verdict_to_json(all_x_nilpotent(zero), 2) == verdict_to_json(verdict, 2)
     # the sampling oracle shares no shortcut with the classifier
     assert witness_search(zero, trials=7) is None
 
@@ -448,20 +453,22 @@ def test_all_x_nilpotent_grid_tier_witnesses_dimension_two():
     e00, e11 = unit(2, 0, 0), unit(2, 1, 1)
     cases = [
         # the anti-diagonal pair: with no sampling the classifier proves
-        # NotLQN without a witness
+        # NotLQN, and the integer grid attaches the witness
         ([(e00, e11), (e11, e00)], 0),
         # the transpose map sum E_ij x E_ij: length 4 = d^2, so bijective
         ([(unit(2, i, j), unit(2, i, j)) for i in range(2) for j in range(2)], 200),
+        ([(unit(2, i, j), unit(2, i, j)) for i in range(2) for j in range(2)], 0),
     ]
     for pairs, trials in cases:
         phi = ElementaryOperator.from_pairs(2, pairs)
-        result = all_x_nilpotent(phi, trials=trials)
-        assert isinstance(result, Refuted) and result.by == "exact-grid"
-        assert refutes(phi, result.witness)
-        # grid witnesses are integer matrices
-        for row in result.witness.entries:
+        verdict = classify(phi, trials=trials)
+        assert verdict.status == "NotLQN"
+        assert refutes(phi, verdict.witness)
+        assert certificate.verify_certificate(phi, verdict)
+        # grid witnesses are integer matrices on {0..d}
+        for row in verdict.witness.entries:
             for c in row:
-                assert c.re.denominator == 1 and c.im == 0
+                assert c.re.denominator == 1 and c.im == 0 and 0 <= c.re <= 2
 
 
 def test_all_x_nilpotent_past_the_block_flag_is_probably_nilpotent():
@@ -477,12 +484,14 @@ def test_all_x_nilpotent_past_the_block_flag_is_probably_nilpotent():
     pairs = [(pad(a), pad(b)) for a, b in psi.pairs] + [(unit(5, 2, 3), unit(5, 3, 3))]
     phi = ElementaryOperator.from_pairs(5, pairs)
     assert minimal_length(phi)[0] == 4
-    assert all_x_nilpotent(phi, trials=20) == ProbablyNilpotent(trials=20)
+    verdict = classify(phi, trials=20)
+    assert verdict.status == "Unknown"
+    assert verdict.evidence == {"branch": "no block flag past length 3", "trials": 20}
 
 
 def test_all_x_nilpotent_refutes_structurally_without_a_second_search(monkeypatch):
     # the classifier's Unknown on a length-3 operator is a proof of NotLQN
-    # that lacks a witness; all_x_nilpotent says so instead of sampling again
+    # that lacks a witness, reached with one search
     from elemop.classify import generate
 
     classify_module = importlib.import_module("elemop.classify")
@@ -497,8 +506,9 @@ def test_all_x_nilpotent_refutes_structurally_without_a_second_search(monkeypatc
 
     monkeypatch.setattr(nilpotency, "witness_search", counting_search)
     monkeypatch.setattr(classify_module, "witness_search", counting_search)
-    result = all_x_nilpotent(phi, trials=0)
-    assert result == Refuted(by="pattern blocks are not rank one", witness=None, trials_used=0)
+    verdict = classify(phi, trials=0)
+    assert verdict.status == "Unknown" and verdict.witness is None
+    assert verdict.evidence == {"branch": "pattern blocks are not rank one", "trials": 0}
     assert len(searches) == 1
 
 

@@ -465,10 +465,11 @@ def test_local_matrix_specimen_lands_in_exceptional_plane():
     assert local == expected
     # bridge property: the restriction is nilpotent because the operator
     # itself is certified locally nilpotent
+    from elemop.classify import classify
     from elemop.exact import is_nilpotent_matrix
-    from elemop.nilpotency import Certified, all_x_nilpotent
 
-    assert isinstance(all_x_nilpotent(phi), Certified)
+    verdict = classify(phi)
+    assert verdict.status == "LQN" and verdict.form == "special-ii"
     assert is_nilpotent_matrix(local)
     # postcondition: the matrix represents phi(x) on span{a_i zeta}
     for j in range(3):
