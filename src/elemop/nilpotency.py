@@ -21,8 +21,15 @@ multiplies with `int_matmul`, any other holds (re, im) grids and
 multiplies with `gaussian_int_matmul`.  Below the top level each multiset
 is one kernel product: its parents S_(beta - e_i) side by side times the
 columns of the N_i stacked, where each N_i is transposed once per
-expansion and each stack is built once.  The top level p = m needs only
-traces, and with A = sum t_i N_i the identity
+expansion and each stack is built once.  Each stored level p = 2..m-2
+is divided by the gcd of all its entries once it is built.  That is
+exact: S_beta is linear in its parents, so dividing a whole level by one
+positive integer divides every later level by it too, each later trace
+is a positive multiple of the true one, and the same traces vanish.  It
+takes off the content that the cleared denominators leave on the grids,
+such as a conjugator's determinant, which cancels in the rational
+products but grows level by level on the integer ones.  The top level
+p = m needs only traces, and with A = sum t_i N_i the identity
 d/dt_i tr(A^m) = m tr(A^(m-1) N_i) gives
 tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in beta.
 So the top level builds no S_beta and is streamed off level m-1: as soon
@@ -51,8 +58,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
-from math import comb, lcm
+from itertools import chain, combinations_with_replacement, product
+from math import comb, gcd, lcm
 from operator import getitem
 from typing import Sequence
 
@@ -108,6 +115,18 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     transposed once per call and the stacked columns of each distinct
     index tuple are built once per call and reused at every level.
 
+    Each stored level p = 2..m-2 is divided by its content g, the gcd of
+    every entry of every S_beta in it, folded while the level is built
+    (over both grids on the Gaussian path, so one integer divides the
+    Gaussian matrices) and no longer once it reaches 1.  Since
+    S_beta = sum S_(beta - e_x) N_x is linear in the parents, the divided
+    level gives every later S_beta divided by g too, so every later
+    trace is a positive multiple of the true one: the same traces vanish
+    and the same beta is returned.  The traces of level p itself are read
+    before the division.  Level 1, the basis, and level m-1, which is not
+    stored, stay as they are, and an all-zero level (g = 0) is left
+    alone.
+
     Level m needs only the traces: tr S_beta = (m / beta_i)
     tr(S_(beta - e_i) N_i) for any one i in beta, from
     d/dt_i tr(A^m) = m tr(A^(m-1) N_i) with A = sum t_i N_i, and the factor
@@ -141,12 +160,14 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
         vecs = [_vec(re) for re, _ in columns], [_vec(im) for _, im in columns]
         join, multiply = _gaussian_join, _gaussian_product
         trace, traces = _gaussian_trace, _gaussian_traces
+        content, divide = _gaussian_content, _gaussian_divide
     else:
         mats = [_rows(n.re) for n in space.basis]
         columns = [_columns(s) for s in mats]
         vecs = [_vec(c) for c in columns]
         join, multiply = _join, int_matmul
         trace, traces = _trace, _traces
+        content, divide = _content, _divide
     stacks = {}
     top = None
     # alpha -> (S_alpha, the distinct x in alpha ascending, alpha - e_x for
@@ -155,6 +176,7 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     level = {(): (None, (), ())}
     for p in range(1, m):
         following = {}
+        g = 1 if p == 1 else 0  # the gcd of level p so far; the basis stays as it is
         for alpha, (_, indices, parents) in level.items():
             start = alpha[-1] if alpha else 0
             for i in range(start, k):
@@ -175,10 +197,14 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
                     return beta
                 if p < m - 1:
                     following[beta] = (s_beta, beta_indices, beta_parents)
+                    if g != 1:
+                        g = content(s_beta, g)
                 elif top is None:
                     hits = traces(s_beta, vecs, i)
                     if any(hits):
                         top = beta + (i + next(j for j, t in enumerate(hits) if t),)
+        if g > 1:
+            following = {beta: (divide(s, g), *rest) for beta, (s, *rest) in following.items()}
         level = following
     return top
 
@@ -213,6 +239,15 @@ def _trace(grid) -> int:
     return sum(map(getitem, grid, range(len(grid))))
 
 
+def _content(grid, g: int) -> int:
+    """gcd(g, every entry of the grid)."""
+    return gcd(g, *chain.from_iterable(grid))
+
+
+def _divide(grid, g: int):
+    return [[x // g for x in row] for row in grid]
+
+
 def _traces(grid, vecs, i: int) -> list[int]:
     """tr(S N_j) for j >= i, from vec(S) and the vec(N_j^T)."""
     return int_matmul([_vec(grid)], vecs[i:])[0]
@@ -228,6 +263,16 @@ def _gaussian_product(left, right):
 
 def _gaussian_trace(pair) -> int:
     return _trace(pair[0]) or _trace(pair[1])
+
+
+def _gaussian_content(pair, g: int) -> int:
+    """gcd(g, every entry of both grids), so that one integer divides
+    the Gaussian matrix."""
+    return gcd(g, *chain.from_iterable(pair[0]), *chain.from_iterable(pair[1]))
+
+
+def _gaussian_divide(pair, g: int):
+    return _divide(pair[0], g), _divide(pair[1], g)
 
 
 def _gaussian_traces(pair, vecs, i: int) -> list[int]:

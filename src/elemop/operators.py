@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 from .errors import (
@@ -164,8 +165,24 @@ def right_space(phi: ElementaryOperator) -> OperatorSpace:
 
 
 def v_space(phi: ElementaryOperator) -> OperatorSpace:
-    products = [b @ a for _, b in phi.pairs for a, _ in phi.pairs]
-    return reduce_basis([p for p in products if not p.is_zero], ambient_dim=phi.dim)
+    """span{b_i a_j}, keeping the earliest independent nonzero products in
+    the order i, then j.
+
+    That choice is prefix-closed: the products kept from a prefix are the
+    ones kept from the whole list.  So the products are built lazily and
+    reduced d^2 at a time, each batch after the basis kept so far, and
+    none is built once d^2 are kept, since V lies in M_d.
+    """
+    full = phi.dim * phi.dim
+    products = (b @ a for _, b in phi.pairs for a, _ in phi.pairs)
+    nonzero = (p for p in products if not p.is_zero)
+    space = OperatorSpace(phi.dim, ())
+    while space.dim < full:
+        batch = list(islice(nonzero, full))
+        if not batch:
+            break
+        space = reduce_basis([*space.basis, *batch])
+    return space
 
 
 @dataclass(frozen=True)

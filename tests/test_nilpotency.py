@@ -3,8 +3,9 @@
 import hashlib
 import importlib
 import inspect
+from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from elemop.errors import ContractError, InconsistencyError
 from elemop.exact import (
     Matrix,
+    Scalar,
     basis_vector,
     char_poly,
     derive_seed,
@@ -973,6 +975,135 @@ def test_trace_identities_against_sympy_expansion():
                 break
         assert (_first_nonzero_trace(space) is None) is vanish, name
         assert _first_nonzero_trace(space) == first, name
+
+
+def _level_left_contents(monkeypatch, space):
+    """For each level p = 2..m-1, the gcd of every entry of the joined
+    left factors of the m-row products that build it, both grids of a
+    Gaussian factor counted; the expansion must find the space nil."""
+    m, k = space.ambient_dim, space.dim
+    lefts = []
+    for name, parts in (("int_matmul", 1), ("gaussian_int_matmul", 2)):
+        real = getattr(nilpotency, name)
+
+        def recording(*grids, real=real, parts=parts):
+            lefts.append(grids[:parts])
+            return real(*grids)
+
+        monkeypatch.setattr(nilpotency, name, recording)
+    assert _first_nonzero_trace(space) is None
+    monkeypatch.undo()
+    products = [left for left in lefts if len(left[0]) == m]
+    contents = []
+    for p in range(2, m):
+        size = comb(k + p - 1, p)
+        level, products = products[:size], products[size:]
+        contents.append(gcd(*(x for left in level for grid in left for row in grid for x in row)))
+    assert products == []
+    return contents
+
+
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+@pytest.mark.parametrize("m", [5, 6])
+def test_stored_levels_are_divided_by_their_content(monkeypatch, scale, m):
+    # Each stored level p = 2..m-2 is divided by the gcd of its entries,
+    # so the left factors that build level p + 1 >= 3, which are that
+    # level's S_alpha, have gcd 1 together.  Undivided, the conjugator's
+    # determinant piles up there: tens of bits at M_5 and M_6.  Level 1,
+    # the basis, is left as it is.
+    q = random_invertible(m, derive_seed(360, m), 4)
+    space = reduce_basis([scale * n for n in conjugated_space(
+        reduce_basis(strictly_upper_basis(m)), q).basis])
+    contents = _level_left_contents(monkeypatch, space)
+    assert contents[1:] == [1] * (m - 3)
+
+
+def test_level_content_is_common_to_both_gaussian_grids(monkeypatch):
+    # (2 + i) S for a real nil space S of M_4: level 2 is (3 + 4i) times
+    # that of S, so after the division by the gcd of both grids its real
+    # grid keeps the factor 3 and its imaginary grid the factor 4.  The
+    # real grid's gcd alone would not divide the imaginary grid.
+    q = random_invertible(4, derive_seed(361, 0), 4)
+    real = conjugated_space(reduce_basis(strictly_upper_basis(4)), q)
+    space = reduce_basis([(2 * ONE + I_UNIT) * n for n in real.basis])
+    level_3 = []
+    kernel = nilpotency.gaussian_int_matmul
+
+    def recording(a_re, a_im, *columns):
+        if len(a_re) == 4:
+            level_3.append((a_re, a_im))
+        return kernel(a_re, a_im, *columns)
+
+    monkeypatch.setattr(nilpotency, "gaussian_int_matmul", recording)
+    assert _first_nonzero_trace(space) is None
+    monkeypatch.undo()
+    level_3 = level_3[comb(6 + 1, 2):]
+    assert len(level_3) == comb(6 + 2, 3)
+    assert gcd(*(x for re, _ in level_3 for row in re for x in row)) == 3
+    assert gcd(*(x for _, im in level_3 for row in im for x in row)) == 4
+    assert _full_sum_first_trace(space) is None
+
+
+@pytest.mark.parametrize("scale", [ONE, I_UNIT], ids=["S", "iS"])
+@pytest.mark.parametrize("m", [4, 5])
+def test_an_all_zero_stored_level_is_left_alone(monkeypatch, scale, m):
+    # E01 and E23 have no nonzero product, so level 2 and every level
+    # after it are zero: their gcd is 0 and nothing is divided.
+    space = reduce_basis([scale * unit(m, 0, 1), scale * unit(m, 2, 3)])
+
+    def forbidden(*args):
+        raise AssertionError("an all-zero level was divided")
+
+    monkeypatch.setattr(nilpotency, "_divide", forbidden)
+    assert _first_nonzero_trace(space) is None
+    assert _level_left_contents(monkeypatch, space)[1:] == [0] * (m - 3)
+    assert _full_sum_first_trace(space) is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(4, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    swap=st.sampled_from(["none", "traceless", "cycle"]),
+    edges=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+)
+def test_divided_levels_keep_the_first_nonzero_trace(m, k, seed, swap, edges):
+    # Dividing a whole level by one positive integer divides every later
+    # level by it too, so each later trace is a positive multiple of the
+    # true one: the first nonzero beta is the reference's, on height-4
+    # conjugators whose determinants leave a large content on every level.
+    q = random_invertible(m, derive_seed(seed, 0), 4)
+    q_inv = inverse(q)
+    mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]
+    if swap == "traceless":
+        x = random_matrix(m, derive_seed(seed, 1), 4)
+        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+    elif swap == "cycle":
+        mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
+    for c in (ONE, I_UNIT, ONE + I_UNIT):
+        space = reduce_basis([c * n for n in mats], ambient_dim=m)
+        assert _first_nonzero_trace(space) == _full_sum_first_trace(space)
+
+
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+def test_trace_identities_build_no_scalar_or_fraction(monkeypatch, scale):
+    # The whole expansion, divisions included, runs on integer grids: on
+    # a nil space, and on one whose first nonzero trace is at level 5.
+    q = random_invertible(5, derive_seed(362, 0), 4)
+    q_inv = inverse(q)
+    upper = [scale * (q_inv @ n @ q) for n in strictly_upper_basis(5)]
+    cycle = [scale * (q_inv @ n @ q) for n in _split_cycle(5, [0, 1, 2, 1, 0])]
+    spaces = [reduce_basis(upper), reduce_basis(cycle)]
+    expected = [None, (0, 0, 1, 1, 2)]
+    assert [_full_sum_first_trace(space) for space in spaces] == expected
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the expansion built a Scalar or a Fraction")
+
+    monkeypatch.setattr(Scalar, "__post_init__", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", forbidden)
+    assert [_first_nonzero_trace(space) for space in spaces] == expected
 
 
 def test_subspace_budget_counts_the_multiset_recursion(monkeypatch):

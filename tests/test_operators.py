@@ -39,6 +39,7 @@ from elemop.operators import (
     sum_bi_ai,
     v_space,
 )
+from elemop.spaces import reduce_basis
 from conftest import specimen_form_ii, specimen_form_iii, single_pair, unit
 
 
@@ -193,6 +194,66 @@ def test_spaces_of_specimen_form_iii():
 def test_spaces_of_zero_operator():
     phi = ElementaryOperator.zero(3)
     assert left_space(phi).dim == right_space(phi).dim == v_space(phi).dim == 0
+
+
+def _v_space_reference(phi):
+    """All n^2 products b_i a_j ranked in one elimination, i outer."""
+    products = [b @ a for _, b in phi.pairs for a, _ in phi.pairs]
+    return reduce_basis([p for p in products if not p.is_zero], ambient_dim=phi.dim)
+
+
+def _sparse_operator(d, n, seed, upper=False):
+    """n pairs of matrices with entries in {-1, 0, 1}, mostly 0, so that
+    many products vanish or repeat; strictly upper ones with `upper`."""
+    rng = random.Random(seed)
+
+    def draw():
+        return Matrix.from_rows([
+            [rng.choice((-1, 0, 0, 0, 1)) if j > i or not upper else 0 for j in range(d)]
+            for i in range(d)
+        ])
+
+    return ElementaryOperator.from_pairs(d, [(draw(), draw()) for _ in range(n)])
+
+
+@pytest.mark.parametrize(
+    "d, n, seed, upper",
+    [(2, 6, 1, False), (3, 12, 2, False), (3, 15, 3, False), (4, 20, 4, False),
+     (4, 10, 5, True), (5, 12, 6, True)],
+)
+def test_v_space_keeps_the_basis_of_all_products(d, n, seed, upper):
+    # Long operators, n^2 above d^2: the lazy batches keep the basis that
+    # ranking all n^2 products at once keeps.  Strictly upper pairs have
+    # V inside the strictly upper matrices, a proper subspace of M_d, so
+    # every product is read.
+    phi = _sparse_operator(d, n, seed, upper)
+    reference = _v_space_reference(phi)
+    assert v_space(phi) == reference
+    assert (reference.dim == d * d) is not upper
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_v_space_stops_once_it_spans_the_matrices(monkeypatch, d):
+    # Dense random pairs, n = d^2: the first d^2 products b_0 a_j already
+    # span M_d, so no other product is built.
+    pairs = [
+        (random_matrix(d, derive_seed(380 + d, 2 * i), 3),
+         random_matrix(d, derive_seed(380 + d, 2 * i + 1), 3))
+        for i in range(d * d)
+    ]
+    phi = ElementaryOperator.from_pairs(d, pairs)
+    reference = _v_space_reference(phi)
+    assert reference.dim == d * d
+    built = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        built.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    assert v_space(phi) == reference
+    assert len(built) == d * d
 
 
 def test_gram_specimen_matches_hand_computation():
