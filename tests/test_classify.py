@@ -175,12 +175,13 @@ def test_classify_length3_builds_and_triangularizes_the_slice_span_once(monkeypa
 
 
 def test_classify_factors_each_pattern_block_with_one_elimination(elimination_calls):
-    # rank_one_factor decides rank one itself, so the special rung asks
-    # no separate rank of either block
+    # rank_one_factor decides rank one by reconstruction, so the special
+    # rung eliminates for neither rank-one block, and only once for a
+    # block that is not rank one, to name its rank
     cases = [
-        (specimen_form_ii(), "shared functional", 10),
-        (specimen_form_iii(), "shared column", 10),
-        (generate("ii", 3, 8, 5), "shared functional", 10),
+        (specimen_form_ii(), "shared functional", 8),
+        (specimen_form_iii(), "shared column", 8),
+        (generate("ii", 3, 8, 5), "shared functional", 8),
         (generate("remark45", 3, 8, 8), "pattern blocks are not rank one", 8),
     ]
     for phi, branch, eliminations in cases:

@@ -1163,3 +1163,189 @@ def test_subspace_strictly_upper_m6_is_decided_exactly():
     assert space.dim == 15
     report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
+
+
+# -- nil spaces with no strictly triangularizing flag --------------------
+
+
+def _embedded(grid, m):
+    """The 3 x 3 integer grid in the top-left corner of an m x m matrix."""
+    return Matrix.from_rows([[*row, *[0] * (m - 3)] for row in grid.re] + [[0] * m] * (m - 3))
+
+
+def _special_plane_embedded(m):
+    return [_embedded(SPECIAL_PLANE_FIRST, m), _embedded(SPECIAL_PLANE_SECOND, m)]
+
+
+def _special_plane_plus_upper(m):
+    """The special plane in the top-left 3 x 3 block, direct sum with the
+    strictly upper (m-3) x (m-3) matrices in the bottom-right block."""
+    upper = [unit(m, 3 + i, 3 + j) for i in range(m - 3) for j in range(i + 1, m - 3)]
+    return [*_special_plane_embedded(m), *upper]
+
+
+def _flagless_nil_cases():
+    """(name, mats): nil spaces that admit no strictly triangularizing
+    flag, as they are and conjugated, at m = 4..6."""
+    shapes = [
+        ("special-plane-m4", _special_plane_embedded(4)),
+        ("special-plane-m5", _special_plane_embedded(5)),
+        ("special-plane-plus-upper-m5", _special_plane_plus_upper(5)),
+        ("special-plane-plus-upper-m6", _special_plane_plus_upper(6)),
+    ]
+    cases = []
+    for j, (name, mats) in enumerate(shapes):
+        q = random_invertible(mats[0].rows, derive_seed(370, j), 3)
+        q_inv = inverse(q)
+        cases.append((name, mats))
+        cases.append((name + "-conjugated", [q_inv @ n @ q for n in mats]))
+    return cases
+
+
+def _sympy_traces_vanish(space):
+    """Whether tr((sum t_i N_i)^p) is the zero polynomial for every
+    p = 1..m, expanded in a sympy polynomial ring over QQ_I."""
+    sympy = pytest.importorskip("sympy")
+    m = space.ambient_dim
+    _, *t = sympy.ring(f"t0:{space.dim}", sympy.QQ_I)
+
+    def entry(x):
+        return sympy.QQ_I(
+            sympy.Rational(x.re.numerator, x.re.denominator),
+            sympy.Rational(x.im.numerator, x.im.denominator),
+        )
+
+    element = [[sum(ti * entry(n.entries[r][c]) for ti, n in zip(t, space.basis)) for c in range(m)]
+               for r in range(m)]
+    power = element
+    for p in range(1, m + 1):
+        if p > 1:
+            power = [[sum(power[r][j] * element[j][c] for j in range(m)) for c in range(m)]
+                     for r in range(m)]
+        if sum(power[r][r] for r in range(m)) != 0:
+            return False
+    return True
+
+
+FLAGLESS_NIL_CASES = [pytest.param(mats, id=name) for name, mats in _flagless_nil_cases()]
+
+
+@pytest.mark.parametrize("scale", [ONE, ONE + I_UNIT], ids=["S", "(1+i)S"])
+@pytest.mark.parametrize("mats", FLAGLESS_NIL_CASES)
+def test_nil_spaces_without_a_flag_are_decided_nil(scale, mats):
+    # Every nilspace input is triangularizable; these are nil but have no
+    # strictly triangularizing flag, since the special plane has none and
+    # a flag of the whole space would restrict to one of the invariant
+    # top-left block.
+    space = reduce_basis([scale * n for n in mats])
+    report = subspace_all_nilpotent(space)
+    assert report.all_nilpotent and report.method == "exact-grid"
+    assert isinstance(strict_triangularize(space), NotTriangularizable)
+    assert _first_nonzero_trace(space) is None
+    assert _full_sum_first_trace(space) is None
+    if space.ambient_dim <= 4:
+        assert _sympy_traces_vanish(space)
+
+
+@pytest.mark.parametrize("scale", [ONE, ONE + I_UNIT], ids=["S", "(1+i)S"])
+@pytest.mark.parametrize("swap", ["diagonal", "cycle"])
+@pytest.mark.parametrize("mats", FLAGLESS_NIL_CASES)
+def test_flagless_nil_spaces_with_a_swap_are_not_nil(scale, swap, mats):
+    # One element swapped for a traceless non-nilpotent one: E00 - E11,
+    # whose square has a trace, or the m-cycle, whose first trace is at
+    # level m.
+    m = mats[0].rows
+    other = unit(m, 0, 0) - unit(m, 1, 1) if swap == "diagonal" else _split_cycle(m, [0] * m)[0]
+    space = reduce_basis([scale * n for n in [*mats[:-1], other]])
+    report = subspace_all_nilpotent(space)
+    assert not report.all_nilpotent and report.method == "exact-grid"
+    assert not is_nilpotent_matrix(report.counterexample)
+    assert _first_nonzero_trace(space) == _full_sum_first_trace(space) is not None
+    if m <= 4:
+        assert not _sympy_traces_vanish(space)
+
+
+# -- the multiset schedule -----------------------------------------------
+
+
+def _tuple_walk(k, p):
+    """Reference: level p built forward as beta = alpha + (i,) for
+    i >= max alpha, with the distinct indices of beta and its parents
+    beta - e_x as tuples, (alpha - e_x) + (i,) for each x in alpha and
+    alpha for a new i."""
+    level = {(): ((), ())}
+    for _ in range(p):
+        following = {}
+        for alpha, (indices, parents) in level.items():
+            start = alpha[-1] if alpha else 0
+            for i in range(start, k):
+                beta_indices, beta_parents = indices, [gamma + (i,) for gamma in parents]
+                if i != start or not alpha:
+                    beta_indices, beta_parents = indices + (i,), [*beta_parents, alpha]
+                following[alpha + (i,)] = (beta_indices, tuple(beta_parents))
+        level = following
+    return level
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_schedule_parents_match_the_tuple_walk(k):
+    for p in range(1, 7):
+        below = list(combinations_with_replacement(range(k), p - 1))
+        walk = _tuple_walk(k, p)
+        schedule = nilpotency._level_schedule(k, p)
+        assert [beta for beta, *_ in schedule] == list(walk)
+        for beta, parents, indices, i in schedule:
+            assert (indices, tuple(below[a] for a in parents)) == walk[beta]
+            assert i == beta[-1]
+
+
+def test_schedule_cache_size_is_the_documented_constant():
+    assert nilpotency._level_schedule.cache_info().maxsize == nilpotency.SCHEDULE_CACHE_LEVELS
+    assert "SCHEDULE_CACHE_LEVELS" in _first_nonzero_trace.__doc__
+
+
+def test_a_walk_builds_no_schedule_above_its_first_nonzero_level():
+    schedule = nilpotency._level_schedule
+    # tr(E01 E10 + E10 E01) = 2 at level 2 of M_4, which has levels 1..3
+    schedule.cache_clear()
+    assert _first_nonzero_trace(reduce_basis([unit(4, 0, 1), unit(4, 1, 0)])) == (0, 1)
+    assert schedule.cache_info().misses == schedule.cache_info().currsize == 2
+    # a basis trace returns before the walk
+    schedule.cache_clear()
+    assert _first_nonzero_trace(reduce_basis([unit(4, 0, 0)])) == (0,)
+    assert schedule.cache_info().currsize == 0
+    # a nil space walks every level below the streamed top, then reads
+    # them all from the cache
+    schedule.cache_clear()
+    upper = reduce_basis(strictly_upper_basis(4)[:2])
+    assert _first_nonzero_trace(upper) is None
+    cold = schedule.cache_info()
+    assert cold.misses == cold.currsize == 3
+    assert _first_nonzero_trace(upper) is None
+    assert schedule.cache_info().hits == cold.hits + 3 and schedule.cache_info().misses == 3
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(4, 6),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    swap=st.sampled_from(["none", "traceless", "cycle"]),
+    edges=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+)
+def test_a_warm_schedule_returns_the_cold_beta(m, k, seed, swap, edges):
+    # The shapes of test_divided_levels_keep_the_first_nonzero_trace, each
+    # decided with an empty cache and then again from the cache.
+    q = random_invertible(m, derive_seed(seed, 0), 4)
+    q_inv = inverse(q)
+    mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]
+    if swap == "traceless":
+        x = random_matrix(m, derive_seed(seed, 1), 4)
+        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+    elif swap == "cycle":
+        mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
+    for c in (ONE, I_UNIT, ONE + I_UNIT):
+        space = reduce_basis([c * n for n in mats], ambient_dim=m)
+        nilpotency._level_schedule.cache_clear()
+        cold = _first_nonzero_trace(space)
+        assert _first_nonzero_trace(space) == cold == _full_sum_first_trace(space)

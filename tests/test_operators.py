@@ -196,6 +196,33 @@ def test_spaces_of_zero_operator():
     assert left_space(phi).dim == right_space(phi).dim == v_space(phi).dim == 0
 
 
+@pytest.mark.parametrize("dependent", [False, True], ids=["minimal", "folded"])
+def test_coefficient_spaces_of_a_known_minimal_form_eliminate_nothing(elimination_calls, dependent):
+    # minimal_length leaves the memo saying that its result is its own
+    # minimal form, so its coefficients are the two bases as they are; an
+    # operator whose memo is unknown is reduced, and its memo left unknown.
+    for seed in range(4):
+        d = 2 + seed % 3
+        pairs = [(random_matrix(d, derive_seed(seed, 2 * j), 4),
+                  random_matrix(d, derive_seed(seed, 2 * j + 1), 4)) for j in range(3)]
+        if dependent:
+            pairs.append((pairs[0][0] + pairs[1][0], pairs[2][1]))
+        fresh = ElementaryOperator.from_pairs(d, pairs)
+        elimination_calls.clear()
+        assert left_space(fresh) == reduce_basis([a for a, _ in pairs], ambient_dim=d)
+        assert right_space(fresh) == reduce_basis([b for _, b in pairs], ambient_dim=d)
+        assert elimination_calls and "_reduced" not in fresh.__dict__
+        n, reduced = minimal_length(ElementaryOperator.from_pairs(d, pairs))
+        elimination_calls.clear()
+        spaces = left_space(reduced), right_space(reduced)
+        assert elimination_calls == []
+        assert spaces == (
+            reduce_basis([a for a, _ in reduced.pairs], ambient_dim=d),
+            reduce_basis([b for _, b in reduced.pairs], ambient_dim=d),
+        )
+        assert spaces[0].dim == spaces[1].dim == n == 3
+
+
 def _v_space_reference(phi):
     """All n^2 products b_i a_j ranked in one elimination, i outer."""
     products = [b @ a for _, b in phi.pairs for a, _ in phi.pairs]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from elemop import spaces
 from elemop.errors import RankError, SeparatingVectorError, ShapeError
 from elemop.exact import (
     Matrix,
@@ -189,6 +190,27 @@ def test_rank_one_factor_rejects_other_ranks():
     assert err.value.actual_rank == 2
     with pytest.raises(RankError):
         rank_one_factor(Matrix.zeros(2))
+
+
+def test_rank_one_factor_names_the_rank_only_when_it_is_not_one(monkeypatch):
+    # The reconstruction decides rank one, so `rank` runs only to fill in
+    # the RankError of a matrix of another rank.
+    asked = []
+    real = spaces.rank
+    monkeypatch.setattr(spaces, "rank", lambda m: asked.append(m) or real(m))
+    rank_one_factor(Matrix.from_rows([[2, 4], [1, 2]]))
+    rank_one_factor(unit(3, 1, 2))
+    assert asked == []
+    cases = [
+        (Matrix.zeros(3), 0),
+        (Matrix.identity(2), 2),
+        (unit(3, 0, 0) + unit(3, 1, 2), 2),
+        (Matrix.from_rows([[1, 2, 3], [0, 1, 4], [5, 6, 0]]), 3),
+    ]
+    for m, actual in cases:
+        with pytest.raises(RankError) as err:
+            rank_one_factor(m)
+        assert err.value.actual_rank == actual
 
 
 def test_rank_one_normalization_canonical():
