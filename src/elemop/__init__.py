@@ -68,7 +68,6 @@ from .nilpotency import (
     NilpotentSpaceReport,
     NotTriangularizable,
     SpecialForm,
-    Triangularizable,
     all_x_nilpotent,
     block_strict_triangularize,
     classify_nilpotent_2dim_m3,

@@ -96,29 +96,29 @@ def _cmd_analyze(args) -> int:
     phi, metadata, _ = _load_instance(args.path)
     n, reduced = minimal_length(phi)
     named = [("L", left_space(reduced)), ("R", right_space(reduced)), ("V", v_space(reduced))]
+    spaces = [(label, space, local_dimension(space, seed=args.seed)) for label, space in named]
     s = sum_bi_ai(reduced)
     g = gram(reduced)
     if args.json:
         report = {
             "length": n,
-            "spaces": {},
+            "spaces": {
+                label: {
+                    "dim": space.dim,
+                    "local_dim": ldim.value,
+                    "witness": vector_to_json(ldim.witness),
+                    "exact": ldim.exact,
+                }
+                for label, space, ldim in spaces
+            },
             "sum_bi_ai": matrix_to_json(s),
             "gram": [[matrix_to_json(g.block(i, j)) for j in range(g.n)] for i in range(g.n)],
             "metadata": metadata,
         }
-        for label, space in named:
-            ldim = local_dimension(space, seed=args.seed)
-            report["spaces"][label] = {
-                "dim": space.dim,
-                "local_dim": ldim.value,
-                "witness": vector_to_json(ldim.witness),
-                "exact": ldim.exact,
-            }
         print(json.dumps(report, indent=2, sort_keys=True))
         return EXIT_OK
     print(f"length: {n}")
-    for label, space in named:
-        ldim = local_dimension(space, seed=args.seed)
+    for label, space, ldim in spaces:
         witness = ldim.witness.transpose().to_text()
         mode = "exact" if ldim.exact else f"sampled({ldim.trials_used})"
         print(f"{label}(phi): dim {space.dim}, local dim {ldim.value} ({mode}), witness {witness}")

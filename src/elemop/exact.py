@@ -12,6 +12,10 @@ format.
 Every operation is exact: there is no floating point anywhere in this
 module, and equality always means structural equality of reduced forms.
 
+Every multiply-accumulate on the grids, linear combinations, the
+coefficient tensor and `ratio` included, is a call of `gaussian_int_matmul`
+(real branch `int_matmul`); only the `Scalar` dunders multiply by hand.
+
 There is one elimination, `rref` on Scalar rows, and one reader of it,
 `independent_subset`: which of some same-shape matrices are kept, and
 what the coordinates of the others in them are.  It is the one place
@@ -459,8 +463,9 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     This is the one product loop on Gaussian-integer grids:
     `Matrix.__matmul__`, `operators.apply`, `operators.sum_bi_ai`,
     `is_nilpotent_matrix` and `char_poly` take their right factor from
-    `grid_columns`, and the trace-identity expansion of complex spaces
-    builds its right factors as columns.
+    `grid_columns`, the linear combination and the coefficient tensor
+    stack vecs, and the trace-identity expansion of complex spaces builds
+    its right factors as columns.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -497,25 +502,27 @@ def gaussian_int_combination(terms, rows: int, cols: int):
     sum of (x + i*y)(g_re + i*g_im)/den over the terms (den, x, y, g_re,
     g_im) of rows x cols Gaussian-integer grids, which are only read.
 
-    common is the lcm of the dens.  The one summation step of
-    `linear_combination`, `operators.apply` and `operators.sum_bi_ai`.
+    common is the lcm of the dens, 1 for no terms.  One kernel product:
+    the row of the coefficients, each scaled by common/den, times the
+    columns of the terms' row-major vecs stacked.  The summation step of
+    `linear_combination`, `ratio`, `operators.apply` and `sum_bi_ai`.
     """
-    common = lcm(1, *(den for den, *_ in terms))
-    total_re = [[0] * cols for _ in range(rows)]
-    total_im = [[0] * cols for _ in range(rows)]
-    for den, x, y, g_re, g_im in terms:
-        s = common // den
-        x *= s
-        y *= s
-        total_re = [
-            [t + x * u - y * v for t, u, v in zip(tr, ur, vr)]
-            for tr, ur, vr in zip(total_re, g_re, g_im)
-        ]
-        total_im = [
-            [t + x * v + y * u for t, u, v in zip(ti, ur, vr)]
-            for ti, ur, vr in zip(total_im, g_re, g_im)
-        ]
-    return common, total_re, total_im
+    if not terms:
+        return 1, [[0] * cols for _ in range(rows)], [[0] * cols for _ in range(rows)]
+    dens, xs, ys, g_res, g_ims = zip(*terms)
+    common = lcm(*dens)
+    scales = [common // den for den in dens]
+    (re,), (im,) = gaussian_int_matmul(
+        [[s * x for s, x in zip(scales, xs)]],
+        [[s * y for s, y in zip(scales, ys)]],
+        *_grid_columns([_vec(g) for g in g_res], [_vec(g) for g in g_ims]),
+    )
+    return common, _unvec(re, cols), _unvec(im, cols)
+
+
+def _unvec(flat, cols: int):
+    """The row grid whose row-major vec is flat, cols entries a row."""
+    return [flat[r : r + cols] for r in range(0, len(flat), cols)]
 
 
 def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
@@ -546,27 +553,24 @@ def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
 
     Row-major vec, so entry ((p, k), (l, q)) is (sum_i a_i E_kl b_i)[p, q]
     and this decides exactly whether x -> sum a_i x b_i is the zero map.
-    Works on Gaussian integers over one common denominator, one tensor
-    row at a time, and stops at the first nonzero row.
+    The tensor is the kernel product of the vec(a_i) side by side and the
+    vec(b_i) stacked over one common denominator, made d rows per call,
+    so a call holds O(d^3) entries and the first nonzero block answers.
     """
-    common = lcm(1, *(a.den * b.den for a, b in pairs))
-    # per pair: real and imaginary vec(a), then vec(b) scaled to the common
-    # denominator, so every tensor entry is a sum of integer products
-    flat = []
-    for a, b in pairs:
-        s = common // (a.den * b.den)
-        flat.append((
-            [x for r in a.re for x in r], [x for r in a.im for x in r],
-            [s * x for r in b.re for x in r], [s * x for r in b.im for x in r],
-        ))
-    for row in range(len(flat[0][0]) if flat else 0):
-        acc_re, acc_im = [0] * len(flat[0][2]), [0] * len(flat[0][2])
-        for a_re, a_im, b_re, b_im in flat:
-            x, y = a_re[row], a_im[row]
-            if x or y:
-                acc_re = [t + x * u - y * v for t, u, v in zip(acc_re, b_re, b_im)]
-                acc_im = [t + x * v + y * u for t, u, v in zip(acc_im, b_re, b_im)]
-        if any(acc_re) or any(acc_im):
+    if not pairs:
+        return True
+    common = lcm(*(a.den * b.den for a, b in pairs))
+    scales = [common // (a.den * b.den) for a, b in pairs]
+    right = _grid_columns(
+        [[s * x for x in chain.from_iterable(b.re)] for s, (_, b) in zip(scales, pairs)],
+        [[s * x for x in chain.from_iterable(b.im)] for s, (_, b) in zip(scales, pairs)],
+    )
+    left_re = [*zip(*(chain.from_iterable(a.re) for a, _ in pairs))]
+    left_im = [*zip(*(chain.from_iterable(a.im) for a, _ in pairs))]
+    step = pairs[0][0].cols
+    for r in range(0, len(left_re), step):
+        re, im = gaussian_int_matmul(left_re[r : r + step], left_im[r : r + step], *right)
+        if any(map(any, re)) or any(map(any, im)):
             return False
     return True
 
@@ -648,9 +652,14 @@ def independent_subset(
     return pivots, coords
 
 
+def _vec(grid) -> list[int]:
+    """The row-major vec of a row grid."""
+    return list(chain.from_iterable(grid))
+
+
 def _vec_grids(m: Matrix) -> tuple[list[int], list[int]]:
     """The row-major vecs of the real and imaginary grids of m."""
-    return list(chain.from_iterable(m.re)), list(chain.from_iterable(m.im))
+    return _vec(m.re), _vec(m.im)
 
 
 def _columns(m: Matrix) -> list[Matrix]:
@@ -715,21 +724,24 @@ def ratio(w: Matrix, v: Matrix) -> Scalar | None:
     """The scalar c with w = c v for a nonzero v of w's shape, or None
     when w is no multiple of v.
 
-    Cross-multiplies the grids against the first nonzero entry of v, so
-    it eliminates nothing and builds only c.
+    With x + iy and a + ib the grids' entries of v and w where v's first
+    is nonzero, it tests the one combination w (x + iy) - (a + ib) v of
+    the grids for zero, so it eliminates nothing and builds only c.
     """
     if (w.rows, w.cols) != (v.rows, v.cols):
         raise ShapeError("ratio needs two matrices of one shape")
-    w_re, w_im = _vec_grids(w)
     v_re, v_im = _vec_grids(v)
     p = next((i for i, (x, y) in enumerate(zip(v_re, v_im)) if x or y), None)
     if p is None:
         raise DomainError("ratio needs a nonzero v")
-    a, b, x, y = w_re[p], w_im[p], v_re[p], v_im[p]
-    # w_i (x + iy) == (a + ib) v_i at every i, in Gaussian integers
-    for wr, wi, vr, vi in zip(w_re, w_im, v_re, v_im):
-        if wr * x - wi * y != a * vr - b * vi or wr * y + wi * x != a * vi + b * vr:
-            return None
+    x, y = v_re[p], v_im[p]
+    r, c = divmod(p, w.cols)
+    a, b = w.re[r][c], w.im[r][c]
+    _, re, im = gaussian_int_combination(
+        [(1, x, y, w.re, w.im), (1, -a, -b, v.re, v.im)], w.rows, w.cols
+    )
+    if any(map(any, re)) or any(map(any, im)):
+        return None
     return _scalar_over(a, b, w.den) / _scalar_over(x, y, v.den)
 
 

@@ -10,8 +10,10 @@ Deciding that every element of span{N_1..N_k} inside the m x m matrices
 is nilpotent is a polynomial identity problem: the trace of the p-th
 power of t_1 N_1 + ... + t_k N_k is a homogeneous polynomial in t of
 degree p, and all of them vanish identically iff the space is nilpotent.
-The certified mode expands those polynomials level by level over
-monomial multisets: the matrix coefficient of t^beta is
+`subspace_all_nilpotent` answers only exactly: it expands those
+polynomials when the work fits DEFAULT_SUBSPACE_BUDGET and raises
+DomainError otherwise, with no sampled answer.  The expansion goes level
+by level over monomial multisets: the matrix coefficient of t^beta is
 S_beta = sum over the distinct i in beta of S_(beta - e_i) N_i, computed
 on the integer grids of the basis, and the expansion stops at the first
 level with a nonzero trace.  Which products a level makes depends only on
@@ -65,7 +67,6 @@ the slice span.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
@@ -100,9 +101,8 @@ SCHEDULE_CACHE_LEVELS = 16
 
 @dataclass(frozen=True)
 class NilpotentSpaceReport:
-    space: OperatorSpace
     all_nilpotent: bool
-    method: str  # "exact-grid" or "randomized"
+    method: str  # always "exact-grid": every answer is decided exactly
     counterexample: Matrix | None = None
 
 
@@ -345,36 +345,26 @@ def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matri
 
 
 def subspace_all_nilpotent(space: OperatorSpace) -> NilpotentSpaceReport:
-    """Decide whether every element of the space is nilpotent.
+    """Decide exactly whether every element of the space is nilpotent.
 
-    Certified mode runs whenever the expansion's work fits
-    DEFAULT_SUBSPACE_BUDGET: for a k-dimensional space of m x m matrices,
-    k * C(k+p-2, p-1) products S_alpha N_i at each level p = 2..m-1 and
-    the C(k+m-1, m) traces of level m.  Otherwise DEFAULT_TRIALS seeded
-    random combinations are tested, where any hit is a genuine
-    counterexample but a clean pass is only evidence.
+    The expansion runs whenever its work fits DEFAULT_SUBSPACE_BUDGET:
+    for a k-dimensional space of m x m matrices, k * C(k+p-2, p-1)
+    products S_alpha N_i at each level p = 2..m-1 and the C(k+m-1, m)
+    traces of level m.  A larger space raises DomainError naming that
+    count and the budget, so every report is decided, "exact-grid".
     """
     m = space.ambient_dim
     k = space.dim
-    if k == 0:
-        return NilpotentSpaceReport(space, True, "exact-grid")
     cost = sum(k * comb(k + p - 2, p - 1) for p in range(2, m)) + comb(k + m - 1, m)
-    if cost <= DEFAULT_SUBSPACE_BUDGET:
-        beta = _first_nonzero_trace(space)
-        if beta is None:
-            return NilpotentSpaceReport(space, True, "exact-grid")
-        return NilpotentSpaceReport(space, False, "exact-grid", _search_counterexample(space, beta))
-    for t in range(DEFAULT_TRIALS):
-        coeffs = _random_int_point(derive_seed(0, t), k, DEFAULT_WITNESS_HEIGHT)
-        cand = linear_combination(coeffs, space.basis)
-        if not is_nilpotent_matrix(cand):
-            return NilpotentSpaceReport(space, False, "randomized", cand)
-    return NilpotentSpaceReport(space, True, "randomized")
-
-
-def _random_int_point(seed: int, k: int, height: int) -> list[int]:
-    rng = random.Random(seed)
-    return [rng.randint(-height, height) for _ in range(k)]
+    if cost > DEFAULT_SUBSPACE_BUDGET:
+        raise DomainError(
+            f"deciding a {k}-dimensional space of {m}x{m} matrices takes {cost} products, "
+            f"above the budget of {DEFAULT_SUBSPACE_BUDGET}"
+        )
+    beta = _first_nonzero_trace(space)
+    if beta is None:
+        return NilpotentSpaceReport(True, "exact-grid")
+    return NilpotentSpaceReport(False, "exact-grid", _search_counterexample(space, beta))
 
 
 def gerstenhaber_check(
@@ -472,11 +462,6 @@ def special_plane_member(alpha, beta) -> Matrix:
 
 
 @dataclass(frozen=True)
-class Triangularizable:
-    flag: Flag
-
-
-@dataclass(frozen=True)
 class SpecialForm:
     """Certified conjugacy onto the exceptional plane: conjugator P and a
     basis (first, second) of the input with P^{-1} first P and
@@ -487,7 +472,7 @@ class SpecialForm:
     conjugator: Matrix
 
 
-def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Triangularizable | SpecialForm:
+def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Flag | SpecialForm:
     """The dichotomy for 2-dimensional all-nilpotent planes in M_3: a
     strictly triangularizing flag, or else `special_plane_form`."""
     if space.ambient_dim != 3 or space.dim != 2:
@@ -497,7 +482,7 @@ def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Triangularizable | Speci
         raise ContractError("expected an all-nilpotent space")
     tri = strict_triangularize(space)
     if isinstance(tri, Flag):
-        return Triangularizable(tri)
+        return tri
     return special_plane_form(space)
 
 
@@ -508,8 +493,10 @@ def special_plane_form(space: OperatorSpace) -> SpecialForm:
     Fully deterministic: the kernel vector of the second basis element
     forces the first conjugator column and a single eigenvalue rescale
     fixes the remaining freedom.  The produced conjugation is re-verified
-    exactly.
+    exactly.  A space that is not a plane in M_3 raises ContractError.
     """
+    if space.ambient_dim != 3 or space.dim != 2:
+        raise ContractError("expected a 2-dimensional space of 3x3 matrices")
     first, second = space.basis
     kernel = kernel_basis(second)
     if len(kernel) != 1:

@@ -30,8 +30,8 @@ from elemop.exact import (
 from elemop.nilpotency import (
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
+    Flag,
     SpecialForm,
-    Triangularizable,
     classify_nilpotent_2dim_m3,
     gerstenhaber_check,
     refutes,
@@ -231,8 +231,8 @@ def test_criterion_06_plane_dichotomy():
         if plane.dim != 2:  # pragma: no cover - degenerate combination
             continue
         outcome = classify_nilpotent_2dim_m3(plane)
-        assert isinstance(outcome, Triangularizable)
-        flag = outcome.flag
+        assert isinstance(outcome, Flag)
+        flag = outcome
         prefix = []
         for v in flag.vectors:
             lower_rank = len(rref(prefix)[0])

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import chain
-from math import gcd
+from itertools import chain, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ from elemop.exact import (
     ZERO,
     _char_coefficients,
     char_poly,
+    coefficient_tensor_is_zero,
     derive_seed,
     fraction_text,
     gaussian_int_matmul,
@@ -581,6 +582,170 @@ def test_ratio_reads_a_multiple_without_elimination(elimination_calls):
         ratio(v, zero_vector(3))
     with pytest.raises(ShapeError):
         ratio(v, v.transpose())
+
+
+# -- the grid sums against plain Fraction pairs ----------------------------
+#
+# gaussian_int_combination, coefficient_tensor_is_zero and ratio are each
+# products of gaussian_int_matmul; these references compute the same sums
+# entry by entry on (re, im) pairs of Fractions, sharing nothing with them.
+
+SUM_SHAPES = [(1, 1), (2, 2), (3, 1), (3, 4), (4, 4)]
+
+
+def _fraction_pairs(m):
+    """m's entries as (re, im) pairs of Fractions, read off its grids."""
+    return [
+        [(Fraction(x, m.den), Fraction(y, m.den)) for x, y in zip(re, im)]
+        for re, im in zip(m.re, m.im)
+    ]
+
+
+def _pair_product(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def _pair_quotient(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm)
+
+
+def _sum_matrix(rows, cols, kind, seed):
+    """A seeded matrix with denominators up to 6; kind "real", "complex",
+    or "mixed" for real at even seeds."""
+    real = kind == "real" or (kind == "mixed" and seed % 2 == 0)
+    return (_real_matrix if real else _gaussian_matrix)(rows, cols, seed)
+
+
+def _sum_coefficient(rng, kind):
+    """(x, y, q): the coefficient (x + iy)/q, real for kind "real"."""
+    q = rng.randint(1, 9)
+    y = 0 if kind == "real" else rng.randint(-20, 20)
+    return rng.randint(-20, 20), y, q
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_gaussian_int_combination_matches_fraction_pairs(shape, kind):
+    rows, cols = shape
+    rng = random.Random(f"combination-{shape}-{kind}")
+    for trial in range(8):
+        seeds = [derive_seed(1400 + trial, k) for k in range(trial % 4 + 1)]
+        mats = [_sum_matrix(rows, cols, kind, seed) for seed in seeds]
+        coeffs = [_sum_coefficient(rng, kind) for _ in mats]
+        if trial == 3:
+            coeffs = [(0, 0, q) for _, _, q in coeffs]  # every coefficient zero
+        terms = [(q * m.den, x, y, m.re, m.im) for (x, y, q), m in zip(coeffs, mats)]
+        expected = [[(Fraction(0), Fraction(0))] * cols for _ in range(rows)]
+        for (x, y, q), m in zip(coeffs, mats):
+            c = (Fraction(x, q), Fraction(y, q))
+            for i, row in enumerate(_fraction_pairs(m)):
+                for j, e in enumerate(row):
+                    t = _pair_product(c, e)
+                    expected[i][j] = (expected[i][j][0] + t[0], expected[i][j][1] + t[1])
+        common, re, im = exact.gaussian_int_combination(terms, rows, cols)
+        assert common == lcm(*(t[0] for t in terms))
+        assert _fraction_pairs(Matrix(common, re, im)) == expected
+    assert exact.gaussian_int_combination([], rows, cols) == (
+        1, [[0] * cols for _ in range(rows)], [[0] * cols for _ in range(rows)]
+    )
+
+
+def _fraction_tensor_is_zero(pairs):
+    """Whether every entry sum_i a_i[p][k] b_i[l][q] of the coefficient
+    tensor is zero."""
+    if not pairs:
+        return True
+    d = pairs[0][0].rows
+    read = [(_fraction_pairs(a), _fraction_pairs(b)) for a, b in pairs]
+    for p, k, l, q in product(range(d), repeat=4):
+        total = (Fraction(0), Fraction(0))
+        for a, b in read:
+            t = _pair_product(a[p][k], b[l][q])
+            total = (total[0] + t[0], total[1] + t[1])
+        if total != (Fraction(0), Fraction(0)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_coefficient_tensor_is_zero_matches_fraction_pairs(d, kind):
+    def mat(seed):
+        return _sum_matrix(d, d, kind, seed)
+
+    a1, b1, a2, b2 = (mat(derive_seed(1500 + d, i)) for i in range(4))
+    # the map of (a1, b1), (a2, b2) rewritten as (a1 + a2, b1), (a2, b2 - b1)
+    same_map = [(a1, b1), (a2, b2), (-(a1 + a2), b1), (-a2, b2 - b1)]
+    # only the last tensor row block, p = d - 1, is nonzero
+    last_row = same_map + [(Matrix.unit(d, d - 1, 0), Scalar(Fraction(1, 3), 1) * b1)]
+    cases = [
+        [],
+        [(a1, b1)],
+        [(a1, b1), (a2, b2)],
+        [(a1, b1), (-1 * a1, b1)],
+        [(a1, Scalar(Fraction(2, 5)) * b1), (Scalar(Fraction(-2, 5)) * a1, b1)],
+        same_map,
+        last_row,
+        [(Matrix.zeros(d), b1), (a2, Matrix.zeros(d))],
+    ]
+    for pairs in cases:
+        assert coefficient_tensor_is_zero(pairs) == _fraction_tensor_is_zero(pairs)
+    assert [coefficient_tensor_is_zero(c) for c in cases] == [
+        True, False, False, True, True, True, False, True
+    ]
+
+
+def test_the_tensor_check_stops_at_the_first_nonzero_row_block(monkeypatch):
+    d = 3
+    a, b = _gaussian_matrix(d, d, 1600), _gaussian_matrix(d, d, 1601)
+    first_row = [(Matrix.unit(d, 0, 1), b)]
+    cancelling = [(a, b), (-1 * a, b)]
+    calls = []
+    real = exact.gaussian_int_matmul
+
+    def counting(a_re, *rest):
+        calls.append(len(a_re))
+        return real(a_re, *rest)
+
+    monkeypatch.setattr(exact, "gaussian_int_matmul", counting)
+    assert not coefficient_tensor_is_zero(first_row)
+    assert calls == [d]  # one kernel call, for the d tensor rows of p = 0
+    calls.clear()
+    assert coefficient_tensor_is_zero(cancelling)
+    assert calls == [d] * d
+
+
+def _fraction_ratio(w, v):
+    """The pair c with w = c v entrywise, or None, from the first nonzero
+    entry of v."""
+    w_entries = [e for row in _fraction_pairs(w) for e in row]
+    v_entries = [e for row in _fraction_pairs(v) for e in row]
+    pivot = next(i for i, e in enumerate(v_entries) if e != (Fraction(0), Fraction(0)))
+    c = _pair_quotient(w_entries[pivot], v_entries[pivot])
+    if all(we == _pair_product(c, ve) for we, ve in zip(w_entries, v_entries)):
+        return c
+    return None
+
+
+@pytest.mark.parametrize("shape", SUM_SHAPES)
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_ratio_matches_fraction_pairs(shape, kind):
+    rng = random.Random(f"ratio-{shape}-{kind}")
+    for trial in range(6):
+        v = _sum_matrix(*shape, kind, derive_seed(1700, trial))
+        if trial % 3 == 0:  # a leading zero entry moves the pivot
+            v = Matrix(v.den, [[0, *v.re[0][1:]], *v.re[1:]], [[0, *v.im[0][1:]], *v.im[1:]])
+        if v.is_zero:
+            continue
+        x, y, q = _sum_coefficient(rng, kind)
+        c = Scalar(Fraction(x, q), Fraction(y, q))
+        other = _sum_matrix(*shape, kind, derive_seed(1701, trial))
+        for w in (c * v, ZERO * v, c * v + other, other):
+            expected = _fraction_ratio(w, v)
+            got = ratio(w, v)
+            assert (None if got is None else (got.re, got.im)) == expected
+        assert (ratio(c * v, v).re, ratio(c * v, v).im) == (c.re, c.im)
 
 
 def test_kernel_zero_matrix_is_standard_basis():

@@ -5,8 +5,9 @@ nilpotency predicate and no dead surface.
 solutions and inverses are questions to that function, and no other
 module names `rref`.  So a change of elimination touches `rref` and
 `independent_subset` only.  Likewise the integer dot product
-`map(mul, ...)` is written only in `exact.int_matmul`, so no module
-forks a second product loop.  The characteristic polynomial is named
+`map(mul, ...)` is written only in `exact.int_matmul`, and the Gaussian
+cross term x*u - y*v only in `exact.gaussian_int_matmul` and the `Scalar`
+dunders, so no module forks a second product loop.  The characteristic polynomial is named
 only in `exact` and in the `oracle` printout of `cli`, so every verdict
 asks `is_nilpotent_matrix`.  The `oracle` command names none of the
 classifier's structural tools, so its sampling shares no shortcut with
@@ -106,6 +107,54 @@ def test_only_int_matmul_writes_the_dot_product():
     inside = set(_dot_products(functions["int_matmul"]))
     assert inside, "int_matmul must hold the dot product"
     assert set(_dot_products(tree)) == inside
+
+
+def _cross_terms(tree):
+    """Line numbers of every Gaussian cross term x*u - y*v: a difference
+    whose right side is a product and whose left side is a product, or a
+    sum ending in one, as in t + x*u - y*v."""
+
+    def is_product(node):
+        return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and is_product(node.right)
+        and (
+            is_product(node.left)
+            or (
+                isinstance(node.left, ast.BinOp)
+                and isinstance(node.left.op, ast.Add)
+                and is_product(node.left.right)
+            )
+        )
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "exact.py"], ids=lambda p: p.name)
+def test_gaussian_cross_term_is_written_only_in_exact(path):
+    assert _cross_terms(ast.parse(path.read_text())) == []
+
+
+def test_only_gaussian_int_matmul_and_the_scalar_dunders_write_the_cross_term():
+    """Every multiply-accumulate on the grids, the linear combination, the
+    coefficient tensor and ratio among them, is a kernel call; only the
+    Scalar arithmetic dunders multiply Gaussian rationals by hand."""
+    tree = ast.parse((SRC / "exact.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    scalar = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar")
+    dunders = {
+        line
+        for node in scalar.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("__")
+        for line in _cross_terms(node)
+    }
+    inside = set(_cross_terms(functions["gaussian_int_matmul"]))
+    assert inside, "gaussian_int_matmul must hold the cross term"
+    assert set(_cross_terms(tree)) == inside | dunders
 
 
 CHAR_POLY = {"char_poly", "lambda_power"}

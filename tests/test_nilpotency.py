@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elemop.errors import ContractError, InconsistencyError
+from elemop.errors import ContractError, DomainError, InconsistencyError
 from elemop.exact import (
     Matrix,
     Scalar,
@@ -40,7 +40,6 @@ from elemop.nilpotency import (
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
     SpecialForm,
-    Triangularizable,
     _first_nonzero_trace,
     all_x_nilpotent,
     block_strict_triangularize,
@@ -287,7 +286,7 @@ def test_check_flag_rejects_a_broken_flag(basis, order):
 def test_classify_plane_triangularizable():
     space = reduce_basis([unit(3, 0, 1), unit(3, 0, 2)])
     outcome = classify_nilpotent_2dim_m3(space)
-    assert isinstance(outcome, Triangularizable)
+    assert isinstance(outcome, Flag)
 
 
 def test_classify_plane_special_family_identity_conjugator():
@@ -327,6 +326,22 @@ def test_special_plane_form_eliminates_once_per_question(elimination_calls):
     assert len(elimination_calls) == 2
     p_inv = inverse(form.conjugator)
     assert p_inv @ form.first @ form.conjugator == SPECIAL_PLANE_FIRST
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        [unit(3, 0, 1)],
+        strictly_upper_basis(3),
+        [unit(4, 0, 1), unit(4, 1, 2)],
+    ],
+    ids=["line-in-m3", "3-dim-in-m3", "plane-in-m4"],
+)
+def test_special_plane_form_rejects_a_space_that_is_no_plane_in_m3(basis):
+    # bad input is a broken contract, as in classify_nilpotent_2dim_m3;
+    # InconsistencyError is kept for faults of the dichotomy itself
+    with pytest.raises(ContractError, match="2-dimensional space of 3x3 matrices"):
+        special_plane_form(reduce_basis(basis))
 
 
 def test_special_plane_form_rejects_a_singular_conjugator():
@@ -1116,7 +1131,8 @@ def test_subspace_budget_counts_the_multiset_recursion(monkeypatch):
     report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
     monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", 287)
-    assert subspace_all_nilpotent(space).method == "randomized"
+    with pytest.raises(DomainError, match=r"takes 288 products, above the budget of 287$"):
+        subspace_all_nilpotent(space)
 
 
 @pytest.mark.parametrize("kernel, scale", [("int_matmul", ONE), ("gaussian_int_matmul", I_UNIT)])
@@ -1151,7 +1167,9 @@ def test_budget_gate_counts_the_work_of_the_expansion(monkeypatch, kernel, scale
     monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", done)
     assert subspace_all_nilpotent(space).method == "exact-grid"
     monkeypatch.setattr(nilpotency, "DEFAULT_SUBSPACE_BUDGET", done - 1)
-    assert subspace_all_nilpotent(space).method == "randomized"
+    over = rf"takes {done} products, above the budget of {done - 1}$"
+    with pytest.raises(DomainError, match=over):
+        subspace_all_nilpotent(space)
 
 
 def test_subspace_strictly_upper_m6_is_decided_exactly():
