@@ -17,7 +17,6 @@ from .errors import (
     InconsistencyError,
     PreconditionError,
     RankError,
-    SeparatingVectorError,
     ShapeError,
     UnsupportedLengthError,
 )

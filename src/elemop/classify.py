@@ -21,7 +21,6 @@ serialized data alone.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 from .certificate import (
@@ -56,6 +55,7 @@ from .exact import (
     random_nonzero_vector,
     rank,
     ratio,
+    simplex_points,
     zero_vector,
 )
 from .nilpotency import (
@@ -100,7 +100,7 @@ def _refutation(
 ) -> ClassificationVerdict:
     """NotLQN with a witness, or Unknown when none is found.  At d <= 2
     every caller has proven phi not locally nilpotent, so a search that
-    misses falls back on the complete integer grid."""
+    misses falls back on the walk of the simplex lattice."""
     # tr phi(w) is the nonzero entry of sum b_i a_i that w was read from
     w = trace_condition_witness(phi)
     if w is not None:
@@ -123,21 +123,19 @@ def _refutation(
 
 
 def _grid_refutation(phi: ElementaryOperator) -> Matrix:
-    """An integer witness on the grid {0..d}^(d*d) for phi proven not
-    locally nilpotent.
+    """A non-negative integer witness on the simplex lattice Delta(d*d, d)
+    for phi proven not locally nilpotent.
 
-    tr(phi(x)^p) has degree at most p <= d in every entry of x, so if
-    phi(x) were nilpotent at every point of the grid the identities would
-    vanish everywhere; finding no witness contradicts the proof.
+    tr(phi(x)^p) is homogeneous of degree p <= d in the entries of x, so
+    if phi(x) were nilpotent at every point of the lattice the identities
+    would vanish identically; finding no witness contradicts the proof.
     """
     d = phi.dim
-    for values in product(range(d + 1), repeat=d * d):
-        x = Matrix.from_rows(
-            [[values[i * d + j] for j in range(d)] for i in range(d)]
-        )
+    for point in simplex_points(d * d, d):
+        x = Matrix.from_rows([point[i * d : (i + 1) * d] for i in range(d)])
         if refutes(phi, x):
             return x
-    raise InconsistencyError("proven refutation but no grid witness exists")
+    raise InconsistencyError("proven refutation but no lattice witness exists")
 
 
 def _lqn(
@@ -257,7 +255,7 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
         raise ContractError(f"structure_dimv1 needs dim V = 1, got {products.dim}")
     w0 = products.basis[0]
     lspace = left_space(reduced)
-    zeta = simultaneous_separating_vector([lspace, products], seed=derive_seed(0, 5))
+    zeta = simultaneous_separating_vector([lspace, products])
     d = reduced.dim
 
     # Head indices: earliest a_i with independent images at zeta.  Each

@@ -96,7 +96,7 @@ def _cmd_analyze(args) -> int:
     phi, metadata, _ = _load_instance(args.path)
     n, reduced = minimal_length(phi)
     named = [("L", left_space(reduced)), ("R", right_space(reduced)), ("V", v_space(reduced))]
-    spaces = [(label, space, local_dimension(space, seed=args.seed)) for label, space in named]
+    spaces = [(label, space, local_dimension(space)) for label, space in named]
     s = sum_bi_ai(reduced)
     g = gram(reduced)
     if args.json:
@@ -107,7 +107,8 @@ def _cmd_analyze(args) -> int:
                     "dim": space.dim,
                     "local_dim": ldim.value,
                     "witness": vector_to_json(ldim.witness),
-                    "exact": ldim.exact,
+                    # every value is proven; the field stays for readers
+                    "exact": True,
                 }
                 for label, space, ldim in spaces
             },
@@ -120,8 +121,7 @@ def _cmd_analyze(args) -> int:
     print(f"length: {n}")
     for label, space, ldim in spaces:
         witness = ldim.witness.transpose().to_text()
-        mode = "exact" if ldim.exact else f"sampled({ldim.trials_used})"
-        print(f"{label}(phi): dim {space.dim}, local dim {ldim.value} ({mode}), witness {witness}")
+        print(f"{label}(phi): dim {space.dim}, local dim {ldim.value} (exact), witness {witness}")
     print("sum b_i a_i:" + (" zero" if s.is_zero else ""))
     if not s.is_zero:
         print(s.to_text())
@@ -229,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="report length, coefficient spaces and block grid")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("classify", help="classify and write a certificate")
@@ -237,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     # 0 skips the witness search: a verdict the structural tiers cannot
     # reach is then Unknown (exit 3), never a pass; at dim <= 2 the
-    # integer grid still attaches a witness
+    # simplex lattice still attaches a witness
     p.add_argument("--trials", type=_int_within(0), default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_classify)

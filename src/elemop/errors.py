@@ -52,22 +52,5 @@ class UnsupportedLengthError(ElemopError):
         self.length = length
 
 
-class SeparatingVectorError(ElemopError):
-    """No simultaneous separating vector was found within the trial budget.
-
-    Carries the best candidate seen, a d x 1 column, and the index of
-    the space that rejected it, so callers can report honest evidence.
-    """
-
-    def __init__(self, best, failing_space: int, trials: int):
-        super().__init__(
-            f"no separating vector found in {trials} trials; "
-            f"space {failing_space} rejected the best candidate"
-        )
-        self.best = best
-        self.failing_space = failing_space
-        self.trials = trials
-
-
 class FormatError(ElemopError):
     """A serialized file is malformed; the message names the offending field."""

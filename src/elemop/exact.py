@@ -23,7 +23,8 @@ that turns grids into `rref` rows.  `rank`, `kernel_basis`, `solve` and
 `inverse` are questions to it, and no other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
-here can be regenerated bit for bit on any platform.
+here can be regenerated bit for bit on any platform.  Deterministic
+candidate searches walk the simplex lattice of `simplex_points` instead.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -863,6 +864,28 @@ def is_nilpotent_matrix(m: Matrix) -> bool:
         re_g, im_g = gaussian_int_matmul(re_g, im_g, *_grid_columns(re_g, im_g))
         steps *= 2
     return not any(map(any, re_g)) and not any(map(any, im_g))
+
+
+# -- the simplex lattice -----------------------------------------------
+
+
+def simplex_points(k: int, D: int):
+    """The points of Delta(k, D) = {t in N^k : sum t = D}, C(k+D-1, D) of
+    them, as the count vectors of `combinations_with_replacement(range(k),
+    D)` in that order, so the first is (D, 0, ..., 0).
+
+    A homogeneous polynomial of degree p <= D in k variables that
+    vanishes at every point is zero (Chung and Yao, SIAM J. Numer. Anal.
+    14, 1977): f * (t_1 + ... + t_k)^(D - p) has degree D and the same
+    zeros on the lattice, and the degree-D monomials evaluated on it form
+    an invertible matrix.  So a walk of Delta(k, D) finds a nonzero value
+    of any such nonzero polynomial.
+    """
+    for combo in combinations_with_replacement(range(k), D):
+        counts = [0] * k
+        for i in combo:
+            counts[i] += 1
+        yield tuple(counts)
 
 
 # -- seeded sampling ---------------------------------------------------

@@ -1,37 +1,27 @@
 """Finite-dimensional spaces of matrices: spans, evaluation at vectors,
 local dimension with certified witnesses, and rank-one factorization.
 
-The local dimension of a space V is max over vectors z of dim(V z).  It is
-attained at generic z, so sampling gives the exact value with witness
-almost surely; tiny instances are settled exactly by enumerating an
-integer grid large enough to separate the relevant minors.
+The local dimension of a space V is max over vectors z of dim(V z).  Every
+minor of the stacked images [T_1 z ... T_k z] is a homogeneous polynomial
+in z, so one walk of the simplex lattice of `exact.simplex_points` that
+is at least as deep as the minors' degree attains the maximum: the value
+is proven, never sampled, and the first point attaining it is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Sequence
 
-from .errors import ContractError, InconsistencyError, RankError, SeparatingVectorError, ShapeError
+from .errors import ContractError, InconsistencyError, RankError, ShapeError
 from .exact import (
     Matrix,
     ONE,
-    derive_seed,
     independent_subset,
-    random_vector,
     rank,
+    simplex_points,
     vector,
-    zero_vector,
 )
-
-#: Size gate below which local dimension is decided by exact enumeration.
-EXACT_LOCAL_DIM_GATE = 16
-
-DEFAULT_SAMPLE_HEIGHT = 100
-
-#: Columns sampled above the gate: the all-ones column, then seeded ones.
-LOCAL_DIM_TRIALS = 24
 
 
 @dataclass(frozen=True)
@@ -82,108 +72,64 @@ def evaluate(space: OperatorSpace, zeta: Matrix) -> list[Matrix]:
 
 @dataclass(frozen=True)
 class LocalDimResult:
-    """Outcome of a local dimension computation.
-
-    The witness always re-verifies: evaluating the space at it yields
-    exactly `value` independent images, so `value` is a certified lower
-    bound.  `exact` marks the enumerated mode, where the value is also a
-    certified upper bound.
-    """
+    """Outcome of a local dimension computation: the proven value and a
+    witness column at which the space has exactly `value` independent
+    images."""
 
     value: int
     witness: Matrix
-    trials_used: int
-    exact: bool
 
 
 def _image_dim(space: OperatorSpace, zeta: Matrix) -> int:
     return len(evaluate(space, zeta))
 
 
-def _sampled_candidates(d: int, seed: int, salt: int, trials: int):
-    """`trials` columns: the all-ones column, then seeded random columns."""
-    for t in range(trials):
-        if t == 0:
-            yield vector([1] * d)
-        else:
-            yield random_vector(d, derive_seed(seed, salt + t), DEFAULT_SAMPLE_HEIGHT)
-
-
-def local_dimension(space: OperatorSpace, seed: int = 0) -> LocalDimResult:
+def local_dimension(space: OperatorSpace) -> LocalDimResult:
     """Max over z of dim(space applied to z), with a verifying witness.
 
-    Instances with ambient_dim^2 * dim <= 16 are settled exactly by
-    enumerating the grid {0..r}^d with r = min(d, dim): any r x r minor of
-    the stacked image matrix has degree at most r in each coordinate, so a
-    nonzero minor is nonzero somewhere on that grid.  Larger instances
-    sample seeded rational vectors; the all-ones vector is tried first.
+    Walks Delta(d, c) with c = min(d, dim) and stops at the first point of
+    rank c.  The local dimension r is the size of the largest minor of
+    [T_1 z ... T_k z] that is not identically zero; that minor is
+    homogeneous of degree r <= c in z, so it is nonzero at some point of
+    the walk, and the largest rank met is r.
     """
     d = space.ambient_dim
-    k = space.dim
-    cap = min(d, k)
-    if k == 0:
-        return LocalDimResult(0, zero_vector(d), 0, True)
-    exact = d * d * k <= EXACT_LOCAL_DIM_GATE
-    if exact:
-        candidates = map(vector, product(range(cap + 1), repeat=d))
-    else:
-        candidates = _sampled_candidates(d, seed, 0, LOCAL_DIM_TRIALS)
-    best = 0
-    best_witness = zero_vector(d)
-    used = 0
-    for zeta in candidates:
-        used += 1
+    cap = min(d, space.dim)
+    best = -1
+    for point in simplex_points(d, cap):
+        zeta = vector(point)
         dim_here = _image_dim(space, zeta)
         if dim_here > best:
-            best = dim_here
-            best_witness = zeta
+            best, witness = dim_here, zeta
             if best == cap:
                 break
-    return LocalDimResult(best, best_witness, used, exact)
+    return LocalDimResult(best, witness)
 
 
-def simultaneous_separating_vector(
-    spaces: Sequence[OperatorSpace], seed: int = 0, trials: int = 32
-) -> Matrix:
+def simultaneous_separating_vector(spaces: Sequence[OperatorSpace]) -> Matrix:
     """A single vector attaining the local dimension of every given space.
 
-    Such vectors are generic, so seeded sampling finds one quickly; if the
-    budget runs out a SeparatingVectorError reports the best candidate and
-    the first space that rejected it.
+    With r_i the local dimensions, the product of one nonzero r_i-minor
+    per space is a nonzero homogeneous polynomial of degree sum r_i, so
+    the walk of Delta(d, sum r_i) reaches a point where every space
+    attains its r_i; an exhausted walk raises InconsistencyError.
     """
     if not spaces:
         raise ContractError("at least one space is required")
     d = spaces[0].ambient_dim
     if any(s.ambient_dim != d for s in spaces):
         raise ShapeError("spaces must share the ambient dimension")
-    targets = [local_dimension(s, seed=derive_seed(seed, 101 + i)).value for i, s in enumerate(spaces)]
-    best = zero_vector(d)
-    best_score = -1
-    failing = 0
-    for zeta in _sampled_candidates(d, seed, 7_000, trials):
-        score = 0
-        reject = -1
-        for i, s in enumerate(spaces):
-            if _image_dim(s, zeta) == targets[i]:
-                score += 1
-            else:
-                reject = i
-                break
-        if score == len(spaces):
+    targets = [local_dimension(s).value for s in spaces]
+    for point in simplex_points(d, sum(targets)):
+        zeta = vector(point)
+        if all(_image_dim(s, zeta) == r for s, r in zip(spaces, targets)):
             return zeta
-        if score > best_score:
-            best_score = score
-            best = zeta
-            failing = reject
-    raise SeparatingVectorError(best, failing, trials)
+    raise InconsistencyError("no separating vector on the simplex lattice")
 
 
 def is_locally_linearly_dependent(space: OperatorSpace) -> bool:
-    """True iff the local dimension falls short of the dimension.
-
-    Exact below the enumeration gate; otherwise the sampled witness makes
-    a False answer certified and a True answer generically correct.
-    """
+    """True iff the local dimension falls short of the dimension; exact,
+    since `local_dimension` is."""
     return local_dimension(space).value < space.dim
 
 
@@ -222,7 +168,6 @@ def rank_one_factor(m: Matrix) -> RankOne:
 
 
 class HatSpaceCheck(NamedTuple):
-    within_bound: bool
     max_rank: int
     local_dim: int
 
@@ -231,14 +176,11 @@ def hat_space(space: OperatorSpace, probes: Sequence[Matrix]) -> HatSpaceCheck:
     """Rank of the evaluation maps z -> (T -> T z) over the given probes.
 
     Each such map has rank dim(space applied at z), so the maximum over
-    probes never exceeds the local dimension.  When the local dimension is
-    known exactly a violation is impossible and raises loudly.
+    probes never exceeds the proven local dimension; a violation raises
+    InconsistencyError.
     """
-    ldim = local_dimension(space)
-    max_rank = 0
-    for zeta in probes:
-        max_rank = max(max_rank, _image_dim(space, zeta))
-    within = max_rank <= ldim.value
-    if not within and ldim.exact:
-        raise InconsistencyError("probe rank exceeded an exactly known local dimension")
-    return HatSpaceCheck(within, max_rank, ldim.value)
+    ldim = local_dimension(space).value
+    max_rank = max((_image_dim(space, zeta) for zeta in probes), default=0)
+    if max_rank > ldim:
+        raise InconsistencyError("probe rank exceeded the local dimension")
+    return HatSpaceCheck(max_rank, ldim)

@@ -158,7 +158,7 @@ def test_criterion_04_triangular_round_trip():
         for i in range(3):
             for j in range(i + 1):
                 assert g.block(i, j).is_zero
-        measured = local_dimension(products, seed=s).value
+        measured = local_dimension(products).value
         assert measured == 3
     record_criterion(
         "criterion 04: PASS - 50 scrambled grids recovered with exact zero "
@@ -316,7 +316,7 @@ def test_criterion_08_classifier_oracle_agreement():
 
 def test_criterion_09_basis_changes_and_separating_vectors():
     """Seeded basis changes reconstruct the map exactly; joint separating
-    vectors are found within 10 trials and re-verify."""
+    vectors are found on the simplex lattice and re-verify."""
     reconstructed = 0
     for s in range(100):
         d = 3 + s % 3
@@ -341,15 +341,13 @@ def test_criterion_09_basis_changes_and_separating_vectors():
         mats_a = [random_matrix(d, derive_seed(9300, 3 * s + k), 4) for k in range(2)]
         mats_b = [random_matrix(d, derive_seed(9400, 3 * s + k), 4) for k in range(3)]
         spaces = [reduce_basis(mats_a), reduce_basis(mats_b)]
-        zeta = simultaneous_separating_vector(spaces, seed=s, trials=10)
+        zeta = simultaneous_separating_vector(spaces)
         for space in spaces:
-            assert len(evaluate(space, zeta)) == local_dimension(
-                space, seed=derive_seed(s, 101 + spaces.index(space))
-            ).value
+            assert len(evaluate(space, zeta)) == local_dimension(space).value
         found += 1
     record_criterion(
         f"criterion 09: PASS - {reconstructed} basis changes reconstruct exactly, "
-        f"{found} joint separating vectors within 10 trials"
+        f"{found} joint separating vectors"
     )
 
 

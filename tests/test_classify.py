@@ -286,7 +286,7 @@ def test_local_dim_bound_on_lqn_instances():
         phi = generate("i", 3, 4, seed=seed)
         n, reduced = minimal_length(phi)
         products = v_space(reduced)
-        measured = local_dimension(products, seed=seed).value
+        measured = local_dimension(products).value
         assert measured <= n * (n - 1) // 2
 
 

@@ -2,8 +2,8 @@
 
 import random
 from fractions import Fraction
-from itertools import chain, product
-from math import gcd, lcm
+from itertools import chain, combinations_with_replacement, product
+from math import comb, gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +38,7 @@ from elemop.exact import (
     rank,
     ratio,
     rref,
+    simplex_points,
     solve,
     trace,
     vector,
@@ -1005,3 +1006,37 @@ def test_random_invertible_returns_the_first_full_rank_draw():
                 rejected += expected != random_matrix(dim, derive_seed(seed, 0), height)
     # singular first draws were met and skipped the same way
     assert rejected >= 5
+
+
+# -- the simplex lattice against sympy -----------------------------------
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("D", range(0, 5))
+def test_simplex_points_are_the_lattice_in_combination_order(k, D):
+    points = list(simplex_points(k, D))
+    assert len(points) == len(set(points)) == comb(k + D - 1, D)
+    assert all(len(t) == k and min(t) >= 0 and sum(t) == D for t in points)
+    assert points[0] == (D,) + (0,) * (k - 1)
+    assert points == [
+        tuple(combo.count(i) for i in range(k))
+        for combo in combinations_with_replacement(range(k), D)
+    ]
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+@pytest.mark.parametrize("D", range(0, 5))
+def test_no_nonzero_homogeneous_polynomial_vanishes_on_the_lattice(k, D):
+    # The monomials of degree D, evaluated at the C(k+D-1, D) lattice
+    # points, form a square matrix of full rank: a homogeneous f of degree
+    # D vanishing on the lattice has zero coefficients.  Degree p < D
+    # follows, as f * (t_1 + ... + t_k)^(D - p) has the same zeros there;
+    # the evaluation matrix of the degree-p monomials has full column rank.
+    sympy = pytest.importorskip("sympy")
+    points = list(simplex_points(k, D))
+    for p in range(D + 1):
+        monomials = list(simplex_points(k, p))
+        values = sympy.Matrix(
+            [[prod(t**e for t, e in zip(point, m)) for m in monomials] for point in points]
+        )
+        assert values.rank() == len(monomials), (k, D, p)

@@ -10,6 +10,12 @@ instance's JSON with Fractions, so a fault in elemop's arithmetic cannot
 leave the complex instance real, and since (1 + i) phi(x) is nilpotent
 exactly when phi(x) is, both variants must get one status.  Tampered
 certificates must fail the check, so a pass is not vacuous.
+
+Its `decide` answers LQN or NotLQN from the instance alone, by the
+simplex lattice, and must agree with `classify` on pinned cases at
+d <= 3 and on remark45 at d = 4, where a NotLQN walk stops early.  An
+LQN walk at d = 4 visits all 3876 points and takes seconds, so no such
+case is pinned here.
 """
 
 import ast
@@ -19,13 +25,15 @@ from pathlib import Path
 
 import pytest
 
-from elemop.classify import generate
+from elemop.classify import classify, generate
+from elemop.operators import ElementaryOperator
 from elemop.cli import main
 from elemop.serialize import instance_to_json
 
 import naive_certificate_check
-from naive_certificate_check import check
+from naive_certificate_check import check, decide
 from test_acceptance import _corpus_instance
+from conftest import unit
 from test_golden import GOLDEN
 
 LARGE = [("ii", 3, 8), ("iii", 3, 8), ("remark45", 3, 8), ("i", 3, 8)]
@@ -137,8 +145,53 @@ def test_the_naive_check_rejects_tampered_certificates(tmp_path, form, change, f
     assert check(inst, cert).startswith(failed)
 
 
+#: (form, n, d, seed) for `generate`, each decided by the lattice walk.
+DECIDED = [
+    ("i", 1, 2, 3),
+    ("i", 2, 3, 4),
+    ("ii", 3, 3, 5),
+    ("ii", 3, 3, 6),
+    ("random", 1, 2, 7),
+    ("random", 2, 2, 8),
+    ("random", 2, 3, 9),
+    ("random", 3, 3, 10),
+    ("remark45", 3, 4, 11),
+]
+
+
+def _decided_operators():
+    # x -> x_10 E_01 is nilpotent everywhere; x -> x_00 E_00 nowhere
+    yield pytest.param(ElementaryOperator.from_pairs(2, []), id="zero-d2")
+    yield pytest.param(
+        ElementaryOperator.from_pairs(2, [(unit(2, 0, 1), unit(2, 0, 1))]), id="e01-x-e01"
+    )
+    yield pytest.param(
+        ElementaryOperator.from_pairs(2, [(unit(2, 0, 0), unit(2, 0, 0))]), id="e00-x-e00"
+    )
+    for form, n, d, seed in DECIDED:
+        yield pytest.param(generate(form, n, d, seed), id=f"{form}-n{n}-d{d}-s{seed}")
+
+
+DECIDED_OPERATORS = list(_decided_operators())
+
+
+@pytest.mark.parametrize("phi", DECIDED_OPERATORS)
+def test_the_lattice_decider_agrees_with_classify(tmp_path, phi):
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(instance_to_json(phi)))
+    assert decide(inst) == classify(phi).status
+
+
+def test_the_decider_cases_cover_both_answers():
+    statuses = [classify(case.values[0]).status for case in DECIDED_OPERATORS]
+    assert statuses.count("LQN") >= 5 and statuses.count("NotLQN") >= 5
+
+
 def test_the_naive_check_imports_nothing_from_elemop():
     tree = ast.parse(Path(naive_certificate_check.__file__).read_text())
+    # the checker and the decider share one module and its imports
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"check", "decide"} <= defined
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -146,4 +199,4 @@ def test_the_naive_check_imports_nothing_from_elemop():
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0
             imported.add(node.module)
-    assert imported == {"json", "fractions"}
+    assert imported == {"json", "fractions", "itertools"}

@@ -336,6 +336,27 @@ def test_cli_analyze_json_mode(tmp_path, capsys):
     assert report["spaces"]["L"]["dim"] == 3
 
 
+def test_cli_analyze_reports_every_local_dimension_as_proven(tmp_path, capsys):
+    path = _generate_file(tmp_path, "iii", 4)
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if "local dim" in line]
+    assert len(rows) == 3 and all("(exact)" in row for row in rows)
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [report["spaces"][label]["exact"] for label in "LRV"] == [True] * 3
+
+
+def test_cli_analyze_takes_no_seed(tmp_path, capsys):
+    path = _generate_file(tmp_path, "ii", 3)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(path), "--seed", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --seed 1" in captured.err and captured.out == ""
+
+
 def test_cli_analyze_zero_operator(tmp_path, capsys):
     path = tmp_path / "zero.json"
     path.write_text(json.dumps({"schema_version": "1", "operator": {"dim": 2, "pairs": []}}))

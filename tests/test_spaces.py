@@ -1,20 +1,25 @@
 """Operator spaces: reduction, evaluation, local dimension, factorization."""
 
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
 import pytest
 
 from elemop import spaces
-from elemop.errors import RankError, SeparatingVectorError, ShapeError
+from elemop.errors import InconsistencyError, RankError, ShapeError
 from elemop.exact import (
     Matrix,
     basis_vector,
     derive_seed,
     random_matrix,
-    random_vector,
     solve,
     vector,
     zero_vector,
 )
 from elemop.spaces import (
+    LocalDimResult,
     evaluate,
     hat_space,
     is_locally_linearly_dependent,
@@ -23,9 +28,10 @@ from elemop.spaces import (
     reduce_basis,
     simultaneous_separating_vector,
 )
-from conftest import specimen_form_ii, unit
+from conftest import specimen_form_ii, strictly_upper_basis, unit
 
-from elemop.operators import left_space, v_space
+from elemop.classify import generate
+from elemop.operators import left_space, minimal_length, right_space, v_space
 
 
 def test_reduce_basis_drops_scalar_multiple():
@@ -87,15 +93,14 @@ def test_evaluate_dimension_bound():
 
 
 def test_local_dimension_row_space_exact():
-    # d^2 * dim = 8 <= 16, exact enumeration applies
     space = reduce_basis([unit(2, 0, 0), unit(2, 0, 1)])
     res = local_dimension(space)
-    assert res.value == 1 and res.exact
+    assert res.value == 1
 
 
 def test_local_dimension_diagonal_witness_all_ones():
     space = reduce_basis([unit(3, 0, 0), unit(3, 1, 1), unit(3, 2, 2)])
-    res = local_dimension(space, seed=4)
+    res = local_dimension(space)
     assert res.value == 3
     assert res.witness == vector([1, 1, 1])
     assert len(evaluate(space, res.witness)) == res.value
@@ -103,14 +108,14 @@ def test_local_dimension_diagonal_witness_all_ones():
 
 def test_local_dimension_zero_space():
     res = local_dimension(reduce_basis([], ambient_dim=2))
-    assert res.value == 0 and res.exact
+    assert res.value == 0 and res.witness == zero_vector(2)
 
 
 def test_local_dimension_witness_reverifies():
     for s in range(10):
         mats = [random_matrix(4, derive_seed(21, 5 * s + k), 3) for k in range(3)]
         space = reduce_basis(mats)
-        res = local_dimension(space, seed=s)
+        res = local_dimension(space)
         assert len(evaluate(space, res.witness)) == res.value
         assert res.value <= space.dim
 
@@ -130,37 +135,21 @@ def test_separating_vector_two_diagonal_spaces():
 
 def test_separating_vector_for_specimen_spaces():
     # Derived example: the left space and product space of the exceptional
-    # specimen admit a joint witness within 10 trials at seed 7.
+    # specimen admit a joint witness.
     phi = specimen_form_ii()
     lsp, vsp = left_space(phi), v_space(phi)
-    zeta = simultaneous_separating_vector([lsp, vsp], seed=7, trials=10)
-    assert len(evaluate(lsp, zeta)) == local_dimension(lsp, seed=7).value
-    assert len(evaluate(vsp, zeta)) == local_dimension(vsp, seed=7).value
+    zeta = simultaneous_separating_vector([lsp, vsp])
+    assert len(evaluate(lsp, zeta)) == local_dimension(lsp).value
+    assert len(evaluate(vsp, zeta)) == local_dimension(vsp).value
 
 
-def test_separating_vector_exhaustion_reports_evidence():
-    # dim V zeta is 0 at the zero vector only; an impossible target comes
-    # from demanding a witness for two spaces with colliding constraints
-    # under a tiny trial budget of deliberately bad candidates.
+def test_an_unattainable_target_exhausts_the_separating_walk(monkeypatch):
+    # a true local dimension is attained on Delta(d, sum r_i); a target
+    # above it is not, and the exhausted walk is an internal fault
     space = reduce_basis([unit(2, 0, 0)])
-    with pytest.raises(SeparatingVectorError) as err:
-        # trials=0 exhausts immediately
-        simultaneous_separating_vector([space], trials=0)
-    assert err.value.trials == 0
-
-
-def test_sampled_candidates_are_all_ones_then_salted_seeds():
-    # both samplers try the all-ones column first; a space that kills it
-    # shows the next draw: salt 0 for the local dimension, 7000 for the
-    # separating vector
-    killed = Matrix.from_rows([[1, -1, 0], [0, 0, 0], [0, 0, 0]])
-    space = reduce_basis([killed, Matrix.from_rows([[0, 0, 0], [1, -1, 0], [0, 0, 0]])])
-    res = local_dimension(space, seed=3)
-    assert not res.exact and res.value == 2 and res.trials_used == 2
-    assert res.witness == random_vector(3, derive_seed(3, 1), 100)
-    line = reduce_basis([killed])
-    zeta = simultaneous_separating_vector([line], seed=3)
-    assert zeta == random_vector(3, derive_seed(3, 7_001), 100)
+    monkeypatch.setattr(spaces, "local_dimension", lambda s: LocalDimResult(2, vector([1, 1])))
+    with pytest.raises(InconsistencyError):
+        simultaneous_separating_vector([space])
 
 
 def test_locally_linearly_dependent_examples():
@@ -227,12 +216,19 @@ def test_hat_space_examples():
     space = reduce_basis([unit(2, 0, 0), unit(2, 0, 1)])
     probes = [basis_vector(2, 0), basis_vector(2, 1)]
     check = hat_space(space, probes)
-    assert check.within_bound and check.max_rank == 1
+    assert check.max_rank == 1 and check.local_dim == 1
     zero = reduce_basis([], ambient_dim=2)
     assert hat_space(zero, probes).max_rank == 0
     diag = reduce_basis([unit(3, 0, 0), unit(3, 1, 1), unit(3, 2, 2)])
     check = hat_space(diag, [vector([1, 1, 1])])
-    assert check.max_rank == 3 and check.within_bound
+    assert check.max_rank == 3 and check.local_dim == 3
+
+
+def test_hat_space_raises_on_a_probe_above_the_local_dimension(monkeypatch):
+    space = reduce_basis([unit(2, 0, 0)])
+    monkeypatch.setattr(spaces, "local_dimension", lambda s: LocalDimResult(0, zero_vector(2)))
+    with pytest.raises(InconsistencyError):
+        hat_space(space, [basis_vector(2, 0)])
 
 
 def test_hat_space_rank_bound_property():
@@ -241,5 +237,86 @@ def test_hat_space_rank_bound_property():
         space = reduce_basis(mats)
         probes = [vector([s + 1, s - 1]), vector([1, 0]), vector([0, 1])]
         check = hat_space(space, probes)
-        assert check.within_bound  # local dim exact at this size
+        assert check.max_rank <= check.local_dim == local_dimension(space).value
 
+
+
+# -- local dimension against sympy's symbolic rank -------------------------
+
+
+def _sympy_local_dimension(space):
+    """The rank of [T_1 z ... T_k z] over the field of rational functions
+    in the symbols z_1..z_d: the local dimension, with no lattice."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    d = space.ambient_dim
+    z = sympy.symbols(f"z0:{d}")
+
+    def entry(e):
+        return sympy.Rational(str(e.re)) + sympy.I * sympy.Rational(str(e.im))
+
+    columns = [
+        [sum(entry(t.entry(i, j)) * z[j] for j in range(d)) for i in range(d)]
+        for t in space.basis
+    ]
+    if not columns:
+        return 0
+    rows = [list(row) for row in zip(*columns)]
+    return DomainMatrix.from_list_sympy(d, len(columns), rows).to_field().rank()
+
+
+def _spaces_up_to_d4():
+    """Named spaces at d <= 4, among them spaces with lDim < dim: the V of
+    iii, strictly upper M_4, and the locally linearly dependent R of ii."""
+    named = [
+        ("row space", reduce_basis([unit(2, 0, 0), unit(2, 0, 1)])),
+        ("diagonal", reduce_basis([unit(3, 0, 0), unit(3, 1, 1), unit(3, 2, 2)])),
+        ("strictly upper M_3", reduce_basis(strictly_upper_basis(3))),
+        ("strictly upper M_4", reduce_basis(strictly_upper_basis(4))),
+        ("zero", reduce_basis([], ambient_dim=3)),
+    ]
+    for form, d in [("ii", 3), ("iii", 4), ("i", 4), ("remark45", 4), ("random", 3)]:
+        _, reduced = minimal_length(generate(form, 3, d, seed=1))
+        for label, of in [("L", left_space), ("R", right_space), ("V", v_space)]:
+            named.append((f"{label} of {form} at d={d}", of(reduced)))
+    return named
+
+
+SYMBOLIC_CASES = _spaces_up_to_d4()
+
+
+@pytest.mark.parametrize("name, space", SYMBOLIC_CASES, ids=[name for name, _ in SYMBOLIC_CASES])
+def test_local_dimension_matches_the_symbolic_rank(name, space):
+    res = local_dimension(space)
+    assert res.value == _sympy_local_dimension(space)
+    assert len(evaluate(space, res.witness)) == res.value
+
+
+def test_the_symbolic_cases_include_locally_dependent_spaces():
+    short = {name for name, space in SYMBOLIC_CASES if local_dimension(space).value < space.dim}
+    assert {"V of iii at d=4", "strictly upper M_4", "R of ii at d=3"} <= short
+    assert is_locally_linearly_dependent(right_space(minimal_length(generate("ii", 3, 3, seed=1))[1]))
+
+
+# -- guards on the removed sampling ----------------------------------------
+
+
+def test_no_public_function_of_spaces_takes_a_seed_or_trials():
+    public = [
+        f for name, f in inspect.getmembers(spaces, inspect.isfunction)
+        if not name.startswith("_") and f.__module__ == spaces.__name__
+    ]
+    assert spaces.local_dimension in public
+    for f in public:
+        assert not {"seed", "trials"} & set(inspect.signature(f).parameters), f.__name__
+
+
+@pytest.mark.parametrize("module", ["elemop.spaces", "elemop.classify"])
+def test_spaces_and_classify_do_not_import_itertools_product(module):
+    tree = ast.parse(Path(importlib.import_module(module).__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+            assert "product" not in {alias.name for alias in node.names}
+        if isinstance(node, ast.Import):
+            assert "itertools" not in {alias.name for alias in node.names}
