@@ -26,6 +26,7 @@ from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT, witness_search
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
 from .serialize import (
     MAX_DIM,
+    canonical_dumps,
     certificate_from_json,
     certificate_to_json,
     instance_digest,
@@ -68,8 +69,10 @@ def _load_instance(path: str):
 
 
 def _write_json(path: str, data: dict):
+    """Write data in the canonical compact layout that digests hash, one
+    line and a newline."""
     try:
-        Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        Path(path).write_text(canonical_dumps(data) + "\n", encoding="utf-8")
     except OSError as exc:
         raise FormatError(f"cannot write {path}: {exc}") from None
 

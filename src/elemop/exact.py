@@ -13,14 +13,17 @@ Every operation is exact: there is no floating point anywhere in this
 module, and equality always means structural equality of reduced forms.
 
 Every multiply-accumulate on the grids, linear combinations, the
-coefficient tensor and `ratio` included, is a call of `gaussian_int_matmul`
-(real branch `int_matmul`); only the `Scalar` dunders multiply by hand.
+coefficient tensor, `ratio` and the elimination's row steps included, is
+a call of `gaussian_int_matmul` (real branch `int_matmul`); only the
+`Scalar` dunders multiply by hand.
 
-There is one elimination, `rref` on Scalar rows, and one reader of it,
-`independent_subset`: which of some same-shape matrices are kept, and
-what the coordinates of the others in them are.  It is the one place
-that turns grids into `rref` rows.  `rank`, `kernel_basis`, `solve` and
-`inverse` are questions to it, and no other module eliminates.
+There is one elimination, `rref`, a fraction-free Gauss-Jordan on
+Gaussian-integer row grids (on int rows when they are real), and one
+reader of it, `independent_subset`: which of some same-shape matrices
+are kept, and what the coordinates of the others in them are.  It is the
+one place that turns grids into `rref` rows, and only the coordinates it
+returns become Scalars.  `rank`, `kernel_basis`, `solve` and `inverse`
+are questions to it, and no other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
 here can be regenerated bit for bit on any platform.  Deterministic
@@ -448,8 +451,8 @@ def int_matmul(a, b_cols):
     column of b.  Taking b by columns leaves the transposition to the
     caller, which makes it once per matrix rather than once per product.
     This is the one integer dot-product loop: the real branch of
-    `gaussian_int_matmul` and the real-space trace-identity expansion run
-    on it.
+    `gaussian_int_matmul`, the real row steps of `rref` and the real-space
+    trace-identity expansion run on it.
     """
     return [[sum(map(mul, r, c)) for c in b_cols] for r in a]
 
@@ -465,8 +468,9 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     `Matrix.__matmul__`, `operators.apply`, `operators.sum_bi_ai`,
     `is_nilpotent_matrix` and `char_poly` take their right factor from
     `grid_columns`, the linear combination and the coefficient tensor
-    stack vecs, and the trace-identity expansion of complex spaces builds
-    its right factors as columns.
+    stack vecs, the row steps of `rref` pair two rows as columns, and the
+    trace-identity expansion of complex spaces builds its right factors
+    as columns.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -588,40 +592,112 @@ def trace(m: Matrix) -> Scalar:
 # -- row reduction and everything built on it -------------------------
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[list[tuple[Scalar, ...]], list[int]]:
-    """Reduced row echelon form of a list of row vectors.
+def rref(re, im=None):
+    """Fraction-free reduced row echelon form of the Gaussian-integer row
+    grid re + i*im, with im None for a real grid; the inputs are only
+    read.
 
-    Returns (nonzero reduced rows, pivot column indices).  Exact Gaussian
-    elimination with leading entries normalized to 1.
+    Returns (pivots, re_rows, im_rows, last): the pivot column indices,
+    the nonzero reduced rows as real and imaginary row grids (im_rows is
+    None for a real grid) and the last pivot D as a pair (re, im), (1, 0)
+    for a zero grid.  Row k holds D in column pivots[k] and zeros in the
+    other pivot columns, so the rows over D are the reduced row echelon
+    form.
+
+    Gauss-Jordan in Bareiss's integer-preserving form (Sylvester's
+    identity and multistep integer-preserving Gaussian elimination, Math.
+    Comp. 22, 1968).  Zero rows are dropped first.  At each pivot p every
+    other row becomes (p*row - a*pivot_row)/prev, with a its entry in the
+    pivot column and prev the previous pivot (1 at first); a row with
+    a = 0 is scaled too.  Every entry is then a minor of the input, so
+    the division is exact, in Z[i] as in Z.  Each row step is one kernel
+    product, the 1 x 2 row (p, -a) times the two rows as width columns.
+    A real grid runs on int rows.  Over Z[i] a non-real prev divides as
+    conj(prev)/|prev|^2: conj(prev) is carried in the coefficients, all
+    of a step's in one product, and the parts are divided by |prev|^2.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    width = len(work[0])
+    if im is None:
+        work = [(row, None) for row in re if any(row)]
+    else:
+        work = [(x, y) for x, y in zip(re, im) if any(x) or any(y)]
+    step = _real_rows if im is None else _gaussian_rows
     pivots: list[int] = []
-    out: list[list[Scalar]] = []
-    r = 0
-    for col in range(width):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if not work[i][col].is_zero:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    prev = (1, 0)
+    for col in range(len(re[0]) if work else 0):
+        r = len(pivots)
+        found = next((i for i in range(r, len(work)) if _nonzero_at(work[i], col)), None)
+        if found is None:
             continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = ONE / work[r][col]
-        work[r] = [inv * x for x in work[r]]
-        for i in range(len(work)):
-            if i != r and not work[i][col].is_zero:
-                factor = work[i][col]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
+        work[r], work[found] = work[found], work[r]
+        top = work[r]
+        p = (top[0][col], 0 if im is None else top[1][col])
+        work[:r] = step(work[:r], top, col, p, prev)
+        work[r + 1 :] = step(work[r + 1 :], top, col, p, prev)
         pivots.append(col)
-        r += 1
-        if r == len(work):
+        prev = p
+        if len(pivots) == len(work):
             break
-    out = [tuple(row) for row in work[:r]]
-    return out, pivots
+    reduced = work[: len(pivots)]
+    re_rows = [x for x, _ in reduced]
+    return pivots, re_rows, (None if im is None else [y for _, y in reduced]), prev
+
+
+def _nonzero_at(row, col: int) -> bool:
+    """Whether a (re, im) work row of `rref` is nonzero in column col."""
+    re, im = row
+    return bool(re[col] or (im is not None and im[col]))
+
+
+def _real_rows(rows, top, col: int, p, prev):
+    """One pivot step of `rref` on real work rows: each row becomes
+    (p*row - a*top)/prev, as the kernel product (p, -a) times the two
+    rows' columns."""
+    p, prev = p[0], prev[0]
+    top = top[0]
+    out = []
+    for row, _ in rows:
+        a = row[col]
+        if not a and p == prev:
+            out.append((row, None))
+            continue
+        ((*new,),) = int_matmul([[p, -a]], [*zip(row, top)])
+        out.append(([x // prev for x in new] if prev != 1 else new, None))
+    return out
+
+
+def _gaussian_rows(rows, top, col: int, p, prev):
+    """One pivot step of `rref` on (re, im) work rows over Z[i]: each row
+    becomes (p*row - a*top)/prev.  For a non-real prev the coefficients
+    (p, -a) of every row are first multiplied by conj(prev) in one kernel
+    product, and the result is divided by |prev|^2."""
+    top_re, top_im = top
+    coeffs = [(p[0], -row[0][col], p[1], -row[1][col]) for row in rows]
+    norm = prev[0]
+    if prev[1]:
+        flat_re, flat_im = gaussian_int_matmul(
+            [[x] for c in coeffs for x in c[:2]],
+            [[y] for c in coeffs for y in c[2:]],
+            [(prev[0],)],
+            [(-prev[1],)],
+        )
+        coeffs = [
+            (flat_re[k][0], flat_re[k + 1][0], flat_im[k][0], flat_im[k + 1][0])
+            for k in range(0, len(flat_re), 2)
+        ]
+        norm = prev[0] ** 2 + prev[1] ** 2
+    out = []
+    for (row_re, row_im), (c_re, a_re, c_im, a_im) in zip(rows, coeffs):
+        if not a_re and not a_im and p == prev:
+            out.append((row_re, row_im))
+            continue
+        (new_re,), (new_im,) = gaussian_int_matmul(
+            [[c_re, a_re]], [[c_im, a_im]], [*zip(row_re, top_re)], [*zip(row_im, top_im)]
+        )
+        if norm != 1:
+            new_re = [x // norm for x in new_re]
+            new_im = [y // norm for y in new_im]
+        out.append((new_re, new_im))
+    return out
 
 
 def independent_subset(
@@ -631,25 +707,45 @@ def independent_subset(
     every other index its coordinates in the kept ones.
 
     The matrices share one shape and each is read as its row-major vec,
-    so a d x 1 column is read as itself.  One rref of the matrix whose
-    columns are those vecs, its Scalar rows built here from the grids:
-    the pivot columns are the kept matrices, and each non-pivot column of
-    the reduced form is that matrix's coordinate column.  The one reader
-    of `rref`: rank, kernels, solutions and inverses are questions to it.
+    so a d x 1 column is read as itself.  One fraction-free `rref` of the
+    Gaussian-integer grid whose column j is the vec of mats[j]'s grids,
+    that is den_j times the vec of mats[j]: the pivot columns are the
+    kept matrices.  With D the last pivot, the coordinate of a dependent
+    j at the kept column c of reduced row k is
+    reduced[k][j] * den_c / (D * den_j), and only these coordinates
+    become Scalars.  The one reader of `rref`: rank, kernels, solutions
+    and inverses are questions to it.
     """
     if not mats:
         return [], {}
     shape = (mats[0].rows, mats[0].cols)
     if any((m.rows, m.cols) != shape for m in mats):
         raise ShapeError("matrices must share one shape")
-    vecs = [(m.den, *_vec_grids(m)) for m in mats]
-    reduced, pivots = rref(
-        [[_scalar_over(re[p], im[p], den) for den, re, im in vecs] for p in range(shape[0] * shape[1])]
-    )
+    re = [*zip(*(_vec(m.re) for m in mats))]
+    im = None
+    if any(map(any, chain.from_iterable(m.im for m in mats))):
+        im = [*zip(*(_vec(m.im) for m in mats))]
+    pivots, red_re, red_im, (d_re, d_im) = rref(re, im)
+    if red_im is None:
+        red_im = [[0] * len(mats) for _ in red_re]
     kept = set(pivots)
-    coords = {
-        j: tuple(row[j] for row in reduced) for j in range(len(mats)) if j not in kept
-    }
+    dependent = [j for j in range(len(mats)) if j not in kept]
+    # the reduced entries of the dependent columns, column by column, as
+    # one column grid over one denominator
+    num_re = [[row[j]] for j in dependent for row in red_re]
+    num_im = [[row[j]] for j in dependent for row in red_im]
+    denominator = d_re
+    if d_im:  # x / D = x * conj(D) / |D|^2
+        num_re, num_im = gaussian_int_matmul(num_re, num_im, [(d_re,)], [(-d_im,)])
+        denominator = d_re**2 + d_im**2
+    dens = [m.den for m in mats]
+    entries = zip(num_re, num_im)
+    coords = {}
+    for j in dependent:  # each takes the next len(pivots) entries
+        coords[j] = tuple(
+            _scalar_over(x * dens[c], y * dens[c], denominator * dens[j])
+            for c, ((x,), (y,)) in zip(pivots, entries)
+        )
     return pivots, coords
 
 

@@ -325,6 +325,8 @@ def instance_from_json(data: Any) -> tuple[ElementaryOperator, dict]:
 
 
 def canonical_dumps(obj: Any) -> str:
+    """The one JSON layout of elemop's files and digests: sorted keys, no
+    whitespace, ASCII only."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

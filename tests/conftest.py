@@ -34,6 +34,32 @@ def elimination_calls(monkeypatch):
     return calls
 
 
+def sympy_matrix(rows):
+    """sympy's DomainMatrix of a nonempty list of Scalar rows, over QQ
+    when every entry is real and over QQ_I otherwise: a reference whose
+    elimination shares no code with elemop's."""
+    pytest.importorskip("sympy")
+    from sympy import QQ, QQ_I
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [list(row) for row in rows]
+    real = all(not e.im for row in rows for e in row)
+
+    def element(e):
+        re = QQ(e.re.numerator, e.re.denominator)
+        return re if real else QQ_I(re, QQ(e.im.numerator, e.im.denominator))
+
+    return DomainMatrix(
+        [[element(e) for e in row] for row in rows], (len(rows), len(rows[0])), QQ if real else QQ_I
+    )
+
+
+def sympy_rank(rows):
+    """The rank of a list of Scalar rows by `sympy_matrix`, 0 for no rows."""
+    rows = list(rows)
+    return sympy_matrix(rows).rank() if rows else 0
+
+
 def pytest_terminal_summary(terminalreporter):
     if CRITERION_LINES:
         terminalreporter.write_sep("-", "acceptance criteria")

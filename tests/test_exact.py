@@ -45,7 +45,7 @@ from elemop.exact import (
     zero_vector,
 )
 from elemop.serialize import matrix_from_json, matrix_to_json
-from conftest import unit, strictly_upper_basis
+from conftest import strictly_upper_basis, sympy_matrix, sympy_rank, unit
 
 
 def test_scalar_reduction_and_exactness():
@@ -788,11 +788,11 @@ def test_solve_round_trip():
 
 
 def _incremental_subset(vectors):
-    """Reference: grow the kept set one rref at a time, then solve for
-    the coordinates of every dropped vector."""
+    """Reference: grow the kept set one sympy rank at a time, then solve
+    for the coordinates of every dropped vector."""
     kept = []
     for idx, v in enumerate(vectors):
-        if len(rref([_flat(vectors[i]) for i in kept] + [_flat(v)])[0]) == len(kept) + 1:
+        if sympy_rank([_flat(vectors[i]) for i in kept] + [_flat(v)]) == len(kept) + 1:
             kept.append(idx)
     coords = {}
     for idx, v in enumerate(vectors):
@@ -937,6 +937,118 @@ def test_elimination_matches_sympy():
         # combination and a repeat among them
         square = [Scalar(Fraction(1, k + 2)) * m for k, m in enumerate(inputs) if m.is_square]
         check_subset(square + [square[0] - Scalar(Fraction(3, 7)) * square[1], square[0]])
+
+
+# -- the fraction-free kernel against sympy's rref over QQ and QQ_I --------
+
+
+def _sympy_subset(mats):
+    """(pivots, coordinates) from sympy's rref of the matrix whose columns
+    are the row-major vecs of mats, over QQ or QQ_I as `sympy_matrix`
+    picks: the coordinates of a dependent column are its entries in the
+    pivot rows."""
+    from sympy import QQ
+
+    columns = [_flat(m) for m in mats]
+    reduced, pivots = sympy_matrix(zip(*columns)).rref()
+
+    def to_scalar(x):
+        parts = (x,) if reduced.domain == QQ else (x.x, x.y)
+        return Scalar(*(Fraction(int(p.numerator), int(p.denominator)) for p in parts))
+
+    rows = reduced.to_list()[: len(pivots)]
+    coords = {
+        j: tuple(to_scalar(row[j]) for row in rows) for j in range(len(mats)) if j not in pivots
+    }
+    return list(pivots), coords
+
+
+_DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 6, 7])
+
+
+@st.composite
+def _subset_inputs(draw):
+    """Same-shape matrices, tall, wide or square as vecs against their
+    number, with entries over mixed denominators, real or Gaussian, and
+    zero, repeated and dependent members mixed in."""
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    real = draw(st.booleans())
+    part = st.integers(-3, 3)
+
+    def drawn_matrix():
+        den = draw(_DENOMINATORS)
+        return Matrix(
+            den,
+            [[draw(part) for _ in range(cols)] for _ in range(rows)],
+            [[0 if real else draw(part) for _ in range(cols)] for _ in range(rows)],
+        )
+
+    mats = []
+    for _ in range(draw(st.integers(1, 7))):
+        kind = draw(st.sampled_from(["new", "new", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            mats.append(Matrix.zeros(rows, cols))
+        elif kind == "new" or not mats:
+            mats.append(drawn_matrix())
+        elif kind == "repeat":
+            mats.append(draw(st.sampled_from(mats)))
+        else:
+            first, second = draw(st.sampled_from(mats)), draw(st.sampled_from(mats))
+            c = Scalar(Fraction(draw(part), draw(_DENOMINATORS)), 0 if real else draw(part))
+            mats.append(first + c * second)
+    return mats
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_subset_inputs())
+def test_independent_subset_matches_sympy_rref(mats):
+    pytest.importorskip("sympy")
+    assert independent_subset(mats) == _sympy_subset(mats)
+
+
+def _columns_of(rows):
+    """The columns of a Gaussian-rational row list, as d x 1 matrices."""
+    m = Matrix.from_rows(rows)
+    return [m.column(j) for j in range(m.cols)]
+
+
+def test_rref_pivots_and_last_pivot_on_fixed_grids():
+    # 1 then -2: the last pivot is negative
+    pivots, re_rows, im_rows, last = rref([[1, 1, 3], [1, -1, 1]])
+    assert (pivots, re_rows, im_rows, last) == ([0, 1], [[-2, 0, -4], [0, -2, -2]], None, (-2, 0))
+    # Gaussian pivots 1+i, then a non-real one: the division by a non-real
+    # previous pivot and the coordinates over a non-real D both run
+    re = [[1, 1, 0, 2], [0, 1, 1, 0], [1, 0, 1, 1]]
+    im = [[1, 0, 0, 0], [1, 0, 0, -1], [0, 0, -1, 0]]
+    pivots, _, _, last = rref(re, im)
+    assert pivots == [0, 1, 2] and last[1] != 0
+    pytest.importorskip("sympy")
+    columns = [Matrix(1, [[row[j]] for row in re], [[row[j]] for row in im]) for j in range(4)]
+    assert independent_subset(columns) == _sympy_subset(columns)
+    assert rref([[0, 0], [0, 0]]) == ([], [], None, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # a negative last pivot, a dependent column and a zero column
+        [[1, 1, 3, 0], [1, -1, 1, 0]],
+        # Gaussian pivots 1+i and 2-i, a duplicate and a dependent column
+        [
+            [Scalar(1, 1), 1, Scalar(1, 1), Scalar(2, 1)],
+            [1, Scalar(2, -1), 1, Scalar(3, -1)],
+            [0, Scalar(0, 1), 0, Scalar(0, 1)],
+        ],
+        # tall, wide, over mixed denominators
+        [[Fraction(1, 2)], [Scalar(Fraction(1, 3), 1)], [0]],
+        [[Fraction(1, 2), Fraction(2, 7), Scalar(1, Fraction(-1, 3)), 5, 0]],
+    ],
+    ids=["negative-last-pivot", "gaussian-pivots", "tall", "wide"],
+)
+def test_independent_subset_matches_sympy_on_fixed_cases(rows):
+    pytest.importorskip("sympy")
+    columns = _columns_of(rows)
+    assert independent_subset(columns) == _sympy_subset(columns)
 
 
 # -- nilpotency characterization -----------------------------------------

@@ -4,7 +4,6 @@ readers, every file of arbitrary bytes given to `verify` is bad input or
 a failed check, never a crash."""
 
 import copy
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from elemop.cli import main
 from elemop.errors import ElemopError, FormatError
 from elemop.exact import Matrix
 from elemop.serialize import (
+    canonical_dumps,
     certificate_from_json,
     certificate_to_json,
     instance_digest,
@@ -169,7 +169,7 @@ def test_representation_reader_names_the_malformed_field(data, message):
 
 def _written(document) -> bytes:
     """The bytes the CLI writes for a document."""
-    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode()
+    return (canonical_dumps(document) + "\n").encode()
 
 
 _FILES = [_written(INSTANCE), _written(CERTIFICATE)]
