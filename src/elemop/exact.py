@@ -18,12 +18,12 @@ a call of `gaussian_int_matmul` (real branch `int_matmul`); only the
 `Scalar` dunders multiply by hand.
 
 There is one elimination, `rref`, a fraction-free Gauss-Jordan on
-Gaussian-integer row grids (on int rows when they are real), and one
-reader of it, `independent_subset`: which of some same-shape matrices
-are kept, and what the coordinates of the others in them are.  It is the
-one place that turns grids into `rref` rows, and only the coordinates it
-returns become Scalars.  `rank`, `kernel_basis`, `solve` and `inverse`
-are questions to it, and no other module eliminates.
+Gaussian-integer row grids, and one reader of it, `independent_subset`:
+which of some same-shape matrices are kept, and what the coordinates of
+the others in them are.  It is the one place that turns grids into
+`rref` rows, and only the coordinates it returns become Scalars.
+`rank`, `kernel_basis`, `solve` and `inverse` are questions to it, and no
+other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
 here can be regenerated bit for bit on any platform.  Deterministic
@@ -451,8 +451,8 @@ def int_matmul(a, b_cols):
     column of b.  Taking b by columns leaves the transposition to the
     caller, which makes it once per matrix rather than once per product.
     This is the one integer dot-product loop: the real branch of
-    `gaussian_int_matmul`, the real row steps of `rref` and the real-space
-    trace-identity expansion run on it.
+    `gaussian_int_matmul` and the real-space trace-identity expansion run
+    on it.
     """
     return [[sum(map(mul, r, c)) for c in b_cols] for r in a]
 
@@ -592,17 +592,15 @@ def trace(m: Matrix) -> Scalar:
 # -- row reduction and everything built on it -------------------------
 
 
-def rref(re, im=None):
+def rref(re, im):
     """Fraction-free reduced row echelon form of the Gaussian-integer row
-    grid re + i*im, with im None for a real grid; the inputs are only
-    read.
+    grid re + i*im; the inputs are only read.
 
     Returns (pivots, re_rows, im_rows, last): the pivot column indices,
-    the nonzero reduced rows as real and imaginary row grids (im_rows is
-    None for a real grid) and the last pivot D as a pair (re, im), (1, 0)
-    for a zero grid.  Row k holds D in column pivots[k] and zeros in the
-    other pivot columns, so the rows over D are the reduced row echelon
-    form.
+    the nonzero reduced rows as real and imaginary row grids and the last
+    pivot D as a pair (re, im), (1, 0) for a zero grid.  Row k holds D in
+    column pivots[k] and zeros in the other pivot columns, so the rows
+    over D are the reduced row echelon form.
 
     Gauss-Jordan in Bareiss's integer-preserving form (Sylvester's
     identity and multistep integer-preserving Gaussian elimination, Math.
@@ -610,65 +608,37 @@ def rref(re, im=None):
     other row becomes (p*row - a*pivot_row)/prev, with a its entry in the
     pivot column and prev the previous pivot (1 at first); a row with
     a = 0 is scaled too.  Every entry is then a minor of the input, so
-    the division is exact, in Z[i] as in Z.  Each row step is one kernel
-    product, the 1 x 2 row (p, -a) times the two rows as width columns.
-    A real grid runs on int rows.  Over Z[i] a non-real prev divides as
+    the division is exact in Z[i].  Each row step is one kernel product,
+    the 1 x 2 row (p, -a) times the two rows as width columns, which runs
+    on `int_matmul` when both are real.  A non-real prev divides as
     conj(prev)/|prev|^2: conj(prev) is carried in the coefficients, all
     of a step's in one product, and the parts are divided by |prev|^2.
     """
-    if im is None:
-        work = [(row, None) for row in re if any(row)]
-    else:
-        work = [(x, y) for x, y in zip(re, im) if any(x) or any(y)]
-    step = _real_rows if im is None else _gaussian_rows
+    work = [(x, y) for x, y in zip(re, im) if any(x) or any(y)]
     pivots: list[int] = []
     prev = (1, 0)
     for col in range(len(re[0]) if work else 0):
         r = len(pivots)
-        found = next((i for i in range(r, len(work)) if _nonzero_at(work[i], col)), None)
+        found = next((i for i in range(r, len(work)) if work[i][0][col] or work[i][1][col]), None)
         if found is None:
             continue
         work[r], work[found] = work[found], work[r]
         top = work[r]
-        p = (top[0][col], 0 if im is None else top[1][col])
-        work[:r] = step(work[:r], top, col, p, prev)
-        work[r + 1 :] = step(work[r + 1 :], top, col, p, prev)
+        p = (top[0][col], top[1][col])
+        work[:r] = _row_step(work[:r], top, col, p, prev)
+        work[r + 1 :] = _row_step(work[r + 1 :], top, col, p, prev)
         pivots.append(col)
         prev = p
         if len(pivots) == len(work):
             break
     reduced = work[: len(pivots)]
-    re_rows = [x for x, _ in reduced]
-    return pivots, re_rows, (None if im is None else [y for _, y in reduced]), prev
+    return pivots, [x for x, _ in reduced], [y for _, y in reduced], prev
 
 
-def _nonzero_at(row, col: int) -> bool:
-    """Whether a (re, im) work row of `rref` is nonzero in column col."""
-    re, im = row
-    return bool(re[col] or (im is not None and im[col]))
-
-
-def _real_rows(rows, top, col: int, p, prev):
-    """One pivot step of `rref` on real work rows: each row becomes
-    (p*row - a*top)/prev, as the kernel product (p, -a) times the two
-    rows' columns."""
-    p, prev = p[0], prev[0]
-    top = top[0]
-    out = []
-    for row, _ in rows:
-        a = row[col]
-        if not a and p == prev:
-            out.append((row, None))
-            continue
-        ((*new,),) = int_matmul([[p, -a]], [*zip(row, top)])
-        out.append(([x // prev for x in new] if prev != 1 else new, None))
-    return out
-
-
-def _gaussian_rows(rows, top, col: int, p, prev):
-    """One pivot step of `rref` on (re, im) work rows over Z[i]: each row
-    becomes (p*row - a*top)/prev.  For a non-real prev the coefficients
-    (p, -a) of every row are first multiplied by conj(prev) in one kernel
+def _row_step(rows, top, col: int, p, prev):
+    """One pivot step of `rref` on (re, im) work rows: each row becomes
+    (p*row - a*top)/prev.  For a non-real prev the coefficients (p, -a)
+    of every row are first multiplied by conj(prev) in one kernel
     product, and the result is divided by |prev|^2."""
     top_re, top_im = top
     coeffs = [(p[0], -row[0][col], p[1], -row[1][col]) for row in rows]
@@ -721,13 +691,9 @@ def independent_subset(
     shape = (mats[0].rows, mats[0].cols)
     if any((m.rows, m.cols) != shape for m in mats):
         raise ShapeError("matrices must share one shape")
-    re = [*zip(*(_vec(m.re) for m in mats))]
-    im = None
-    if any(map(any, chain.from_iterable(m.im for m in mats))):
-        im = [*zip(*(_vec(m.im) for m in mats))]
-    pivots, red_re, red_im, (d_re, d_im) = rref(re, im)
-    if red_im is None:
-        red_im = [[0] * len(mats) for _ in red_re]
+    pivots, red_re, red_im, (d_re, d_im) = rref(
+        [*zip(*(_vec(m.re) for m in mats))], [*zip(*(_vec(m.im) for m in mats))]
+    )
     kept = set(pivots)
     dependent = [j for j in range(len(mats)) if j not in kept]
     # the reduced entries of the dependent columns, column by column, as

@@ -54,10 +54,29 @@ def sympy_matrix(rows):
     )
 
 
-def sympy_rank(rows):
-    """The rank of a list of Scalar rows by `sympy_matrix`, 0 for no rows."""
-    rows = list(rows)
-    return sympy_matrix(rows).rank() if rows else 0
+def reference_rank(rows):
+    """The rank of a list of Scalar rows, 0 for no rows, by plain Gaussian
+    elimination on pairs (re, im) of Fractions: a reference that shares no
+    code with elemop's elimination and needs no optional package."""
+    work = [[(e.re, e.im) for e in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        pr, pi = work[rank][col]
+        norm = pr * pr + pi * pi
+        for i in range(rank + 1, len(work)):
+            ar, ai = work[i][col]
+            # f = a / p = a * conj(p) / |p|^2
+            fr, fi = (ar * pr + ai * pi) / norm, (ai * pr - ar * pi) / norm
+            work[i] = [
+                (xr - (fr * yr - fi * yi), xi - (fr * yi + fi * yr))
+                for (xr, xi), (yr, yi) in zip(work[i], work[rank])
+            ]
+        rank += 1
+    return rank
 
 
 def pytest_terminal_summary(terminalreporter):

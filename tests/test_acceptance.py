@@ -56,7 +56,7 @@ from elemop.spaces import (
     reduce_basis,
     simultaneous_separating_vector,
 )
-from conftest import dim_v1_operator, record_criterion, strictly_upper_basis, sympy_rank
+from conftest import dim_v1_operator, record_criterion, reference_rank, strictly_upper_basis
 
 
 def test_criterion_01_triangular_power_exponent():
@@ -100,7 +100,7 @@ def test_criterion_02_exceptional_forms_power_five():
             x = random_matrix(d, derive_seed(seed, 5000 + t), 10)
             y = apply(phi, x)
             y2 = y @ y
-            assert sympy_rank(y2.entries) <= 3
+            assert reference_rank(y2.entries) <= 3
             assert ((y2 @ y2) @ y).is_zero, f"phi(x)^5 != 0 for {form}, d={d}"
     record_criterion(
         "criterion 02: PASS - 40 instances x 100 arguments, fifth powers vanish, "
@@ -234,9 +234,9 @@ def test_criterion_06_plane_dichotomy():
         flag = outcome
         prefix = []
         for v in flag.vectors:
-            lower_rank = sympy_rank(prefix)
+            lower_rank = reference_rank(prefix)
             for t in plane.basis:
-                assert sympy_rank(prefix + [(t @ v).transpose().row(0)]) == lower_rank
+                assert reference_rank(prefix + [(t @ v).transpose().row(0)]) == lower_rank
             prefix.append(v.transpose().row(0))
     record_criterion(
         "criterion 06: PASS - 50 special planes certified by exact conjugation, "

@@ -60,7 +60,7 @@ from elemop.operators import (
     sum_bi_ai,
 )
 from elemop.spaces import reduce_basis
-from conftest import specimen_form_ii, single_pair, strictly_upper_basis, sympy_rank, unit
+from conftest import reference_rank, single_pair, specimen_form_ii, strictly_upper_basis, unit
 
 
 def special_plane_space():
@@ -73,7 +73,7 @@ def conjugated_space(space, q):
 
 
 def _rows(columns):
-    """The d x 1 columns as Scalar rows, for `sympy_rank`."""
+    """The d x 1 columns as Scalar rows, for `reference_rank`."""
     return [c.transpose().row(0) for c in columns]
 
 
@@ -203,7 +203,7 @@ def test_strict_triangularize_special_plane_fails_at_stage_one():
     k1 = kernel_basis(SPECIAL_PLANE_FIRST)
     k2 = kernel_basis(SPECIAL_PLANE_SECOND)
     assert k1 == [basis_vector(3, 2)] and k2 == [basis_vector(3, 0)]
-    assert sympy_rank(_rows(k1 + k2)) == 2  # no common direction
+    assert reference_rank(_rows(k1 + k2)) == 2  # no common direction
     result = strict_triangularize(special_plane_space())
     assert isinstance(result, NotTriangularizable) and result.stage == 1
 
@@ -256,10 +256,10 @@ def test_flag_invariant_holds_on_output():
         assert isinstance(flag, Flag)
         prefix = []
         for k, v in enumerate(flag.vectors):
-            lower_rank = sympy_rank(_rows(prefix))
+            lower_rank = reference_rank(_rows(prefix))
             for t in space.basis:
                 image = t @ v
-                assert sympy_rank(_rows(prefix + [image])) == lower_rank
+                assert reference_rank(_rows(prefix + [image])) == lower_rank
             prefix.append(v)
 
 
