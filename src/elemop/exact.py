@@ -21,9 +21,12 @@ There is one elimination, `rref`, a fraction-free Gauss-Jordan on
 Gaussian-integer row grids, and one reader of it, `independent_subset`:
 which of some same-shape matrices are kept, and what the coordinates of
 the others in them are.  It is the one place that turns grids into
-`rref` rows, and only the coordinates it returns become Scalars.
-`rank`, `kernel_basis`, `solve` and `inverse` are questions to it, and no
-other module eliminates.
+`rref` rows, and only the coordinates it returns become Scalars.  It
+eliminates on the short side: n matrices of more than n entries, such
+as the coefficients of an operator on M_d, give the n x n Hermitian Gram
+matrix A^H A of the vec grid A, whose reduced form is that of A, and
+other shapes give A itself.  `rank`, `kernel_basis`, `solve` and
+`inverse` are questions to it, and no other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
 here can be regenerated bit for bit on any platform.  Deterministic
@@ -468,9 +471,10 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     `Matrix.__matmul__`, `operators.apply`, `operators.sum_bi_ai`,
     `is_nilpotent_matrix` and `char_poly` take their right factor from
     `grid_columns`, the linear combination and the coefficient tensor
-    stack vecs, the row steps of `rref` pair two rows as columns, and the
-    trace-identity expansion of complex spaces builds its right factors
-    as columns.
+    stack vecs, the row steps of `rref` pair two rows as columns,
+    `independent_subset` takes the vecs as both factors of the Gram
+    matrix of a tall grid, and the trace-identity expansion of complex
+    spaces builds its right factors as columns.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -594,7 +598,9 @@ def trace(m: Matrix) -> Scalar:
 
 def rref(re, im):
     """Fraction-free reduced row echelon form of the Gaussian-integer row
-    grid re + i*im; the inputs are only read.
+    grid re + i*im; the inputs are only read.  Its one caller,
+    `independent_subset`, passes the short side of its grid: the vec
+    grid, or for a tall one its n x n Hermitian Gram matrix.
 
     Returns (pivots, re_rows, im_rows, last): the pivot column indices,
     the nonzero reduced rows as real and imaginary row grids and the last
@@ -677,11 +683,17 @@ def independent_subset(
     every other index its coordinates in the kept ones.
 
     The matrices share one shape and each is read as its row-major vec,
-    so a d x 1 column is read as itself.  One fraction-free `rref` of the
-    Gaussian-integer grid whose column j is the vec of mats[j]'s grids,
-    that is den_j times the vec of mats[j]: the pivot columns are the
-    kept matrices.  With D the last pivot, the coordinate of a dependent
-    j at the kept column c of reduced row k is
+    so a d x 1 column is read as itself.  Let A be the Gaussian-integer
+    grid whose column j is the vec of mats[j]'s grids, that is den_j
+    times the vec of mats[j].  One fraction-free `rref` runs on the short
+    side: on A when it has no more rows than columns, and otherwise on
+    the n x n Hermitian Gram matrix G = A^H A, one kernel product of the
+    conjugated vecs as rows and the vecs as columns.  Over C, G x = 0
+    gives |A x|^2 = x^H G x = 0, so G and A have one null space, one row
+    space and one reduced row echelon form; the conjugate matters, since
+    A^T A is zero on a nonzero vec such as (1, i).  The pivot columns are
+    the kept matrices.  With D the last pivot, the coordinate of a
+    dependent j at the kept column c of reduced row k is
     reduced[k][j] * den_c / (D * den_j), and only these coordinates
     become Scalars.  The one reader of `rref`: rank, kernels, solutions
     and inverses are questions to it.
@@ -691,9 +703,13 @@ def independent_subset(
     shape = (mats[0].rows, mats[0].cols)
     if any((m.rows, m.cols) != shape for m in mats):
         raise ShapeError("matrices must share one shape")
-    pivots, red_re, red_im, (d_re, d_im) = rref(
-        [*zip(*(_vec(m.re) for m in mats))], [*zip(*(_vec(m.im) for m in mats))]
-    )
+    vec_re = [_vec(m.re) for m in mats]
+    vec_im = [_vec(m.im) for m in mats]
+    if len(vec_re[0]) > len(mats):  # tall: A^H A, the conjugated vecs as rows
+        grid = gaussian_int_matmul(vec_re, [[-y for y in v] for v in vec_im], vec_re, vec_im)
+    else:
+        grid = [*zip(*vec_re)], [*zip(*vec_im)]
+    pivots, red_re, red_im, (d_re, d_im) = rref(*grid)
     kept = set(pivots)
     dependent = [j for j in range(len(mats)) if j not in kept]
     # the reduced entries of the dependent columns, column by column, as

@@ -6,6 +6,8 @@ minor of the stacked images [T_1 z ... T_k z] is a homogeneous polynomial
 in z, so one walk of the simplex lattice of `exact.simplex_points` that
 is at least as deep as the minors' degree attains the maximum: the value
 is proven, never sampled, and the first point attaining it is the witness.
+Each walk counts the points it visits and raises DomainError, naming its
+stage and the count, past DEFAULT_LATTICE_BUDGET points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import ContractError, InconsistencyError, RankError, ShapeError
+from .errors import ContractError, DomainError, InconsistencyError, RankError, ShapeError
 from .exact import (
     Matrix,
     ONE,
@@ -22,6 +24,10 @@ from .exact import (
     simplex_points,
     vector,
 )
+
+#: Lattice points one walk may visit: strictly upper M_8, whose local
+#: dimension walk visits all C(15, 8) = 6435 points of Delta(8, 8), fits.
+DEFAULT_LATTICE_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -84,6 +90,20 @@ def _image_dim(space: OperatorSpace, zeta: Matrix) -> int:
     return len(evaluate(space, zeta))
 
 
+def _walk(d: int, degree: int, stage: str):
+    """The points of Delta(d, degree) as columns, in `simplex_points`
+    order.  The visited points are counted, not the lattice, so a walk
+    that stops early is never refused; the point past
+    DEFAULT_LATTICE_BUDGET raises DomainError instead."""
+    for count, point in enumerate(simplex_points(d, degree), 1):
+        if count > DEFAULT_LATTICE_BUDGET:
+            raise DomainError(
+                f"the {stage} walk of Delta({d}, {degree}) reached point {count}, "
+                f"above the budget of {DEFAULT_LATTICE_BUDGET}"
+            )
+        yield vector(point)
+
+
 def local_dimension(space: OperatorSpace) -> LocalDimResult:
     """Max over z of dim(space applied to z), with a verifying witness.
 
@@ -91,13 +111,13 @@ def local_dimension(space: OperatorSpace) -> LocalDimResult:
     rank c.  The local dimension r is the size of the largest minor of
     [T_1 z ... T_k z] that is not identically zero; that minor is
     homogeneous of degree r <= c in z, so it is nonzero at some point of
-    the walk, and the largest rank met is r.
+    the walk, and the largest rank met is r.  A walk past
+    DEFAULT_LATTICE_BUDGET points raises DomainError.
     """
     d = space.ambient_dim
     cap = min(d, space.dim)
     best = -1
-    for point in simplex_points(d, cap):
-        zeta = vector(point)
+    for zeta in _walk(d, cap, "local dimension"):
         dim_here = _image_dim(space, zeta)
         if dim_here > best:
             best, witness = dim_here, zeta
@@ -112,7 +132,8 @@ def simultaneous_separating_vector(spaces: Sequence[OperatorSpace]) -> Matrix:
     With r_i the local dimensions, the product of one nonzero r_i-minor
     per space is a nonzero homogeneous polynomial of degree sum r_i, so
     the walk of Delta(d, sum r_i) reaches a point where every space
-    attains its r_i; an exhausted walk raises InconsistencyError.
+    attains its r_i; an exhausted walk raises InconsistencyError, and a
+    walk past DEFAULT_LATTICE_BUDGET points DomainError.
     """
     if not spaces:
         raise ContractError("at least one space is required")
@@ -120,8 +141,7 @@ def simultaneous_separating_vector(spaces: Sequence[OperatorSpace]) -> Matrix:
     if any(s.ambient_dim != d for s in spaces):
         raise ShapeError("spaces must share the ambient dimension")
     targets = [local_dimension(s).value for s in spaces]
-    for point in simplex_points(d, sum(targets)):
-        zeta = vector(point)
+    for zeta in _walk(d, sum(targets), "separating vector"):
         if all(_image_dim(s, zeta) == r for s, r in zip(spaces, targets)):
             return zeta
     raise InconsistencyError("no separating vector on the simplex lattice")

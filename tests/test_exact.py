@@ -970,7 +970,8 @@ _DENOMINATORS = st.sampled_from([1, 1, 1, 2, 3, 6, 7])
 def _subset_inputs(draw):
     """Same-shape matrices, tall, wide or square as vecs against their
     number, with entries over mixed denominators, real or Gaussian, and
-    zero, repeated and dependent members mixed in."""
+    zero, repeated and dependent members mixed in; with Gaussian entries,
+    sometimes all of them isotropic."""
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     real = draw(st.booleans())
     part = st.integers(-3, 3)
@@ -983,13 +984,27 @@ def _subset_inputs(draw):
             [[0 if real else draw(part) for _ in range(cols)] for _ in range(rows)],
         )
 
+    # for Gaussian entries, sometimes every new member is isotropic, its
+    # vec (w, i*w, 0) for one sign of i: then sum_k u_k v_k = 0 for any two
+    # members and their combinations, so A^T A, which forgets the
+    # conjugate, is zero, although A^H A is not
+    turn = 0
+    if not real and rows * cols > 1 and draw(st.booleans()):
+        turn = draw(st.sampled_from([1, -1]))
+
+    def isotropic_matrix():
+        half = rows * cols // 2
+        w = [Scalar(Fraction(draw(part), draw(_DENOMINATORS))) for _ in range(half)]
+        flat = w + [Scalar(0, turn) * x for x in w] + [ZERO] * (rows * cols - 2 * half)
+        return Matrix.from_rows(flat[r * cols : (r + 1) * cols] for r in range(rows))
+
     mats = []
     for _ in range(draw(st.integers(1, 7))):
         kind = draw(st.sampled_from(["new", "new", "zero", "repeat", "combination"]))
         if kind == "zero":
             mats.append(Matrix.zeros(rows, cols))
         elif kind == "new" or not mats:
-            mats.append(drawn_matrix())
+            mats.append(isotropic_matrix() if turn else drawn_matrix())
         elif kind == "repeat":
             mats.append(draw(st.sampled_from(mats)))
         else:
@@ -1029,27 +1044,91 @@ def test_rref_pivots_and_last_pivot_on_fixed_grids():
     assert independent_subset(columns) == _sympy_subset(columns)
 
 
+I = Scalar(0, 1)
+
+
 @pytest.mark.parametrize(
-    "rows",
+    "mats",
     [
         # a negative last pivot, a dependent column and a zero column
-        [[1, 1, 3, 0], [1, -1, 1, 0]],
+        _columns_of([[1, 1, 3, 0], [1, -1, 1, 0]]),
         # Gaussian pivots 1+i and 2-i, a duplicate and a dependent column
-        [
-            [Scalar(1, 1), 1, Scalar(1, 1), Scalar(2, 1)],
-            [1, Scalar(2, -1), 1, Scalar(3, -1)],
-            [0, Scalar(0, 1), 0, Scalar(0, 1)],
-        ],
+        _columns_of(
+            [
+                [Scalar(1, 1), 1, Scalar(1, 1), Scalar(2, 1)],
+                [1, Scalar(2, -1), 1, Scalar(3, -1)],
+                [0, Scalar(0, 1), 0, Scalar(0, 1)],
+            ]
+        ),
         # tall, wide, over mixed denominators
-        [[Fraction(1, 2)], [Scalar(Fraction(1, 3), 1)], [0]],
-        [[Fraction(1, 2), Fraction(2, 7), Scalar(1, Fraction(-1, 3)), 5, 0]],
+        _columns_of([[Fraction(1, 2)], [Scalar(Fraction(1, 3), 1)], [0]]),
+        _columns_of([[Fraction(1, 2), Fraction(2, 7), Scalar(1, Fraction(-1, 3)), 5, 0]]),
+        # isotropic vecs (sum v_k^2 = 0), which only the conjugate in the
+        # Gram matrix A^H A of a tall grid keeps nonzero
+        _columns_of([[1], [I]]),
+        _columns_of([[1, 0], [I, 0], [0, 1]]),
+        _columns_of([[1, I], [I, -1]]),
+        _columns_of([[1, I], [I, -1], [0, 0]]),
+        [Matrix.from_rows([[1, I], [0, 0]]), Matrix.from_rows([[0, 0], [1, -I]])],
     ],
-    ids=["negative-last-pivot", "gaussian-pivots", "tall", "wide"],
+    ids=[
+        "negative-last-pivot",
+        "gaussian-pivots",
+        "tall",
+        "wide",
+        "isotropic-column",
+        "isotropic-tall-pair",
+        "isotropic-dependent-pair",
+        "isotropic-dependent-tall-pair",
+        "isotropic-2x2-matrices",
+    ],
 )
-def test_independent_subset_matches_sympy_on_fixed_cases(rows):
+def test_independent_subset_matches_sympy_on_fixed_cases(mats):
     pytest.importorskip("sympy")
-    columns = _columns_of(rows)
-    assert independent_subset(columns) == _sympy_subset(columns)
+    assert independent_subset(mats) == _sympy_subset(mats)
+
+
+def test_a_nonzero_isotropic_vector_is_kept():
+    # (1, i) has sum v_k^2 = 0 but |v|^2 = 2: independent, without sympy
+    assert independent_subset(_columns_of([[1], [I]])) == ([0], {})
+
+
+@pytest.mark.parametrize(
+    "shape, count, grid",
+    [
+        # tall: n matrices of more than n entries eliminate the n x n Gram matrix
+        ((3, 3), 2, (2, 2)),
+        ((8, 8), 3, (3, 3)),
+        ((4, 1), 3, (3, 3)),
+        # square and wide: the grid of the vecs itself, entries by matrices
+        ((2, 2), 4, (4, 4)),
+        ((2, 1), 5, (2, 5)),
+        ((1, 3), 4, (3, 4)),
+    ],
+    ids=["tall-3x3", "tall-8x8", "tall-column", "square", "wide-column", "wide-row"],
+)
+def test_elimination_runs_on_the_short_side(monkeypatch, shape, count, grid):
+    shapes = []
+    real = exact.rref
+
+    def recording(re, im):
+        shapes.append((len(re), len(re[0])))
+        return real(re, im)
+
+    monkeypatch.setattr(exact, "rref", recording)
+    rng = random.Random(derive_seed(count, shape[0] * shape[1]))
+    mats = [
+        Matrix.from_rows(
+            [
+                [Scalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(shape[1])]
+                for _ in range(shape[0])
+            ]
+        )
+        for _ in range(count)
+    ]
+    kept, _ = independent_subset(mats)
+    assert shapes == [grid]
+    assert len(kept) == min(count, shape[0] * shape[1])
 
 
 # -- nilpotency characterization -----------------------------------------

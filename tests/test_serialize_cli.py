@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elemop import operators, serialize
+from elemop import operators, serialize, spaces
 from elemop.classify import classify, generate
 from elemop.cli import main
 from elemop.errors import DomainError, FormatError
@@ -345,6 +345,19 @@ def test_cli_analyze_reports_every_local_dimension_as_proven(tmp_path, capsys):
     assert main(["analyze", str(path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [report["spaces"][label]["exact"] for label in "LRV"] == [True] * 3
+
+
+def test_cli_analyze_stops_at_the_lattice_budget(tmp_path, capsys, monkeypatch):
+    # the V of form iii has local dimension 1 < dim 2, so its walk needs
+    # more than the first point; a budget of 1 stops the command at once
+    path = _generate_file(tmp_path, "iii", 4)
+    capsys.readouterr()
+    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    assert main(["analyze", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the local dimension walk of Delta(4, ")
+    assert "reached point 2, above the budget of 1" in captured.err
 
 
 def test_cli_analyze_takes_no_seed(tmp_path, capsys):

@@ -3,12 +3,13 @@
 import ast
 import importlib
 import inspect
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from elemop import spaces
-from elemop.errors import InconsistencyError, RankError, ShapeError
+from elemop.errors import DomainError, InconsistencyError, RankError, ShapeError
 from elemop.exact import (
     Matrix,
     basis_vector,
@@ -150,6 +151,66 @@ def test_an_unattainable_target_exhausts_the_separating_walk(monkeypatch):
     monkeypatch.setattr(spaces, "local_dimension", lambda s: LocalDimResult(2, vector([1, 1])))
     with pytest.raises(InconsistencyError):
         simultaneous_separating_vector([space])
+
+
+def _counted_image_dim(monkeypatch, value):
+    """Replace the rank at a point by a constant, counting the points."""
+    visited = []
+
+    def counting(space, zeta):
+        visited.append(zeta)
+        return value
+
+    monkeypatch.setattr(spaces, "_image_dim", counting)
+    return visited
+
+
+def test_the_lattice_budget_admits_strictly_upper_m8(monkeypatch):
+    # lDim = 7 < min(d, dim) = 8, so the walk visits all of Delta(8, 8);
+    # the rank at each point is stubbed, as the full walk takes seconds
+    visited = _counted_image_dim(monkeypatch, 7)
+    assert local_dimension(reduce_basis(strictly_upper_basis(8))).value == 7
+    assert len(visited) == comb(15, 8) == 6435 <= spaces.DEFAULT_LATTICE_BUDGET
+
+
+def test_a_walk_past_the_lattice_budget_raises_at_once(monkeypatch):
+    # strictly upper M_9 walks all C(17, 9) = 24310 points of Delta(9, 9);
+    # the point past the budget raises before its rank is computed
+    visited = _counted_image_dim(monkeypatch, 8)
+    budget = spaces.DEFAULT_LATTICE_BUDGET
+    with pytest.raises(DomainError, match=f"local dimension walk .* reached point {budget + 1}"):
+        local_dimension(reduce_basis(strictly_upper_basis(9)))
+    assert len(visited) == budget
+
+
+def test_the_lattice_budget_is_exact_on_a_full_walk(monkeypatch):
+    # strictly upper M_4 has lDim 3 < 4: its walk visits all 35 points
+    space = reduce_basis(strictly_upper_basis(4))
+    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 35)
+    assert local_dimension(space).value == 3
+    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 34)
+    message = "local dimension walk of Delta\\(4, 4\\) reached point 35"
+    with pytest.raises(DomainError, match=message):
+        local_dimension(space)
+
+
+def test_the_lattice_budget_counts_visited_points_not_the_lattice(monkeypatch):
+    # both walks succeed at their first point, of 20-point lattices
+    space = reduce_basis([unit(4, 0, 0), unit(4, 1, 0), unit(4, 2, 0)])
+    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    assert local_dimension(space).value == 3
+    assert simultaneous_separating_vector([space]) == vector([3, 0, 0, 0])
+
+
+def test_the_separating_walk_names_its_stage_past_the_budget(monkeypatch):
+    # (1, 1), point 2 of Delta(2, 2), is the first to separate both lines
+    s1, s2 = reduce_basis([unit(2, 0, 0)]), reduce_basis([unit(2, 0, 1)])
+    assert simultaneous_separating_vector([s1, s2]) == vector([1, 1])
+    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    monkeypatch.setattr(spaces, "local_dimension", lambda s: LocalDimResult(1, vector([1, 1])))
+    message = "separating vector walk of Delta\\(2, 2\\) reached point 2"
+    with pytest.raises(DomainError, match=message):
+        simultaneous_separating_vector([s1, s2])
 
 
 def test_locally_linearly_dependent_examples():
