@@ -43,13 +43,12 @@ from .errors import (
 )
 from .exact import (
     Matrix,
-    ONE,
     basis_vector,
     derive_seed,
     independent_subset,
     inverse,
     is_nilpotent_matrix,
-    linear_combination,
+    linear_combinations,
     random_invertible,
     random_matrix,
     random_nonzero_vector,
@@ -260,18 +259,15 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
 
     # Head indices: earliest a_i with independent images at zeta.  Each
     # tail a_t less its coordinates in the head images kills zeta; for
-    # that left basis the right coefficients are unique.
-    head, adjustments = independent_subset([a @ zeta for a, _ in reduced.pairs])
+    # that left basis the right coefficients are unique.  Row t of the
+    # transposed coordinates against the head gives those combinations.
+    head, coords = independent_subset([a @ zeta for a, _ in reduced.pairs])
     r = len(head)
     left = [a for a, _ in reduced.pairs]
     head_left = [left[h] for h in head]
+    in_head = linear_combinations(coords.transpose(), head_left)
     adjusted = change_left_basis(
-        reduced,
-        head_left
-        + [
-            linear_combination((ONE, *(-c for c in coords)), (left[t], *head_left))
-            for t, coords in adjustments.items()
-        ],
+        reduced, head_left + [left[t] - in_head[t] for t in range(n) if t not in head]
     )
 
     w0_zeta = w0 @ zeta
@@ -291,11 +287,8 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
     if not isinstance(tri, Flag):  # pragma: no cover
         raise InconsistencyError("a nilpotent matrix failed to triangularize")
     adjusted_left = [a for a, _ in adjusted.pairs]
-    new_left = [
-        linear_combination(column.transpose().row(0), adjusted_left[:r])
-        for column in tri.vectors
-    ]
-    new_left.extend(adjusted_left[r:])
+    flag = Matrix.from_columns(tri.vectors)
+    new_left = linear_combinations(flag.transpose(), adjusted_left[:r]) + adjusted_left[r:]
     rep = change_left_basis(adjusted, new_left)
 
     return _lqn(phi, FORM_DIMV1, rep, "dimv1 structure", FormParameters(r=r))
@@ -481,9 +474,13 @@ def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
 
 
 def _is_scalar_matrix(m: Matrix) -> bool:
-    c = m.entry(0, 0)
-    d = m.rows
-    return m == c * Matrix.identity(d)
+    """Whether m is its (0, 0) entry times I, compared on the grids."""
+    c = (m.re[0][0], m.im[0][0])
+    return all(
+        (m.re[i][j], m.im[i][j]) == (c if i == j else (0, 0))
+        for i in range(m.rows)
+        for j in range(m.cols)
+    )
 
 
 def _generate_random(n: int, d: int, seed: int) -> ElementaryOperator:

@@ -13,16 +13,20 @@ Every operation is exact: there is no floating point anywhere in this
 module, and equality always means structural equality of reduced forms.
 
 Every multiply-accumulate on the grids, linear combinations, the
-coefficient tensor, `ratio` and the elimination's row steps included, is
-a call of `gaussian_int_matmul` (real branch `int_matmul`); only the
-`Scalar` dunders multiply by hand.
+coefficient tensor, `ratio`, divisions and the elimination's row steps
+included, is a call of `gaussian_int_matmul` (real branch `int_matmul`).
+`Scalar` has no arithmetic: it is parsed, compared and printed, and a
+scalar factor enters a product as a 1 x 1 `Matrix`.  A representation
+change is one kernel product, `linear_combinations`, of a coefficient
+matrix against the stacked matrices, and the one division by a Gaussian
+integer is `gaussian_int_divide`.
 
 There is one elimination, `rref`, a fraction-free Gauss-Jordan on
 Gaussian-integer row grids, and one reader of it, `independent_subset`:
-which of some same-shape matrices are kept, and what the coordinates of
-the others in them are.  It is the one place that turns grids into
-`rref` rows, and only the coordinates it returns become Scalars.  It
-eliminates on the short side: n matrices of more than n entries, such
+which of some same-shape matrices are kept, and the coordinates of all
+of them in the kept ones, as one `Matrix`.  It is the one place that
+turns grids into `rref` rows, and the coordinates stay on the grids.
+It eliminates on the short side: n matrices of more than n entries, such
 as the coefficients of an operator on M_d, give the n x n Hermitian Gram
 matrix A^H A of the vec grid A, whose reduced form is that of A, and
 other shapes give A itself.  `rank`, `kernel_basis`, `solve` and
@@ -99,7 +103,9 @@ def _fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Scalar:
-    """A Gaussian rational: re + im*i with both parts reduced fractions."""
+    """A Gaussian rational re + im*i with both parts reduced fractions: a
+    value that is parsed, compared and printed.  It has no arithmetic;
+    sums, products and quotients are formed on the grids of `Matrix`."""
 
     re: Fraction
     im: Fraction = _ZERO
@@ -111,66 +117,6 @@ class Scalar:
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @staticmethod
-    def _coerce(value):
-        if isinstance(value, Scalar):
-            return value
-        if isinstance(value, (int, Fraction, str)):
-            return Scalar(_fraction(value))
-        return None
-
-    def __add__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return Scalar(-self.re, -self.im)
-
-    def __mul__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Scalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if not norm:
-            raise DomainError("division by zero")
-        return Scalar(
-            (self.re * other.re + self.im * other.im) / norm,
-            (self.im * other.re - self.re * other.im) / norm,
-        )
-
-    def __rtruediv__(self, other):
-        other = Scalar._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __str__(self) -> str:
         re, im = self.re, self.im
@@ -357,21 +303,20 @@ class Matrix:
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return linear_combination((1, 1), (self, other))
+        return linear_combinations(_SUM, (self, other))[0]
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return linear_combination((1, -1), (self, other))
+        return linear_combinations(_DIFFERENCE, (self, other))[0]
 
     def __neg__(self):
-        return linear_combination((-1,), (self,))
+        return linear_combinations(_NEGATION, (self,))[0]
 
     def __mul__(self, other):
-        c = Scalar._coerce(other)
-        if c is None:
+        if not isinstance(other, (int, Fraction, str, Scalar)):
             return NotImplemented
-        return linear_combination((c,), (self,))
+        return linear_combination((other,), (self,))
 
     __rmul__ = __mul__
 
@@ -417,6 +362,12 @@ class Matrix:
 
     def __repr__(self) -> str:
         return f"Matrix({'; '.join(self._text_rows())})"
+
+
+#: The coefficient rows of Matrix +, - and negation.
+_SUM = Matrix(1, ((1, 1),), ((0, 0),))
+_DIFFERENCE = Matrix(1, ((1, -1),), ((0, 0),))
+_NEGATION = Matrix(1, ((-1,),), ((0,),))
 
 
 def grid_columns(m: Matrix):
@@ -470,8 +421,9 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     This is the one product loop on Gaussian-integer grids:
     `Matrix.__matmul__`, `operators.apply`, `operators.sum_bi_ai`,
     `is_nilpotent_matrix` and `char_poly` take their right factor from
-    `grid_columns`, the linear combination and the coefficient tensor
+    `grid_columns`, the linear combinations and the coefficient tensor
     stack vecs, the row steps of `rref` pair two rows as columns,
+    `gaussian_int_divide` multiplies a column of entries by conj(z),
     `independent_subset` takes the vecs as both factors of the Gram
     matrix of a tall grid, and the trace-identity expansion of complex
     spaces builds its right factors as columns.
@@ -506,27 +458,33 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     return out_re, out_im
 
 
-def gaussian_int_combination(terms, rows: int, cols: int):
-    """(common, re_grid, im_grid) with (re_grid + i*im_grid)/common the
-    sum of (x + i*y)(g_re + i*g_im)/den over the terms (den, x, y, g_re,
-    g_im) of rows x cols Gaussian-integer grids, which are only read.
+def gaussian_int_combination(c_re, c_im, terms, rows: int, cols: int):
+    """(common, [(re_grid, im_grid), ...]), one pair per row of the
+    coefficient grid c = c_re + i*c_im: row r over common is the sum of
+    c[r][j] (g_re + i*g_im)/den over the terms j = (den, g_re, g_im) of
+    rows x cols Gaussian-integer grids.  The inputs are only read.
 
-    common is the lcm of the dens, 1 for no terms.  One kernel product:
-    the row of the coefficients, each scaled by common/den, times the
-    columns of the terms' row-major vecs stacked.  The summation step of
-    `linear_combination`, `ratio`, `operators.apply` and `sum_bi_ai`.
+    common is the lcm of the dens of the terms with a nonzero coefficient
+    column, 1 when there are none.  One kernel product for all the rows:
+    the coefficient rows, column j scaled by common/den_j, times the
+    columns of the kept terms' row-major vecs stacked.  The summation
+    step of `linear_combinations`, `ratio`, `operators.apply` and
+    `sum_bi_ai`.
     """
-    if not terms:
-        return 1, [[0] * cols for _ in range(rows)], [[0] * cols for _ in range(rows)]
-    dens, xs, ys, g_res, g_ims = zip(*terms)
-    common = lcm(*dens)
-    scales = [common // den for den in dens]
-    (re,), (im,) = gaussian_int_matmul(
-        [[s * x for s, x in zip(scales, xs)]],
-        [[s * y for s, y in zip(scales, ys)]],
-        *_grid_columns([_vec(g) for g in g_res], [_vec(g) for g in g_ims]),
+    live = [
+        j for j in range(len(terms)) if any(r[j] for r in c_re) or any(r[j] for r in c_im)
+    ]
+    if not live:
+        zero = [[0] * cols for _ in range(rows)]
+        return 1, [(zero, zero) for _ in c_re]
+    common = lcm(*(terms[j][0] for j in live))
+    scales = [(j, common // terms[j][0]) for j in live]
+    re, im = gaussian_int_matmul(
+        [[s * r[j] for j, s in scales] for r in c_re],
+        [[s * r[j] for j, s in scales] for r in c_im],
+        *_grid_columns([_vec(terms[j][1]) for j in live], [_vec(terms[j][2]) for j in live]),
     )
-    return common, _unvec(re, cols), _unvec(im, cols)
+    return common, [(_unvec(x, cols), _unvec(y, cols)) for x, y in zip(re, im)]
 
 
 def _unvec(flat, cols: int):
@@ -534,27 +492,33 @@ def _unvec(flat, cols: int):
     return [flat[r : r + cols] for r in range(0, len(flat), cols)]
 
 
-def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
-    """The exact sum of c_k M_k over matrices of one shape, built as one
-    matrix; Matrix +, -, negation and scaling are each one call of it.
-
-    With c_k = (x + i*y)/q and M_k = (re + i*im)/den on its own grids,
-    the term is (x + i*y)(re + i*im)/(q*den).  Zero coefficients are
-    skipped and the terms are summed over one common denominator.
+def linear_combinations(coeffs: Matrix, mats: Sequence[Matrix]) -> list[Matrix]:
+    """Row r of coeffs against mats: the matrices sum_j coeffs[r, j] M_j,
+    one per row, over matrices of one shape.  All rows are one kernel
+    product, `gaussian_int_combination`, and every result is built on
+    its grids over coeffs.den times the common denominator of the M_j.
+    Representation changes are one call each; Matrix +, - and negation
+    are one-row calls.
     """
-    if not mats or len(coeffs) != len(mats):
+    if not mats or coeffs.cols != len(mats):
         raise ShapeError("a linear combination needs one coefficient per matrix, at least one")
     rows, cols = mats[0].rows, mats[0].cols
-    terms = []
-    for c, m in zip(coeffs, mats):
+    for m in mats:
         if m.rows != rows or m.cols != cols:
             raise ShapeError(f"shape mismatch: {rows}x{cols} vs {m.rows}x{m.cols}")
-        c = _entry(c)
-        if c.is_zero:
-            continue
-        q = lcm(c.re.denominator, c.im.denominator)
-        terms.append((q * m.den, int(c.re * q), int(c.im * q), m.re, m.im))
-    return Matrix(*gaussian_int_combination(terms, rows, cols))
+    common, grids = gaussian_int_combination(
+        coeffs.re, coeffs.im, [(m.den, m.re, m.im) for m in mats], rows, cols
+    )
+    return [Matrix(coeffs.den * common, re, im) for re, im in grids]
+
+
+def linear_combination(coeffs: Sequence, mats: Sequence[Matrix]) -> Matrix:
+    """The exact sum of c_k M_k: the one-row case of
+    `linear_combinations`, its coefficients (ints, Fractions, strings,
+    pairs or Scalars) parsed once by `Matrix.from_rows`.  Scaling a
+    Matrix is one call of it.
+    """
+    return linear_combinations(Matrix.from_rows([coeffs]), mats)[0]
 
 
 def coefficient_tensor_is_zero(pairs: Sequence[tuple[Matrix, Matrix]]) -> bool:
@@ -617,8 +581,9 @@ def rref(re, im):
     the division is exact in Z[i].  Each row step is one kernel product,
     the 1 x 2 row (p, -a) times the two rows as width columns, which runs
     on `int_matmul` when both are real.  A non-real prev divides as
-    conj(prev)/|prev|^2: conj(prev) is carried in the coefficients, all
-    of a step's in one product, and the parts are divided by |prev|^2.
+    conj(prev)/|prev|^2: `gaussian_int_divide` carries conj(prev) in the
+    coefficients, all of a step's in one product, and the parts are
+    divided by |prev|^2.
     """
     work = [(x, y) for x, y in zip(re, im) if any(x) or any(y)]
     pivots: list[int] = []
@@ -643,31 +608,23 @@ def rref(re, im):
 
 def _row_step(rows, top, col: int, p, prev):
     """One pivot step of `rref` on (re, im) work rows: each row becomes
-    (p*row - a*top)/prev.  For a non-real prev the coefficients (p, -a)
-    of every row are first multiplied by conj(prev) in one kernel
-    product, and the result is divided by |prev|^2."""
+    (p*row - a*top)/prev.  The coefficients (p, -a) of all the rows are
+    divided by prev in one `gaussian_int_divide`, which leaves a real
+    prev as it is and multiplies by conj(prev) otherwise; each new row
+    is then divided by the norm it returns."""
+    if not rows:
+        return rows
     top_re, top_im = top
-    coeffs = [(p[0], -row[0][col], p[1], -row[1][col]) for row in rows]
-    norm = prev[0]
-    if prev[1]:
-        flat_re, flat_im = gaussian_int_matmul(
-            [[x] for c in coeffs for x in c[:2]],
-            [[y] for c in coeffs for y in c[2:]],
-            [(prev[0],)],
-            [(-prev[1],)],
-        )
-        coeffs = [
-            (flat_re[k][0], flat_re[k + 1][0], flat_im[k][0], flat_im[k + 1][0])
-            for k in range(0, len(flat_re), 2)
-        ]
-        norm = prev[0] ** 2 + prev[1] ** 2
+    c_re, c_im, norm = gaussian_int_divide(
+        [(p[0], -row[0][col]) for row in rows], [(p[1], -row[1][col]) for row in rows], prev
+    )
     out = []
-    for (row_re, row_im), (c_re, a_re, c_im, a_im) in zip(rows, coeffs):
+    for (row_re, row_im), (c, a_re), (c_i, a_im) in zip(rows, c_re, c_im):
         if not a_re and not a_im and p == prev:
             out.append((row_re, row_im))
             continue
         (new_re,), (new_im,) = gaussian_int_matmul(
-            [[c_re, a_re]], [[c_im, a_im]], [*zip(row_re, top_re)], [*zip(row_im, top_im)]
+            [[c, a_re]], [[c_i, a_im]], [*zip(row_re, top_re)], [*zip(row_im, top_im)]
         )
         if norm != 1:
             new_re = [x // norm for x in new_re]
@@ -676,11 +633,42 @@ def _row_step(rows, top, col: int, p, prev):
     return out
 
 
-def independent_subset(
-    mats: Sequence[Matrix],
-) -> tuple[list[int], dict[int, tuple[Scalar, ...]]]:
-    """Indices of the earliest linearly independent matrices, and for
-    every other index its coordinates in the kept ones.
+def gaussian_int_divide(re, im, z):
+    """The Gaussian-integer row grid re + i*im over the Gaussian integer
+    z = (a, b), as (re', im', n) with (re' + i*im')/n the quotient; the
+    inputs are only read.  A real z leaves the grids as they are, n = a;
+    otherwise the quotient is x conj(z)/|z|^2, one kernel product of the
+    entries as a column and the 1 x 1 conj(z), and n = |z|^2.  The one
+    division on the grids, of `rref`, `independent_subset` and
+    `divide_by_entry`."""
+    a, b = z
+    if not b:
+        return re, im, a
+    width = len(re[0])
+    col_re, col_im = gaussian_int_matmul(
+        [[x] for x in _vec(re)], [[y] for y in _vec(im)], [(a,)], [(-b,)]
+    )
+    return (
+        _unvec([x for (x,) in col_re], width),
+        _unvec([y for (y,) in col_im], width),
+        a * a + b * b,
+    )
+
+
+def divide_by_entry(m: Matrix, v: Matrix, i: int, j: int) -> Matrix:
+    """m / v[i, j] on the grids: with z the grid entry of v there,
+    m / (z / v.den) is m's grids times v.den / z, over m.den."""
+    re, im, n = gaussian_int_divide(m.re, m.im, (v.re[i][j], v.im[i][j]))
+    s = v.den
+    return Matrix(n * m.den, [[s * x for x in r] for r in re], [[s * y for y in r] for r in im])
+
+
+def independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], Matrix | None]:
+    """Indices kept, the earliest linearly independent matrices, and the
+    coordinates of every matrix in the kept ones: one Matrix coords of
+    shape len(kept) x len(mats) with mats[j] = sum_k coords[k, j]
+    mats[kept[k]], so the kept columns are the identity.  coords is
+    None when nothing is kept.
 
     The matrices share one shape and each is read as its row-major vec,
     so a d x 1 column is read as itself.  Let A be the Gaussian-integer
@@ -692,14 +680,15 @@ def independent_subset(
     gives |A x|^2 = x^H G x = 0, so G and A have one null space, one row
     space and one reduced row echelon form; the conjugate matters, since
     A^T A is zero on a nonzero vec such as (1, i).  The pivot columns are
-    the kept matrices.  With D the last pivot, the coordinate of a
-    dependent j at the kept column c of reduced row k is
-    reduced[k][j] * den_c / (D * den_j), and only these coordinates
-    become Scalars.  The one reader of `rref`: rank, kernels, solutions
-    and inverses are questions to it.
+    the kept matrices.  With D the last pivot, coords[k, j] is
+    reduced[k][j] den_c / (D den_j) for the kept column c of reduced row
+    k: the grids reduced[k][j] den_c (L / den_j), with L the lcm of the
+    den_j, divided by D in one `gaussian_int_divide`, over L.  The one
+    reader of `rref`: rank, kernels, solutions and inverses are
+    questions to it.
     """
     if not mats:
-        return [], {}
+        return [], None
     shape = (mats[0].rows, mats[0].cols)
     if any((m.rows, m.cols) != shape for m in mats):
         raise ShapeError("matrices must share one shape")
@@ -709,36 +698,23 @@ def independent_subset(
         grid = gaussian_int_matmul(vec_re, [[-y for y in v] for v in vec_im], vec_re, vec_im)
     else:
         grid = [*zip(*vec_re)], [*zip(*vec_im)]
-    pivots, red_re, red_im, (d_re, d_im) = rref(*grid)
-    kept = set(pivots)
-    dependent = [j for j in range(len(mats)) if j not in kept]
-    # the reduced entries of the dependent columns, column by column, as
-    # one column grid over one denominator
-    num_re = [[row[j]] for j in dependent for row in red_re]
-    num_im = [[row[j]] for j in dependent for row in red_im]
-    denominator = d_re
-    if d_im:  # x / D = x * conj(D) / |D|^2
-        num_re, num_im = gaussian_int_matmul(num_re, num_im, [(d_re,)], [(-d_im,)])
-        denominator = d_re**2 + d_im**2
+    pivots, red_re, red_im, last = rref(*grid)
+    if not pivots:
+        return [], None
     dens = [m.den for m in mats]
-    entries = zip(num_re, num_im)
-    coords = {}
-    for j in dependent:  # each takes the next len(pivots) entries
-        coords[j] = tuple(
-            _scalar_over(x * dens[c], y * dens[c], denominator * dens[j])
-            for c, ((x,), (y,)) in zip(pivots, entries)
-        )
-    return pivots, coords
+    common = lcm(*dens)
+    scales = [common // den for den in dens]
+    num_re, num_im, over = gaussian_int_divide(
+        [[dens[c] * s * x for s, x in zip(scales, row)] for c, row in zip(pivots, red_re)],
+        [[dens[c] * s * y for s, y in zip(scales, row)] for c, row in zip(pivots, red_im)],
+        last,
+    )
+    return pivots, Matrix(over * common, num_re, num_im)
 
 
 def _vec(grid) -> list[int]:
     """The row-major vec of a row grid."""
     return list(chain.from_iterable(grid))
-
-
-def _vec_grids(m: Matrix) -> tuple[list[int], list[int]]:
-    """The row-major vecs of the real and imaginary grids of m."""
-    return _vec(m.re), _vec(m.im)
 
 
 def _columns(m: Matrix) -> list[Matrix]:
@@ -753,18 +729,20 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[Matrix]:
     """Exact basis of the right kernel {v : m v = 0}, as columns.
 
-    One vector e_c - sum_k coords[c][k] e_(kept[k]) per dependent column
-    c of m, in column order, scaled so its first nonzero entry is 1.
+    One vector e_c - sum_k coords[k, c] e_(kept[k]) per dependent column
+    c of m, in column order, built on the grids of coords and divided by
+    its first nonzero entry, so that entry is 1.
     """
     kept, coords = independent_subset(_columns(m))
+    at = {row: k for k, row in enumerate(kept)}
+    den = 1 if coords is None else coords.den
     basis = []
-    for c, coord in coords.items():
-        v = [ZERO] * m.cols
-        v[c] = ONE
-        for k, x in zip(kept, coord):
-            v[k] = -x
-        first = next(x for x in v if not x.is_zero)
-        basis.append(vector(v if first == ONE else [x / first for x in v]))
+    for c in (c for c in range(m.cols) if c not in at):
+        re = [[den if i == c else -coords.re[at[i]][c] if i in at else 0] for i in range(m.cols)]
+        im = [[-coords.im[at[i]][c] if i in at else 0] for i in range(m.cols)]
+        first = next(i for i in range(m.cols) if re[i][0] or im[i][0])
+        v = Matrix(den, re, im)
+        basis.append(v if first == c else divide_by_entry(v, v, first, 0))
     return basis
 
 
@@ -772,9 +750,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a @ X = b, or None if inconsistent.
 
     One independent subset over the columns of [a | b]: the system is
-    inconsistent iff some column of b is kept, and otherwise column j of
-    X holds the coordinates of b's column j at the kept columns of a.
-    Free variables are zero, so the solution is deterministic.
+    inconsistent iff some column of b is kept, and otherwise X is read
+    from the grids of coords: row kept[k] of X is row k of coords at
+    b's columns, and the rows of the free variables are zero, so the
+    solution is deterministic.
     """
     if a.rows != b.rows:
         raise ShapeError("row counts differ")
@@ -782,11 +761,10 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     kept, coords = independent_subset(_columns(a) + _columns(b))
     if kept and kept[-1] >= n:
         return None
-    sol = [[ZERO] * b.cols for _ in range(n)]
-    for j in range(b.cols):
-        for k, x in zip(kept, coords[n + j]):
-            sol[k][j] = x
-    return Matrix.from_rows(sol)
+    re, im = [(0,) * b.cols] * n, [(0,) * b.cols] * n
+    for k, row in enumerate(kept):
+        re[row], im[row] = coords.re[k][n:], coords.im[k][n:]
+    return Matrix(1 if coords is None else coords.den, re, im)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -805,23 +783,24 @@ def ratio(w: Matrix, v: Matrix) -> Scalar | None:
 
     With x + iy and a + ib the grids' entries of v and w where v's first
     is nonzero, it tests the one combination w (x + iy) - (a + ib) v of
-    the grids for zero, so it eliminates nothing and builds only c.
+    the grids for zero, so it eliminates nothing, and reads c as w's
+    entry there divided by v's by `divide_by_entry`.
     """
     if (w.rows, w.cols) != (v.rows, v.cols):
         raise ShapeError("ratio needs two matrices of one shape")
-    v_re, v_im = _vec_grids(v)
+    v_re, v_im = _vec(v.re), _vec(v.im)
     p = next((i for i, (x, y) in enumerate(zip(v_re, v_im)) if x or y), None)
     if p is None:
         raise DomainError("ratio needs a nonzero v")
-    x, y = v_re[p], v_im[p]
     r, c = divmod(p, w.cols)
+    x, y = v_re[p], v_im[p]
     a, b = w.re[r][c], w.im[r][c]
-    _, re, im = gaussian_int_combination(
-        [(1, x, y, w.re, w.im), (1, -a, -b, v.re, v.im)], w.rows, w.cols
+    _, ((re, im),) = gaussian_int_combination(
+        [[x, -a]], [[y, -b]], [(1, w.re, w.im), (1, v.re, v.im)], w.rows, w.cols
     )
     if any(map(any, re)) or any(map(any, im)):
         return None
-    return _scalar_over(a, b, w.den) / _scalar_over(x, y, v.den)
+    return divide_by_entry(Matrix(w.den, ((a,),), ((b,),)), v, r, c).entry(0, 0)
 
 
 # -- polynomials -------------------------------------------------------

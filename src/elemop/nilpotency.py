@@ -78,7 +78,6 @@ from .certificate import ClassificationVerdict, refutes
 from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
-    ONE,
     derive_seed,
     gaussian_int_matmul,
     int_matmul,
@@ -492,8 +491,11 @@ def special_plane_form(space: OperatorSpace) -> SpecialForm:
 
     Fully deterministic: the kernel vector of the second basis element
     forces the first conjugator column and a single eigenvalue rescale
-    fixes the remaining freedom.  The produced conjugation is re-verified
-    exactly.  A space that is not a plane in M_3 raises ContractError.
+    fixes the remaining freedom: the second element maps the image of
+    the kernel vector to delta times it, and is scaled by 1/delta, the
+    ratio of the kernel vector to that image.  The produced conjugation
+    is re-verified exactly.  A space that is not a plane in M_3 raises
+    ContractError.
     """
     if space.ambient_dim != 3 or space.dim != 2:
         raise ContractError("expected a 2-dimensional space of 3x3 matrices")
@@ -503,10 +505,11 @@ def special_plane_form(space: OperatorSpace) -> SpecialForm:
         raise InconsistencyError("dichotomy violated: kernel is not a line")
     p1 = kernel[0]
     col2 = first @ p1
-    delta = ratio(second @ col2, p1)
-    if delta is None or delta.is_zero:
+    image = second @ col2
+    scale = None if image.is_zero else ratio(p1, image)
+    if scale is None:
         raise InconsistencyError("dichotomy violated: no fixed line")
-    second_scaled = (ONE / delta) * second
+    second_scaled = scale * second
     col3 = -(first @ col2)
     conjugator = Matrix.from_columns([p1, col2, col3])
     try:

@@ -34,14 +34,13 @@ from .errors import (
 )
 from .exact import (
     Matrix,
-    ONE,
     coefficient_tensor_is_zero,
     gaussian_int_combination,
     gaussian_int_matmul,
     grid_columns,
     independent_subset,
     inverse,
-    linear_combination,
+    linear_combinations,
     ratio,
 )
 from .spaces import OperatorSpace, reduce_basis
@@ -113,7 +112,7 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     with a_i = A_i/p_i, x = X/q and b_i = B_i/r_i, the term is
     A_i X B_i/(p_i q r_i).  The terms are summed over one common
     denominator by `exact.gaussian_int_combination`, the summation step
-    of `linear_combination`, and one matrix is built at the end.
+    of `linear_combinations`, and one matrix is built at the end.
     """
     if x.rows != phi.dim or x.cols != phi.dim:
         raise ShapeError("argument shape does not match the ambient dimension")
@@ -121,8 +120,16 @@ def apply(phi: ElementaryOperator, x: Matrix) -> Matrix:
     terms = []
     for a, b in phi.pairs:
         ax = gaussian_int_matmul(a.re, a.im, *x_cols)
-        terms.append((a.den * x.den * b.den, 1, 0, *gaussian_int_matmul(*ax, *grid_columns(b))))
-    return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))
+        terms.append((a.den * x.den * b.den, *gaussian_int_matmul(*ax, *grid_columns(b))))
+    return _sum_of(terms, phi.dim)
+
+
+def _sum_of(terms, dim: int) -> Matrix:
+    """The sum of the d x d terms (re + i*im)/den given as (den, re, im)."""
+    common, ((re, im),) = gaussian_int_combination(
+        [[1] * len(terms)], [[0] * len(terms)], terms, dim, dim
+    )
+    return Matrix(common, re, im)
 
 
 def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
@@ -134,16 +141,14 @@ def maps_equal(phi: ElementaryOperator, psi: ElementaryOperator) -> bool:
 
 def _fold_left(pairs: list[tuple[Matrix, Matrix]]) -> list[tuple[Matrix, Matrix]]:
     """Keep the earliest independent left coefficients and fold every
-    dropped pair's right coefficient into the kept pairs."""
+    dropped pair's right coefficient into the kept pairs: with a_j =
+    sum_k coords[k, j] a_(kept[k]), the new b_(kept[k]) is sum_j
+    coords[k, j] b_j, one product of coords against all the b's."""
     kept, coords = independent_subset([a for a, _ in pairs])
     if len(kept) == len(pairs):
         return pairs
-    dropped = [pairs[j][1] for j in coords]
-    folded = [
-        (a, linear_combination((ONE, *(c[pos] for c in coords.values())), (b, *dropped)))
-        for pos, (a, b) in enumerate(pairs[idx] for idx in kept)
-    ]
-    return [(a, b) for a, b in folded if not b.is_zero]
+    folded = linear_combinations(coords, [b for _, b in pairs])
+    return [(pairs[k][0], b) for k, b in zip(kept, folded) if not b.is_zero]
 
 
 def minimal_length(phi: ElementaryOperator) -> tuple[int, ElementaryOperator]:
@@ -228,7 +233,7 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> El
     Solves u_j = sum_k P[k][j] a_k for the unique P: the a_k are
     independent, so one independent subset of a_1..a_n, u_1..u_n keeps
     every a_k, keeps no u_j exactly when each lies in the left space,
-    and gives column j of P as the coordinates of u_j.  Then the right
+    and P is its coordinate matrix at the columns n..2n-1.  Then the right
     coefficients go through P^{-1}, which keeps the map.  Dependent
     proposals make P singular, and the DomainError of that one inverse
     becomes BasisError.
@@ -237,10 +242,12 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> El
     n = phi.term_count
     if len(new_left) != n:
         raise BasisError(f"expected {n} basis matrices, got {len(new_left)}")
+    if not n:  # the zero operator: the empty basis is the only one
+        return phi
     kept, coords = independent_subset([a for a, _ in phi.pairs] + list(new_left))
     if len(kept) > n:
         raise BasisError("a proposed basis matrix lies outside the left space")
-    p = Matrix.from_rows([[coords[n + j][k] for j in range(n)] for k in range(n)])
+    p = Matrix(coords.den, [r[n:] for r in coords.re], [r[n:] for r in coords.im])
     try:
         p_inv = inverse(p)
     except DomainError:
@@ -250,8 +257,7 @@ def change_left_basis(phi: ElementaryOperator, new_left: Sequence[Matrix]) -> El
 
 def similarity_transform(phi: ElementaryOperator, p: Matrix) -> ElementaryOperator:
     """Representation change by an invertible scalar matrix P: u_j =
-    sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k, one matrix built per
-    new coefficient by `linear_combination`.  A singular P raises
+    sum_k P_kj a_k and v_i = sum_k (P^-1)_ik b_k.  A singular P raises
     DomainError from `inverse`."""
     _require_reduced(phi, "similarity_transform")
     n = phi.term_count
@@ -261,10 +267,10 @@ def similarity_transform(phi: ElementaryOperator, p: Matrix) -> ElementaryOperat
 
 
 def _apply_scalar_change(phi: ElementaryOperator, p: Matrix, p_inv: Matrix) -> ElementaryOperator:
-    left = [a for a, _ in phi.pairs]
-    right = [b for _, b in phi.pairs]
-    u = [linear_combination(column, left) for column in p.transpose().entries]
-    v = [linear_combination(row, right) for row in p_inv.entries]
+    """Two kernel products: the rows of P^T against the a's give the
+    u's, and the rows of P^-1 against the b's give the v's."""
+    u = linear_combinations(p.transpose(), [a for a, _ in phi.pairs])
+    v = linear_combinations(p_inv, [b for _, b in phi.pairs])
     return ElementaryOperator(phi.dim, tuple(zip(u, v)))
 
 
@@ -311,7 +317,7 @@ def sum_bi_ai(phi: ElementaryOperator) -> Matrix:
     """The trace obstruction sum b_i a_i, each product formed on the
     integer grids and summed over one common denominator, as in apply."""
     terms = [
-        (a.den * b.den, 1, 0, *gaussian_int_matmul(b.re, b.im, *grid_columns(a)))
+        (a.den * b.den, *gaussian_int_matmul(b.re, b.im, *grid_columns(a)))
         for a, b in phi.pairs
     ]
-    return Matrix(*gaussian_int_combination(terms, phi.dim, phi.dim))
+    return _sum_of(terms, phi.dim)

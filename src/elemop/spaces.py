@@ -6,8 +6,10 @@ minor of the stacked images [T_1 z ... T_k z] is a homogeneous polynomial
 in z, so one walk of the simplex lattice of `exact.simplex_points` that
 is at least as deep as the minors' degree attains the maximum: the value
 is proven, never sampled, and the first point attaining it is the witness.
-Each walk counts the points it visits and raises DomainError, naming its
-stage and the count, past DEFAULT_LATTICE_BUDGET points.
+Each walk charges every point it visits the multiplications of its
+`evaluate` calls, k*d^2 for a space of dimension k, and raises
+DomainError, naming its stage, the points visited and the units spent,
+at the point that would pass LATTICE_WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -18,16 +20,17 @@ from typing import NamedTuple, Sequence
 from .errors import ContractError, DomainError, InconsistencyError, RankError, ShapeError
 from .exact import (
     Matrix,
-    ONE,
+    divide_by_entry,
     independent_subset,
     rank,
     simplex_points,
     vector,
 )
 
-#: Lattice points one walk may visit: strictly upper M_8, whose local
-#: dimension walk visits all C(15, 8) = 6435 points of Delta(8, 8), fits.
-DEFAULT_LATTICE_BUDGET = 10_000
+#: Multiplications one walk may spend, k*d^2 a point for each space of
+#: dimension k it evaluates: strictly upper M_8 (k = 28), whose walk visits
+#: all C(15, 8) = 6435 points of Delta(8, 8), 11,531,520 units, fits.
+LATTICE_WORK_BUDGET = 12_000_000
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,22 @@ def _image_dim(space: OperatorSpace, zeta: Matrix) -> int:
     return len(evaluate(space, zeta))
 
 
-def _walk(d: int, degree: int, stage: str):
+def _walk(d: int, degree: int, stage: str, spaces: Sequence[OperatorSpace]):
     """The points of Delta(d, degree) as columns, in `simplex_points`
-    order.  The visited points are counted, not the lattice, so a walk
-    that stops early is never refused; the point past
-    DEFAULT_LATTICE_BUDGET raises DomainError instead."""
-    for count, point in enumerate(simplex_points(d, degree), 1):
-        if count > DEFAULT_LATTICE_BUDGET:
+    order, each charged k*d^2 for each of the spaces.  Visited points
+    are charged, not the lattice, so a walk that stops early is never
+    refused; the point that would pass LATTICE_WORK_BUDGET raises
+    DomainError before it is evaluated."""
+    cost = sum(s.dim for s in spaces) * d * d
+    spent = 0
+    for visited, point in enumerate(simplex_points(d, degree)):
+        if spent + cost > LATTICE_WORK_BUDGET:
             raise DomainError(
-                f"the {stage} walk of Delta({d}, {degree}) reached point {count}, "
-                f"above the budget of {DEFAULT_LATTICE_BUDGET}"
+                f"the {stage} walk of Delta({d}, {degree}) would pass the budget of "
+                f"{LATTICE_WORK_BUDGET} units at its next point ({visited} points visited, "
+                f"{spent} units spent)"
             )
+        spent += cost
         yield vector(point)
 
 
@@ -111,13 +119,13 @@ def local_dimension(space: OperatorSpace) -> LocalDimResult:
     rank c.  The local dimension r is the size of the largest minor of
     [T_1 z ... T_k z] that is not identically zero; that minor is
     homogeneous of degree r <= c in z, so it is nonzero at some point of
-    the walk, and the largest rank met is r.  A walk past
-    DEFAULT_LATTICE_BUDGET points raises DomainError.
+    the walk, and the largest rank met is r.  A walk that would pass
+    LATTICE_WORK_BUDGET raises DomainError.
     """
     d = space.ambient_dim
     cap = min(d, space.dim)
     best = -1
-    for zeta in _walk(d, cap, "local dimension"):
+    for zeta in _walk(d, cap, "local dimension", [space]):
         dim_here = _image_dim(space, zeta)
         if dim_here > best:
             best, witness = dim_here, zeta
@@ -133,7 +141,7 @@ def simultaneous_separating_vector(spaces: Sequence[OperatorSpace]) -> Matrix:
     per space is a nonzero homogeneous polynomial of degree sum r_i, so
     the walk of Delta(d, sum r_i) reaches a point where every space
     attains its r_i; an exhausted walk raises InconsistencyError, and a
-    walk past DEFAULT_LATTICE_BUDGET points DomainError.
+    walk that would pass LATTICE_WORK_BUDGET DomainError.
     """
     if not spaces:
         raise ContractError("at least one space is required")
@@ -141,7 +149,7 @@ def simultaneous_separating_vector(spaces: Sequence[OperatorSpace]) -> Matrix:
     if any(s.ambient_dim != d for s in spaces):
         raise ShapeError("spaces must share the ambient dimension")
     targets = [local_dimension(s).value for s in spaces]
-    for zeta in _walk(d, sum(targets), "separating vector"):
+    for zeta in _walk(d, sum(targets), "separating vector", spaces):
         if all(_image_dim(s, zeta) == r for s, r in zip(spaces, targets)):
             return zeta
     raise InconsistencyError("no separating vector on the simplex lattice")
@@ -171,7 +179,8 @@ class RankOne:
 
 def rank_one_factor(m: Matrix) -> RankOne:
     """The column is the first nonzero column of m; with i the row of its
-    first nonzero entry c, the functional is row i of m divided by c.
+    first nonzero entry c, the functional is row i of m divided by c, on
+    the grids by `divide_by_entry`.
 
     The factors are built first: m has rank one exactly when it is
     nonzero and they reconstruct it, so `rank` runs only to name the rank
@@ -180,7 +189,7 @@ def rank_one_factor(m: Matrix) -> RankOne:
     if column is None:
         raise RankError(0)
     i = next(i for i in range(m.rows) if column.re[i][0] or column.im[i][0])
-    functional = (ONE / column.entry(i, 0)) * m.transpose().column(i)
+    functional = divide_by_entry(m.transpose().column(i), column, i, 0)
     factored = RankOne(column, functional)
     if factored.reconstruct() != m:
         raise RankError(rank(m))

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -77,6 +78,31 @@ def reference_rank(rows):
             ]
         rank += 1
     return rank
+
+
+def pair(e):
+    """An int, Fraction or Scalar as its pair (re, im) of Fractions, the
+    form in which the references below compute without elemop."""
+    if isinstance(e, (int, Fraction)):
+        return (Fraction(e), Fraction(0))
+    return (e.re, e.im)
+
+
+def pair_sum(p, q):
+    return (p[0] + q[0], p[1] + q[1])
+
+
+def pair_difference(p, q):
+    return (p[0] - q[0], p[1] - q[1])
+
+
+def pair_product(p, q):
+    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
+
+
+def pair_quotient(p, q):
+    norm = q[0] * q[0] + q[1] * q[1]
+    return ((p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -21,6 +21,7 @@ from elemop.exact import (
     char_poly,
     coefficient_tensor_is_zero,
     derive_seed,
+    divide_by_entry,
     fraction_text,
     gaussian_int_matmul,
     grid_columns,
@@ -31,6 +32,7 @@ from elemop.exact import (
     kernel_basis,
     lambda_power,
     linear_combination,
+    linear_combinations,
     random_invertible,
     random_matrix,
     random_scalar,
@@ -45,15 +47,23 @@ from elemop.exact import (
     zero_vector,
 )
 from elemop.serialize import matrix_from_json, matrix_to_json
-from conftest import reference_rank, strictly_upper_basis, sympy_matrix, unit
+from conftest import (
+    pair,
+    pair_product,
+    pair_quotient,
+    pair_sum,
+    reference_rank,
+    strictly_upper_basis,
+    sympy_matrix,
+    unit,
+)
 
 
 def test_scalar_reduction_and_exactness():
     s = Scalar(Fraction(2, 4), Fraction(-6, 9))
     assert s.re == Fraction(1, 2) and s.im == Fraction(-2, 3)
     assert s.re.denominator > 0
-    t = s * s / s
-    assert t == s
+    assert Matrix.from_rows([[s]]).entry(0, 0) == s
 
 
 def test_scalar_rejects_floats():
@@ -63,7 +73,7 @@ def test_scalar_rejects_floats():
 
 def test_scalar_division_by_zero():
     with pytest.raises(DomainError):
-        ONE / ZERO
+        divide_by_entry(Matrix.identity(1), Matrix.zeros(1), 0, 0)
 
 
 def test_oversized_numbers_are_a_domain_error_in_every_printer():
@@ -91,11 +101,14 @@ scalars = st.builds(Scalar, small_fractions, small_fractions)
 @settings(max_examples=60, deadline=None)
 @given(scalars, scalars, scalars)
 def test_scalar_field_axioms(a, b, c):
-    assert (a + b) * c == a * c + b * c
-    assert (a * b) * c == a * (b * c)
+    """The field axioms as the grids compute them: scalars as 1 x 1
+    matrices, products by @ and quotients by divide_by_entry."""
+    a, b, c = (Matrix.from_rows([[x]]) for x in (a, b, c))
+    assert (a + b) @ c == a @ c + b @ c
+    assert (a @ b) @ c == a @ (b @ c)
     assert a + b == b + a
     if not b.is_zero:
-        assert (a / b) * b == a
+        assert divide_by_entry(a, b, 0, 0) @ b == a
 
 
 def test_shape_mismatch_rejected():
@@ -151,7 +164,7 @@ def test_matrix_storage_is_canonical(rows, other_rows):
     other = Matrix.from_rows(other_rows)
     assert (other == m) == (other.entries == m.entries)
     bumped = [list(row) for row in rows]
-    bumped[-1][-1] = bumped[-1][-1] + Scalar(0, Fraction(1, 7))
+    bumped[-1][-1] = pair_sum(pair(bumped[-1][-1]), (Fraction(0), Fraction(1, 7)))
     assert Matrix.from_rows(bumped) != m
     zero = m - m
     assert zero.is_zero and zero.den == 1 and zero == Matrix.zeros(m.rows, m.cols)
@@ -251,7 +264,7 @@ def test_is_nilpotent_matrix_agrees_with_char_poly():
     assert seen[True] >= 24 and seen[False] >= 24
     # last powers with a zero real part: [i], and (1+i)^2 = 2i
     i = Scalar(0, 1)
-    for m in (Matrix.diagonal([i]), Matrix.diagonal([1 + i, 0])):
+    for m in (Matrix.diagonal([i]), Matrix.diagonal([(1, 1), 0])):
         assert not is_nilpotent_matrix(m)
         assert char_poly(m) != lambda_power(m.rows)
 
@@ -476,14 +489,14 @@ def test_kernels_take_one_column_for_the_trace_screen():
 
 
 def _reference_combination(coeffs, mats):
-    """sum c_k M_k entry by entry in Scalar arithmetic, the shape of the
-    accumulation loops the kernel replaces."""
-    out = [[ZERO] * mats[0].cols for _ in range(mats[0].rows)]
+    """sum c_k M_k entry by entry on (re, im) pairs of Fractions, the
+    shape of the accumulation loops the kernel replaces."""
+    out = [[(Fraction(0), Fraction(0))] * mats[0].cols for _ in range(mats[0].rows)]
     for c, m in zip(coeffs, mats):
-        for i, row in enumerate(m.entries):
+        for i, row in enumerate(_fraction_pairs(m)):
             for j, e in enumerate(row):
-                out[i][j] = out[i][j] + c * e
-    return Matrix.from_rows(tuple(tuple(row) for row in out))
+                out[i][j] = pair_sum(out[i][j], pair_product(pair(c), e))
+    return Matrix.from_rows(out)
 
 
 def _coefficient(rng, kind, max_den=12):
@@ -533,7 +546,8 @@ def test_linear_combination_edge_coefficients():
     )
     # cancelling terms over different denominators leave exact zeros
     half = Scalar(Fraction(1, 2), Fraction(1, 3))
-    assert linear_combination([half, -half], [mats[2], mats[2]]).is_zero
+    minus_half = Scalar(Fraction(-1, 2), Fraction(-1, 3))
+    assert linear_combination([half, minus_half], [mats[2], mats[2]]).is_zero
     # plain ints and Fractions are accepted as coefficients
     assert linear_combination([2, Fraction(1, 3)], mats[:2]) == _reference_combination(
         [Scalar(2), Scalar(Fraction(1, 3))], mats[:2]
@@ -563,9 +577,9 @@ def test_matrix_arithmetic_matches_scalar_reference():
             *shape, derive_seed(992, trial), max_den=7
         )
         c = _coefficient(rng, ["zero", "real", "imaginary", "complex"][trial % 4])
-        assert a + b == _reference_combination([ONE, ONE], [a, b])
-        assert a - b == _reference_combination([ONE, -ONE], [a, b])
-        assert -a == _reference_combination([-ONE], [a])
+        assert a + b == _reference_combination([1, 1], [a, b])
+        assert a - b == _reference_combination([1, -1], [a, b])
+        assert -a == _reference_combination([-1], [a])
         assert c * a == a * c == _reference_combination([c], [a])
         assert (a - a).is_zero and 0 * a == Matrix.zeros(*shape)
     assert 3 * Matrix.identity(2) == Matrix.diagonal([3, 3])
@@ -602,15 +616,6 @@ def _fraction_pairs(m):
     ]
 
 
-def _pair_product(p, q):
-    return (p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0])
-
-
-def _pair_quotient(p, q):
-    norm = q[0] * q[0] + q[1] * q[1]
-    return ((p[0] * q[0] + p[1] * q[1]) / norm, (p[1] * q[0] - p[0] * q[1]) / norm)
-
-
 def _sum_matrix(rows, cols, kind, seed):
     """A seeded matrix with denominators up to 6; kind "real", "complex",
     or "mixed" for real at even seeds."""
@@ -633,23 +638,64 @@ def test_gaussian_int_combination_matches_fraction_pairs(shape, kind):
     for trial in range(8):
         seeds = [derive_seed(1400 + trial, k) for k in range(trial % 4 + 1)]
         mats = [_sum_matrix(rows, cols, kind, seed) for seed in seeds]
-        coeffs = [_sum_coefficient(rng, kind) for _ in mats]
+        # one to three coefficient rows (x + iy) over each term's own q
+        coeffs = [[_sum_coefficient(rng, kind) for _ in mats] for _ in range(trial % 3 + 1)]
+        qs = [q for _, _, q in coeffs[0]]
         if trial == 3:
-            coeffs = [(0, 0, q) for _, _, q in coeffs]  # every coefficient zero
-        terms = [(q * m.den, x, y, m.re, m.im) for (x, y, q), m in zip(coeffs, mats)]
-        expected = [[(Fraction(0), Fraction(0))] * cols for _ in range(rows)]
-        for (x, y, q), m in zip(coeffs, mats):
-            c = (Fraction(x, q), Fraction(y, q))
-            for i, row in enumerate(_fraction_pairs(m)):
-                for j, e in enumerate(row):
-                    t = _pair_product(c, e)
-                    expected[i][j] = (expected[i][j][0] + t[0], expected[i][j][1] + t[1])
-        common, re, im = exact.gaussian_int_combination(terms, rows, cols)
-        assert common == lcm(*(t[0] for t in terms))
-        assert _fraction_pairs(Matrix(common, re, im)) == expected
-    assert exact.gaussian_int_combination([], rows, cols) == (
-        1, [[0] * cols for _ in range(rows)], [[0] * cols for _ in range(rows)]
-    )
+            coeffs = [[(0, 0, q) for _, _, q in row] for row in coeffs]  # every one zero
+        if trial == 5:  # the first term's column is zero in every row
+            coeffs = [[(0, 0, row[0][2]), *row[1:]] for row in coeffs]
+        terms = [(q * m.den, m.re, m.im) for q, m in zip(qs, mats)]
+        c_re = [[x for x, _, _ in row] for row in coeffs]
+        c_im = [[y for _, y, _ in row] for row in coeffs]
+        common, grids = exact.gaussian_int_combination(c_re, c_im, terms, rows, cols)
+        live = [t[0] for j, t in enumerate(terms) if any(r[j] for r in c_re + c_im)]
+        assert common == lcm(*live)
+        assert len(grids) == len(coeffs)
+        for row, (re, im) in zip(coeffs, grids):
+            expected = [[(Fraction(0), Fraction(0))] * cols for _ in range(rows)]
+            for (x, y, _), q, m in zip(row, qs, mats):
+                c = (Fraction(x, q), Fraction(y, q))
+                for i, entries in enumerate(_fraction_pairs(m)):
+                    for j, e in enumerate(entries):
+                        expected[i][j] = pair_sum(expected[i][j], pair_product(c, e))
+            assert _fraction_pairs(Matrix(common, re, im)) == expected
+    zero = [[0] * cols for _ in range(rows)]
+    assert exact.gaussian_int_combination([[]], [[]], [], rows, cols) == (1, [(zero, zero)])
+
+
+def test_linear_combinations_is_one_kernel_product_for_all_rows(monkeypatch):
+    mats = [_gaussian_matrix(3, 3, derive_seed(1450, k)) for k in range(4)]
+    coeffs = _gaussian_matrix(3, 4, 1451)
+    calls = []
+    real = exact.gaussian_int_matmul
+
+    def counting(a_re, *rest):
+        calls.append(len(a_re))
+        return real(a_re, *rest)
+
+    monkeypatch.setattr(exact, "gaussian_int_matmul", counting)
+    combined = linear_combinations(coeffs, mats)
+    monkeypatch.undo()
+    assert calls == [3]
+    assert combined == [
+        _reference_combination([coeffs.entry(r, j) for j in range(4)], mats) for r in range(3)
+    ]
+    with pytest.raises(ShapeError):
+        linear_combinations(coeffs, mats[:3])
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_divide_by_entry_matches_fraction_pairs(kind):
+    for trial in range(12):
+        m = _sum_matrix(2, 3, kind, derive_seed(1460, trial))
+        v = _sum_matrix(3, 1, kind, derive_seed(1461, trial))
+        for i in range(3):
+            z = _fraction_pairs(v)[i][0]
+            if z == (Fraction(0), Fraction(0)):
+                continue
+            expected = [[pair_quotient(e, z) for e in row] for row in _fraction_pairs(m)]
+            assert _fraction_pairs(divide_by_entry(m, v, i, 0)) == expected
 
 
 def _fraction_tensor_is_zero(pairs):
@@ -662,8 +708,7 @@ def _fraction_tensor_is_zero(pairs):
     for p, k, l, q in product(range(d), repeat=4):
         total = (Fraction(0), Fraction(0))
         for a, b in read:
-            t = _pair_product(a[p][k], b[l][q])
-            total = (total[0] + t[0], total[1] + t[1])
+            total = pair_sum(total, pair_product(a[p][k], b[l][q]))
         if total != (Fraction(0), Fraction(0)):
             return False
     return True
@@ -723,8 +768,8 @@ def _fraction_ratio(w, v):
     w_entries = [e for row in _fraction_pairs(w) for e in row]
     v_entries = [e for row in _fraction_pairs(v) for e in row]
     pivot = next(i for i, e in enumerate(v_entries) if e != (Fraction(0), Fraction(0)))
-    c = _pair_quotient(w_entries[pivot], v_entries[pivot])
-    if all(we == _pair_product(c, ve) for we, ve in zip(w_entries, v_entries)):
+    c = pair_quotient(w_entries[pivot], v_entries[pivot])
+    if all(we == pair_product(c, ve) for we, ve in zip(w_entries, v_entries)):
         return c
     return None
 
@@ -789,21 +834,15 @@ def test_solve_round_trip():
 
 def _incremental_subset(vectors):
     """Reference: grow the kept set one reference rank at a time, then solve
-    for the coordinates of every dropped vector."""
+    for the coordinates of every vector, as the columns of one matrix."""
     kept = []
     for idx, v in enumerate(vectors):
         if reference_rank([_flat(vectors[i]) for i in kept] + [_flat(v)]) == len(kept) + 1:
             kept.append(idx)
-    coords = {}
-    for idx, v in enumerate(vectors):
-        if idx in kept:
-            continue
-        if not kept:
-            coords[idx] = ()
-            continue
-        solution = solve(Matrix.from_columns([vectors[i] for i in kept]), Matrix.from_columns([v]))
-        coords[idx] = _flat(solution)
-    return kept, coords
+    if not kept:
+        return kept, None
+    basis = Matrix.from_columns([vectors[i] for i in kept])
+    return kept, Matrix.from_columns([solve(basis, v) for v in vectors])
 
 
 def _flat(m):
@@ -834,16 +873,20 @@ def _mixed_vectors(seed):
 
 
 def test_independent_subset_matches_incremental_reference():
-    assert independent_subset([]) == ([], {})
+    assert independent_subset([]) == ([], None)
     for seed in range(120):
         vectors = _mixed_vectors(derive_seed(90, seed))
         kept, coords = independent_subset(vectors)
         assert (kept, coords) == _incremental_subset(vectors)
-        for idx, c in coords.items():
-            total = zero_vector(vectors[idx].rows)
+        if coords is None:
+            assert all(v.is_zero for v in vectors)
+            continue
+        assert (coords.rows, coords.cols) == (len(kept), len(vectors))
+        for idx, v in enumerate(vectors):
+            total = zero_vector(v.rows)
             for pos, k in enumerate(kept):
-                total = total + c[pos] * vectors[k]
-            assert total == vectors[idx]
+                total = total + coords.entry(pos, idx) * vectors[k]
+            assert total == v
 
 
 def test_independent_subset_rejects_ragged_vectors():
@@ -899,9 +942,7 @@ def test_elimination_matches_sympy():
         reduced_rows = to_rows(reduced)[:len(pivots)]
         kept, coords = independent_subset(mats)
         assert kept == list(pivots)
-        assert coords == {
-            j: tuple(row[j] for row in reduced_rows) for j in range(len(mats)) if j not in pivots
-        }
+        assert coords == (Matrix.from_rows(reduced_rows) if pivots else None)
         return pivots
 
     for d in range(1, 7):
@@ -911,8 +952,8 @@ def test_elimination_matches_sympy():
             assert rank(m) == dm.rank()
             expected_kernel = []
             for v in to_rows(dm.nullspace()):
-                first = next(x for x in v if not x.is_zero)
-                expected_kernel.append(vector(x / first for x in v))
+                first = pair(next(x for x in v if not x.is_zero))
+                expected_kernel.append(vector(pair_quotient(pair(x), first) for x in v))
             assert kernel_basis(m) == expected_kernel
             # the columns of m as d x 1 matrices
             pivots = check_subset([m.column(j) for j in range(m.cols)])
@@ -945,8 +986,8 @@ def test_elimination_matches_sympy():
 def _sympy_subset(mats):
     """(pivots, coordinates) from sympy's rref of the matrix whose columns
     are the row-major vecs of mats, over QQ or QQ_I as `sympy_matrix`
-    picks: the coordinates of a dependent column are its entries in the
-    pivot rows."""
+    picks: the coordinates are the pivot rows, None when there are
+    none."""
     from sympy import QQ
 
     columns = [_flat(m) for m in mats]
@@ -957,9 +998,7 @@ def _sympy_subset(mats):
         return Scalar(*(Fraction(int(p.numerator), int(p.denominator)) for p in parts))
 
     rows = reduced.to_list()[: len(pivots)]
-    coords = {
-        j: tuple(to_scalar(row[j]) for row in rows) for j in range(len(mats)) if j not in pivots
-    }
+    coords = Matrix.from_rows([[to_scalar(x) for x in row] for row in rows]) if rows else None
     return list(pivots), coords
 
 
@@ -995,7 +1034,7 @@ def _subset_inputs(draw):
     def isotropic_matrix():
         half = rows * cols // 2
         w = [Scalar(Fraction(draw(part), draw(_DENOMINATORS))) for _ in range(half)]
-        flat = w + [Scalar(0, turn) * x for x in w] + [ZERO] * (rows * cols - 2 * half)
+        flat = w + [Scalar(0, turn * x.re) for x in w] + [ZERO] * (rows * cols - 2 * half)
         return Matrix.from_rows(flat[r * cols : (r + 1) * cols] for r in range(rows))
 
     mats = []
@@ -1069,7 +1108,7 @@ I = Scalar(0, 1)
         _columns_of([[1, 0], [I, 0], [0, 1]]),
         _columns_of([[1, I], [I, -1]]),
         _columns_of([[1, I], [I, -1], [0, 0]]),
-        [Matrix.from_rows([[1, I], [0, 0]]), Matrix.from_rows([[0, 0], [1, -I]])],
+        [Matrix.from_rows([[1, I], [0, 0]]), Matrix.from_rows([[0, 0], [1, (0, -1)]])],
     ],
     ids=[
         "negative-last-pivot",
@@ -1090,7 +1129,7 @@ def test_independent_subset_matches_sympy_on_fixed_cases(mats):
 
 def test_a_nonzero_isotropic_vector_is_kept():
     # (1, i) has sum v_k^2 = 0 but |v|^2 = 2: independent, without sympy
-    assert independent_subset(_columns_of([[1], [I]])) == ([0], {})
+    assert independent_subset(_columns_of([[1], [I]])) == ([0], Matrix.identity(1))
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,11 @@ solutions and inverses are questions to that function, and no other
 module names `rref`.  So a change of elimination touches `rref` and
 `independent_subset` only.  Likewise the integer dot product
 `map(mul, ...)` is written only in `exact.int_matmul`, and the Gaussian
-cross term x*u - y*v only in `exact.gaussian_int_matmul` and the `Scalar`
-dunders, so no module forks a second product loop.  The characteristic polynomial is named
+cross term x*u - y*v only in `exact.gaussian_int_matmul`, so no module
+forks a second product loop.  `Scalar` is a value that is parsed,
+compared and printed, with no arithmetic dunder, and the modules above
+`exact` read no Scalar entries and name neither `ONE` nor `ZERO`: their
+coordinates and coefficients stay on the grids.  The characteristic polynomial is named
 only in `exact` and in the `oracle` printout of `cli`, so every verdict
 asks `is_nilpotent_matrix`.  The `oracle` command names none of the
 classifier's structural tools, so its sampling shares no shortcut with
@@ -139,22 +142,56 @@ def test_gaussian_cross_term_is_written_only_in_exact(path):
     assert _cross_terms(ast.parse(path.read_text())) == []
 
 
-def test_only_gaussian_int_matmul_and_the_scalar_dunders_write_the_cross_term():
-    """Every multiply-accumulate on the grids, the linear combination, the
-    coefficient tensor and ratio among them, is a kernel call; only the
-    Scalar arithmetic dunders multiply Gaussian rationals by hand."""
+def test_only_gaussian_int_matmul_writes_the_cross_term():
+    """Every multiply-accumulate on the grids, the linear combinations,
+    the coefficient tensor, ratio and the divisions among them, is a
+    kernel call; nothing multiplies Gaussian rationals by hand."""
     tree = ast.parse((SRC / "exact.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    scalar = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar")
-    dunders = {
-        line
-        for node in scalar.body
-        if isinstance(node, ast.FunctionDef) and node.name.startswith("__")
-        for line in _cross_terms(node)
-    }
     inside = set(_cross_terms(functions["gaussian_int_matmul"]))
     assert inside, "gaussian_int_matmul must hold the cross term"
-    assert set(_cross_terms(tree)) == inside | dunders
+    assert set(_cross_terms(tree)) == inside
+
+
+ARITHMETIC_DUNDERS = {
+    f"__{prefix}{op}__"
+    for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow", "matmul")
+    for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__", "_coerce"}
+
+
+def test_scalar_defines_no_arithmetic():
+    """Scalar is parsed, compared and printed; its arithmetic is gone."""
+    tree = ast.parse((SRC / "exact.py").read_text())
+    scalar = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Scalar")
+    defined = {
+        name
+        for node in scalar.body
+        for name in _defined(node)
+        + tuple(t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name))
+    }
+    assert sorted(defined & ARITHMETIC_DUNDERS) == []
+    assert "__str__" in defined and "is_zero" in defined
+
+
+GRID_MODULES = ["operators.py", "classify.py", "nilpotency.py", "spaces.py"]
+SCALAR_ENTRY_READS = {"entries", "entry", "row"}
+SCALAR_CONSTANTS = {"ONE", "ZERO"}
+
+
+@pytest.mark.parametrize("name", GRID_MODULES)
+def test_coordinates_stay_on_the_grids(name):
+    """The layers above exact read no Scalar entries of a matrix and name
+    no Scalar constant, so no coordinate or coefficient leaves the grids
+    for Scalar arithmetic."""
+    tree = ast.parse((SRC / name).read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in SCALAR_ENTRY_READS
+    ]
+    assert reads == []
+    assert _references(tree, SCALAR_CONSTANTS) == []
 
 
 CHAR_POLY = {"char_poly", "lambda_power"}

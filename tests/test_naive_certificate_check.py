@@ -13,7 +13,8 @@ certificates must fail the check, so a pass is not vacuous.
 
 Its `decide` answers LQN or NotLQN from the instance alone, by the
 simplex lattice, and must agree with `classify` on pinned cases at
-d <= 3 and on remark45 at d = 4, where a NotLQN walk stops early.  An
+d <= 3, on a derandomized sample of generated instances at d <= 3 and on
+remark45 at d = 4, where a NotLQN walk stops early.  An
 LQN walk at d = 4 visits all 3876 points and takes seconds, so no such
 case is pinned here.
 """
@@ -24,11 +25,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elemop.classify import classify, generate
 from elemop.operators import ElementaryOperator
 from elemop.cli import main
-from elemop.serialize import instance_to_json
+from elemop.serialize import instance_from_json, instance_to_json
 
 import naive_certificate_check
 from naive_certificate_check import check, decide
@@ -180,6 +183,35 @@ def test_the_lattice_decider_agrees_with_classify(tmp_path, phi):
     inst = tmp_path / "instance.json"
     inst.write_text(json.dumps(instance_to_json(phi)))
     assert decide(inst) == classify(phi).status
+
+
+#: (form, n, d) that `generate` takes at d <= 3: forms i and ii, which
+#: classify certifies through a representation change, and random
+#: operators of 2 or 3 pairs.
+CROSS_CHECKED = [
+    ("i", 1, 2), ("i", 1, 3), ("i", 2, 3), ("ii", 3, 3),
+    ("random", 2, 2), ("random", 3, 2), ("random", 2, 3), ("random", 3, 3),
+]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    spec=st.sampled_from(CROSS_CHECKED),
+    seed=st.integers(0, 2**31 - 1),
+    variant=st.sampled_from(["real", "complex"]),
+)
+def test_the_lattice_decider_agrees_with_classify_on_generated_instances(
+    tmp_path_factory, spec, seed, variant
+):
+    # every generated instance is scrambled by a random representation
+    # change, and classify reduces and re-represents it; the decider reads
+    # only the instance file, with no code in common, and the complex
+    # variant sends classify down the Gaussian branches of the kernels
+    form, n, d = spec
+    data = _instance(generate(form, n, d, seed), variant)
+    inst = tmp_path_factory.mktemp("generated") / "instance.json"
+    inst.write_text(json.dumps(data))
+    assert decide(inst) == classify(instance_from_json(data)[0]).status
 
 
 def test_the_decider_cases_cover_both_answers():

@@ -27,7 +27,6 @@ from elemop.exact import (
     ZERO,
     random_matrix,
     rank,
-    scalar,
     trace,
 )
 from elemop import certificate, nilpotency
@@ -60,7 +59,15 @@ from elemop.operators import (
     sum_bi_ai,
 )
 from elemop.spaces import reduce_basis
-from conftest import reference_rank, single_pair, specimen_form_ii, strictly_upper_basis, unit
+from conftest import (
+    pair,
+    pair_sum,
+    reference_rank,
+    single_pair,
+    specimen_form_ii,
+    strictly_upper_basis,
+    unit,
+)
 
 
 def special_plane_space():
@@ -75,6 +82,12 @@ def conjugated_space(space, q):
 def _rows(columns):
     """The d x 1 columns as Scalar rows, for `reference_rank`."""
     return [c.transpose().row(0) for c in columns]
+
+
+def _traceless(x):
+    """x less (tr x / d) I, the trace divided on its pair of Fractions."""
+    t, d = pair(trace(x)), x.rows
+    return x - Scalar(t[0] / d, t[1] / d) * Matrix.identity(d)
 
 
 def test_is_nilpotent_examples():
@@ -626,12 +639,12 @@ def _ordered_word_walk(space):
         for i in range(k):
             prod_matrix = cleared[i] if prefix is None else prefix @ cleared[i]
             key = tuple(sorted(used + (i,)))
-            coeff_sums[key] = coeff_sums.get(key, ZERO) + trace(prod_matrix)
+            coeff_sums[key] = pair_sum(coeff_sums.get(key, (0, 0)), pair(trace(prod_matrix)))
             if depth + 1 < m:
                 walk(prod_matrix, used + (i,), depth + 1)
 
     walk(None, (), 0)
-    return all(v.is_zero for v in coeff_sums.values())
+    return all(v == (0, 0) for v in coeff_sums.values())
 
 
 def _gaussian_matrix(m, seed, height):
@@ -665,7 +678,7 @@ def _late_trace_cases():
         [("first-nonzero-p3", [CYCLIC_3]), ("first-nonzero-p4-mixed", FIRST_NONZERO_P4)]
     ):
         m = mats[0].rows
-        multiples = [("", ONE), ("-times-i", I_UNIT), ("-times-1+i", ONE + I_UNIT)]
+        multiples = [("", ONE), ("-times-i", I_UNIT), ("-times-1+i", Scalar(1, 1))]
         for t, (tag, c) in enumerate(multiples):
             space = reduce_basis([c * n for n in mats])
             q = random_invertible(m, derive_seed(340, 3 * j + t), 3)
@@ -705,13 +718,13 @@ def _kernel_cases():
          reduce_basis([unit(2, 0, 1), unit(2, 1, 0) + unit(2, 0, 0) - unit(2, 1, 1)]), False),
         ("several-nonzero-p3", reduce_basis([unit(3, 0, 1), CYCLIC_3]), False),
         ("several-nonzero-p3-times-1+i",
-         reduce_basis([(ONE + I_UNIT) * unit(3, 0, 1), (ONE + I_UNIT) * CYCLIC_3]), False),
+         reduce_basis([Scalar(1, 1) * unit(3, 0, 1), Scalar(1, 1) * CYCLIC_3]), False),
         # tr(N1 N2 + N2 N1) = 2i, a purely imaginary first nonzero trace.
         ("imaginary-trace-p2", reduce_basis([unit(3, 0, 1), I_UNIT * unit(3, 1, 0)]), False),
         # A real conjugated upper basis with one element made complex: the
         # whole space takes the Gaussian path and stays nilpotent.
         ("mixed-real-and-complex",
-         reduce_basis([*upper3.basis[:-1], (ONE + I_UNIT) * upper3.basis[-1]]), True),
+         reduce_basis([*upper3.basis[:-1], Scalar(1, 1) * upper3.basis[-1]]), True),
     ]
 
 
@@ -735,7 +748,7 @@ def test_trace_identities_match_walk_on_seeded_spaces():
         mats = list(upper[: 1 + s % len(upper)])
         if s % 4:
             x = random_matrix(m, derive_seed(seed, 1), 3)
-            mats.append(x - (trace(x) / scalar(m)) * Matrix.identity(m))
+            mats.append(_traceless(x))
         if s % 5 == 0:
             mats.append(_gaussian_matrix(m, derive_seed(seed, 2), 4))
         space = reduce_basis(mats)
@@ -852,10 +865,10 @@ def test_top_level_traces_match_the_full_sum(m, k, seed, swap, edges):
     mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]  # none at m = 1
     if swap == "traceless":
         x = random_matrix(m, derive_seed(seed, 1), 3)
-        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+        mats[-1:] = [_traceless(x)]
     elif swap == "cycle":
         mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
-    for c in (ONE, I_UNIT, ONE + I_UNIT):
+    for c in (ONE, I_UNIT, Scalar(1, 1)):
         # ambient_dim: a swap for the zero matrix leaves the zero space
         space = reduce_basis([c * n for n in mats], ambient_dim=m)
         assert _first_nonzero_trace(space) == _full_sum_first_trace(space)
@@ -869,7 +882,7 @@ def test_top_level_traces_match_the_full_sum(m, k, seed, swap, edges):
         pytest.param(_split_cycle(4, [1, 0, 1, 1]), (0, 1, 1, 1), id="split-cycle-4"),
         pytest.param(FIRST_NONZERO_P4, (0, 0, 1, 1), id="first-nonzero-p4"),
         pytest.param([unit(3, 0, 1), CYCLIC_3], (0, 1, 1), id="several-nonzero-p3"),
-        pytest.param([unit(3, 0, 1), (ONE + I_UNIT) * CYCLIC_3], (0, 1, 1),
+        pytest.param([unit(3, 0, 1), Scalar(1, 1) * CYCLIC_3], (0, 1, 1),
                      id="several-nonzero-p3-times-1+i"),
     ],
 )
@@ -903,7 +916,7 @@ def _streamed_level_order_cases():
     ]
 
 
-@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, Scalar(1, 1)], ids=["S", "iS", "(1+i)S"])
 @pytest.mark.parametrize(
     "mats, earlier, first",
     [pytest.param(mats, e, f, id=name) for name, mats, e, f in _streamed_level_order_cases()],
@@ -942,11 +955,11 @@ def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, sw
     if swap:
         # a traceless element, so the decision rests on levels above 1
         x = random_matrix(m, derive_seed(seed, 1), 3)
-        mats[-1] = x - (trace(x) / scalar(m)) * Matrix.identity(m)
+        mats[-1] = _traceless(x)
     space = reduce_basis(mats)
     verdict = _first_nonzero_trace(space) is None
     assert not any(any(map(any, n.im)) for n in space.basis)
-    for c in (I_UNIT, ONE + I_UNIT):
+    for c in (I_UNIT, Scalar(1, 1)):
         # ambient_dim: a swap for the zero matrix leaves the zero space
         multiple = reduce_basis([c * n for n in space.basis], ambient_dim=m)
         assert (_first_nonzero_trace(multiple) is None) is verdict
@@ -1017,7 +1030,7 @@ def _level_left_contents(monkeypatch, space):
     return contents
 
 
-@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, Scalar(1, 1)], ids=["S", "iS", "(1+i)S"])
 @pytest.mark.parametrize("m", [5, 6])
 def test_stored_levels_are_divided_by_their_content(monkeypatch, scale, m):
     # Each stored level p = 2..m-2 is divided by the gcd of its entries,
@@ -1039,7 +1052,7 @@ def test_level_content_is_common_to_both_gaussian_grids(monkeypatch):
     # real grid's gcd alone would not divide the imaginary grid.
     q = random_invertible(4, derive_seed(361, 0), 4)
     real = conjugated_space(reduce_basis(strictly_upper_basis(4)), q)
-    space = reduce_basis([(2 * ONE + I_UNIT) * n for n in real.basis])
+    space = reduce_basis([Scalar(2, 1) * n for n in real.basis])
     level_3 = []
     kernel = nilpotency.gaussian_int_matmul
 
@@ -1092,15 +1105,15 @@ def test_divided_levels_keep_the_first_nonzero_trace(m, k, seed, swap, edges):
     mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]
     if swap == "traceless":
         x = random_matrix(m, derive_seed(seed, 1), 4)
-        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+        mats[-1:] = [_traceless(x)]
     elif swap == "cycle":
         mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
-    for c in (ONE, I_UNIT, ONE + I_UNIT):
+    for c in (ONE, I_UNIT, Scalar(1, 1)):
         space = reduce_basis([c * n for n in mats], ambient_dim=m)
         assert _first_nonzero_trace(space) == _full_sum_first_trace(space)
 
 
-@pytest.mark.parametrize("scale", [ONE, I_UNIT, ONE + I_UNIT], ids=["S", "iS", "(1+i)S"])
+@pytest.mark.parametrize("scale", [ONE, I_UNIT, Scalar(1, 1)], ids=["S", "iS", "(1+i)S"])
 def test_trace_identities_build_no_scalar_or_fraction(monkeypatch, scale):
     # The whole expansion, divisions included, runs on integer grids: on
     # a nil space, and on one whose first nonzero trace is at level 5.
@@ -1247,7 +1260,7 @@ def _sympy_traces_vanish(space):
 FLAGLESS_NIL_CASES = [pytest.param(mats, id=name) for name, mats in _flagless_nil_cases()]
 
 
-@pytest.mark.parametrize("scale", [ONE, ONE + I_UNIT], ids=["S", "(1+i)S"])
+@pytest.mark.parametrize("scale", [ONE, Scalar(1, 1)], ids=["S", "(1+i)S"])
 @pytest.mark.parametrize("mats", FLAGLESS_NIL_CASES)
 def test_nil_spaces_without_a_flag_are_decided_nil(scale, mats):
     # Every nilspace input is triangularizable; these are nil but have no
@@ -1264,7 +1277,7 @@ def test_nil_spaces_without_a_flag_are_decided_nil(scale, mats):
         assert _sympy_traces_vanish(space)
 
 
-@pytest.mark.parametrize("scale", [ONE, ONE + I_UNIT], ids=["S", "(1+i)S"])
+@pytest.mark.parametrize("scale", [ONE, Scalar(1, 1)], ids=["S", "(1+i)S"])
 @pytest.mark.parametrize("swap", ["diagonal", "cycle"])
 @pytest.mark.parametrize("mats", FLAGLESS_NIL_CASES)
 def test_flagless_nil_spaces_with_a_swap_are_not_nil(scale, swap, mats):
@@ -1358,10 +1371,10 @@ def test_a_warm_schedule_returns_the_cold_beta(m, k, seed, swap, edges):
     mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]
     if swap == "traceless":
         x = random_matrix(m, derive_seed(seed, 1), 4)
-        mats[-1:] = [x - (trace(x) / scalar(m)) * Matrix.identity(m)]
+        mats[-1:] = [_traceless(x)]
     elif swap == "cycle":
         mats = [q_inv @ n @ q for n in _split_cycle(m, [g % k for g in edges[:m]])]
-    for c in (ONE, I_UNIT, ONE + I_UNIT):
+    for c in (ONE, I_UNIT, Scalar(1, 1)):
         space = reduce_basis([c * n for n in mats], ambient_dim=m)
         nilpotency._level_schedule.cache_clear()
         cold = _first_nonzero_trace(space)

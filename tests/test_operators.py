@@ -39,7 +39,17 @@ from elemop.operators import (
     v_space,
 )
 from elemop.spaces import reduce_basis
-from conftest import specimen_form_ii, specimen_form_iii, reference_rank, single_pair, unit
+from conftest import (
+    pair,
+    pair_difference,
+    pair_product,
+    pair_sum,
+    reference_rank,
+    single_pair,
+    specimen_form_ii,
+    specimen_form_iii,
+    unit,
+)
 
 
 def test_apply_identity_pair():
@@ -106,9 +116,9 @@ def test_apply_cancelling_terms_and_zero_operator():
     a = Matrix.from_rows([[Fraction(1, 2), (0, Fraction(1, 3))], [1, Fraction(-1, 6)]])
     b = Matrix.from_rows([[(Fraction(2, 5), 1), 0], [0, Fraction(1, 7)]])
     x = Matrix.from_rows([[Fraction(3, 4), 1], [(0, -1), Fraction(5, 9)]])
-    half = Scalar(Fraction(1, 2))
+    minus_half = Scalar(Fraction(-1, 2))
     # a x b - (a/2) x b - (a/2) x b = 0, over the denominators 2 * 35 and 4 * 35
-    phi = ElementaryOperator.from_pairs(2, [(a, b), (-half * a, b), (-half * a, b)])
+    phi = ElementaryOperator.from_pairs(2, [(a, b), (minus_half * a, b), (minus_half * a, b)])
     assert apply(phi, x) == Matrix.zeros(2)
     assert apply(ElementaryOperator.zero(3), random_matrix(3, 5, 4)) == Matrix.zeros(3)
 
@@ -349,14 +359,13 @@ def test_similarity_transform_identity_and_diag():
     phi = specimen_form_ii()
     rep = similarity_transform(phi, Matrix.identity(3))
     assert tuple(u for u, _ in rep.pairs) == tuple(a for a, _ in phi.pairs)
-    diag = Matrix.diagonal([2, 1, 1])
-    rep = similarity_transform(phi, diag)
+    values = [2, 1, 1]
+    rep = similarity_transform(phi, Matrix.diagonal(values))
     g0 = gram(phi)
     g1 = gram(rep)
     for i in range(3):
         for j in range(3):
-            scale = (Scalar(1) / diag.entry(i, i)) * diag.entry(j, j)
-            assert g1.block(i, j) == scale * g0.block(i, j)
+            assert g1.block(i, j) == Fraction(values[j], values[i]) * g0.block(i, j)
 
 
 def _gram_conjugate(g, p):
@@ -370,7 +379,8 @@ def _gram_conjugate(g, p):
             acc = Matrix.zeros(g.ambient_dim)
             for k in range(g.n):
                 for l in range(g.n):
-                    acc = acc + (p_inv.entry(i, k) * p.entry(l, j)) * g.block(k, l)
+                    c = pair_product(pair(p_inv.entry(i, k)), pair(p.entry(l, j)))
+                    acc = acc + Scalar(*c) * g.block(k, l)
             row.append(acc)
         blocks.append(tuple(row))
     return tuple(blocks)
@@ -478,11 +488,11 @@ def test_minimal_length_representation_independent():
                     row = []
                     for k in range(3):
                         for l in range(3):
-                            coeff = Scalar(0)
+                            coeff = (0, 0)
                             if l == j:
-                                coeff = coeff + g1.block(i, k).entry(s, t)
+                                coeff = pair_sum(coeff, pair(g1.block(i, k).entry(s, t)))
                             if k == i:
-                                coeff = coeff - g2.block(l, j).entry(s, t)
+                                coeff = pair_difference(coeff, pair(g2.block(l, j).entry(s, t)))
                             row.append(coeff)
                     rows.append(tuple(row))
     kernel = kernel_basis(Matrix.from_rows(tuple(rows)))
@@ -541,13 +551,13 @@ def test_local_matrix_specimen_lands_in_exceptional_plane():
     # pattern in the coefficients (g1, g2).
     phi = specimen_form_ii()
     zeta = vector([1, 1, 1])
-    g1, g2 = Scalar(5), Scalar(-2)
+    g1, g2 = 5, -2
     basis = Matrix.from_columns([basis_vector(3, 0), basis_vector(3, 1), basis_vector(3, 2)])
     images = Matrix.from_columns([vector([g1, g1, g1]), vector([g2, g2, g2]), zero_vector(3)])
     x = images @ inverse(basis)
     local = local_matrix(phi, zeta, x)
     expected = Matrix.from_rows(
-        [[0, g2, 0], [g1, 0, g2], [0, -1 * g1, 0]]
+        [[0, g2, 0], [g1, 0, g2], [0, -g1, 0]]
     )
     assert local == expected
     # bridge property: the restriction is nilpotent because the operator

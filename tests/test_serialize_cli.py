@@ -348,16 +348,17 @@ def test_cli_analyze_reports_every_local_dimension_as_proven(tmp_path, capsys):
 
 
 def test_cli_analyze_stops_at_the_lattice_budget(tmp_path, capsys, monkeypatch):
-    # the V of form iii has local dimension 1 < dim 2, so its walk needs
-    # more than the first point; a budget of 1 stops the command at once
+    # a 3-dimensional coefficient space of this form iii instance walks
+    # Delta(4, 3) past its first point; a budget of one point of it, 3 * 16
+    # units, stops the command at the second
     path = _generate_file(tmp_path, "iii", 4)
     capsys.readouterr()
-    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    monkeypatch.setattr(spaces, "LATTICE_WORK_BUDGET", 3 * 16)
     assert main(["analyze", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: the local dimension walk of Delta(4, ")
-    assert "reached point 2, above the budget of 1" in captured.err
+    assert captured.err.startswith("error: the local dimension walk of Delta(4, 3) ")
+    assert "budget of 48 units at its next point (1 points visited, 48 units spent)" in captured.err
 
 
 def test_cli_analyze_takes_no_seed(tmp_path, capsys):

@@ -5,6 +5,7 @@ import importlib
 import inspect
 from math import comb
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -166,51 +167,71 @@ def _counted_image_dim(monkeypatch, value):
 
 
 def test_the_lattice_budget_admits_strictly_upper_m8(monkeypatch):
-    # lDim = 7 < min(d, dim) = 8, so the walk visits all of Delta(8, 8);
-    # the rank at each point is stubbed, as the full walk takes seconds
+    # lDim = 7 < min(d, dim) = 8, so the walk visits all of Delta(8, 8),
+    # each point charged dim * d^2 = 28 * 64; the rank at each point is
+    # stubbed, as the full walk takes seconds
     visited = _counted_image_dim(monkeypatch, 7)
     assert local_dimension(reduce_basis(strictly_upper_basis(8))).value == 7
-    assert len(visited) == comb(15, 8) == 6435 <= spaces.DEFAULT_LATTICE_BUDGET
+    assert len(visited) == comb(15, 8) == 6435
+    assert 6435 * 28 * 8**2 <= spaces.LATTICE_WORK_BUDGET
 
 
 def test_a_walk_past_the_lattice_budget_raises_at_once(monkeypatch):
-    # strictly upper M_9 walks all C(17, 9) = 24310 points of Delta(9, 9);
-    # the point past the budget raises before its rank is computed
+    # strictly upper M_9 would walk all C(17, 9) = 24310 points of
+    # Delta(9, 9) at 36 * 81 units each; the point that would pass the
+    # budget raises before its rank is computed
     visited = _counted_image_dim(monkeypatch, 8)
-    budget = spaces.DEFAULT_LATTICE_BUDGET
-    with pytest.raises(DomainError, match=f"local dimension walk .* reached point {budget + 1}"):
+    cost = 36 * 9**2
+    allowed = spaces.LATTICE_WORK_BUDGET // cost
+    message = f"local dimension walk .* \\({allowed} points visited, {allowed * cost} units spent\\)"
+    with pytest.raises(DomainError, match=message):
         local_dimension(reduce_basis(strictly_upper_basis(9)))
-    assert len(visited) == budget
+    assert len(visited) == allowed < comb(17, 9)
 
 
 def test_the_lattice_budget_is_exact_on_a_full_walk(monkeypatch):
-    # strictly upper M_4 has lDim 3 < 4: its walk visits all 35 points
+    # strictly upper M_4 has lDim 3 < 4: its walk visits all 35 points,
+    # at 6 * 16 = 96 units each
     space = reduce_basis(strictly_upper_basis(4))
-    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 35)
+    monkeypatch.setattr(spaces, "LATTICE_WORK_BUDGET", 35 * 96)
     assert local_dimension(space).value == 3
-    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 34)
-    message = "local dimension walk of Delta\\(4, 4\\) reached point 35"
+    monkeypatch.setattr(spaces, "LATTICE_WORK_BUDGET", 35 * 96 - 1)
+    message = "local dimension walk of Delta\\(4, 4\\) .* \\(34 points visited, 3264 units spent\\)"
     with pytest.raises(DomainError, match=message):
         local_dimension(space)
 
 
 def test_the_lattice_budget_counts_visited_points_not_the_lattice(monkeypatch):
-    # both walks succeed at their first point, of 20-point lattices
+    # both walks succeed at their first point, of 20-point lattices, so a
+    # budget of one point's 3 * 16 units admits them
     space = reduce_basis([unit(4, 0, 0), unit(4, 1, 0), unit(4, 2, 0)])
-    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    monkeypatch.setattr(spaces, "LATTICE_WORK_BUDGET", 3 * 16)
     assert local_dimension(space).value == 3
     assert simultaneous_separating_vector([space]) == vector([3, 0, 0, 0])
 
 
 def test_the_separating_walk_names_its_stage_past_the_budget(monkeypatch):
-    # (1, 1), point 2 of Delta(2, 2), is the first to separate both lines
+    # (1, 1), point 2 of Delta(2, 2), is the first to separate both lines;
+    # each point is charged (1 + 1) * 4 units for the two spaces
     s1, s2 = reduce_basis([unit(2, 0, 0)]), reduce_basis([unit(2, 0, 1)])
     assert simultaneous_separating_vector([s1, s2]) == vector([1, 1])
-    monkeypatch.setattr(spaces, "DEFAULT_LATTICE_BUDGET", 1)
+    monkeypatch.setattr(spaces, "LATTICE_WORK_BUDGET", 8)
     monkeypatch.setattr(spaces, "local_dimension", lambda s: LocalDimResult(1, vector([1, 1])))
-    message = "separating vector walk of Delta\\(2, 2\\) reached point 2"
+    message = "separating vector walk of Delta\\(2, 2\\) .* \\(1 points visited, 8 units spent\\)"
     with pytest.raises(DomainError, match=message):
         simultaneous_separating_vector([s1, s2])
+
+
+def test_strictly_upper_m32_is_refused_within_seconds():
+    # one point of this walk costs about 0.3 s at z = 32 e_32; a budget
+    # of points would let it run minutes before it refused, while the
+    # budget in units stops it after 23 points of 496 * 32^2 units each
+    basis = tuple(strictly_upper_basis(32))
+    space = spaces.OperatorSpace(32, basis)  # independent matrix units
+    start = perf_counter()
+    with pytest.raises(DomainError, match="\\(23 points visited, 11681792 units spent\\)"):
+        local_dimension(space)
+    assert perf_counter() - start < 30
 
 
 def test_locally_linearly_dependent_examples():
