@@ -18,7 +18,6 @@ from .errors import (
     PreconditionError,
     RankError,
     ShapeError,
-    UnsupportedLengthError,
 )
 from .exact import (
     Matrix,

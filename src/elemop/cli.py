@@ -3,8 +3,8 @@
 Exit codes: 0 success or locally-nilpotent, 1 refuted or invalid
 certificate, 2 bad input (a malformed file, an instance dim above
 `serialize.MAX_DIM`, or a file that cannot be read or written), 3 unknown
-verdict, 4 unsupported length, and 141 when standard output closes before
-a command has written it all.
+verdict, and 141 when standard output closes before a command has written
+it all.  `classify` takes an operator of any length.
 Identical flags and seed produce byte-identical output files.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .certificate import verify_certificate
 from .classify import classify, generate
-from .errors import DimensionError, ElemopError, FormatError, UnsupportedLengthError
+from .errors import DimensionError, ElemopError, FormatError
 from .exact import char_poly
 from .nilpotency import DEFAULT_TRIALS, DEFAULT_WITNESS_HEIGHT, witness_search
 from .operators import apply, gram, left_space, minimal_length, right_space, sum_bi_ai, v_space
@@ -45,7 +45,6 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN = 3
-EXIT_UNSUPPORTED = 4
 
 
 def _read_json(path: str, what: str):
@@ -138,9 +137,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_classify(args) -> int:
     phi, _, data = _load_instance(args.path)
-    n, _ = minimal_length(phi)
-    if n > 3:
-        raise UnsupportedLengthError(n)
     verdict = classify(phi, trials=args.trials, seed=args.seed)
     digest = instance_digest(data)
     certificate = certificate_to_json(digest, verdict_to_json(verdict, phi.dim), TOOLCHAIN)
@@ -275,9 +271,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnsupportedLengthError as exc:
-        print(f"unsupported: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ElemopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

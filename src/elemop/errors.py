@@ -44,13 +44,5 @@ class InconsistencyError(ElemopError):
     input; it signals a bug upstream and is raised loudly on purpose."""
 
 
-class UnsupportedLengthError(ElemopError):
-    """The `classify` command takes operators of length at most three."""
-
-    def __init__(self, length: int):
-        super().__init__(f"classification is only supported up to length 3, got {length}")
-        self.length = length
-
-
 class FormatError(ElemopError):
     """A serialized file is malformed; the message names the offending field."""

@@ -26,10 +26,11 @@ Gaussian-integer row grids, and one reader of it, `independent_subset`:
 which of some same-shape matrices are kept, and the coordinates of all
 of them in the kept ones, as one `Matrix`.  It is the one place that
 turns grids into `rref` rows, and the coordinates stay on the grids.
-It eliminates on the short side: n matrices of more than n entries, such
-as the coefficients of an operator on M_d, give the n x n Hermitian Gram
-matrix A^H A of the vec grid A, whose reduced form is that of A, and
-other shapes give A itself.  `rank`, `kernel_basis`, `solve` and
+It eliminates on the short side: n matrices with more than n entry
+positions nonzero in some of them, such as the dense coefficients of an
+operator on M_d, give the n x n Hermitian Gram matrix A^H A of the vec
+grid A, whose reduced form is that of A, and other grids, sparse ones
+such as matrix units included, give A itself.  `rank`, `kernel_basis`, `solve` and
 `inverse` are questions to it, and no other module eliminates.
 
 Randomness is only available through explicit seeds, so any value produced
@@ -43,7 +44,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -405,8 +406,8 @@ def int_matmul(a, b_cols):
     column of b.  Taking b by columns leaves the transposition to the
     caller, which makes it once per matrix rather than once per product.
     This is the one integer dot-product loop: the real branch of
-    `gaussian_int_matmul` and the real-space trace-identity expansion run
-    on it.
+    `gaussian_int_matmul` and the trace-identity expansion, which holds a
+    complex space on its real embedding, run on it.
     """
     return [[sum(map(mul, r, c)) for c in b_cols] for r in a]
 
@@ -424,9 +425,8 @@ def gaussian_int_matmul(a_re, a_im, b_re_cols, b_im_cols):
     `grid_columns`, the linear combinations and the coefficient tensor
     stack vecs, the row steps of `rref` pair two rows as columns,
     `gaussian_int_divide` multiplies a column of entries by conj(z),
-    `independent_subset` takes the vecs as both factors of the Gram
-    matrix of a tall grid, and the trace-identity expansion of complex
-    spaces builds its right factors as columns.
+    and `independent_subset` takes the vecs as both factors of the Gram
+    matrix of a tall grid.
 
     When both imaginary parts are all zero, the real grid is
     `int_matmul(a_re, b_re_cols)` and the imaginary grid is zero.
@@ -674,8 +674,9 @@ def independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], Matrix | None
     so a d x 1 column is read as itself.  Let A be the Gaussian-integer
     grid whose column j is the vec of mats[j]'s grids, that is den_j
     times the vec of mats[j].  One fraction-free `rref` runs on the short
-    side: on A when it has no more rows than columns, and otherwise on
-    the n x n Hermitian Gram matrix G = A^H A, one kernel product of the
+    side: on A when it has no more nonzero rows than columns, since `rref`
+    drops the zero rows first, and otherwise on the n x n Hermitian Gram
+    matrix G = A^H A, one kernel product of the
     conjugated vecs as rows and the vecs as columns.  Over C, G x = 0
     gives |A x|^2 = x^H G x = 0, so G and A have one null space, one row
     space and one reduced row echelon form; the conjugate matters, since
@@ -694,7 +695,9 @@ def independent_subset(mats: Sequence[Matrix]) -> tuple[list[int], Matrix | None
         raise ShapeError("matrices must share one shape")
     vec_re = [_vec(m.re) for m in mats]
     vec_im = [_vec(m.im) for m in mats]
-    if len(vec_re[0]) > len(mats):  # tall: A^H A, the conjugated vecs as rows
+    nonzero_rows = filter(any, zip(*vec_re, *vec_im))  # of A, read lazily
+    if len(vec_re[0]) > len(mats) and next(islice(nonzero_rows, len(mats), None), None) is not None:
+        # tall: A^H A, the conjugated vecs as rows
         grid = gaussian_int_matmul(vec_re, [[-y for y in v] for v in vec_im], vec_re, vec_im)
     else:
         grid = [*zip(*vec_re)], [*zip(*vec_im)]

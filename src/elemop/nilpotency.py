@@ -25,11 +25,12 @@ max beta.  A level's schedule is built only when a walk reaches it, and
 the cache keeps SCHEDULE_CACHE_LEVELS levels, least recently used out
 first.  So it holds at most the 16 largest levels that the gate admits,
 82 MiB, of which the largest, (k, p) = (17, 5), takes 7.7 MiB
-(tracemalloc, Python 3.11).  One loop walks the schedule, with its
-arithmetic picked once per space: a real space holds each S as one
-integer grid and multiplies with `int_matmul`, any other holds (re, im)
-grids and multiplies with `gaussian_int_matmul`, and each level's S are
-a list indexed by schedule position.  Below the top level each multiset is one kernel product: its
+(tracemalloc, Python 3.11).  One loop walks the schedule on one integer
+arithmetic, `int_matmul`: a real space holds each S as its integer grid,
+and a complex space S = A + iB as its real embedding
+E(S) = [[A, -B], [B, A]], with each right factor held as the block column
+[A; B], and each level's S are a list indexed by schedule position.
+Below the top level each multiset is one kernel product: its
 parents S_(beta - e_i) side by side times the columns of the N_i stacked,
 where each N_i is transposed once per expansion and each stack is built
 once.  Each stored level p = 2..m-2 is divided by the gcd of all its
@@ -46,12 +47,13 @@ tr S_beta = (m / beta_i) tr(S_(beta - e_i) N_i) for any one i in beta.
 So the top level builds no S_beta and is streamed off level m-1: as soon
 as each S_alpha of level m-1 is built, one kernel product, the row
 vec(S_alpha) times the columns vec(N_i^T) for i >= max alpha, holds the
-traces of every alpha + (i,), and level m-1 is never stored.  The gate
+traces of every alpha + (i,) (two rows, the row halves of E(S_alpha),
+give their real and imaginary parts), and level m-1 is never stored.  The gate
 counts that work: k * C(k+p-2, p-1) products S_alpha N_i of m x m
 matrices at each level p = 2..m-1, plus the C(k+m-1, m) traces of level
 m, where the ordered words would take k + k^2 + ... + k^m.  The first
 multiset beta with a nonzero trace pins an explicit counterexample on
-the integer grid {0..|beta|} over the support of beta.
+the simplex lattice Delta(|supp beta|, |beta|) over the support of beta.
 
 Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement
 from math import comb, gcd, lcm
 from operator import getitem
 from typing import Sequence
@@ -79,7 +81,6 @@ from .errors import ContractError, DomainError, InconsistencyError
 from .exact import (
     Matrix,
     derive_seed,
-    gaussian_int_matmul,
     int_matmul,
     inverse,
     is_nilpotent_matrix,
@@ -87,6 +88,7 @@ from .exact import (
     linear_combination,
     random_matrix,
     ratio,
+    simplex_points,
 )
 from .operators import ElementaryOperator, GramMatrix, sum_bi_ai
 from .spaces import OperatorSpace, reduce_basis
@@ -171,7 +173,7 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
 
     Each stored level p = 2..m-2 is divided by its content g, the gcd of
     every entry of every S_beta in it, folded while the level is built
-    (over both grids on the Gaussian path, so one integer divides the
+    (over both blocks A and B of a complex S, so one integer divides the
     Gaussian matrices) and no longer once it reaches 1.  Since
     S_beta = sum S_(beta - e_x) N_x is linear in the parents, the divided
     level gives every later S_beta divided by g too, so every later
@@ -195,33 +197,32 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
     C(k+m-2, m-1) products for the C(k+m-1, m) traces of level m; at
     m = 2 they read the basis directly.
 
-    Whether every basis element is real is read once, from the input, and
-    picks the arithmetic: a real space holds each S as one integer grid
-    and multiplies with `int_matmul`, any other holds (re, im) grids and
-    multiplies with `gaussian_int_matmul`.  Both give the same integer
-    traces, so the verdict does not depend on the path.  The kernels are
-    looked up on this module at each call.  Level 1 is the basis itself,
-    so its traces are read off the stored row grids before any column,
-    vec or product is built, and a basis with a trace returns at once.
+    One integer arithmetic serves every space.  A real space holds each
+    S as its integer grid.  A complex space, read once from the input,
+    enters as its real embedding: with S = A + iB, each stored S and each
+    left factor is E(S) = [[A, -B], [B, A]], 2m x 2m, and each right
+    factor N = C + iD is the block column [C; D], 2m x m.  E is an
+    injective ring map, so E(S) [C; D] = [AC - BD; BC + AD] is the block
+    column of S N, and the joins, the content and the streamed top level
+    are those of a real space with twice the rows.  The trace of S is
+    tr A + i tr B, the upper-left and lower-left diagonals of E(S) or of
+    its block column, and tr(S N_j) takes one row per half, the upper
+    and lower row halves of E(S) as vecs: their products with the vec of
+    [C_j; D_j]'s columns are tr(AC - BD) and tr(BC + AD).  A real space is
+    the case with one half.  The kernel is looked up on this module at
+    each call.  Level 1 is the basis itself, so its traces are read off
+    the stored grids before any column, vec or product is built, and a
+    basis with a trace returns at once.
     """
     m, k = space.ambient_dim, space.dim
-    first = next(((i,) for i, n in enumerate(space.basis) if _trace(n.re) or _trace(n.im)), None)
+    embedded = any(any(map(any, n.im)) for n in space.basis)
+    grids = [n.re + n.im if embedded else n.re for n in space.basis]  # [A; B], or A
+    first = next(((i,) for i, grid in enumerate(grids) if _trace(grid, m)), None)
     if first is not None or m == 1:
         return first
-    if any(any(map(any, n.im)) for n in space.basis):
-        mats = [(_rows(n.re), _rows(n.im)) for n in space.basis]
-        columns = [(_columns(re), _columns(im)) for re, im in mats]
-        vecs = [_vec(re) for re, _ in columns], [_vec(im) for _, im in columns]
-        join, multiply = _gaussian_join, _gaussian_product
-        trace, traces = _gaussian_trace, _gaussian_traces
-        content, divide = _gaussian_content, _gaussian_divide
-    else:
-        mats = [_rows(n.re) for n in space.basis]
-        columns = [_columns(s) for s in mats]
-        vecs = [_vec(c) for c in columns]
-        join, multiply = _join, int_matmul
-        trace, traces = _trace, _traces
-        content, divide = _content, _divide
+    columns = [_columns(grid) for grid in grids]
+    mats = [_embedding(_rows(grid), m) if embedded else _rows(grid) for grid in grids]
+    vecs = [_vec(c) for c in columns]
     stacks = {}
     top = None
     level = []  # the stored S of level p-1, by position in its schedule
@@ -234,28 +235,29 @@ def _first_nonzero_trace(space: OperatorSpace) -> tuple[int, ...] | None:
             else:
                 right = stacks.get(indices)
                 if right is None:
-                    right = stacks[indices] = join([columns[x] for x in indices])
-                s_beta = multiply(join([level[a] for a in parents]), right)
-            if trace(s_beta):
+                    right = stacks[indices] = _join([columns[x] for x in indices])
+                s_beta = int_matmul(_join([level[a] for a in parents]), right)
+                if embedded:
+                    s_beta = _embedding(s_beta, m)
+            if _trace(s_beta, m):
                 return beta
             if p < m - 1:
                 following.append(s_beta)
                 if g != 1:
-                    g = content(s_beta, g)
+                    g = gcd(g, *chain.from_iterable(s_beta))
             elif top is None:
-                hits = traces(s_beta, vecs, i)
-                if any(hits):
-                    top = beta + (i + next(j for j, t in enumerate(hits) if t),)
+                halves = [_vec(s_beta[h : h + m]) for h in range(0, len(s_beta), m)]
+                hits = int_matmul(halves, vecs[i:])
+                if any(map(any, hits)):
+                    top = beta + (i + next(j for j, t in enumerate(zip(*hits)) if any(t)),)
         if g > 1:
-            following = [divide(s, g) for s in following]
+            following = [_divide(s, g) for s in following]
         level = following
     return top
 
 
-# The arithmetic of the expansion.  A real space holds each matrix as one
-# integer grid, a list of rows, or of columns where it is a right factor,
-# and multiplies with `int_matmul`; any other holds an (re, im) pair of
-# grids and multiplies with `gaussian_int_matmul`.
+# The grids of the expansion: a matrix is a list of rows, or of columns
+# where it is a right factor, with twice the rows for a complex space.
 
 
 def _rows(grid):
@@ -264,6 +266,15 @@ def _rows(grid):
 
 def _columns(grid):
     return [*map(list, zip(*grid))]
+
+
+def _embedding(grid, m: int):
+    """E(S) = [[A, -B], [B, A]] from the rows of the block column [A; B]
+    of S = A + iB."""
+    top, bottom = grid[:m], grid[m:]
+    return [a + [-x for x in b] for a, b in zip(top, bottom)] + [
+        b + a for a, b in zip(top, bottom)
+    ]
 
 
 def _vec(grid):
@@ -278,65 +289,32 @@ def _join(grids):
     return [sum(lines, []) for lines in zip(*grids)]
 
 
-def _trace(grid) -> int:
-    return sum(map(getitem, grid, range(len(grid))))
-
-
-def _content(grid, g: int) -> int:
-    """gcd(g, every entry of the grid)."""
-    return gcd(g, *chain.from_iterable(grid))
+def _trace(grid, m: int) -> int:
+    """tr A, or else tr B, of E(S) or of the block column [A; B] of
+    S = A + iB: the diagonals of the upper-left and lower-left m x m
+    blocks.  A real grid has no lower block."""
+    return sum(map(getitem, grid, range(m))) or (
+        len(grid) > m and sum(map(getitem, grid[m:], range(m)))
+    )
 
 
 def _divide(grid, g: int):
     return [[x // g for x in row] for row in grid]
 
 
-def _traces(grid, vecs, i: int) -> list[int]:
-    """tr(S N_j) for j >= i, from vec(S) and the vec(N_j^T)."""
-    return int_matmul([_vec(grid)], vecs[i:])[0]
-
-
-def _gaussian_join(pairs):
-    return _join([re for re, _ in pairs]), _join([im for _, im in pairs])
-
-
-def _gaussian_product(left, right):
-    return gaussian_int_matmul(*left, *right)
-
-
-def _gaussian_trace(pair) -> int:
-    return _trace(pair[0]) or _trace(pair[1])
-
-
-def _gaussian_content(pair, g: int) -> int:
-    """gcd(g, every entry of both grids), so that one integer divides
-    the Gaussian matrix."""
-    return gcd(g, *chain.from_iterable(pair[0]), *chain.from_iterable(pair[1]))
-
-
-def _gaussian_divide(pair, g: int):
-    return _divide(pair[0], g), _divide(pair[1], g)
-
-
-def _gaussian_traces(pair, vecs, i: int) -> list[int]:
-    """Of each such trace, its real part or else its imaginary part."""
-    re, im = gaussian_int_matmul([_vec(pair[0])], [_vec(pair[1])], vecs[0][i:], vecs[1][i:])
-    return [a or b for a, b in zip(re[0], im[0])]
-
-
 def _search_counterexample(space: OperatorSpace, beta: tuple[int, ...]) -> Matrix:
-    """A non-nilpotent element on the grid {0..|beta|} over supp beta,
-    every other coefficient zero, for beta with tr S_beta nonzero.
+    """A non-nilpotent element on the simplex lattice Delta(|supp beta|,
+    |beta|) over supp beta, every other coefficient zero, for beta with
+    tr S_beta nonzero.
 
     With the t_i outside supp beta set to zero, tr((sum t_i N_i)^p) for
-    p = |beta| keeps the monomial t^beta and has degree at most p in
-    each remaining variable, so it is nonzero at some point of that grid
-    (Alon, Combinatorial Nullstellensatz, 1999); points go in product
-    order.
+    p = |beta| is homogeneous of degree p and keeps the monomial t^beta,
+    so it is nonzero at some point of that lattice (`simplex_points`);
+    points go in its order.
     """
     support = sorted(set(beta))
     basis = [space.basis[i] for i in support]
-    for point in product(range(len(beta) + 1), repeat=len(support)):
+    for point in simplex_points(len(support), len(beta)):
         cand = linear_combination(point, basis)
         if not is_nilpotent_matrix(cand):
             return cand

@@ -24,7 +24,6 @@ from elemop.errors import (
     DimensionError,
     InconsistencyError,
     ShapeError,
-    UnsupportedLengthError,
 )
 from elemop.exact import (
     Matrix,
@@ -53,6 +52,7 @@ from elemop.operators import (
 from elemop.serialize import instance_to_json
 from elemop.spaces import local_dimension
 from conftest import dim_v1_operator, single_pair, specimen_form_ii, specimen_form_iii, unit
+import naive_certificate_check
 
 
 def test_trace_condition_examples():
@@ -192,8 +192,9 @@ def test_classify_factors_each_pattern_block_with_one_elimination(elimination_ca
 
 
 def test_classify_dispatcher_unsupported_length(tmp_path):
-    # classify decides every length; the classify command keeps its
-    # length bound at the input boundary
+    # classify decides every length, and so does the classify command: a
+    # length-4 pattern-i instance gets its certificate, which verify and
+    # the naive re-checker both accept
     phi = generate("i", 4, 6, seed=3)
     verdict = classify(phi)
     assert verdict.status == "LQN" and verdict.form == "pattern-i"
@@ -201,9 +202,10 @@ def test_classify_dispatcher_unsupported_length(tmp_path):
     path = tmp_path / "long.json"
     path.write_text(json.dumps(instance_to_json(phi)))
     args = build_parser().parse_args(["classify", str(path), "--out", str(tmp_path / "c.json")])
-    with pytest.raises(UnsupportedLengthError):
-        args.func(args)
-    assert not (tmp_path / "c.json").exists()
+    assert args.func(args) == 0
+    args = build_parser().parse_args(["verify", str(path), str(tmp_path / "c.json")])
+    assert args.func(args) == 0
+    assert naive_certificate_check.check(path, tmp_path / "c.json") is None
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

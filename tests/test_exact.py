@@ -1132,21 +1132,34 @@ def test_a_nonzero_isotropic_vector_is_kept():
     assert independent_subset(_columns_of([[1], [I]])) == ([0], Matrix.identity(1))
 
 
+def _upper_units(d):
+    return [unit(d, i, j) for i in range(d) for j in range(i + 1, d)]
+
+
 @pytest.mark.parametrize(
-    "shape, count, grid",
+    "shape, count, grid, sparse",
     [
         # tall: n matrices of more than n entries eliminate the n x n Gram matrix
-        ((3, 3), 2, (2, 2)),
-        ((8, 8), 3, (3, 3)),
-        ((4, 1), 3, (3, 3)),
+        ((3, 3), 2, (2, 2), None),
+        ((8, 8), 3, (3, 3), None),
+        ((4, 1), 3, (3, 3), None),
         # square and wide: the grid of the vecs itself, entries by matrices
-        ((2, 2), 4, (4, 4)),
-        ((2, 1), 5, (2, 5)),
-        ((1, 3), 4, (3, 4)),
+        ((2, 2), 4, (4, 4), None),
+        ((2, 1), 5, (2, 5), None),
+        ((1, 3), 4, (3, 4), None),
+        # sparse tall: the strictly upper units of M_d fill d(d-1)/2 rows of
+        # their d^2-row vec grid, no more than the matrices, so the grid
+        # itself is eliminated; `rref` drops its zero rows
+        ((4, 4), 6, (16, 6), _upper_units(4)),
+        ((8, 8), 28, (64, 28), _upper_units(8)),
+        # sparse, with more nonzero rows than matrices: the Gram matrix
+        ((4, 4), 3, (3, 3), [unit(4, 0, 0) + unit(4, 1, 1), unit(4, 2, 3), unit(4, 3, 0)
+                             - unit(4, 0, 3)]),
     ],
-    ids=["tall-3x3", "tall-8x8", "tall-column", "square", "wide-column", "wide-row"],
+    ids=["tall-3x3", "tall-8x8", "tall-column", "square", "wide-column", "wide-row",
+         "sparse-units-4", "sparse-units-8", "sparse-gram"],
 )
-def test_elimination_runs_on_the_short_side(monkeypatch, shape, count, grid):
+def test_elimination_runs_on_the_short_side(monkeypatch, shape, count, grid, sparse):
     shapes = []
     real = exact.rref
 
@@ -1156,7 +1169,7 @@ def test_elimination_runs_on_the_short_side(monkeypatch, shape, count, grid):
 
     monkeypatch.setattr(exact, "rref", recording)
     rng = random.Random(derive_seed(count, shape[0] * shape[1]))
-    mats = [
+    mats = sparse or [
         Matrix.from_rows(
             [
                 [Scalar(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(shape[1])]
@@ -1165,9 +1178,12 @@ def test_elimination_runs_on_the_short_side(monkeypatch, shape, count, grid):
         )
         for _ in range(count)
     ]
-    kept, _ = independent_subset(mats)
+    assert len(mats) == count
+    kept, coords = independent_subset(mats)
     assert shapes == [grid]
     assert len(kept) == min(count, shape[0] * shape[1])
+    if sparse:
+        assert coords == Matrix.identity(count)
 
 
 # -- nilpotency characterization -----------------------------------------

@@ -7,7 +7,8 @@ module names `rref`.  So a change of elimination touches `rref` and
 `independent_subset` only.  Likewise the integer dot product
 `map(mul, ...)` is written only in `exact.int_matmul`, and the Gaussian
 cross term x*u - y*v only in `exact.gaussian_int_matmul`, so no module
-forks a second product loop.  `Scalar` is a value that is parsed,
+forks a second product loop; the trace-identity expansion of `nilpotency`
+runs on `int_matmul` alone, complex spaces on their real embedding.  `Scalar` is a value that is parsed,
 compared and printed, with no arithmetic dunder, and the modules above
 `exact` read no Scalar entries and name neither `ONE` nor `ZERO`: their
 coordinates and coefficients stay on the grids.  The characteristic polynomial is named
@@ -151,6 +152,14 @@ def test_only_gaussian_int_matmul_writes_the_cross_term():
     inside = set(_cross_terms(functions["gaussian_int_matmul"]))
     assert inside, "gaussian_int_matmul must hold the cross term"
     assert set(_cross_terms(tree)) == inside
+
+
+def test_the_trace_identity_expansion_names_only_the_integer_kernel():
+    """One integer arithmetic for the expansion: `nilpotency` names
+    `int_matmul` and not `gaussian_int_matmul`."""
+    tree = ast.parse((SRC / "nilpotency.py").read_text())
+    assert _references(tree, {"int_matmul"}), "the expansion must run on int_matmul"
+    assert _references(tree, {"gaussian_int_matmul"}) == []
 
 
 ARITHMETIC_DUNDERS = {

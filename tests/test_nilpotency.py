@@ -124,7 +124,8 @@ def test_subspace_special_plane_certified():
 def test_counterexample_searches_the_support_of_the_first_nonzero_trace(monkeypatch):
     # E01 E12 E20 is the cycle 0 -> 1 -> 2 -> 0, so the first nonzero
     # trace is t0 t1 t2 at p = 3 and E13 stays out of the support: the
-    # search tests points of {0..3}^3 only, at most 64 of them.
+    # search tests points of the simplex lattice Delta(3, 3) only, at most
+    # C(5, 3) = 10 of them.
     space = reduce_basis([unit(4, 0, 1), unit(4, 1, 2), unit(4, 2, 0), unit(4, 1, 3)])
     assert _first_nonzero_trace(space) == (0, 1, 2)
     tested = []
@@ -137,7 +138,7 @@ def test_counterexample_searches_the_support_of_the_first_nonzero_trace(monkeypa
     monkeypatch.setattr(nilpotency, "is_nilpotent_matrix", counting)
     report = subspace_all_nilpotent(space)
     assert not report.all_nilpotent and report.method == "exact-grid"
-    assert len(tested) <= 4**3
+    assert len(tested) <= comb(5, 3)
     assert report.counterexample == unit(4, 0, 1) + unit(4, 1, 2) + unit(4, 2, 0)
     assert char_poly(report.counterexample) != lambda_power(4)
 
@@ -151,13 +152,14 @@ def test_counterexample_is_the_first_basis_element_with_a_trace():
 @pytest.mark.parametrize("scale", [ONE, I_UNIT])
 def test_a_basis_trace_is_read_before_any_column_is_built(monkeypatch, scale):
     # the swapped benchmark spaces exit here: level 1 is read off the
-    # stored grids, so no row list, column, vec or product is made
+    # stored grids, so no row list, embedding, column, vec or product is
+    # made
     space = reduce_basis([scale * n for n in (unit(3, 0, 1), unit(3, 2, 2) + unit(3, 0, 2))])
 
     def forbidden(*args):
         raise AssertionError("built before the level-1 traces were read")
 
-    for name in ("_rows", "_columns", "_vec", "int_matmul", "gaussian_int_matmul"):
+    for name in ("_rows", "_embedding", "_columns", "_vec", "int_matmul"):
         monkeypatch.setattr(nilpotency, name, forbidden)
     assert _first_nonzero_trace(space) == (1,)
 
@@ -722,7 +724,7 @@ def _kernel_cases():
         # tr(N1 N2 + N2 N1) = 2i, a purely imaginary first nonzero trace.
         ("imaginary-trace-p2", reduce_basis([unit(3, 0, 1), I_UNIT * unit(3, 1, 0)]), False),
         # A real conjugated upper basis with one element made complex: the
-        # whole space takes the Gaussian path and stays nilpotent.
+        # whole space is expanded on its real embedding and stays nilpotent.
         ("mixed-real-and-complex",
          reduce_basis([*upper3.basis[:-1], Scalar(1, 1) * upper3.basis[-1]]), True),
     ]
@@ -758,27 +760,29 @@ def test_trace_identities_match_walk_on_seeded_spaces():
     assert seen == {True, False}
 
 
-def _count_products(monkeypatch, kernel):
-    """Rows of the left factor of every call of the named kernel made by
-    the expansion; the other kernel must not be called at all."""
+def _count_products(monkeypatch):
+    """Rows of the left factor of every `int_matmul` call made by the
+    expansion: m per level product and 1 per top-level product on a real
+    space, 2m and 2 on the real embedding of a complex one.  No other
+    kernel is named there (`test_layering`)."""
     calls = []
-    real = getattr(nilpotency, kernel)
+    real = nilpotency.int_matmul
 
-    def counting(*grids):
-        calls.append(len(grids[0]))
-        return real(*grids)
+    def counting(a, b_cols):
+        calls.append(len(a))
+        return real(a, b_cols)
 
-    def forbidden(*grids):
-        raise AssertionError(f"the expansion took the other kernel than {kernel}")
-
-    other = "gaussian_int_matmul" if kernel == "int_matmul" else "int_matmul"
-    monkeypatch.setattr(nilpotency, kernel, counting)
-    monkeypatch.setattr(nilpotency, other, forbidden)
+    monkeypatch.setattr(nilpotency, "int_matmul", counting)
     return calls
 
 
+def _halves(space):
+    """1 for a real space, 2 for a complex one, held on its real embedding."""
+    return 2 if any(any(map(any, n.im)) for n in space.basis) else 1
+
+
 def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
-    calls = _count_products(monkeypatch, "int_matmul")
+    calls = _count_products(monkeypatch)
     # A nonzero trace among the generators decides before any product.
     assert _first_nonzero_trace(reduce_basis([unit(4, 0, 1), unit(4, 3, 3)])) is not None
     assert calls == []
@@ -789,25 +793,27 @@ def test_trace_identities_stop_at_first_nonzero_level(monkeypatch):
 
 
 def test_trace_identities_stop_at_first_nonzero_level_on_gaussian_grids(monkeypatch):
-    calls = _count_products(monkeypatch, "gaussian_int_matmul")
+    calls = _count_products(monkeypatch)
     # i P has tr (iP) = tr (iP)^2 = 0 and tr (iP)^3 = -3i: the same levels
-    # as P, on the real and imaginary grids.
+    # as P, on the 6 rows of the real embedding E(iP) = [[0, -P], [P, 0]],
+    # and the top level reads the real and imaginary parts on two rows.
     assert _first_nonzero_trace(reduce_basis([I_UNIT * CYCLIC_3])) is not None
-    assert calls == [3, 1]
+    assert calls == [6, 2]
 
 
-@pytest.mark.parametrize("kernel, scale", [("int_matmul", ONE), ("gaussian_int_matmul", I_UNIT)])
-def test_trace_identities_make_one_kernel_call_per_multiset(monkeypatch, kernel, scale):
+@pytest.mark.parametrize("scale, h", [(ONE, 1), (I_UNIT, 2)], ids=["S", "iS"])
+def test_trace_identities_make_one_kernel_call_per_multiset(monkeypatch, scale, h):
     # Conjugated strictly uppers of M_4, k = 6, all nilpotent: levels 2 and
     # 3 take one 4-row product per multiset, C(7, 2) + C(8, 3) = 21 + 56,
     # and the last level one 1-row product per level-3 multiset alpha,
     # C(8, 3) = 56, whose entries are the traces of alpha + (i,).  That
-    # row product follows the product of S_alpha at once.
+    # row product follows the product of S_alpha at once.  On the real
+    # embedding of i S every left factor has twice the rows.
     upper = conjugated_space(reduce_basis(strictly_upper_basis(4)), random_invertible(4, 330, 4))
     space = reduce_basis([scale * n for n in upper.basis])
-    calls = _count_products(monkeypatch, kernel)
+    calls = _count_products(monkeypatch)
     assert _first_nonzero_trace(space) is None
-    assert calls == [4] * 21 + [4, 1] * 56
+    assert calls == [4 * h] * 21 + [4 * h, h] * 56
 
 
 def _full_sum_first_trace(space):
@@ -858,8 +864,8 @@ def test_top_level_traces_match_the_full_sum(m, k, seed, swap, edges):
     # traceless element replaces the last basis element, so that the
     # decision rests on levels above 1, or a conjugated cycle split over k
     # elements replaces them all, so that it rests on the last level with
-    # repeated indices; real spaces take `int_matmul`, i S and (1 + i) S
-    # `gaussian_int_matmul`.
+    # repeated indices; i S and (1 + i) S are expanded on their real
+    # embedding.
     q = random_invertible(m, derive_seed(seed, 0), 3)
     q_inv = inverse(q)
     mats = [q_inv @ n @ q for n in strictly_upper_basis(m)[:k]]  # none at m = 1
@@ -931,11 +937,12 @@ def test_streamed_top_level_keeps_level_order(monkeypatch, scale, mats, earlier,
     # tr S_(earlier + (0,)) = tr N_0^m, the first nonzero trace of N_0 alone
     alone = reduce_basis([scale * mats[0]])
     assert _full_sum_first_trace(alone) == earlier + (0,)
-    kernel = "int_matmul" if scale == ONE else "gaussian_int_matmul"
-    calls = _count_products(monkeypatch, kernel)
+    h = _halves(space)
+    calls = _count_products(monkeypatch)
     assert _first_nonzero_trace(space) == first
-    # a top-level row product came before the product of S_first, the last
-    assert 1 in calls and calls[-1] == m
+    # a top-level row product, of h rows, came before the product of
+    # S_first, the last, of h * m rows
+    assert h in calls and calls[-1] == h * m
     assert _full_sum_first_trace(space) == first
     assert _ordered_word_walk(space) is False
 
@@ -948,8 +955,9 @@ def test_streamed_top_level_keeps_level_order(monkeypatch, scale, mats, earlier,
     swap=st.booleans(),
 )
 def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, swap):
-    # A real space takes the one-grid path; i S and (1 + i) S are the
-    # same space over the Gaussian rationals and take the Gaussian path.
+    # A real space is expanded on its grid; i S and (1 + i) S are the
+    # same space over the Gaussian rationals, expanded on their real
+    # embedding.
     q = random_invertible(m, derive_seed(seed, 0), 3)
     mats = list(conjugated_space(reduce_basis(strictly_upper_basis(m)), q).basis[:k])
     if swap:
@@ -965,6 +973,44 @@ def test_trace_identities_agree_on_one_grid_and_on_gaussian_grids(m, k, seed, sw
         assert (_first_nonzero_trace(multiple) is None) is verdict
     if not swap:
         assert verdict is True
+
+
+GAUSSIAN_SCALES = [ONE, I_UNIT, Scalar(1, 1), Scalar(2, -3), Scalar(Fraction(1, 2), Fraction(3, 5))]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    m=st.integers(2, 4),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 10**6),
+    scales=st.lists(st.sampled_from(GAUSSIAN_SCALES), min_size=4, max_size=4),
+    swap=st.sampled_from(["none", "gaussian", "traceless", "cycle"]),
+    edges=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+)
+def test_embedded_expansion_matches_the_full_sum_on_gaussian_spaces(
+    m, k, seed, scales, swap, edges
+):
+    # Strictly uppers conjugated by a Gaussian-rational matrix and each
+    # scaled by its own Gaussian rational are nil; a Gaussian element, a
+    # traceless one or a conjugated split cycle in place of some of them
+    # pushes the space off nil, or to its last level.  The expansion on
+    # the real embedding must return the first beta of the reference,
+    # which sums every S_beta on `Matrix` arithmetic.
+    q = _gaussian_invertible(m, derive_seed(seed, 0))
+    q_inv = inverse(q)
+    mats = [c * (q_inv @ n @ q) for c, n in zip(scales, strictly_upper_basis(m)[:k])]
+    if swap == "gaussian":
+        mats[-1:] = [_gaussian_matrix(m, derive_seed(seed, 1), 3)]
+    elif swap == "traceless":
+        mats[-1:] = [_traceless(_gaussian_matrix(m, derive_seed(seed, 1), 3))]
+    elif swap == "cycle":
+        groups = [g % k for g in edges[:m]]
+        mats = [c * (q_inv @ n @ q) for c, n in zip(scales, _split_cycle(m, groups))]
+    space = reduce_basis(mats, ambient_dim=m)
+    first = _first_nonzero_trace(space)
+    assert first == _full_sum_first_trace(space)
+    if swap == "none":
+        assert first is None
 
 
 def test_trace_identities_against_sympy_expansion():
@@ -1006,26 +1052,26 @@ def test_trace_identities_against_sympy_expansion():
 
 def _level_left_contents(monkeypatch, space):
     """For each level p = 2..m-1, the gcd of every entry of the joined
-    left factors of the m-row products that build it, both grids of a
-    Gaussian factor counted; the expansion must find the space nil."""
+    left factors of the level products that build it, m rows, or the 2m
+    rows of the real embedding of a complex space, whose gcd is that of
+    both blocks; the expansion must find the space nil."""
     m, k = space.ambient_dim, space.dim
     lefts = []
-    for name, parts in (("int_matmul", 1), ("gaussian_int_matmul", 2)):
-        real = getattr(nilpotency, name)
+    real = nilpotency.int_matmul
 
-        def recording(*grids, real=real, parts=parts):
-            lefts.append(grids[:parts])
-            return real(*grids)
+    def recording(a, b_cols):
+        lefts.append(a)
+        return real(a, b_cols)
 
-        monkeypatch.setattr(nilpotency, name, recording)
+    monkeypatch.setattr(nilpotency, "int_matmul", recording)
     assert _first_nonzero_trace(space) is None
     monkeypatch.undo()
-    products = [left for left in lefts if len(left[0]) == m]
+    products = [left for left in lefts if len(left) == _halves(space) * m]
     contents = []
     for p in range(2, m):
         size = comb(k + p - 1, p)
         level, products = products[:size], products[size:]
-        contents.append(gcd(*(x for left in level for grid in left for row in grid for x in row)))
+        contents.append(gcd(*(x for left in level for row in left for x in row)))
     assert products == []
     return contents
 
@@ -1047,27 +1093,33 @@ def test_stored_levels_are_divided_by_their_content(monkeypatch, scale, m):
 
 def test_level_content_is_common_to_both_gaussian_grids(monkeypatch):
     # (2 + i) S for a real nil space S of M_4: level 2 is (3 + 4i) times
-    # that of S, so after the division by the gcd of both grids its real
-    # grid keeps the factor 3 and its imaginary grid the factor 4.  The
-    # real grid's gcd alone would not divide the imaginary grid.
+    # that of S, so after the division by the gcd of both blocks of its
+    # real embedding [[A, -B], [B, A]] the real block A keeps the factor 3
+    # and the imaginary block B the factor 4.  The gcd of A alone would
+    # not divide B.
     q = random_invertible(4, derive_seed(361, 0), 4)
     real = conjugated_space(reduce_basis(strictly_upper_basis(4)), q)
     space = reduce_basis([Scalar(2, 1) * n for n in real.basis])
     level_3 = []
-    kernel = nilpotency.gaussian_int_matmul
+    kernel = nilpotency.int_matmul
 
-    def recording(a_re, a_im, *columns):
-        if len(a_re) == 4:
-            level_3.append((a_re, a_im))
-        return kernel(a_re, a_im, *columns)
+    def recording(a, b_cols):
+        if len(a) == 8:
+            level_3.append(a)
+        return kernel(a, b_cols)
 
-    monkeypatch.setattr(nilpotency, "gaussian_int_matmul", recording)
+    monkeypatch.setattr(nilpotency, "int_matmul", recording)
     assert _first_nonzero_trace(space) is None
     monkeypatch.undo()
     level_3 = level_3[comb(6 + 1, 2):]
     assert len(level_3) == comb(6 + 2, 3)
-    assert gcd(*(x for re, _ in level_3 for row in re for x in row)) == 3
-    assert gcd(*(x for _, im in level_3 for row in im for x in row)) == 4
+
+    def block(left, rows):
+        # the left-hand m x m block of every E(S_alpha) side by side
+        return [x for row in left[rows] for o in range(0, len(row), 8) for x in row[o:o + 4]]
+
+    assert gcd(*(x for left in level_3 for x in block(left, slice(0, 4)))) == 3
+    assert gcd(*(x for left in level_3 for x in block(left, slice(4, 8)))) == 4
     assert _full_sum_first_trace(space) is None
 
 
@@ -1147,30 +1199,29 @@ def test_subspace_budget_counts_the_multiset_recursion(monkeypatch):
         subspace_all_nilpotent(space)
 
 
-@pytest.mark.parametrize("kernel, scale", [("int_matmul", ONE), ("gaussian_int_matmul", I_UNIT)])
+@pytest.mark.parametrize("scale, h", [(ONE, 1), (I_UNIT, 2)], ids=["S", "iS"])
 @pytest.mark.parametrize(
     "m, k", [(m, k) for m in range(2, 7) for k in range(1, 6) if k <= m * (m - 1) // 2]
 )
-def test_budget_gate_counts_the_work_of_the_expansion(monkeypatch, kernel, scale, m, k):
+def test_budget_gate_counts_the_work_of_the_expansion(monkeypatch, scale, h, m, k):
     # On a nil space every level is built and every top-level trace read,
     # so the gate's count is exactly the work done: a level product holds
-    # one S_alpha N_i per block of m rows of its stacked right factor, and
-    # a 1-row product one top-level trace per column.  (m, k) runs over
-    # {2..6} x {1..5} up to the dimension m(m-1)/2 that a nil space can
-    # have.
+    # one S_alpha N_i per block of h * m rows of its stacked right factor,
+    # and an h-row product one top-level trace per column, with h = 2 on
+    # the real embedding of i S.  (m, k) runs over {2..6} x {1..5} up to
+    # the dimension m(m-1)/2 that a nil space can have.
     q = random_invertible(m, derive_seed(350, 10 * m + k), 3)
     space = reduce_basis([scale * n for n in conjugated_space(
         reduce_basis(strictly_upper_basis(m)[:k]), q).basis])
     assert space.dim == k
     work = []
-    real = getattr(nilpotency, kernel)
+    real = nilpotency.int_matmul
 
-    def counting(left, *grids):
-        columns = grids[-2] if kernel == "gaussian_int_matmul" else grids[-1]
-        work.append(len(columns) if len(left) == 1 else len(columns[0]) // m)
-        return real(left, *grids)
+    def counting(left, columns):
+        work.append(len(columns) if len(left) == h else len(columns[0]) // (h * m))
+        return real(left, columns)
 
-    monkeypatch.setattr(nilpotency, kernel, counting)
+    monkeypatch.setattr(nilpotency, "int_matmul", counting)
     report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
     done = sum(work)

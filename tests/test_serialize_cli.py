@@ -476,10 +476,12 @@ def test_cli_classify_exit_codes(tmp_path):
     eye_op = ElementaryOperator.from_pairs(2, [(Matrix.identity(2), Matrix.identity(2))])
     bad.write_text(json.dumps(instance_to_json(eye_op)))
     assert main(["classify", str(bad), "--out", str(tmp_path / "c2.json")]) == 1
+    # no length bound: a length-4 pattern-i instance is certified
     long_op = generate("i", 4, 6, seed=2)
     longer = tmp_path / "long.json"
     longer.write_text(json.dumps(instance_to_json(long_op)))
-    assert main(["classify", str(longer), "--out", str(tmp_path / "c3.json")]) == 4
+    assert main(["classify", str(longer), "--out", str(tmp_path / "c3.json")]) == 0
+    assert main(["verify", str(longer), str(tmp_path / "c3.json")]) == 0
     assert main(["classify", str(tmp_path / "missing.json")]) == 2
 
 
