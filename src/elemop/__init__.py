@@ -62,9 +62,7 @@ from .certificate import (
     verify_certificate,
 )
 from .nilpotency import (
-    Flag,
     NilpotentSpaceReport,
-    NotTriangularizable,
     SpecialForm,
     all_x_nilpotent,
     block_strict_triangularize,

@@ -59,14 +59,12 @@ from .exact import (
 )
 from .nilpotency import (
     DEFAULT_TRIALS,
-    block_strict_triangularize,
     slice_span,
     special_plane_form,
     strict_triangularize,
     subspace_all_nilpotent,
     trace_condition_witness,
     witness_search,
-    Flag,
 )
 from .operators import (
     ElementaryOperator,
@@ -81,6 +79,7 @@ from .operators import (
     left_space,
 )
 from .spaces import (
+    OperatorSpace,
     rank_one_factor,
     reduce_basis,
     simultaneous_separating_vector,
@@ -155,27 +154,32 @@ def _lqn(
     return verdict
 
 
+def _block_flag(
+    phi: ElementaryOperator, reduced: ElementaryOperator, slices: OperatorSpace
+) -> ClassificationVerdict | None:
+    """The block-flag tier: the LQN verdict whose representation is the
+    minimal one `reduced` conjugated by the strict flag of its slice span,
+    or None when the span has no flag.  The verdict leaves through `_lqn`."""
+    p = strict_triangularize(slices)
+    if p is None:
+        return None
+    form = FORM_PATTERN_I if reduced.term_count >= 3 else FORM_LENGTH2
+    return _lqn(phi, form, similarity_transform(reduced, p), "block flag")
+
+
 def construct_triangular_rep(phi: ElementaryOperator) -> ElementaryOperator | None:
     """A representation with v_i u_j = 0 for all i >= j, or None.
 
-    On success the strictly-upper zero pattern is exact and the product
-    space dimension obeys the n(n-1)/2 bound by construction.
+    This is `classify`'s block-flag tier, so a representation is returned
+    only once `verify_certificate` has accepted its zero pattern; the zero
+    operator, with no pairs, is its own.  The pattern bounds V: it is
+    spanned by the v_i u_j with i < j, so dim V <= n(n-1)/2.
     """
     n, reduced = minimal_length(phi)
     if n == 0:
         return ElementaryOperator.zero(phi.dim)
-    p = block_strict_triangularize(gram(reduced))
-    if p is None:
-        return None
-    rep = similarity_transform(reduced, p)
-    g = gram(rep)
-    for i in range(n):
-        for j in range(i + 1):
-            if not g.block(i, j).is_zero:  # pragma: no cover
-                raise InconsistencyError("block flag produced a nonzero lower block")
-    if v_space(reduced).dim > n * (n - 1) // 2:  # pragma: no cover
-        raise InconsistencyError("product space dimension exceeds its bound")
-    return rep
+    verdict = _block_flag(phi, reduced, slice_span(gram(reduced)))
+    return None if verdict is None else verdict.representation
 
 
 def classify(
@@ -200,10 +204,9 @@ def classify(
     if n >= 3 and not necessary_trace_condition(reduced):
         return _refutation(reduced, trials, seed, branch="trace condition")
     slices = slice_span(gram(reduced))
-    flag = strict_triangularize(slices)
-    if isinstance(flag, Flag):
-        rep = similarity_transform(reduced, Matrix.from_columns(flag.vectors))
-        return _lqn(phi, FORM_PATTERN_I if n >= 3 else FORM_LENGTH2, rep, "block flag")
+    verdict = _block_flag(phi, reduced, slices)
+    if verdict is not None:
+        return verdict
     if n < 3:
         return _refutation(reduced, trials, seed, branch="length2 block flag failed")
     if n > 3:
@@ -270,10 +273,7 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
         reduced, head_left + [left[t] - in_head[t] for t in range(n) if t not in head]
     )
 
-    w0_zeta = w0 @ zeta
-    if w0_zeta.is_zero:  # pragma: no cover
-        raise InconsistencyError("separating vector failed for the product line")
-    x = _map_onto(zeta, w0_zeta, d)
+    x = _map_onto(zeta, w0 @ zeta, d)
 
     head_op = ElementaryOperator(d, adjusted.pairs[:r])
     local = local_matrix(head_op, zeta, x)
@@ -283,11 +283,8 @@ def structure_dimv1(phi: ElementaryOperator) -> ClassificationVerdict:
         return ClassificationVerdict(
             "NotLQN", witness=x, evidence={"branch": "dimv1 local matrix", "trials": 0}
         )
-    tri = strict_triangularize(reduce_basis([local], ambient_dim=r))
-    if not isinstance(tri, Flag):  # pragma: no cover
-        raise InconsistencyError("a nilpotent matrix failed to triangularize")
+    flag = strict_triangularize(reduce_basis([local], ambient_dim=r))
     adjusted_left = [a for a, _ in adjusted.pairs]
-    flag = Matrix.from_columns(tri.vectors)
     new_left = linear_combinations(flag.transpose(), adjusted_left[:r]) + adjusted_left[r:]
     rep = change_left_basis(adjusted, new_left)
 
@@ -347,42 +344,50 @@ def _scramble(phi: ElementaryOperator, seed: int) -> ElementaryOperator:
     return similarity_transform(phi, p)
 
 
+def _attempts(seed: int, draw, accept=None) -> ElementaryOperator:
+    """The one attempt loop of the structured generators.  Attempt k runs
+    on s = derive_seed(seed, k), and every draw inside it is keyed by its
+    own derive_seed(s, .), so the order of the draws does not matter.
+    draw(s) returns (u, table, q), or None to retry: v_i sends column j
+    of the invertible q to table[i][j] and later columns to 0.  The first
+    operator of minimal length len(u) that passes accept is scrambled."""
+    for attempt in range(64):
+        s = derive_seed(seed, attempt)
+        drawn = draw(s)
+        if drawn is None:
+            continue
+        u, table, q = drawn
+        q_inv = inverse(q)
+        v = [_targets_to_map(q_inv, row, q.rows) for row in table]
+        phi = ElementaryOperator.from_pairs(q.rows, list(zip(u, v)))
+        if minimal_length(phi)[0] == len(u) and (accept is None or accept(phi)):
+            return _scramble(phi, derive_seed(s, 999))
+    raise InconsistencyError("generator exhausted its attempts")  # pragma: no cover
+
+
 def _generate_pattern_i(n: int, d: int, seed: int) -> ElementaryOperator:
     # The last right coefficient must kill every left column while staying
     # nonzero, so at least one spare dimension is needed.
     if n < 1 or d < n + 1:
         raise DimensionError(f"pattern i needs 1 <= n < d, got n={n}, d={d}")
-    for attempt in range(64):
-        s = derive_seed(seed, attempt)
+
+    def draw(s):
         q = random_invertible(d, derive_seed(s, 1), GENERATOR_HEIGHT)
-        q_inv = inverse(q)
-        xi = [q.column(j) for j in range(n)]
-        eta = [
-            random_nonzero_vector(d, derive_seed(s, 10 + j), GENERATOR_HEIGHT)
-            for j in range(n)
+        eta = [random_nonzero_vector(d, derive_seed(s, 10 + j), GENERATOR_HEIGHT) for j in range(n)]
+        u = [q.column(j) @ eta[j].transpose() for j in range(n)]
+        # v_i kills the first i + 1 columns of q: v_i u_j = 0 for i >= j
+        table = [
+            [
+                random_nonzero_vector(d, derive_seed(s, 100 + 31 * i + j), GENERATOR_HEIGHT)
+                if j > i
+                else zero_vector(d)
+                for j in range(d)
+            ]
+            for i in range(n)
         ]
-        u = [xi[j] @ eta[j].transpose() for j in range(n)]
-        v = []
-        for i in range(n):
-            images = []
-            for j in range(d):
-                if (j < n and j > i) or j >= n:
-                    images.append(
-                        random_nonzero_vector(
-                            d, derive_seed(s, 100 + 31 * i + j), GENERATOR_HEIGHT
-                        )
-                    )
-                else:
-                    images.append(zero_vector(d))
-            v.append(_targets_to_map(q_inv, images, d))
-        phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
-        length, _ = minimal_length(phi)
-        if length != n:
-            continue
-        if n >= 2 and v_space(phi).dim != n * (n - 1) // 2:
-            continue
-        return _scramble(phi, derive_seed(s, 999))
-    raise InconsistencyError("pattern-i generator exhausted its attempts")  # pragma: no cover
+        return u, table, q
+
+    return _attempts(seed, draw, lambda phi: v_space(phi).dim == n * (n - 1) // 2)
 
 
 def _generate_special(n: int, d: int, seed: int, shared: str) -> ElementaryOperator:
@@ -391,43 +396,28 @@ def _generate_special(n: int, d: int, seed: int, shared: str) -> ElementaryOpera
     minimum = 3 if shared == "functional" else 4
     if d < minimum:
         raise DimensionError(f"this form needs dimension >= {minimum}, got {d}")
-    for attempt in range(64):
-        s = derive_seed(seed, attempt)
+    zero = zero_vector(d)
+
+    def draw(s):
         q = random_invertible(d, derive_seed(s, 1), GENERATOR_HEIGHT)
+        f = random_nonzero_vector(d, derive_seed(s, 2), GENERATOR_HEIGHT)
         if shared == "functional":
-            f = random_nonzero_vector(d, derive_seed(s, 2), GENERATOR_HEIGHT)
             zeta0 = random_nonzero_vector(d, derive_seed(s, 3), GENERATOR_HEIGHT)
             zeta1 = random_nonzero_vector(d, derive_seed(s, 4), GENERATOR_HEIGHT)
             if not _vectors_independent(zeta0, zeta1):
-                continue
+                return None
             u = [q.column(j) @ f.transpose() for j in range(3)]
-            zero = zero_vector(d)
-            image_table = [[zero, zeta1, zero], [zeta0, zero, zeta1], [zero, -zeta0, zero]]
-        else:
-            f = random_nonzero_vector(d, derive_seed(s, 2), GENERATOR_HEIGHT)
-            g_fun = random_nonzero_vector(d, derive_seed(s, 3), GENERATOR_HEIGHT)
-            if not _vectors_independent(f, g_fun):
-                continue
-            zeta0 = random_nonzero_vector(d, derive_seed(s, 4), GENERATOR_HEIGHT)
-            f_t, g_t = f.transpose(), g_fun.transpose()
-            u = [
-                q.column(0) @ f_t,
-                q.column(1) @ g_t + q.column(2) @ f_t,
-                q.column(3) @ g_t,
-            ]
-            zero = zero_vector(d)
-            image_table = [
-                [zero, zeta0, zero, zero],
-                [zeta0, zero, zero, zeta0],
-                [zero, zero, -zeta0, zero],
-            ]
-        q_inv = inverse(q)
-        v = [_targets_to_map(q_inv, row, d) for row in image_table]
-        phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
-        if minimal_length(phi)[0] != 3:
-            continue
-        return _scramble(phi, derive_seed(s, 999))
-    raise InconsistencyError("special form generator exhausted its attempts")  # pragma: no cover
+            return u, [[zero, zeta1, zero], [zeta0, zero, zeta1], [zero, -zeta0, zero]], q
+        g_fun = random_nonzero_vector(d, derive_seed(s, 3), GENERATOR_HEIGHT)
+        if not _vectors_independent(f, g_fun):
+            return None
+        zeta0 = random_nonzero_vector(d, derive_seed(s, 4), GENERATOR_HEIGHT)
+        f_t, g_t = f.transpose(), g_fun.transpose()
+        u = [q.column(0) @ f_t, q.column(1) @ g_t + q.column(2) @ f_t, q.column(3) @ g_t]
+        table = [[zero, zeta0, zero, zero], [zeta0, zero, zero, zeta0], [zero, zero, -zeta0, zero]]
+        return u, table, q
+
+    return _attempts(seed, draw)
 
 
 def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
@@ -437,40 +427,31 @@ def _generate_near_miss(n: int, d: int, seed: int) -> ElementaryOperator:
         raise DimensionError("the near-miss family exists at length 3 only")
     if d < 4:
         raise DimensionError(f"the near-miss family needs dimension >= 4, got {d}")
-    for attempt in range(64):
-        s = derive_seed(seed, attempt)
+    zero2 = [zero_vector(d)] * 2
+
+    def draw(s):
         q = random_invertible(d, derive_seed(s, 1), GENERATOR_HEIGHT)
         r_src = random_invertible(d, derive_seed(s, 2), GENERATOR_HEIGHT)
-        c_cols = [q.column(0), q.column(1)]
-        c_mat = Matrix.from_columns(c_cols)
         r_mat = Matrix(r_src.den, r_src.re[:2], r_src.im[:2])
         lam_x = random_invertible(2, derive_seed(s, 3), GENERATOR_HEIGHT)
         lam_y = random_invertible(2, derive_seed(s, 4), GENERATOR_HEIGHT)
         quotient = inverse(lam_y) @ lam_x
         if _is_scalar_matrix(quotient):
-            continue
+            return None
         basis_q = random_invertible(d, derive_seed(s, 5), GENERATOR_HEIGHT)
         s1 = Matrix.from_columns([basis_q.column(0), basis_q.column(1)])
         s2 = Matrix.from_columns([basis_q.column(2), basis_q.column(3)])
-        s3 = s1 @ quotient
-        u = [s1 @ r_mat, s2 @ r_mat, s3 @ r_mat]
-        zero2 = [zero_vector(d)] * 2
-        cx = c_mat @ lam_x
-        cy = c_mat @ lam_y
-        tables = [
+        u = [s1 @ r_mat, s2 @ r_mat, s1 @ quotient @ r_mat]
+        c_mat = Matrix.from_columns([q.column(0), q.column(1)])
+        cx, cy = c_mat @ lam_x, c_mat @ lam_y
+        table = [
             zero2 + [cx.column(0), cx.column(1)],
             [cy.column(0), cy.column(1)] + zero2,
             zero2 + [-cy.column(0), -cy.column(1)],
         ]
-        basis_q_inv = inverse(basis_q)
-        v = [_targets_to_map(basis_q_inv, row, d) for row in tables]
-        phi = ElementaryOperator.from_pairs(d, list(zip(u, v)))
-        if minimal_length(phi)[0] != 3:
-            continue
-        if not sum_bi_ai(phi).is_zero:  # pragma: no cover
-            continue
-        return _scramble(phi, derive_seed(s, 999))
-    raise InconsistencyError("near-miss generator exhausted its attempts")  # pragma: no cover
+        return u, table, basis_q
+
+    return _attempts(seed, draw, lambda phi: sum_bi_ai(phi).is_zero)
 
 
 def _is_scalar_matrix(m: Matrix) -> bool:
@@ -487,8 +468,8 @@ def _generate_random(n: int, d: int, seed: int) -> ElementaryOperator:
     """n pairs of seeded random matrices.  The coefficient tensor of an
     operator on M_d is d^2 x d^2, so no operator has length above d^2,
     and a longer request is refused before any matrix is drawn."""
-    if n < 1:
-        raise DimensionError("random operators need at least one pair")
+    if n < 1 or d < 1:
+        raise DimensionError(f"random operators need n >= 1 and d >= 1, got n={n}, d={d}")
     if n > d * d:
         raise DimensionError(f"an operator on M_{d} has length at most {d * d}, got n={n}")
     pairs = []

@@ -59,12 +59,14 @@ Simultaneous strict triangularization is a common-kernel recursion: a
 space admits a strictly triangularizing flag iff at every stage some
 vector outside the current flag is killed into it by every basis element.
 The greedy choice is complete because quotients inherit the property.
-It is the one flag recursion.  The block flag of an operator is a scalar
-P making the blockwise conjugate P^{-1} G P of its block grid
-G = (b_i a_j) vanish on and below the diagonal; read at one entry
-position (s, t), that conjugate is P^{-1} S_st P for the scalar slice
-S_st = [(b_k a_l)[s][t]]_kl, so P is a strictly triangularizing flag of
-the slice span.
+It is the one flag recursion, and a flag is handed out as its
+conjugator, the matrix P with the flag as columns.  The block flag of an
+operator is a scalar P making the blockwise conjugate P^{-1} G P of its
+block grid G = (b_i a_j) vanish on and below the diagonal; read at one
+entry position (s, t), that conjugate is P^{-1} S_st P for the scalar
+slice S_st = [(b_k a_l)[s][t]]_kl, so P is a strictly triangularizing
+flag of the slice span.  No flag is re-checked here: `classify` turns it
+into a representation that `verify_certificate` checks.
 """
 
 from __future__ import annotations
@@ -363,19 +365,6 @@ def gerstenhaber_check(
     return True
 
 
-@dataclass(frozen=True)
-class Flag:
-    """Ordered independent vectors whose prefix spans are strictly shrunk
-    by every element of the triangularized space."""
-
-    vectors: tuple[Matrix, ...]
-
-
-@dataclass(frozen=True)
-class NotTriangularizable:
-    stage: int
-
-
 def _quotient_map(flag: Sequence[Matrix], m: int) -> Matrix:
     """Q with Q w = 0 exactly when w lies in span(flag): its rows are a
     kernel basis of the flag as rows, the identity for the empty flag."""
@@ -384,16 +373,19 @@ def _quotient_map(flag: Sequence[Matrix], m: int) -> Matrix:
     return Matrix.from_columns(kernel_basis(Matrix.from_columns(flag).transpose())).transpose()
 
 
-def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
-    """Common-kernel recursion for a strictly triangularizing flag.
+def strict_triangularize(space: OperatorSpace) -> Matrix | None:
+    """Common-kernel recursion for a strictly triangularizing flag: the
+    invertible P whose columns are the flag, so that P^{-1} T P is
+    strictly upper triangular for every T in the space, or None.
 
     At stage s, with Q the quotient map modulo the current prefix span,
     the candidates are the kernel of Q T stacked over every basis T: the
     vectors w with T w inside the span.  The stacked grids are each Q T's
     integer grids without its denominator; scaling a row does not change
     the kernel.  The first candidate with Q w nonzero, that is outside
-    the span, extends the flag.  Finding none reports the stage (counting
-    from 1) and is definitive.
+    the span, extends the flag.  Finding none is definitive.  The flag is
+    not re-checked here: a representation built from it is checked by
+    `verify_certificate`.
     """
     m = space.ambient_dim
     flag: list[Matrix] = []
@@ -405,25 +397,9 @@ def strict_triangularize(space: OperatorSpace) -> Flag | NotTriangularizable:
         )
         cand = next((w for w in kernel_basis(stacked) if not (q @ w).is_zero), None)
         if cand is None:
-            return NotTriangularizable(stage=len(flag) + 1)
+            return None
         flag.append(cand)
-    result = Flag(tuple(flag))
-    _check_flag(space, result)
-    return result
-
-
-def _check_flag(space: OperatorSpace, flag: Flag):
-    """Machine-check the flag invariant before handing the flag out: with
-    P the flag as columns, every basis T maps each v_k into the span of
-    v_0..v_(k-1) exactly when P^{-1} T P is strictly upper triangular."""
-    p = Matrix.from_columns(flag.vectors)
-    p_inv = inverse(p)
-    for t in space.basis:
-        c = p_inv @ t @ p
-        for i in range(c.rows):
-            for k in range(i + 1):
-                if c.re[i][k] or c.im[i][k]:
-                    raise InconsistencyError(f"flag invariant failed at position {k}")
+    return Matrix.from_columns(flag)
 
 
 SPECIAL_PLANE_FIRST = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, -1, 0]])
@@ -449,18 +425,17 @@ class SpecialForm:
     conjugator: Matrix
 
 
-def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Flag | SpecialForm:
-    """The dichotomy for 2-dimensional all-nilpotent planes in M_3: a
-    strictly triangularizing flag, or else `special_plane_form`."""
+def classify_nilpotent_2dim_m3(space: OperatorSpace) -> Matrix | SpecialForm:
+    """The dichotomy for 2-dimensional all-nilpotent planes in M_3: the
+    conjugator of a strictly triangularizing flag, as `strict_triangularize`
+    returns it, or else `special_plane_form`."""
     if space.ambient_dim != 3 or space.dim != 2:
         raise ContractError("expected a 2-dimensional space of 3x3 matrices")
     report = subspace_all_nilpotent(space)
     if not report.all_nilpotent:
         raise ContractError("expected an all-nilpotent space")
-    tri = strict_triangularize(space)
-    if isinstance(tri, Flag):
-        return tri
-    return special_plane_form(space)
+    p = strict_triangularize(space)
+    return special_plane_form(space) if p is None else p
 
 
 def special_plane_form(space: OperatorSpace) -> SpecialForm:
@@ -529,10 +504,9 @@ def block_strict_triangularize(g: GramMatrix) -> Matrix | None:
 
     Entry (s, t) of block (i, j) of P^{-1} G P is entry (i, j) of
     P^{-1} S_st P, for the slices S_st of `slice_span`.  So P is exactly
-    a strictly triangularizing flag of the slice span, as columns.
+    the conjugator `strict_triangularize` returns for the slice span.
     """
-    flag = strict_triangularize(slice_span(g))
-    return Matrix.from_columns(flag.vectors) if isinstance(flag, Flag) else None
+    return strict_triangularize(slice_span(g))
 
 
 # -- nilpotency of phi(x) for every x ----------------------------------

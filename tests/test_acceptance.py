@@ -29,7 +29,6 @@ from elemop.exact import (
 from elemop.nilpotency import (
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
-    Flag,
     SpecialForm,
     classify_nilpotent_2dim_m3,
     gerstenhaber_check,
@@ -229,11 +228,10 @@ def test_criterion_06_plane_dichotomy():
         plane = reduce_basis([q_inv @ first @ q, q_inv @ second @ q])
         if plane.dim != 2:  # pragma: no cover - degenerate combination
             continue
-        outcome = classify_nilpotent_2dim_m3(plane)
-        assert isinstance(outcome, Flag)
-        flag = outcome
+        p = classify_nilpotent_2dim_m3(plane)
+        assert isinstance(p, Matrix)
         prefix = []
-        for v in flag.vectors:
+        for v in (p.column(k) for k in range(p.cols)):
             lower_rank = reference_rank(prefix)
             for t in plane.basis:
                 assert reference_rank(prefix + [(t @ v).transpose().row(0)]) == lower_rank

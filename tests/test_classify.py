@@ -49,7 +49,7 @@ from elemop.operators import (
     sum_bi_ai,
     v_space,
 )
-from elemop.serialize import instance_to_json
+from elemop.serialize import instance_digest, instance_to_json
 from elemop.spaces import local_dimension
 from conftest import dim_v1_operator, single_pair, specimen_form_ii, specimen_form_iii, unit
 import naive_certificate_check
@@ -386,6 +386,36 @@ def test_generate_infeasible_dimensions():
         generate("remark45", 3, 3, seed=1)
     with pytest.raises(DimensionError):
         generate("i", 3, 3, seed=1)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_generate_random_refuses_a_non_positive_dimension(d):
+    # d = -3 passes the length bound n <= d^2 = 9, so the dimension is
+    # refused on its own, as every other form refuses its infeasible ones
+    with pytest.raises(DimensionError, match=f"d >= 1, got n=1, d={d}"):
+        generate("random", 1, d, seed=1)
+
+
+# sha256 of the instance JSON of ("ii", 3, 3) at the only two seeds of
+# 0..299 whose first attempt draws dependent zeta0 and zeta1, so that the
+# second attempt is kept; the golden cases all keep their first.
+RETRY_DIGESTS = {
+    23: "4ed614bfac19d3cac435f251d3ba0585aae8d3dd2aa63589de6c4b7cd89c7c9d",
+    176: "995e3ee63bf8d8ce2de23d4459ee98bed8c498a1cc7ce7d2a0522a97660a886b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RETRY_DIGESTS))
+def test_generate_keeps_the_second_attempt_after_a_retry(seed, monkeypatch):
+    classify_module = importlib.import_module("elemop.classify")
+    scrambled = []
+    original = classify_module._scramble
+    monkeypatch.setattr(
+        classify_module, "_scramble", lambda phi, s: scrambled.append(s) or original(phi, s)
+    )
+    phi = generate("ii", 3, 3, seed=seed)
+    assert scrambled == [derive_seed(derive_seed(seed, 1), 999)]
+    assert instance_digest(instance_to_json(phi)) == RETRY_DIGESTS[seed]
 
 
 def test_verify_accepts_valid_and_names_tampering():

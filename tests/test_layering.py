@@ -18,7 +18,9 @@ classifier's structural tools, so its sampling shares no shortcut with
 the classifier.  A vector is a d x 1 `Matrix`, so no
 module names the retired tuple-vector helpers.  Every LQN verdict is
 built in `classify._lqn`, the one caller of `verify_certificate` in its
-module, so no positive verdict skips the trust boundary.  `classify` is
+module, so no positive verdict skips the trust boundary, and every
+function of `classify` that asks for a strict flag calls `_lqn`, so no
+flag becomes a representation outside it.  `classify` is
 the one ladder for an operator: `nilpotency` defines no verdict type of
 its own and names `classify` only in `all_x_nilpotent`, which does
 nothing but delegate to it.  That boundary,
@@ -294,6 +296,25 @@ def test_only_lqn_builds_an_lqn_verdict_and_verifies_it():
     imported = {line for node in imports for line in _references(node, verify)}
     assert imported, "classify must take verify_certificate from certificate"
     assert set(_references(tree, verify)) == checked | imported
+
+
+def _calls(tree, names):
+    """Line numbers of every call of a function named in names."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and any(name in names for name in _named(node.func))
+    ]
+
+
+def test_every_flag_of_classify_goes_through_the_boundary():
+    tree = ast.parse((SRC / "classify.py").read_text())
+    flags = {"strict_triangularize", "block_strict_triangularize"}
+    askers = [
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and _calls(node, flags)
+    ]
+    assert askers, "classify must ask for strict flags"
+    assert sorted(node.name for node in askers if not _calls(node, {"_lqn"})) == []
 
 
 # -- one ladder for an operator ---------------------------------------------

@@ -33,8 +33,6 @@ from elemop import certificate, nilpotency
 from elemop.classify import classify
 from elemop.serialize import verdict_to_json
 from elemop.nilpotency import (
-    Flag,
-    NotTriangularizable,
     SPECIAL_PLANE_FIRST,
     SPECIAL_PLANE_SECOND,
     SpecialForm,
@@ -82,6 +80,17 @@ def conjugated_space(space, q):
 def _rows(columns):
     """The d x 1 columns as Scalar rows, for `reference_rank`."""
     return [c.transpose().row(0) for c in columns]
+
+
+def _triangularizes(p, space):
+    """Whether P^{-1} T P is strictly upper triangular for every basis T."""
+    p_inv = inverse(p)
+    return all(
+        (p_inv @ t @ p).entry(i, j).is_zero
+        for t in space.basis
+        for i in range(p.rows)
+        for j in range(i + 1)
+    )
 
 
 def _traceless(x):
@@ -174,8 +183,7 @@ def test_subspace_conjugated_triangular_soundness():
         m = 3 + s % 2
         q = random_invertible(m, derive_seed(200, s), 4)
         space = conjugated_space(reduce_basis(strictly_upper_basis(m)), q)
-        tri = strict_triangularize(space)
-        assert isinstance(tri, Flag)
+        assert _triangularizes(strict_triangularize(space), space)
         report = subspace_all_nilpotent(space)
         assert report.all_nilpotent and report.method == "exact-grid"
 
@@ -206,9 +214,7 @@ def test_gerstenhaber_dim_four_candidates_always_refuted():
 
 def test_strict_triangularize_upper_space():
     space = reduce_basis(strictly_upper_basis(3))
-    flag = strict_triangularize(space)
-    assert isinstance(flag, Flag)
-    assert flag.vectors == (basis_vector(3, 0), basis_vector(3, 1), basis_vector(3, 2))
+    assert strict_triangularize(space) == Matrix.identity(3)
 
 
 def test_strict_triangularize_special_plane_fails_at_stage_one():
@@ -219,14 +225,11 @@ def test_strict_triangularize_special_plane_fails_at_stage_one():
     k2 = kernel_basis(SPECIAL_PLANE_SECOND)
     assert k1 == [basis_vector(3, 2)] and k2 == [basis_vector(3, 0)]
     assert reference_rank(_rows(k1 + k2)) == 2  # no common direction
-    result = strict_triangularize(special_plane_space())
-    assert isinstance(result, NotTriangularizable) and result.stage == 1
+    assert strict_triangularize(special_plane_space()) is None
 
 
 def test_strict_triangularize_zero_space():
-    flag = strict_triangularize(reduce_basis([], ambient_dim=2))
-    assert isinstance(flag, Flag)
-    assert flag.vectors == (basis_vector(2, 0), basis_vector(2, 1))
+    assert strict_triangularize(reduce_basis([], ambient_dim=2)) == Matrix.identity(2)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -247,30 +250,23 @@ def test_strict_triangularize_gaussian_conjugated_upper(d):
     assert space.dim == d * (d - 1) // 2
     assert len({t.den for t in space.basis}) > 1 or d == 2
     assert all(any(map(any, t.im)) for t in space.basis)
-    flag = strict_triangularize(space)
-    assert isinstance(flag, Flag)
-    p_cols = [p.column(j) for j in range(d)]
+    f = strict_triangularize(space)
     for j in range(1, d + 1):
-        assert rank(Matrix.from_columns(list(flag.vectors[:j]) + p_cols[:j])) == j
-    f = Matrix.from_columns(list(flag.vectors))
-    f_inv = inverse(f)
-    for t in space.basis:
-        conj = f_inv @ t @ f
-        assert all(conj.entry(i, j).is_zero for i in range(d) for j in range(i + 1))
+        prefixes = [f.column(k) for k in range(j)] + [p.column(k) for k in range(j)]
+        assert rank(Matrix.from_columns(prefixes)) == j
+    assert _triangularizes(f, space)
     # one lower corner closes a cycle: no common kernel vector at stage 1
     corner = p @ Matrix.unit(d, d - 1, 0) @ p_inv
-    result = strict_triangularize(reduce_basis(list(space.basis) + [corner]))
-    assert isinstance(result, NotTriangularizable) and result.stage == 1
+    assert strict_triangularize(reduce_basis(list(space.basis) + [corner])) is None
 
 
 def test_flag_invariant_holds_on_output():
     for s in range(10):
         q = random_invertible(3, derive_seed(220, s), 4)
         space = conjugated_space(reduce_basis(strictly_upper_basis(3)), q)
-        flag = strict_triangularize(space)
-        assert isinstance(flag, Flag)
+        p = strict_triangularize(space)
         prefix = []
-        for k, v in enumerate(flag.vectors):
+        for v in (p.column(k) for k in range(p.cols)):
             lower_rank = reference_rank(_rows(prefix))
             for t in space.basis:
                 image = t @ v
@@ -278,29 +274,30 @@ def test_flag_invariant_holds_on_output():
             prefix.append(v)
 
 
-@pytest.mark.parametrize(
-    "basis, order",
-    [
-        # a valid strictly-upper flag handed over in reverse order
-        (strictly_upper_basis(3), [2, 1, 0]),
-        # fails on the diagonal only: E_00 fixes e_0
-        ([unit(2, 0, 0)], [0, 1]),
-        # fails on the imaginary grid only: i E_10 sends e_0 to i e_1
-        ([I_UNIT * unit(2, 1, 0)], [0, 1]),
-    ],
-    ids=["reversed", "diagonal", "imaginary"],
-)
-def test_check_flag_rejects_a_broken_flag(basis, order):
-    space = reduce_basis(basis)
-    flag = Flag(tuple(basis_vector(space.ambient_dim, i) for i in order))
-    with pytest.raises(InconsistencyError, match="flag invariant failed"):
-        nilpotency._check_flag(space, flag)
+def test_a_broken_flag_is_caught_by_the_trust_boundary(monkeypatch):
+    # No flag is re-checked where it is built: a flag handed over in
+    # reverse order turns the zero pattern lower triangular, and the
+    # block-flag tier behind both entry points hands its representation
+    # to verify_certificate, which refuses it.
+    classify_module = importlib.import_module("elemop.classify")
+    original = classify_module.strict_triangularize
+
+    def reversed_flag(space):
+        p = original(space)
+        return Matrix.from_columns([p.column(k) for k in reversed(range(p.cols))])
+
+    monkeypatch.setattr(classify_module, "strict_triangularize", reversed_flag)
+    phi = classify_module.generate("i", 3, 4, seed=31)
+    with pytest.raises(InconsistencyError, match=r"zero pattern at block"):
+        classify(phi)
+    with pytest.raises(InconsistencyError, match=r"zero pattern at block"):
+        classify_module.construct_triangular_rep(phi)
 
 
 def test_classify_plane_triangularizable():
     space = reduce_basis([unit(3, 0, 1), unit(3, 0, 2)])
     outcome = classify_nilpotent_2dim_m3(space)
-    assert isinstance(outcome, Flag)
+    assert isinstance(outcome, Matrix) and _triangularizes(outcome, space)
 
 
 def test_classify_plane_special_family_identity_conjugator():
@@ -1321,7 +1318,7 @@ def test_nil_spaces_without_a_flag_are_decided_nil(scale, mats):
     space = reduce_basis([scale * n for n in mats])
     report = subspace_all_nilpotent(space)
     assert report.all_nilpotent and report.method == "exact-grid"
-    assert isinstance(strict_triangularize(space), NotTriangularizable)
+    assert strict_triangularize(space) is None
     assert _first_nonzero_trace(space) is None
     assert _full_sum_first_trace(space) is None
     if space.ambient_dim <= 4:

@@ -316,6 +316,16 @@ def test_cli_generate_random_length_is_bounded_by_the_tensor(tmp_path, capsys, d
     )
 
 
+def test_cli_generate_random_refuses_a_non_positive_dimension(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    argv = ["generate", "--form", "random", "--n", "1", "--dim", "-3", str(path)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not path.exists()
+    assert captured.err == "infeasible parameters: random operators need n >= 1 and d >= 1, got n=1, d=-3\n"
+
+
 def test_cli_analyze_specimen(tmp_path, capsys):
     path = tmp_path / "specimen.json"
     path.write_text(json.dumps(instance_to_json(specimen_form_ii())))
